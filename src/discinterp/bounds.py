@@ -21,11 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import MixedMultiplicity, NotHilbert, UnsupportedSpace
-from .extremal import PickProblem, cs_min_norm, pick_min_norm, quotient_norm
+from .extremal import _MIN_SEPARATION, _pick_factor, _pick_value, cs_min_norm, quotient_norm
 from .series import (
     CoeffSeries,
     SigmaSet,
@@ -47,9 +47,6 @@ __all__ = [
     "theorem_bounds",
     "bound_sweep",
 ]
-
-_MIN_SEPARATION = 1e-10
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -224,20 +221,25 @@ def interp_constant(
 
     gram = _sp.gram_matrix(space, sigma)
     try:
-        factor = cho_factor(gram, lower=True)
+        # a^H G^-1 a = ||L_G^-1 a||^2 with G = L_G L_G^H
+        gram_chol_inv = solve_triangular(
+            cholesky(gram, lower=True), np.eye(n), lower=True
+        )
 
-        def solve(a: np.ndarray) -> np.ndarray:
-            return cho_solve(factor, a)
+        def denominator(a: np.ndarray) -> float:
+            return float(np.linalg.norm(gram_chol_inv @ a))
 
     except np.linalg.LinAlgError:
         inv = np.linalg.pinv(gram, hermitian=True)
 
-        def solve(a: np.ndarray) -> np.ndarray:
-            return inv @ a
+        def denominator(a: np.ndarray) -> float:
+            return math.sqrt(max(float(np.real(np.vdot(inv @ a, a))), 0.0))
 
     if distinct:
+        factor = _pick_factor(sigma.points)
+
         def numerator(a: np.ndarray) -> float:
-            return pick_min_norm(PickProblem(sigma.points, tuple(a)), tol=tol / 10).value
+            return _pick_value(factor, a)
     else:
         U = _jet_to_origin_matrix(single, n)
 
@@ -245,7 +247,7 @@ def interp_constant(
             return cs_min_norm(U @ a).value
 
     def j_ratio(a: np.ndarray) -> float:
-        den = math.sqrt(max(float(np.real(np.vdot(solve(a), a))), 0.0))
+        den = denominator(a)
         if den <= 1e-14:
             return 0.0
         return numerator(a) / den

@@ -26,7 +26,7 @@ class Divergence(DiscinterpError):
 
 
 class DegenerateNodes(DiscinterpError):
-    """Interpolation nodes violate the minimum separation."""
+    """Interpolation nodes are too close for an accurate answer."""
 
 
 class MixedMultiplicity(DiscinterpError):

@@ -1,12 +1,15 @@
 """Exact minimal-norm bounded interpolation on finite node sets.
 
-Distinct nodes go through the Pick matrix: the least c for which
-[(c^2 - w_i conj(w_j)) / (1 - lam_i conj(lam_j))] is positive
-semidefinite, found by bisection with an eigenvalue feasibility test.
-A single node of multiplicity n is the Taylor-jet problem, solved exactly
-as the spectral norm of the lower-triangular Toeplitz matrix of the jet.
-The quotient norm dispatches between the two after transplanting jets to
-the origin with the involution b_lam.
+Distinct nodes go through the Pick matrix.  With the Cauchy (Szego
+kernel) matrix C = [1 / (1 - lam_i conj(lam_j))] = L L^H and D = diag(w),
+the Pick condition c^2 C - D C D^H >= 0 holds exactly when
+c >= ||L^-1 D L||_2, so the least norm is one small spectral norm: the
+norm of multiplication by the data compressed to the model space.  The
+factor L and its inverse depend on the nodes only and are built once per
+node set.  A single node of multiplicity n is the Taylor-jet problem,
+solved exactly as the spectral norm of the lower-triangular Toeplitz
+matrix of the jet.  The quotient norm dispatches between the two after
+transplanting jets to the origin with the involution b_lam.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.optimize import minimize
 
 from .errors import DegenerateNodes, MixedMultiplicity
@@ -31,7 +34,11 @@ __all__ = [
 ]
 
 _MIN_SEPARATION = 1e-10
-_EIG_FLOOR = 1e-12
+#: largest eps * cond(C) at which a Pick value is returned; against
+#: 60-digit arithmetic the relative error of ||L^-1 D L|| was at most about
+#: eps * cond(C) / 5 (coalescing pairs are the worst case), so returned
+#: values hold to about 4e-4
+_COND_LIMIT = 2e-3
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,9 @@ class ExtremalResult:
     """Optimal value of a minimal-norm problem plus its certificate.
 
     For Pick problems the certificate is the smallest eigenvalue of the
-    Pick matrix at the optimum (close to the feasibility boundary); for
-    Toeplitz problems it is the residual ||T v - s u|| of the leading
+    Pick matrix at the returned value, which is the exact feasibility
+    boundary, so the certificate is zero up to rounding; for Toeplitz
+    problems it is the residual ||T v - s u|| of the leading
     singular triplet.
     """
 
@@ -68,62 +76,51 @@ class ExtremalResult:
     mode: str
 
 
-def _pick_eigmin(c: float, cauchy: np.ndarray, wmat: np.ndarray) -> float:
-    pick = c * c * cauchy - wmat
-    return float(np.linalg.eigvalsh(pick)[0])
+def _pick_factor(nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of the Cauchy matrix of the nodes, and L^-1.
+
+    Raises DegenerateNodes for nodes closer than _MIN_SEPARATION, and for
+    a Cauchy matrix too ill-conditioned to give the Pick value to about
+    1e-3 (coalescing nodes), rather than return a wrong value.
+    """
+    nodes = np.asarray(nodes, dtype=complex)
+    n = nodes.size
+    if n > 1:
+        gaps = np.abs(np.subtract.outer(nodes, nodes))[np.triu_indices(n, 1)]
+        sep = float(gaps.min())
+        if sep < _MIN_SEPARATION:
+            raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
+    cauchy = 1.0 / (1.0 - np.outer(nodes, nodes.conj()))
+    try:
+        chol = np.linalg.cholesky(cauchy)
+    except np.linalg.LinAlgError:
+        raise DegenerateNodes("Cauchy matrix numerically singular; nodes too close") from None
+    chol_inv = solve_triangular(chol, np.eye(n), lower=True)
+    cond = (np.linalg.norm(chol, 2) * np.linalg.norm(chol_inv, 2)) ** 2
+    if cond * np.finfo(float).eps > _COND_LIMIT:
+        raise DegenerateNodes(f"Cauchy matrix condition {cond:.1e}; nodes too close")
+    return chol, chol_inv
+
+
+def _pick_value(factor: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> float:
+    """Least sup-norm through the values on the factored nodes: ||L^-1 D L||_2."""
+    chol, chol_inv = factor
+    return float(np.linalg.svd(chol_inv @ (values[:, None] * chol), compute_uv=False)[0])
 
 
 def pick_min_norm(problem: PickProblem, tol: float = 1e-8) -> ExtremalResult:
     """Least sup-norm of a bounded interpolant through the given data.
 
-    Bisects on the norm level c; feasibility at level c is positive
-    semidefiniteness of the Pick matrix.  The upper bracket starts at the
-    crude seed max|w| * prod (1+|lam|)/(1-|lam|) and doubles until
-    feasible, which always terminates for separated nodes.
+    The value is ||L^-1 diag(w) L||_2 with C = L L^H the Cauchy matrix of
+    the nodes, exact up to dense linear-algebra accuracy; there is no
+    iteration, and tol is accepted for compatibility only.
     """
     nodes = np.array(problem.nodes)
     values = np.array(problem.values)
-    n = nodes.size
-    if n > 1:
-        sep = min(
-            abs(nodes[i] - nodes[j]) for i in range(n) for j in range(i + 1, n)
-        )
-        if sep < _MIN_SEPARATION:
-            raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
-
+    value = _pick_value(_pick_factor(nodes), values)
     cauchy = 1.0 / (1.0 - np.outer(nodes, nodes.conj()))
-    wmat = np.outer(values, values.conj()) * cauchy
-    wmax = float(np.max(np.abs(values)))
-    if wmax == 0.0:
-        return ExtremalResult(0.0, 0.0, "pick")
-
-    scale = max(1.0, float(np.linalg.norm(wmat)))
-    floor = -_EIG_FLOOR * scale
-
-    lo = wmax  # necessary from the diagonal entries
-    if _pick_eigmin(lo, cauchy, wmat) >= floor:
-        return ExtremalResult(lo, _pick_eigmin(lo, cauchy, wmat), "pick")
-    hi = wmax * float(np.prod((1.0 + np.abs(nodes)) / (1.0 - np.abs(nodes))))
-    hi = max(hi, lo * 2.0)
-    for _ in range(200):
-        if _pick_eigmin(hi, cauchy, wmat) >= floor:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise DegenerateNodes("no feasible norm level found; nodes too close")
-
-    for _ in range(200):
-        width_ok = (hi - lo) <= tol * max(1.0, hi)
-        cert = _pick_eigmin(hi, cauchy, wmat)
-        if width_ok and cert <= 10.0 * tol * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        if _pick_eigmin(mid, cauchy, wmat) >= floor:
-            hi = mid
-        else:
-            lo = mid
-    return ExtremalResult(hi, _pick_eigmin(hi, cauchy, wmat), "pick")
+    pick = value * value * cauchy - np.outer(values, values.conj()) * cauchy
+    return ExtremalResult(value, float(np.linalg.eigvalsh(pick)[0]), "pick")
 
 
 def cs_min_norm(coeffs) -> ExtremalResult:
@@ -150,7 +147,8 @@ def quotient_norm(f: CoeffSeries, sigma: SigmaSet, tol: float = 1e-8) -> Extrema
     Distinct sigma reduces to a Pick problem on the point values; a single
     point of multiplicity n transplants the jet to the origin through
     b_lam (an isometry of H^inf) and solves the Taylor-jet problem on the
-    first n coefficients of f o b_lam.
+    first n coefficients of f o b_lam.  Both solves are exact; tol is
+    accepted for compatibility only.
     """
     if sigma.is_distinct(_MIN_SEPARATION):
         values = [eval_series(f, lam) for lam in sigma.points]
@@ -164,10 +162,6 @@ def quotient_norm(f: CoeffSeries, sigma: SigmaSet, tol: float = 1e-8) -> Extrema
     return cs_min_norm(composed.coeffs)
 
 
-def _pick_value_for_data(sigma: SigmaSet, data: np.ndarray, tol: float) -> float:
-    return pick_min_norm(PickProblem(sigma.points, tuple(data)), tol=tol).value
-
-
 def carleson_constant(
     sigma: SigmaSet,
     tol: float = 1e-6,
@@ -178,17 +172,17 @@ def carleson_constant(
 
     Maximises the Pick value over unimodular data (the sup over the unit
     polydisc is attained there) by multistart Nelder-Mead on the phase
-    angles.  Deterministic under a fixed seed; the returned value is a
+    angles; the nodes are factored once and every evaluation is one small
+    spectral norm.  Deterministic under a fixed seed; the returned value is a
     certified lower bound of the supremum, not the supremum itself.
     """
     if not sigma.is_distinct(_MIN_SEPARATION):
         raise DegenerateNodes("Carleson constant needs pairwise distinct nodes")
     n = sigma.n
-    inner_tol = min(tol, 1e-8)
+    factor = _pick_factor(sigma.points)
 
     def value_of(phases: np.ndarray) -> float:
-        data = np.exp(1j * np.concatenate(([0.0], phases)))
-        return _pick_value_for_data(sigma, data, inner_tol)
+        return _pick_value(factor, np.exp(1j * np.concatenate(([0.0], phases))))
 
     if n == 1:
         return value_of(np.zeros(0))

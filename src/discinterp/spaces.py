@@ -28,7 +28,7 @@ from .errors import (
     NotHilbert,
     UnsupportedSpace,
 )
-from .series import CoeffSeries, SigmaSet, series_power
+from .series import CoeffSeries, SigmaSet, _next_pow2, series_power
 
 __all__ = [
     "SpaceSpec",
@@ -118,13 +118,6 @@ def kernel_diagonal(space: SpaceSpec, ks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
-
-
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
 
 
 def _hardy_norm(p: float, f: CoeffSeries) -> float:

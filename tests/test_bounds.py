@@ -6,6 +6,7 @@ from discinterp import (
     UnsupportedSpace,
     bergman_radial,
     bound_sweep,
+    bounds,
     carleson_constant,
     eval_functional_norm,
     hardy,
@@ -180,6 +181,20 @@ class TestInterpConstant:
         phi_max = max(eval_functional_norm(hardy(2), abs(p)) for p in sigma.points)
         if abs(c_big - c_small) < 1e-4:  # multistart certificate stabilised
             assert est <= c_big * phi_max + 1e-6
+
+    def test_factors_nodes_once_per_call(self, monkeypatch):
+        calls = []
+        factor = bounds._pick_factor
+
+        def counted(nodes):
+            calls.append(nodes)
+            return factor(nodes)
+
+        monkeypatch.setattr(bounds, "_pick_factor", counted)
+        interp_constant(hardy(2), SigmaSet((0.3, -0.5, 0.2j)), budget=4, seed=1)
+        assert len(calls) == 1
+        interp_constant(hardy(2), SigmaSet((0.3,) * 3), budget=2)
+        assert len(calls) == 1
 
 
 class TestSweep:

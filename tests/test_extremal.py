@@ -13,6 +13,7 @@ from discinterp import (
     compose_with_blaschke,
     cs_min_norm,
     eval_series,
+    extremal,
     jet_values,
     pick_min_norm,
     quotient_norm,
@@ -47,6 +48,26 @@ class TestPick:
             w = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
             res = pick_min_norm(PickProblem(sigma.points, tuple(w)), tol=1e-8)
             assert -1e-7 <= res.certificate <= 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_blaschke_multiple_is_exact(self, rng, n):
+        # s * B with deg B < n is the unique minimal interpolant of its values
+        s = complex(*rng.standard_normal(2))
+        zeros = np.array(random_sigma(rng, n=n - 1, r_max=0.8).points)
+        nodes = np.array(random_sigma(rng, n=n, r_max=0.8, distinct=True).points)
+        blaschke = np.prod(
+            (nodes[:, None] - zeros) / (1.0 - zeros.conj() * nodes[:, None]), axis=1
+        )
+        res = pick_min_norm(PickProblem(tuple(nodes), tuple(s * blaschke)))
+        assert res.value == pytest.approx(abs(s), abs=1e-10)
+
+    def test_two_point_zero_data_exact(self, rng):
+        for _ in range(10):
+            lam1, lam2 = random_sigma(rng, n=2, r_max=0.8, distinct=True).points
+            w = complex(*rng.standard_normal(2))
+            pseudo = abs((lam2 - lam1) / (1.0 - np.conj(lam1) * lam2))
+            res = pick_min_norm(PickProblem((lam1, lam2), (0.0, w)))
+            assert res.value == pytest.approx(abs(w) / pseudo, rel=1e-10)
 
     def test_rejects_merged_nodes(self):
         with pytest.raises(DegenerateNodes):
@@ -143,6 +164,22 @@ class TestQuotient:
             ).value
             assert split == pytest.approx(merged, rel=1e-2)
 
+    def test_coalescence_accurate_or_rejected(self, rng):
+        # split nodes approach the merged jet value, or the solver refuses
+        for _ in range(10):
+            lam = complex(*(0.6 * rng.uniform(-1, 1, size=2)))
+            f = random_poly(rng, 8)
+            merged = quotient_norm(f, SigmaSet((lam, lam))).value
+            direction = np.exp(2j * np.pi * rng.uniform())
+            for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+                sigma = SigmaSet((lam, lam + eps * direction))
+                try:
+                    split = quotient_norm(f, sigma).value
+                except DegenerateNodes:
+                    assert eps < 1e-6
+                    continue
+                assert split == pytest.approx(merged, rel=1e-3)
+
 
 class TestCarleson:
     def test_single_node_is_one(self):
@@ -166,3 +203,15 @@ class TestCarleson:
     def test_rejects_repeated_nodes(self):
         with pytest.raises(DegenerateNodes):
             carleson_constant(SigmaSet((0.2, 0.2)))
+
+    def test_factors_nodes_once(self, monkeypatch):
+        calls = []
+        factor = extremal._pick_factor
+
+        def counted(nodes):
+            calls.append(nodes)
+            return factor(nodes)
+
+        monkeypatch.setattr(extremal, "_pick_factor", counted)
+        carleson_constant(SigmaSet((0.5, -0.5, 0.3j)), budget=4, seed=1)
+        assert len(calls) == 1
