@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 
-from .errors import MixedMultiplicity, NotHilbert, UnsupportedSpace
-from .extremal import _MIN_SEPARATION, _pick_factor, _pick_value, cs_min_norm, quotient_norm
+from .errors import NotHilbert, UnsupportedSpace
+from .extremal import _check_accuracy, _pick_factor, _pick_value, cs_min_norm
 from .series import (
     CoeffSeries,
     SigmaSet,
@@ -150,6 +150,17 @@ def _witness_power(space: _sp.SpaceSpec) -> int:
     )
 
 
+def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSeries, CoeffSeries]:
+    """The rotated kernel witness W and its transplant f = W o b_lam."""
+    m = _witness_power(space)
+    base = series_power(hadamard_product(dirichlet_kernel(n), fejer_kernel(n)), m)
+    if lam == 0:
+        return base, base
+    eta = -np.conj(lam) / abs(lam)
+    rotated = CoeffSeries(base.coeffs * eta ** np.arange(len(base)))
+    return rotated, compose_with_blaschke(rotated, lam)
+
+
 def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     """Certified lower bound for the interpolation constant of sigma_{lam,n}.
 
@@ -157,40 +168,14 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     Fejer kernels, m = 2*alpha - 1), rotated so its boundary peak faces
     away from lam, then composed with b_lam.  The returned quotient/norm
     ratio is a valid lower bound for any witness; the rotation is what
-    makes it grow at the proved (n/(1-r))-power rate.
+    makes it grow at the proved (n/(1-r))-power rate.  The involution b_lam
+    carries b_lam^n H^inf onto z^n H^inf, so the quotient norm is the
+    Taylor-jet norm of the rotated witness.
     """
     if n < 1:
         raise ValueError("multiplicity must be >= 1")
-    lam = complex(lam)
-    m = _witness_power(space)
-    base = series_power(hadamard_product(dirichlet_kernel(n), fejer_kernel(n)), m)
-    if lam == 0:
-        f = base
-    else:
-        eta = -np.conj(lam) / abs(lam)
-        rotated = CoeffSeries(base.coeffs * eta ** np.arange(len(base)))
-        f = compose_with_blaschke(rotated, lam)
-    sigma = SigmaSet((lam,) * n)
-    numerator = quotient_norm(f, sigma).value
-    return numerator / _sp.norm(space, f)
-
-
-def _jet_to_origin_matrix(lam: complex, n: int) -> np.ndarray:
-    """Map a jet (f(lam), f'(lam), ..) to the first n coefficients of f o b_lam.
-
-    Column d holds (b_lam - lam)^d / d! modulo z^n, so the matrix applied
-    to the jet vector reproduces the transplanted Taylor coefficients.
-    """
-    u = np.zeros(n, dtype=complex)
-    ks = np.arange(1, n)
-    u[1:] = -(1.0 - abs(lam) ** 2) * np.conj(lam) ** (ks - 1)
-    U = np.zeros((n, n), dtype=complex)
-    U[0, 0] = 1.0
-    col = U[:, 0].copy()
-    for d in range(1, n):
-        col = np.convolve(col, u)[:n]
-        U[:, d] = col / math.factorial(d)
-    return U
+    rotated, f = _witness(space, complex(lam), n)
+    return cs_min_norm(rotated.coeffs[:n]).value / _sp.norm(space, f)
 
 
 def interp_constant(
@@ -212,13 +197,6 @@ def interp_constant(
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
-    distinct = sigma.is_distinct(_MIN_SEPARATION)
-    single = sigma.single_point()
-    if not distinct and single is None:
-        raise MixedMultiplicity(
-            "sigma must be pairwise distinct or a single repeated point"
-        )
-
     gram = _sp.gram_matrix(space, sigma)
     try:
         # a^H G^-1 a = ||L_G^-1 a||^2 with G = L_G L_G^H
@@ -235,67 +213,48 @@ def interp_constant(
         def denominator(a: np.ndarray) -> float:
             return math.sqrt(max(float(np.real(np.vdot(inv @ a, a))), 0.0))
 
-    if distinct:
-        factor = _pick_factor(sigma.points)
-
-        def numerator(a: np.ndarray) -> float:
-            return _pick_value(factor, a)
-    else:
-        U = _jet_to_origin_matrix(single, n)
-
-        def numerator(a: np.ndarray) -> float:
-            return cs_min_norm(U @ a).value
+    factor = _pick_factor(sigma.points)
 
     def j_ratio(a: np.ndarray) -> float:
         den = denominator(a)
         if den <= 1e-14:
             return 0.0
-        return numerator(a) / den
+        return _pick_value(factor, a) / den
+
+    def objective(x: np.ndarray) -> float:
+        v = x[:n] + 1j * x[n:]
+        nv = np.linalg.norm(v)
+        if nv < 1e-9:
+            return 0.0
+        return -j_ratio(v / nv)
 
     starts = _jet_starts(n, budget, seed)
+    single = sigma.single_point()
     if single is not None:
-        witness_jet = _witness_jet(space, single, n)
-        if witness_jet is not None:
-            # guarantees estimate >= witness_lower_bound on this class
-            starts.insert(0, witness_jet)
+        try:
+            jet = jet_values(_witness(space, single, n)[1], sigma)
+        except UnsupportedSpace:
+            pass
+        else:  # guarantees estimate >= witness_lower_bound on this class
+            starts.insert(0, jet / np.linalg.norm(jet))
     maxfev = nm_maxfev if nm_maxfev is not None else 100 * n + 80
-    best = 0.0
+    best, best_a = 0.0, None
     for a0 in starts:
-        best = max(best, j_ratio(a0))
-        x0 = np.concatenate([a0.real, a0.imag])
-
-        def objective(x: np.ndarray) -> float:
-            v = x[:n] + 1j * x[n:]
-            nv = np.linalg.norm(v)
-            if nv < 1e-9:
-                return 0.0
-            return -j_ratio(v / nv)
-
+        value = j_ratio(a0)
+        if value > best:
+            best, best_a = value, a0
         res = minimize(
             objective,
-            x0,
+            np.concatenate([a0.real, a0.imag]),
             method="Nelder-Mead",
             options={"maxfev": maxfev, "xatol": 1e-5, "fatol": tol / 4},
         )
-        best = max(best, -float(res.fun))
+        if -float(res.fun) > best:
+            v = res.x[:n] + 1j * res.x[n:]
+            best, best_a = -float(res.fun), v / np.linalg.norm(v)
+    if best_a is not None:
+        _check_accuracy(factor, best_a, _pick_value(factor, best_a))
     return best
-
-
-def _witness_jet(space: _sp.SpaceSpec, lam: complex, n: int) -> np.ndarray | None:
-    """Jet of the kernel witness at lam, normalised; None if unsupported."""
-    try:
-        m = _witness_power(space)
-    except UnsupportedSpace:
-        return None
-    base = series_power(hadamard_product(dirichlet_kernel(n), fejer_kernel(n)), m)
-    if lam != 0:
-        eta = -np.conj(lam) / abs(lam)
-        base = compose_with_blaschke(
-            CoeffSeries(base.coeffs * eta ** np.arange(len(base))), lam
-        )
-    jet = jet_values(base, SigmaSet((lam,) * n))
-    scale = np.linalg.norm(jet)
-    return jet / scale if scale > 0 else None
 
 
 def _jet_starts(n: int, budget: int, seed: int) -> list[np.ndarray]:

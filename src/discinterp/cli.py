@@ -22,7 +22,6 @@ from . import __version__
 from .errors import (
     DegenerateNodes,
     Divergence,
-    MixedMultiplicity,
     NotHilbert,
     PoleOnDomain,
     TruncationError,
@@ -421,7 +420,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     try:
         records, meta = _RUNNERS[config.command](config)
-    except (CliError, DegenerateNodes, MixedMultiplicity, NotHilbert,
+    except (CliError, DegenerateNodes, NotHilbert,
             UnsupportedSpace, PoleOnDomain, ValueError) as exc:
         print(f"discinterp {config.command}: error: {exc}", file=sys.stderr)
         return 1

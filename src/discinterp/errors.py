@@ -29,9 +29,5 @@ class DegenerateNodes(DiscinterpError):
     """Interpolation nodes are too close for an accurate answer."""
 
 
-class MixedMultiplicity(DiscinterpError):
-    """Node multisets mixing several points with repetitions are not handled."""
-
-
 class IllConditionedWarning(UserWarning):
     """A Gram or Pick matrix is numerically near-singular."""

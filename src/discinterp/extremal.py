@@ -1,28 +1,28 @@
-"""Exact minimal-norm bounded interpolation on finite node sets.
+"""Exact minimal-norm bounded interpolation on finite node multisets.
 
-Distinct nodes go through the Pick matrix.  With the Cauchy (Szego
-kernel) matrix C = [1 / (1 - lam_i conj(lam_j))] = L L^H and D = diag(w),
-the Pick condition c^2 C - D C D^H >= 0 holds exactly when
-c >= ||L^-1 D L||_2, so the least norm is one small spectral norm: the
-norm of multiplication by the data compressed to the model space.  The
-factor L and its inverse depend on the nodes only and are built once per
-node set.  A single node of multiplicity n is the Taylor-jet problem,
-solved exactly as the spectral norm of the lower-triangular Toeplitz
-matrix of the jet.  The quotient norm dispatches between the two after
-transplanting jets to the origin with the involution b_lam.
+Every value is the spectral norm of a polynomial in the compressed shift
+T_B, multiplication by z compressed to K_B = H^2 (-) B H^2 in its Malmquist
+basis: ||f||_{H^inf / B H^inf} = ||f(T_B)||_2 (Sarason).  In closed form
+T[k, k] = lam_k and, for k > l, T[k, l] = -s_k s_l prod_{l<m<k} conj(lam_m)
+with s_k = sqrt(1 - |lam_k|^2), zero above the diagonal; nothing is
+truncated, and distinct, repeated and mixed multisets are handled alike.
+A function is evaluated at T_B by block Horner; interpolation data enter
+through the Newton form of their Hermite interpolant, built once per node
+set.  cs_min_norm keeps the direct Toeplitz solver for jets at the origin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import toeplitz
 from scipy.optimize import minimize
 
-from .errors import DegenerateNodes, MixedMultiplicity
-from .series import CoeffSeries, SigmaSet, compose_with_blaschke, eval_series
+from .errors import DegenerateNodes
+from .series import CoeffSeries, SigmaSet
 
 __all__ = [
     "PickProblem",
@@ -34,11 +34,11 @@ __all__ = [
 ]
 
 _MIN_SEPARATION = 1e-10
-#: largest eps * cond(C) at which a Pick value is returned; against
-#: 60-digit arithmetic the relative error of ||L^-1 D L|| was at most about
-#: eps * cond(C) / 5 (coalescing pairs are the worst case), so returned
-#: values hold to about 4e-4
+#: largest a-posteriori bound n * eps * sum_i |a_i| ||M_i||_2 / value on the
+#: relative rounding error of the data map F(a) = sum_i a_i M_i at which a
+#: value is returned; the bound grows like eps / gap for coalescing nodes
 _COND_LIMIT = 2e-3
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ class ExtremalResult:
 
     For Pick problems the certificate is the smallest eigenvalue of the
     Pick matrix at the returned value, which is the exact feasibility
-    boundary, so the certificate is zero up to rounding; for Toeplitz
-    problems it is the residual ||T v - s u|| of the leading
-    singular triplet.
+    boundary, so the certificate is zero up to rounding.  For Toeplitz
+    problems and quotient norms it is the residual ||A v - s u|| of the
+    leading singular triplet of the matrix A whose norm is the value.
     """
 
     value: float
@@ -76,48 +76,102 @@ class ExtremalResult:
     mode: str
 
 
-def _pick_factor(nodes) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of the Cauchy matrix of the nodes, and L^-1.
+def _compressed_shift(points) -> np.ndarray:
+    """T_B in the Malmquist basis of the Blaschke product with these zeros."""
+    lam = np.asarray(points, dtype=complex)
+    n = lam.size
+    tail = np.ones((n, n), dtype=complex)  # tail[k, l] = prod_{l<m<k} conj(lam_m)
+    for k in range(2, n):
+        tail[k, : k - 1] = tail[k - 1, : k - 1] * np.conj(lam[k - 1])
+    s = np.sqrt(1.0 - np.abs(lam) ** 2)
+    return np.tril(-np.outer(s, s) * tail, -1) + np.diag(lam)
 
-    Raises DegenerateNodes for nodes closer than _MIN_SEPARATION, and for
-    a Cauchy matrix too ill-conditioned to give the Pick value to about
-    1e-3 (coalescing nodes), rather than return a wrong value.
+
+def _polyval_matrix(coeffs: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_k c_k T^k by block Horner (Paterson-Stockmeyer) in T^s, s = ceil(sqrt(len))."""
+    n = T.shape[0]
+    s = math.isqrt(coeffs.size - 1) + 1
+    powers = np.empty((s, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    for i in range(1, s):
+        powers[i] = powers[i - 1] @ T
+    padded = np.pad(coeffs, (0, -coeffs.size % s))
+    blocks = (padded.reshape(-1, s) @ powers.reshape(s, n * n)).reshape(-1, n, n)
+    step = powers[-1] @ T
+    acc = blocks[-1]
+    for block in blocks[-2::-1]:
+        acc = acc @ step + block
+    return acc
+
+
+def _norm_result(matrix: np.ndarray, mode: str) -> ExtremalResult:
+    """Spectral norm with its leading singular-triplet residual."""
+    U, s, Vh = np.linalg.svd(matrix)
+    value = float(s[0])
+    residual = float(np.linalg.norm(matrix @ Vh[0].conj() - value * U[:, 0]))
+    return ExtremalResult(value, residual, mode)
+
+
+def _pick_factor(points) -> tuple[np.ndarray, np.ndarray]:
+    """Stack M of the data map on the node multiset, and the norms ||M_i||_2.
+
+    For a jet a in jet_values order, F(a) = sum_i a_i M_i is its Hermite
+    interpolant at T_B in Newton form, equal nodes grouped consecutively;
+    M is flat, shape (n, n*n).  Raises DegenerateNodes for unequal nodes
+    closer than _MIN_SEPARATION.
     """
-    nodes = np.asarray(nodes, dtype=complex)
-    n = nodes.size
-    if n > 1:
-        gaps = np.abs(np.subtract.outer(nodes, nodes))[np.triu_indices(n, 1)]
-        sep = float(gaps.min())
-        if sep < _MIN_SEPARATION:
-            raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
-    cauchy = 1.0 / (1.0 - np.outer(nodes, nodes.conj()))
-    try:
-        chol = np.linalg.cholesky(cauchy)
-    except np.linalg.LinAlgError:
-        raise DegenerateNodes("Cauchy matrix numerically singular; nodes too close") from None
-    chol_inv = solve_triangular(chol, np.eye(n), lower=True)
-    cond = (np.linalg.norm(chol, 2) * np.linalg.norm(chol_inv, 2)) ** 2
-    if cond * np.finfo(float).eps > _COND_LIMIT:
-        raise DegenerateNodes(f"Cauchy matrix condition {cond:.1e}; nodes too close")
-    return chol, chol_inv
+    sigma = SigmaSet(tuple(points))
+    n = sigma.n
+    sep = SigmaSet(tuple(p for p, _ in sigma.groups())).min_separation()
+    if sep < _MIN_SEPARATION:
+        raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
+    nodes = [p for p, mult in sigma.groups() for _ in range(mult)]
+    unit = {func: row for func, row in zip(sigma.functionals(), np.eye(n, dtype=complex))}
+    # row j ends as the divided difference f[z_0, .., z_j] of each unit jet
+    table = np.array([unit[z, 0] for z in nodes])
+    for k in range(1, n):
+        for j in range(n - 1, k - 1, -1):
+            if nodes[j] == nodes[j - k]:
+                table[j] = unit[nodes[j], k] / math.factorial(k)
+            else:
+                table[j] = (table[j] - table[j - 1]) / (nodes[j] - nodes[j - k])
+    # Newton form c_0 + (T - z_0)(c_1 + (T - z_1)(..)) for all unit jets at once
+    T, eye = _compressed_shift(nodes), np.eye(n)
+    stack = table[-1][:, None, None] * eye
+    for j in range(n - 2, -1, -1):
+        stack = (T - nodes[j] * eye) @ stack + table[j][:, None, None] * eye
+    return stack.reshape(n, n * n), np.linalg.norm(stack, 2, axis=(1, 2))
 
 
-def _pick_value(factor: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> float:
-    """Least sup-norm through the values on the factored nodes: ||L^-1 D L||_2."""
-    chol, chol_inv = factor
-    return float(np.linalg.svd(chol_inv @ (values[:, None] * chol), compute_uv=False)[0])
+def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
+    """Least sup-norm through the jet a on the factored nodes: ||F(a)||_2."""
+    n = a.size
+    return float(np.linalg.svd((a @ factor[0]).reshape(n, n), compute_uv=False)[0])
+
+
+def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value: float):
+    """Raise DegenerateNodes when rounding in F(a) may exceed _COND_LIMIT * value."""
+    norms = factor[1]
+    bound = norms.size * _EPS * float(np.abs(a) @ norms)
+    if bound > _COND_LIMIT * value:
+        raise DegenerateNodes(f"nodes too close: rounding bound {bound:.1e}, value {value:.1e}")
 
 
 def pick_min_norm(problem: PickProblem, tol: float = 1e-8) -> ExtremalResult:
     """Least sup-norm of a bounded interpolant through the given data.
 
-    The value is ||L^-1 diag(w) L||_2 with C = L L^H the Cauchy matrix of
-    the nodes, exact up to dense linear-algebra accuracy; there is no
-    iteration, and tol is accepted for compatibility only.
+    The value is ||F(T_B)||_2 for the Lagrange interpolant F of the data,
+    exact up to dense linear-algebra accuracy; there is no iteration, and
+    tol is accepted for compatibility only.  Raises DegenerateNodes for
+    repeated nodes, and when the rounding bound exceeds _COND_LIMIT.
     """
+    if len(set(problem.nodes)) < len(problem.nodes):
+        raise DegenerateNodes("a Pick problem needs pairwise distinct nodes")
     nodes = np.array(problem.nodes)
     values = np.array(problem.values)
-    value = _pick_value(_pick_factor(nodes), values)
+    factor = _pick_factor(problem.nodes)
+    value = _pick_value(factor, values)
+    _check_accuracy(factor, values, value)
     cauchy = 1.0 / (1.0 - np.outer(nodes, nodes.conj()))
     pick = value * value * cauchy - np.outer(values, values.conj()) * cauchy
     return ExtremalResult(value, float(np.linalg.eigvalsh(pick)[0]), "pick")
@@ -134,32 +188,20 @@ def cs_min_norm(coeffs) -> ExtremalResult:
         raise ValueError("need a nonempty 1-d coefficient vector")
     first_row = np.zeros_like(c)
     first_row[0] = c[0]
-    T = toeplitz(c, first_row)
-    U, s, Vh = np.linalg.svd(T)
-    value = float(s[0])
-    residual = float(np.linalg.norm(T @ Vh[0].conj() - value * U[:, 0]))
-    return ExtremalResult(value, residual, "toeplitz")
+    return _norm_result(toeplitz(c, first_row), "toeplitz")
 
 
 def quotient_norm(f: CoeffSeries, sigma: SigmaSet, tol: float = 1e-8) -> ExtremalResult:
     """Distance-to-ideal norm: least sup-norm matching the jet of f on sigma.
 
-    Distinct sigma reduces to a Pick problem on the point values; a single
-    point of multiplicity n transplants the jet to the origin through
-    b_lam (an isometry of H^inf) and solves the Taylor-jet problem on the
-    first n coefficients of f o b_lam.  Both solves are exact; tol is
-    accepted for compatibility only.
+    Returns ||f(T_B)||_2 with B the Blaschke product of sigma, evaluated
+    exactly by block Horner for any node multiset; tol is accepted for
+    compatibility only.  The mode names the multiset: "pick" for distinct
+    points, "toeplitz" for one repeated point, "hermite" otherwise.
     """
-    if sigma.is_distinct(_MIN_SEPARATION):
-        values = [eval_series(f, lam) for lam in sigma.points]
-        return pick_min_norm(PickProblem(sigma.points, tuple(values)), tol=tol)
-    lam = sigma.single_point()
-    if lam is None:
-        raise MixedMultiplicity(
-            "sigma must be pairwise distinct or a single repeated point"
-        )
-    composed = compose_with_blaschke(f, lam, n_out=sigma.n - 1)
-    return cs_min_norm(composed.coeffs)
+    groups = len(sigma.groups())
+    mode = "pick" if groups == sigma.n else "toeplitz" if groups == 1 else "hermite"
+    return _norm_result(_polyval_matrix(f.coeffs, _compressed_shift(sigma.points)), mode)
 
 
 def carleson_constant(
@@ -181,8 +223,11 @@ def carleson_constant(
     n = sigma.n
     factor = _pick_factor(sigma.points)
 
+    def data(phases: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.concatenate(([0.0], phases)))
+
     def value_of(phases: np.ndarray) -> float:
-        return _pick_value(factor, np.exp(1j * np.concatenate(([0.0], phases))))
+        return _pick_value(factor, data(phases))
 
     if n == 1:
         return value_of(np.zeros(0))
@@ -197,14 +242,18 @@ def carleson_constant(
     while len(starts) < budget:
         starts.append(rng.uniform(-np.pi, np.pi, size=n - 1))
 
-    best = 0.0
+    best, best_x = 0.0, starts[0]
     for x0 in starts[:budget]:
-        best = max(best, value_of(x0))
+        value = value_of(x0)
+        if value > best:
+            best, best_x = value, x0
         res = minimize(
             lambda x: -value_of(x),
             x0,
             method="Nelder-Mead",
             options={"maxfev": 120 * (n - 1) + 40, "xatol": 1e-4, "fatol": tol / 4},
         )
-        best = max(best, -float(res.fun))
+        if -float(res.fun) > best:
+            best, best_x = -float(res.fun), res.x
+    _check_accuracy(factor, data(best_x), best)
     return best

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .series import CoeffSeries, SigmaSet
-from .spaces import SpaceSpec, kernel_diagonal
+from .spaces import SpaceSpec, _polished_max, kernel_diagonal
 from . import series as _s
 
 __all__ = [
@@ -70,7 +70,7 @@ def _initial_degree(sigma: SigmaSet, tol: float) -> int:
     r = max(sigma.r, 0.1)
     est = int((-np.log(tol) + 3.0 * sigma.n) / (1.0 - r)) + 16
     m = 64
-    while m < est:
+    while m < est and m < _TRUNC_CAP:
         m <<= 1
     return m
 
@@ -179,19 +179,8 @@ def projection_operator_norm(
         return np.real(np.einsum("km,kl,lm->m", vals, S, vals.conj()))
 
     thetas = 2.0 * np.pi * np.arange(coarse) / coarse
-    grid = dual_sq(np.exp(1j * thetas))
-    best = float(np.max(grid))
-    is_peak = (grid >= np.roll(grid, 1)) & (grid >= np.roll(grid, -1))
-    peaks = np.nonzero(is_peak)[0]
-    order_idx = peaks[np.argsort(grid[peaks])][-top:]
-    h = 2.0 * np.pi / coarse
 
     def fn(theta: float) -> float:
         return float(dual_sq(np.array([np.exp(1j * theta)]))[0])
 
-    from .spaces import _golden_max
-
-    for idx in order_idx:
-        theta0 = thetas[idx]
-        best = max(best, _golden_max(fn, theta0 - h, theta0 + h))
-    return float(np.sqrt(best))
+    return float(np.sqrt(_polished_max(dual_sq(np.exp(1j * thetas)), thetas, fn, top)))

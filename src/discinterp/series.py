@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import PoleOnDomain, TruncationError
 
@@ -139,10 +138,13 @@ def _mul_linear(coeffs: np.ndarray, lam: complex) -> np.ndarray:
 
 def _div_geometric(coeffs: np.ndarray, a: complex) -> np.ndarray:
     """Multiply a coefficient vector by 1 / (1 - a z), same length."""
-    if a == 0:
-        return coeffs.astype(complex)
-    # recurrence out_k = c_k + a * out_{k-1}
-    return lfilter([1.0], [1.0, -complex(a)], coeffs.astype(complex))
+    out = coeffs.astype(complex)
+    # 1 / (1 - a z) = prod_j (1 + (a z)^(2^j)); each factor is one shifted add
+    step, power = 1, complex(a)
+    while step < out.size and power != 0:
+        out[step:] += power * out[:-step]
+        step, power = 2 * step, power * power
+    return out
 
 
 def blaschke_coeffs(zeros: Sequence[complex], n_trunc: int) -> CoeffSeries:

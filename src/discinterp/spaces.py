@@ -141,14 +141,18 @@ def _circle_max(f: CoeffSeries, coarse: int = 4096, top: int = 8) -> float:
     def fn(theta: float) -> float:
         return abs(complex(np.polyval(f.coeffs[::-1], np.exp(1j * theta))))
 
+    # the fft grid runs clockwise
+    return _polished_max(vals, -2.0 * np.pi * np.arange(m) / m, fn, top)
+
+
+def _polished_max(vals: np.ndarray, thetas: np.ndarray, fn, top: int) -> float:
+    """Max of fn from its grid values, polished by golden section at the top peaks."""
     best = float(np.max(vals))
     is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.nonzero(is_peak)[0]
-    order = peaks[np.argsort(vals[peaks])][-top:]
-    h = 2.0 * np.pi / m
-    for idx in order:
-        theta0 = -2.0 * np.pi * idx / m  # fft grid runs clockwise
-        best = max(best, _golden_max(fn, theta0 - h, theta0 + h))
+    h = 2.0 * np.pi / vals.size
+    for idx in peaks[np.argsort(vals[peaks])][-top:]:
+        best = max(best, _golden_max(fn, thetas[idx] - h, thetas[idx] + h))
     return best
 
 

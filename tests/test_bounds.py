@@ -143,6 +143,25 @@ class TestInterpConstant:
             top = projection_operator_norm(hardy(2), sigma)
             assert est <= top + 1e-6
 
+    def test_mixed_multiplicity_sandwich(self):
+        # probes <= estimate <= operator norm on a mixed multiset
+        sigma = SigmaSet((0.3, -0.4 + 0.2j, 0.3, 0.1j, 0.3))
+        space = hardy(2)
+        n = sigma.n
+        probes = [np.eye(n, dtype=complex)[0],
+                  np.ones(n, dtype=complex) / np.sqrt(n),
+                  np.array([(-1.0) ** k for k in range(n)], dtype=complex) / np.sqrt(n)]
+        best_probe = 0.0
+        for a in probes:
+            res = min_norm_trace(space, sigma, a)
+            best_probe = max(
+                best_probe, quotient_norm(res.interpolant, sigma).value / res.norm
+            )
+        est = interp_constant(space, sigma, budget=8, nm_maxfev=60)
+        top = projection_operator_norm(space, sigma)
+        assert best_probe <= est + 1e-6
+        assert est <= top + 1e-6
+
     def test_matches_literal_ratio_path(self, rng):
         # the solver's jet objective equals quotient(min-norm rep)/min-norm
         sigma = SigmaSet((0.3, -0.2 + 0.4j, 0.1))
@@ -194,7 +213,7 @@ class TestInterpConstant:
         interp_constant(hardy(2), SigmaSet((0.3, -0.5, 0.2j)), budget=4, seed=1)
         assert len(calls) == 1
         interp_constant(hardy(2), SigmaSet((0.3,) * 3), budget=2)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestSweep:

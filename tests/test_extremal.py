@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from discinterp import (
     CoeffSeries,
     DegenerateNodes,
-    MixedMultiplicity,
     PickProblem,
     SigmaSet,
     blaschke_coeffs,
@@ -15,6 +14,7 @@ from discinterp import (
     eval_series,
     extremal,
     jet_values,
+    malmquist_basis,
     pick_min_norm,
     quotient_norm,
 )
@@ -68,6 +68,39 @@ class TestPick:
             pseudo = abs((lam2 - lam1) / (1.0 - np.conj(lam1) * lam2))
             res = pick_min_norm(PickProblem((lam1, lam2), (0.0, w)))
             assert res.value == pytest.approx(abs(w) / pseudo, rel=1e-10)
+
+    @pytest.mark.parametrize("sep", [1e-8, 1e-9])
+    def test_coalescing_pair_matches_merged_jet(self, rng, sep):
+        for _ in range(5):
+            lam = complex(*(0.6 * rng.uniform(-1, 1, size=2)))
+            mu = lam + sep * np.exp(2j * np.pi * rng.uniform())
+            f = random_poly(rng, 8)
+            split = pick_min_norm(
+                PickProblem((lam, mu), (eval_series(f, lam), eval_series(f, mu)))
+            ).value
+            merged = quotient_norm(f, SigmaSet((lam, lam))).value
+            assert split == pytest.approx(merged, rel=1e-5)
+
+    def test_crowded_nodes_blaschke_multiple(self, rng):
+        # 16 nodes in the 0.5-disc with s * B data, deg B = 15
+        for _ in range(5):
+            s = complex(*rng.standard_normal(2))
+            zeros = np.array(random_sigma(rng, n=15, r_max=0.5).points)
+            nodes = np.array(
+                random_sigma(rng, n=16, r_max=0.5, distinct=True, min_sep=1e-2).points
+            )
+            blaschke = np.prod(
+                (nodes[:, None] - zeros) / (1.0 - zeros.conj() * nodes[:, None]), axis=1
+            )
+            res = pick_min_norm(PickProblem(tuple(nodes), tuple(s * blaschke)))
+            assert res.value == pytest.approx(abs(s), abs=1e-4)
+
+    def test_rounding_guard_rejects_clustered_smooth_data(self, rng):
+        # three nodes within 1e-8 carry smooth data; the value would be wrong
+        f = random_poly(rng, 8)
+        nodes = (0.3, 0.3 + 1e-8, 0.3 + 1e-8j)
+        with pytest.raises(DegenerateNodes):
+            pick_min_norm(PickProblem(nodes, tuple(eval_series(f, z) for z in nodes)))
 
     def test_rejects_merged_nodes(self):
         with pytest.raises(DegenerateNodes):
@@ -138,9 +171,26 @@ class TestQuotient:
         res = quotient_norm(CoeffSeries([0.0, 1.0]), SigmaSet((0.0, 0.0)))
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
-    def test_mixed_multiplicity_rejected(self):
-        with pytest.raises(MixedMultiplicity):
-            quotient_norm(CoeffSeries([1.0]), SigmaSet((0.2, 0.2, 0.5)))
+    def test_mixed_multiplicity_blaschke_multiple(self, rng):
+        # s * B with deg B < 6 is the unique minimal function with its jet
+        p, q, r = 0.3 + 0.2j, -0.4, 0.1j
+        sigma = SigmaSet((p, q, p, r, p, q))
+        for _ in range(5):
+            s = complex(*rng.standard_normal(2))
+            zeros = random_sigma(rng, n_max=5, r_max=0.6).points
+            f = CoeffSeries(s * blaschke_coeffs(zeros, 400).coeffs)
+            res = quotient_norm(f, sigma)
+            assert res.mode == "hermite"
+            assert res.value == pytest.approx(abs(s), abs=1e-10)
+
+    def test_compressed_shift_matches_basis(self):
+        # T_B[k, l] = <z e_l, e_k> in the Malmquist basis, mixed multiset included
+        sigma = SigmaSet((0.3 + 0.2j, -0.4, 0.3 + 0.2j, 0.1j, 0.3 + 0.2j))
+        E = malmquist_basis(sigma).coeff_matrix()
+        shifted = np.zeros_like(E)
+        shifted[:, 1:] = E[:, :-1]
+        T = extremal._compressed_shift(sigma.points)
+        assert np.max(np.abs(E.conj() @ shifted.T - T)) <= 1e-12
 
     def test_transplanted_jet_matches_direct_cs(self, rng):
         lam = 0.45 - 0.2j

@@ -4,6 +4,7 @@ import pytest
 from discinterp import (
     CoeffSeries,
     SigmaSet,
+    TruncationError,
     blaschke_coeffs,
     cauchy_pairing,
     bernstein_ratio,
@@ -57,6 +58,11 @@ class TestBasis:
         bq = series_product(B, q)
         for e in basis.series:
             assert abs(cauchy_pairing(bq, e)) <= 1e-8 * norm(hardy(2), q)
+
+    def test_first_degree_respects_cap(self):
+        # the adaptive start for r = 0.9999 would exceed the truncation cap
+        with pytest.raises(TruncationError):
+            malmquist_basis(SigmaSet((0.9999,)))
 
     def test_rational_evaluator_matches_series(self, rng):
         sigma = random_sigma(rng, n_max=6, r_max=0.7)

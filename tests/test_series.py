@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +24,8 @@ from discinterp import (
     series_power,
     series_product,
 )
+
+from discinterp import series
 
 from conftest import random_poly
 
@@ -186,3 +193,26 @@ class TestSigmaSet:
     def test_rejects_boundary_point(self):
         with pytest.raises(PoleOnDomain):
             SigmaSet((1.0,))
+
+
+class TestGeometricDivision:
+    @pytest.mark.parametrize("a", [0.0, 0.3, -0.5 + 0.5j, 0.99j, 0.9999])
+    def test_matches_recurrence(self, rng, a):
+        c = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+        ref = np.empty_like(c)
+        acc = 0j
+        for k, ck in enumerate(c):  # out_k = c_k + a * out_{k-1}
+            acc = ck + a * acc
+            ref[k] = acc
+        got = series._div_geometric(c, a)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_import_leaves_out_scipy_signal(self):
+        src = Path(series.__file__).resolve().parents[1]
+        code = "import sys, discinterp; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
