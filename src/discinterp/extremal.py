@@ -34,9 +34,9 @@ __all__ = [
 ]
 
 _MIN_SEPARATION = 1e-10
-#: largest a-posteriori bound n * eps * sum_i |a_i| ||M_i||_2 / value on the
+#: largest a-posteriori estimate n * eps * sum_i |a_i| ||M_i||_2 / value of the
 #: relative rounding error of the data map F(a) = sum_i a_i M_i at which a
-#: value is returned; the bound grows like eps / gap for coalescing nodes
+#: value is returned; the estimate grows like eps / gap for coalescing nodes
 _COND_LIMIT = 2e-3
 _EPS = np.finfo(float).eps
 
@@ -150,11 +150,19 @@ def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
 
 
 def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value: float):
-    """Raise DegenerateNodes when rounding in F(a) may exceed _COND_LIMIT * value."""
+    """Raise DegenerateNodes when rounding in F(a) may exceed _COND_LIMIT * value.
+
+    The estimate n eps sum_i |a_i| ||M_i||_2 covers only the rounding of the
+    final combination sum_i a_i M_i.  It leaves out the rounding made while
+    forming the M_i (divided differences, Newton products) and in the SVD,
+    so it is an estimate, not a strict bound: on 16 nodes in the 0.5-disc
+    with s*B data, 4 of 20 draws had a true relative error above it (up to
+    2.0e-12 against 7.5e-13).
+    """
     norms = factor[1]
     bound = norms.size * _EPS * float(np.abs(a) @ norms)
     if bound > _COND_LIMIT * value:
-        raise DegenerateNodes(f"nodes too close: rounding bound {bound:.1e}, value {value:.1e}")
+        raise DegenerateNodes(f"nodes too close: rounding estimate {bound:.1e}, value {value:.1e}")
 
 
 def pick_min_norm(problem: PickProblem, tol: float = 1e-8) -> ExtremalResult:
@@ -163,7 +171,7 @@ def pick_min_norm(problem: PickProblem, tol: float = 1e-8) -> ExtremalResult:
     The value is ||F(T_B)||_2 for the Lagrange interpolant F of the data,
     exact up to dense linear-algebra accuracy; there is no iteration, and
     tol is accepted for compatibility only.  Raises DegenerateNodes for
-    repeated nodes, and when the rounding bound exceeds _COND_LIMIT.
+    repeated nodes, and when the rounding estimate exceeds _COND_LIMIT.
     """
     if len(set(problem.nodes)) < len(problem.nodes):
         raise DegenerateNodes("a Pick problem needs pairwise distinct nodes")

@@ -164,7 +164,9 @@ def projection_operator_norm(
     For fixed z the functional f |-> (Tf)(z) has dual norm
     sqrt(conj(e(z))^H S conj(e(z))) with S the kernel-weighted Gram of the
     basis coefficients; the sup over the closed disc sits on the circle
-    and is located on a coarse grid, then polished by golden section.
+    and is located on a ``coarse``-point grid, then polished by golden
+    section at the ``top`` tallest grid peaks together, each polish step
+    evaluating the exact rational basis at one angle per peak.
     Every value returned bounds the interpolation constant of sigma from
     above, because Tf interpolates f.
     """
@@ -180,7 +182,7 @@ def projection_operator_norm(
 
     thetas = 2.0 * np.pi * np.arange(coarse) / coarse
 
-    def fn(theta: float) -> float:
-        return float(dual_sq(np.array([np.exp(1j * theta)]))[0])
+    def fn(ts: np.ndarray) -> np.ndarray:
+        return dual_sq(np.exp(1j * ts))
 
-    return float(np.sqrt(_polished_max(dual_sq(np.exp(1j * thetas)), thetas, fn, top)))
+    return float(np.sqrt(_polished_max(fn(thetas), thetas, fn, top)))

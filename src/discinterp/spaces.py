@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -134,44 +135,75 @@ def _hardy_norm(p: float, f: CoeffSeries) -> float:
 
 
 def _circle_max(f: CoeffSeries, coarse: int = 4096, top: int = 8) -> float:
-    """Max modulus on the unit circle: coarse grid + golden-section polish."""
+    """Max modulus on the unit circle: coarse grid + golden-section polish.
+
+    The grid values come from one FFT; the polish evaluates f at all
+    ``top`` trial angles at once as ``exp(i theta k) @ coeffs``.
+    """
     m = _next_pow2(max(coarse, 2 * f.degree + 2))
     vals = np.abs(np.fft.fft(f.padded(m)))
+    ks = np.arange(len(f))
 
-    def fn(theta: float) -> float:
-        return abs(complex(np.polyval(f.coeffs[::-1], np.exp(1j * theta))))
+    def fn(thetas: np.ndarray) -> np.ndarray:
+        return np.abs(np.exp(1j * np.outer(thetas, ks)) @ f.coeffs)
 
     # the fft grid runs clockwise
     return _polished_max(vals, -2.0 * np.pi * np.arange(m) / m, fn, top)
 
 
 def _polished_max(vals: np.ndarray, thetas: np.ndarray, fn, top: int) -> float:
-    """Max of fn from its grid values, polished by golden section at the top peaks."""
+    """Max of fn from its grid values, polished by golden section at the top peaks.
+
+    ``fn`` maps an array of angles to an array of values; the ``top``
+    tallest grid peaks are polished together on ``[theta - h, theta + h]``.
+    """
     best = float(np.max(vals))
     is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.nonzero(is_peak)[0]
     h = 2.0 * np.pi / vals.size
-    for idx in peaks[np.argsort(vals[peaks])][-top:]:
-        best = max(best, _golden_max(fn, thetas[idx] - h, thetas[idx] + h))
-    return best
+    centres = thetas[peaks[np.argsort(vals[peaks])][-top:]]
+    return float(np.max(_golden_max(fn, centres - h, centres + h), initial=best))
 
 
-def _golden_max(fn, a: float, b: float, iters: int = 60) -> float:
-    """Golden-section maximisation of a smooth function on [a, b]."""
+def _golden_max(fn, a: np.ndarray, b: np.ndarray, iters: int = 60) -> np.ndarray:
+    """Golden-section maximisation of a smooth function on each [a_j, b_j].
+
+    All intervals advance together: ``fn`` is called once per iteration
+    with one trial angle per interval, and each interval keeps the update
+    of the scalar method, so its result equals a one-interval run.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-    return max(fc, fd)
+        up = fc < fd
+        # up: [a, b] -> [c, b], old d becomes c; else [a, b] -> [a, d], old c becomes d
+        a = np.where(up, c, a)
+        b = np.where(up, b, d)
+        keep = np.where(up, d, c)
+        keep_f = np.where(up, fd, fc)
+        new = np.where(up, a + invphi * (b - a), b - invphi * (b - a))
+        new_f = fn(new)
+        c, fc = np.where(up, keep, new), np.where(up, keep_f, new_f)
+        d, fd = np.where(up, new, keep), np.where(up, new_f, keep_f)
+    return np.maximum(fc, fd)
+
+
+_BERGMAN_BLOCK = 64
+
+
+@lru_cache(maxsize=32)
+def _radial_rule(k_rad: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radii s = sqrt((x+1)/2) and weights of the k_rad-point Gauss-Jacobi rule.
+
+    The arrays are cached and returned read-only.
+    """
+    x, w = roots_jacobi(k_rad, beta, 0.0)
+    radii = np.sqrt((x + 1.0) / 2.0)
+    radii.setflags(write=False)
+    w.setflags(write=False)
+    return radii, w
 
 
 def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
@@ -180,19 +212,18 @@ def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
     p, beta, deg = space.p, space.beta, f.degree
     # radial Gauss-Jacobi in u = s^2 handles the (1-u)^beta endpoint weight
     k_rad = max(24, deg // 2 + 8)
-    x, w = roots_jacobi(k_rad, beta, 0.0)
-    u = (x + 1.0) / 2.0
-    radii = np.sqrt(u)
+    radii, w = _radial_rule(k_rad, beta)
     if p == int(p) and int(p) % 2 == 0:
         m_ang = _next_pow2(max(64, int(p) * deg // 2 + 2))
     else:
         m_ang = _next_pow2(max(1024, 2 * deg + 2))
-    # f on each sampling circle via one FFT per radius
+    # f on each sampling circle via one FFT per radius, a block of radii at a time
     ks = np.arange(deg + 1)
-    vals = np.abs(
-        np.fft.fft(f.coeffs[None, :] * radii[:, None] ** ks[None, :], n=m_ang, axis=1)
-    )
-    angular = np.mean(vals**p, axis=1) * 2.0 * np.pi
+    angular = np.empty(k_rad)
+    for i in range(0, k_rad, _BERGMAN_BLOCK):
+        rows = radii[i : i + _BERGMAN_BLOCK, None] ** ks[None, :]
+        vals = np.abs(np.fft.fft(f.coeffs[None, :] * rows, n=m_ang, axis=1))
+        angular[i : i + _BERGMAN_BLOCK] = np.mean(vals**p, axis=1) * 2.0 * np.pi
     integral = 2.0 ** (-beta - 2.0) * float(np.dot(w, angular))
     return float(integral ** (1.0 / p))
 

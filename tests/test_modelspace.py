@@ -168,6 +168,12 @@ class TestOperatorNorm:
             got = projection_operator_norm(hardy(2), SigmaSet((r,)))
             assert got == pytest.approx(np.sqrt((1 + r) / (1 - r)), rel=1e-10)
 
+    def test_single_point_off_grid(self):
+        # the node sits half a coarse-grid step off the grid 2 pi k / 4096
+        for r in (0.3, 0.8, 0.95):
+            got = projection_operator_norm(hardy(2), SigmaSet((r * np.exp(1j * np.pi / 4096),)))
+            assert got == pytest.approx(np.sqrt((1 + r) / (1 - r)), rel=1e-12)
+
     def test_double_origin_sqrt2(self):
         got = projection_operator_norm(hardy(2), SigmaSet((0.0, 0.0)))
         assert got == pytest.approx(np.sqrt(2.0), rel=1e-10)

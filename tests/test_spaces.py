@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
 from discinterp import (
     CoeffSeries,
@@ -23,6 +25,8 @@ from discinterp import (
     seq_weighted,
     series_product,
 )
+
+from discinterp.spaces import _BERGMAN_BLOCK, _golden_max, _radial_rule
 
 from conftest import random_poly, random_sigma
 
@@ -71,6 +75,90 @@ class TestNorms:
         with pytest.raises(UnsupportedSpace):
             norm(bergman_radial(np.inf, 0.0), CoeffSeries([1.0]))
 
+
+
+def _golden_ref(fn, a, b, iters=60):
+    """Scalar golden-section maximisation on one interval."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+    return max(fc, fd)
+
+
+class TestCirclePolish:
+    STEP = 2.0 * np.pi / 4096  # coarse grid step of _circle_max at low degree
+
+    def test_off_grid_peak(self):
+        phi = (1000 + 0.5) * self.STEP
+        f = CoeffSeries([1.0, np.exp(-1j * phi)])
+        assert norm(hardy(np.inf), f) == pytest.approx(2.0, abs=1e-13)
+
+    def test_tallest_of_several_off_grid_peaks(self):
+        # sum_j h_j ((1 + e^{-i phi_j} z) / 2)^N: bumps of height h_j at phi_j
+        # whose overlap, cos(pi/3)^N, is far below rounding
+        n = 200
+        ks = np.arange(n + 1)
+        binom = np.exp(gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1) - n * np.log(2.0))
+        heights = (1.0, 1.7, 1.3)
+        coeffs = np.zeros(n + 1, dtype=complex)
+        for j, height in enumerate(heights):
+            phi = (j * 1365 + 0.5) * self.STEP
+            coeffs += height * binom * np.exp(-1j * ks * phi)
+        f = CoeffSeries(coeffs)
+        grid_max = float(np.max(np.abs(np.fft.fft(f.padded(4096)))))
+        assert grid_max < 1.7 - 1e-6
+        assert norm(hardy(np.inf), f) == pytest.approx(1.7, abs=1e-13)
+
+    def test_vector_golden_matches_scalar(self, rng):
+        def fn(t):
+            return (t - 0.3) * (t + 1.1) * (2.0 - t) * (t * t + 0.5)
+
+        a = rng.uniform(-2.0, 2.0, size=9)
+        b = a + rng.uniform(0.01, 1.5, size=9)
+        got = _golden_max(fn, a, b)
+        want = [_golden_ref(fn, float(lo), float(hi)) for lo, hi in zip(a, b)]
+        assert np.array_equal(got, np.array(want))
+
+
+class TestBlockedBergman:
+    @pytest.mark.parametrize("n", [40, 113, 384])
+    def test_monomial_closed_form(self, n):
+        # n = 40, 113, 384 give 28, 64 and 200 radii against blocks of 64
+        assert max(24, n // 2 + 8) in (28, _BERGMAN_BLOCK, 200)
+        f = CoeffSeries(np.eye(n + 1)[n])
+        for p in (1.5, 3.0, 4.0):
+            for beta in (0.0, 1.0):
+                want = np.exp((np.log(np.pi) + betaln(n * p / 2 + 1, beta + 1)) / p)
+                assert norm(bergman_radial(p, beta), f) == pytest.approx(want, rel=1e-11)
+
+    def test_peak_memory_degree_2048(self, rng):
+        f = random_poly(rng, 2048)
+        tracemalloc.start()
+        try:
+            norm(bergman_radial(3, 1.0), f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_cached_rule_is_read_only(self):
+        radii, w = _radial_rule(40, 0.5)
+        assert not radii.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            radii[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert _radial_rule(40, 0.5)[0] is radii
 
 class TestEvalFunctional:
     def test_hardy2_origin(self):
