@@ -4,7 +4,8 @@ The constant of a node set sigma over a Hilbert space X is
 sup { min-sup-norm interpolant of f / ||f||_X } over the unit ball.  For
 a fixed jet the worst f is the minimal-norm representative, so the sup
 collapses to a finite-dimensional maximisation over jet vectors a on the
-unit sphere of C^n, run here as seeded multistart Nelder-Mead.
+unit sphere of C^n, run here as a monotone singular-vector ascent from a
+fixed list of seeded starts.
 
 Lower bounds come from explicit witnesses: the Fejer-smoothed Dirichlet
 kernel (or its integer power for weighted sequence spaces), antipodally
@@ -22,10 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.optimize import minimize
 
 from .errors import NotHilbert, UnsupportedSpace
-from .extremal import _check_accuracy, _pick_factor, _pick_value, cs_min_norm
+from .extremal import _ascend, _check_accuracy, _pick_factor, _pick_value, cs_min_norm
 from .series import (
     CoeffSeries,
     SigmaSet,
@@ -184,15 +184,21 @@ def interp_constant(
     budget: int = 32,
     tol: float = 1e-8,
     seed: int = 0,
-    nm_maxfev: int | None = None,
 ) -> float:
-    """Multistart estimate of the interpolation constant of sigma over X.
+    """Ascent estimate of the interpolation constant of sigma over X.
 
     Maximises J(a) = (min sup-norm interpolant of jet a) /
-    (min X-norm with jet a) over unit jet vectors; J is scale and phase
-    invariant, so the search runs on the real 2n-sphere.  Deterministic
-    under a fixed seed.  The result is a lower estimate of the true sup
-    and never exceeds the projection operator norm (plus tolerance).
+    (min X-norm with jet a) = ||F(a)||_2 / sqrt(a^H G^-1 a) over jet
+    vectors, G the Gram matrix.  Each step takes the coefficients c of the
+    top singular pair of F(a) and moves to a <- G conj(c), where J is at
+    least sqrt(c^T G conj(c)), itself at least the previous value.  budget
+    counts the starts, each ascended: the unit jets e_i, the all-ones and
+    alternating jets, then seeded random jets, with the transplanted witness
+    jet first when sigma is one repeated point.  tol is accepted for
+    compatibility only.  Deterministic under a fixed seed.  The result is
+    an attained value, so a lower estimate of the true sup, never below any
+    start's J, and never exceeds the projection operator norm (plus
+    rounding).
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
@@ -213,21 +219,11 @@ def interp_constant(
         def denominator(a: np.ndarray) -> float:
             return math.sqrt(max(float(np.real(np.vdot(inv @ a, a))), 0.0))
 
+    def gram_step(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+        a = gram @ c.conj()
+        return a / np.linalg.norm(a)
+
     factor = _pick_factor(sigma.points)
-
-    def j_ratio(a: np.ndarray) -> float:
-        den = denominator(a)
-        if den <= 1e-14:
-            return 0.0
-        return _pick_value(factor, a) / den
-
-    def objective(x: np.ndarray) -> float:
-        v = x[:n] + 1j * x[n:]
-        nv = np.linalg.norm(v)
-        if nv < 1e-9:
-            return 0.0
-        return -j_ratio(v / nv)
-
     starts = _jet_starts(n, budget, seed)
     single = sigma.single_point()
     if single is not None:
@@ -237,21 +233,11 @@ def interp_constant(
             pass
         else:  # guarantees estimate >= witness_lower_bound on this class
             starts.insert(0, jet / np.linalg.norm(jet))
-    maxfev = nm_maxfev if nm_maxfev is not None else 100 * n + 80
     best, best_a = 0.0, None
     for a0 in starts:
-        value = j_ratio(a0)
+        value, a = _ascend(factor, a0, gram_step, denominator)
         if value > best:
-            best, best_a = value, a0
-        res = minimize(
-            objective,
-            np.concatenate([a0.real, a0.imag]),
-            method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-5, "fatol": tol / 4},
-        )
-        if -float(res.fun) > best:
-            v = res.x[:n] + 1j * res.x[n:]
-            best, best_a = -float(res.fun), v / np.linalg.norm(v)
+            best, best_a = value, a
     if best_a is not None:
         _check_accuracy(factor, best_a, _pick_value(factor, best_a))
     return best
@@ -315,6 +301,8 @@ def bound_sweep(
     mapped over a thread pool, the merge by index keeps output
     deterministic.  The log-log slope of the witness (and estimate, when
     present on at least two cells) against n/(1-r) is fitted at the end.
+    tol is passed on to interp_constant, which accepts it for compatibility
+    only.
     """
     cells = [(int(n), float(r)) for n in n_grid for r in r_grid]
     if not cells:

@@ -9,17 +9,20 @@ truncated, and distinct, repeated and mixed multisets are handled alike.
 A function is evaluated at T_B by block Horner; interpolation data enter
 through the Newton form of their Hermite interpolant, built once per node
 set.  cs_min_norm keeps the direct Toeplitz solver for jets at the origin.
+
+The estimators maximise ||F(x)||_2 over a set of data x by a monotone
+singular-vector ascent (_ascend): F is linear, so with (u, v) the top
+singular pair of F(x) the value is sum_i x_i c_i with c_i = u^H M_i v, and
+an update of x that maximises that bilinear form for fixed c never lowers it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.optimize import minimize
 
 from .errors import DegenerateNodes
 from .series import CoeffSeries, SigmaSet
@@ -39,6 +42,10 @@ _MIN_SEPARATION = 1e-10
 #: value is returned; the estimate grows like eps / gap for coalescing nodes
 _COND_LIMIT = 2e-3
 _EPS = np.finfo(float).eps
+#: the ascent stops once a step raises its value by less than this relative
+#: amount, or after _ASCENT_STEPS singular value decompositions
+_ASCENT_RTOL = 1e-12
+_ASCENT_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,32 @@ def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
     return float(np.linalg.svd((a @ factor[0]).reshape(n, n), compute_uv=False)[0])
 
 
+def _ascend(
+    factor: tuple[np.ndarray, np.ndarray], x: np.ndarray, update, denominator
+) -> tuple[float, np.ndarray]:
+    """Best value of ||F(x)||_2 / denominator(x) along the ascent from x, and its point.
+
+    Each step takes the top singular pair (u, v) of F(x), forms c_i = u^H M_i v
+    (so ||F(x)||_2 = sum_i x_i c_i) and moves to x <- update(c, x).  The
+    update maximises |sum_i x_i c_i| / denominator(x) for this c, which bounds
+    the value at the new point from below, so the values do not decrease up
+    to rounding.  A point with denominator at most 1e-14 has value 0.
+    """
+    stack, n = factor[0], x.size
+    best, best_x = 0.0, x
+    for _ in range(_ASCENT_STEPS):
+        U, s, Vh = np.linalg.svd((x @ stack).reshape(n, n))
+        den = denominator(x)
+        value = float(s[0]) / den if den > 1e-14 else 0.0
+        rising = value > best * (1.0 + _ASCENT_RTOL)
+        if value > best:
+            best, best_x = value, x
+        if not rising:
+            break
+        x = update(stack @ np.outer(U[:, 0].conj(), Vh[0].conj()).ravel(), x)
+    return best, best_x
+
+
 def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value: float):
     """Raise DegenerateNodes when rounding in F(a) may exceed _COND_LIMIT * value.
 
@@ -220,48 +253,36 @@ def carleson_constant(
 ) -> float:
     """Lower estimate of the worst minimal-norm interpolation of unit data.
 
-    Maximises the Pick value over unimodular data (the sup over the unit
-    polydisc is attained there) by multistart Nelder-Mead on the phase
-    angles; the nodes are factored once and every evaluation is one small
-    spectral norm.  Deterministic under a fixed seed; the returned value is a
-    certified lower bound of the supremum, not the supremum itself.
+    Maximises the Pick value ||F(w)||_2 over unimodular data w (the sup over
+    the unit polydisc is attained there) by the monotone ascent: with c the
+    coefficients of the top singular pair, w_i <- conj(c_i)/|c_i| (w_i kept
+    where c_i = 0) raises the value to at least sum_i |c_i|.  budget counts
+    the starts, each ascended: the alternating data (1, -1, 1, ..), then
+    seeded uniform phases.  The nodes are factored once; tol is accepted for compatibility
+    only.  Deterministic under a fixed seed; the returned value is attained,
+    so it is a certified lower bound of the supremum, not the supremum itself.
     """
     if not sigma.is_distinct(_MIN_SEPARATION):
         raise DegenerateNodes("Carleson constant needs pairwise distinct nodes")
     n = sigma.n
     factor = _pick_factor(sigma.points)
 
-    def data(phases: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.concatenate(([0.0], phases)))
+    def phase_step(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+        mag = np.abs(c)
+        return np.divide(c.conj(), mag, out=w.copy(), where=mag > 0)
 
-    def value_of(phases: np.ndarray) -> float:
-        return _pick_value(factor, data(phases))
-
-    if n == 1:
-        return value_of(np.zeros(0))
-
-    starts: list[np.ndarray] = []
-    quarter = {1.0: 0.0, -1.0: np.pi, 1.0j: np.pi / 2, -1.0j: -np.pi / 2}
-    for combo in product((1.0, -1.0, 1.0j, -1.0j), repeat=n - 1):
-        starts.append(np.array([quarter[q] for q in combo]))
-        if len(starts) >= max(budget // 2, 1):
-            break
+    # not the all-ones data: F(1, .., 1) = I, whose top singular pair is not
+    # unique, and from the pair the SVD returns the ascent cannot leave it
+    starts = [np.array([(-1.0) ** k for k in range(n)], dtype=complex)]
     rng = np.random.default_rng(seed)
     while len(starts) < budget:
-        starts.append(rng.uniform(-np.pi, np.pi, size=n - 1))
+        phases = rng.uniform(-np.pi, np.pi, size=n - 1)
+        starts.append(np.exp(1j * np.concatenate(([0.0], phases))))
 
-    best, best_x = 0.0, starts[0]
-    for x0 in starts[:budget]:
-        value = value_of(x0)
+    best, best_w = 0.0, starts[0]
+    for w0 in starts:
+        value, w = _ascend(factor, w0, phase_step, lambda w: 1.0)
         if value > best:
-            best, best_x = value, x0
-        res = minimize(
-            lambda x: -value_of(x),
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": 120 * (n - 1) + 40, "xatol": 1e-4, "fatol": tol / 4},
-        )
-        if -float(res.fun) > best:
-            best, best_x = -float(res.fun), res.x
-    _check_accuracy(factor, data(best_x), best)
+            best, best_w = value, w
+    _check_accuracy(factor, best_w, best)
     return best

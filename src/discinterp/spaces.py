@@ -207,6 +207,16 @@ def _radial_rule(k_rad: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
+    """L^p_a(beta) norm by a radial Gauss-Jacobi rule and one FFT per circle.
+
+    The rule has k_rad = max(24, deg // 2 + 8) nodes in u = s^2, exact up to
+    degree about deg + 15, while |f|^p has degree p deg / 2 in u for even p
+    and is not a polynomial otherwise.  Measured on monomials z^n against
+    (pi B(np/2 + 1, beta + 1))^(1/p), p in 1.5, 3, 4: the relative error is
+    about 1e-14 at n = 40 and about 1e-11 from n of about 384 on at
+    beta = -0.5 (at most 1.4e-11 up to n = 1000); at beta = 0 it is below
+    1.2e-12 up to n = 384 and 9e-12 at n = 1000.
+    """
     if space.p == np.inf:
         raise UnsupportedSpace("sup-norm Bergman spaces are not implemented")
     p, beta, deg = space.p, space.beta, f.degree

@@ -224,7 +224,7 @@ def test_criterion_10_sandwich_property():
         for a in probes:
             res = min_norm_trace(space, sigma, a)
             probe_vals.append(quotient_norm(res.interpolant, sigma).value / res.norm)
-        est = interp_constant(space, sigma, budget=max(8, n + 3), nm_maxfev=60)
+        est = interp_constant(space, sigma, budget=max(8, n + 3))
         top = projection_operator_norm(space, sigma)
         ok = ok and max(probe_vals) <= est + 1e-6 and est <= top + 1e-6
         worst_gap = max(worst_gap, est - top)

@@ -9,6 +9,7 @@ from discinterp import (
     bounds,
     carleson_constant,
     eval_functional_norm,
+    extremal,
     hardy,
     interp_constant,
     min_norm_trace,
@@ -21,6 +22,19 @@ from discinterp import (
 )
 
 from conftest import random_sigma
+
+# Nelder-Mead estimates (budget max(8, n + 3), 60 evaluations per start) on
+# the 30 criterion-10 draws of rng(110); each is an attained value of J
+NELDER_MEAD_CRITERION_10 = (
+    1.5344571031703136, 1.396186917697097, 1.8770425851492003, 1.6250883232480733,
+    1.5066585858823245, 1.8971581880760628, 1.4339952093908406, 1.6085352377341928,
+    1.9412181878242716, 1.447801748454976, 1.718840912505045, 1.2744451108011854,
+    1.7291875949355748, 1.7610402453774245, 1.755444657189816, 1.6417862408939736,
+    1.7092812883189765, 1.4840088316748148, 1.3136098479151317, 1.4796470521599132,
+    1.0448116435208032, 1.7877732928628618, 1.3206910091425237, 1.1160263527645549,
+    1.560179131565923, 1.869174841598174, 1.0806637677485205, 1.8493837175787042,
+    1.5011855776274088, 1.4353916266419742,
+)
 
 
 class TestTheoremBounds:
@@ -94,7 +108,7 @@ class TestWitness:
             lam = complex(*(0.8 / np.sqrt(2) * rng.uniform(-1, 1, size=2)))
             sigma = SigmaSet((lam,) * n)
             w = witness_lower_bound(hardy(2), lam, n)
-            est = interp_constant(hardy(2), sigma, budget=4, nm_maxfev=50)
+            est = interp_constant(hardy(2), sigma, budget=4)
             top = projection_operator_norm(hardy(2), sigma)
             assert w <= est + 1e-6
             assert est <= top + 1e-6
@@ -139,7 +153,7 @@ class TestInterpConstant:
     def test_never_exceeds_projection_norm(self, rng):
         for _ in range(5):
             sigma = random_sigma(rng, n_max=4, r_max=0.75, distinct=True)
-            est = interp_constant(hardy(2), sigma, budget=6, nm_maxfev=80)
+            est = interp_constant(hardy(2), sigma, budget=6)
             top = projection_operator_norm(hardy(2), sigma)
             assert est <= top + 1e-6
 
@@ -157,7 +171,7 @@ class TestInterpConstant:
             best_probe = max(
                 best_probe, quotient_norm(res.interpolant, sigma).value / res.norm
             )
-        est = interp_constant(space, sigma, budget=8, nm_maxfev=60)
+        est = interp_constant(space, sigma, budget=8)
         top = projection_operator_norm(space, sigma)
         assert best_probe <= est + 1e-6
         assert est <= top + 1e-6
@@ -170,7 +184,7 @@ class TestInterpConstant:
         a = a / np.linalg.norm(a)
         res = min_norm_trace(space, sigma, a)
         literal = quotient_norm(res.interpolant, sigma).value / res.norm
-        est = interp_constant(space, sigma, budget=4, nm_maxfev=60)
+        est = interp_constant(space, sigma, budget=4)
         assert literal <= est + 1e-6
 
     def test_jet_objective_consistency_multiplicity(self, rng):
@@ -183,7 +197,7 @@ class TestInterpConstant:
             best_literal = max(
                 best_literal, quotient_norm(res.interpolant, sigma).value / res.norm
             )
-        est = interp_constant(space, sigma, budget=8, nm_maxfev=80)
+        est = interp_constant(space, sigma, budget=8)
         assert best_literal <= est * (1 + 1e-7) + 1e-9
 
     def test_rotation_invariance(self):
@@ -200,6 +214,58 @@ class TestInterpConstant:
         phi_max = max(eval_functional_norm(hardy(2), abs(p)) for p in sigma.points)
         if abs(c_big - c_small) < 1e-4:  # multistart certificate stabilised
             assert est <= c_big * phi_max + 1e-6
+
+    def test_reaches_frozen_nelder_mead_values(self):
+        rng = np.random.default_rng(110)
+        space = hardy(2)
+        for frozen in NELDER_MEAD_CRITERION_10:
+            sigma = random_sigma(rng, n_max=5, r_max=0.8, distinct=True, min_sep=0.08)
+            est = interp_constant(space, sigma, budget=max(8, sigma.n + 3))
+            assert est >= frozen * (1 - 1e-9)
+            assert est <= projection_operator_norm(space, sigma) + 1e-6
+
+    @pytest.mark.parametrize(
+        "points",
+        [(0.3, -0.5, 0.2j, 0.6 + 0.1j), (0.5,) * 4, (0.3, -0.4 + 0.2j, 0.3, 0.1j, 0.3)],
+    )
+    def test_ascent_values_never_decrease(self, monkeypatch, points):
+        runs = []
+        ascend = extremal._ascend
+
+        def recording(factor, x, update, denominator):
+            def value(y):
+                return extremal._pick_value(factor, y) / denominator(y)
+
+            values = [value(x)]
+            runs.append(values)
+
+            def step(c, y):
+                new = update(c, y)
+                values.append(value(new))
+                return new
+
+            return ascend(factor, x, step, denominator)
+
+        monkeypatch.setattr(bounds, "_ascend", recording)
+        interp_constant(hardy(2), SigmaSet(points), budget=6, seed=4)
+        assert len(runs) >= 6
+        for values in runs:
+            assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:]))
+        assert any(values[-1] > values[0] * (1 + 1e-6) for values in runs)
+
+    @pytest.mark.parametrize("points", [(0.3, -0.5, 0.2j), (0.3, -0.4 + 0.2j, 0.3, 0.1j, 0.3)])
+    def test_one_step_cap_returns_best_start(self, monkeypatch, points):
+        space, sigma = hardy(2), SigmaSet(points)
+        best_start = 0.0
+        for a in bounds._jet_starts(sigma.n, 6, 3):
+            res = min_norm_trace(space, sigma, a)
+            best_start = max(
+                best_start, quotient_norm(res.interpolant, sigma).value / res.norm
+            )
+        monkeypatch.setattr(extremal, "_ASCENT_STEPS", 1)
+        est = interp_constant(space, sigma, budget=6, seed=3)
+        assert est == pytest.approx(best_start, rel=1e-9)
+        assert est <= projection_operator_norm(space, sigma) + 1e-6
 
     def test_factors_nodes_once_per_call(self, monkeypatch):
         calls = []

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,15 +18,28 @@ from discinterp import (
     cs_min_norm,
     eval_series,
     extremal,
+    gram_matrix,
+    hardy,
     jet_values,
     malmquist_basis,
     pick_min_norm,
+    projection_operator_norm,
     quotient_norm,
 )
 
 from conftest import random_poly, random_sigma
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def carleson_starts(n, budget, seed):
+    """Alternating data, then seeded uniform phases with the first fixed at 0."""
+    rng = np.random.default_rng(seed)
+    starts = [np.array([(-1.0) ** k for k in range(n)], dtype=complex)]
+    while len(starts) < budget:
+        phases = np.concatenate(([0.0], rng.uniform(-np.pi, np.pi, size=n - 1)))
+        starts.append(np.exp(1j * phases))
+    return starts
 
 
 class TestPick:
@@ -265,3 +283,71 @@ class TestCarleson:
         monkeypatch.setattr(extremal, "_pick_factor", counted)
         carleson_constant(SigmaSet((0.5, -0.5, 0.3j)), budget=4, seed=1)
         assert len(calls) == 1
+
+    def test_dominates_every_start(self):
+        sigma = SigmaSet((0.5, -0.3 + 0.4j, 0.1j, -0.6 - 0.2j))
+        n, budget, seed = sigma.n, 12, 5
+        factor = extremal._pick_factor(sigma.points)
+        starts = carleson_starts(n, budget, seed)
+        value = carleson_constant(sigma, budget=budget, seed=seed)
+        for w in starts:
+            assert value >= extremal._pick_value(factor, w) * (1 - 1e-12)
+        assert value > extremal._pick_value(factor, starts[0]) * (1 + 1e-6)
+
+    @pytest.mark.parametrize("nodes", [(0.5, -0.5), (0.3, 0.6j), (0.1 - 0.2j, 0.7)])
+    def test_two_point_closed_form_from_one_start(self, nodes):
+        # sup over unimodular data of the two-point Pick value is
+        # (1 + sqrt(1 - rho^2)) / rho, rho the pseudo-hyperbolic distance
+        a, b = nodes
+        rho = abs(a - b) / abs(1 - np.conj(a) * b)
+        exact = (1 + np.sqrt(1 - rho**2)) / rho
+        assert carleson_constant(SigmaSet(nodes), budget=1) == pytest.approx(exact, rel=1e-9)
+
+    def test_ascent_values_never_decrease(self, monkeypatch):
+        runs = []
+        ascend = extremal._ascend
+
+        def recording(factor, w, update, denominator):
+            values = [extremal._pick_value(factor, w)]
+            runs.append(values)
+
+            def step(c, y):
+                new = update(c, y)
+                values.append(extremal._pick_value(factor, new))
+                return new
+
+            return ascend(factor, w, step, denominator)
+
+        monkeypatch.setattr(extremal, "_ascend", recording)
+        carleson_constant(SigmaSet((0.5, -0.3 + 0.4j, 0.1j, -0.6 - 0.2j)), budget=6, seed=2)
+        assert len(runs) == 6
+        for values in runs:
+            assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:]))
+        assert any(values[-1] > values[0] * (1 + 1e-6) for values in runs)
+
+    def test_one_step_cap_returns_best_start(self, monkeypatch):
+        # Pick value <= ||T : H^2 -> H^inf|| times the least H^2 norm of the data
+        sigma = SigmaSet((0.5, -0.5, 0.3j, 0.1 - 0.6j))
+        n, budget, seed = sigma.n, 8, 2
+        factor = extremal._pick_factor(sigma.points)
+        starts = carleson_starts(n, budget, seed)
+        inv_gram = np.linalg.inv(gram_matrix(hardy(2), sigma))
+        top = projection_operator_norm(hardy(2), sigma) * np.sqrt(
+            n * np.linalg.norm(inv_gram, 2)
+        )
+        monkeypatch.setattr(extremal, "_ASCENT_STEPS", 1)
+        value = carleson_constant(sigma, budget=budget, seed=seed)
+        best_start = max(extremal._pick_value(factor, w) for w in starts)
+        assert value == pytest.approx(best_start, rel=1e-12)
+        assert value <= top + 1e-6
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = Path(extremal.__file__).resolve().parents[1]
+    code = "import sys, discinterp; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
