@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import NotHilbert, UnsupportedSpace
 from .extremal import _ascend, _check_accuracy, _pick_factor, _pick_value, cs_min_norm
@@ -182,7 +181,6 @@ def interp_constant(
     space: _sp.SpaceSpec,
     sigma: SigmaSet,
     budget: int = 32,
-    tol: float = 1e-8,
     seed: int = 0,
 ) -> float:
     """Ascent estimate of the interpolation constant of sigma over X.
@@ -194,30 +192,19 @@ def interp_constant(
     least sqrt(c^T G conj(c)), itself at least the previous value.  budget
     counts the starts, each ascended: the unit jets e_i, the all-ones and
     alternating jets, then seeded random jets, with the transplanted witness
-    jet first when sigma is one repeated point.  tol is accepted for
-    compatibility only.  Deterministic under a fixed seed.  The result is
-    an attained value, so a lower estimate of the true sup, never below any
-    start's J, and never exceeds the projection operator norm (plus
-    rounding).
+    jet first when sigma is one repeated point.  Deterministic under a
+    fixed seed.  The result is an attained value, so a lower estimate of
+    the true sup, never below any start's J, and never exceeds the
+    projection operator norm (plus rounding).
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
     gram = _sp.gram_matrix(space, sigma)
-    try:
-        # a^H G^-1 a = ||L_G^-1 a||^2 with G = L_G L_G^H
-        gram_chol_inv = solve_triangular(
-            cholesky(gram, lower=True), np.eye(n), lower=True
-        )
+    inv_factor = _sp._inverse_factor(gram)
 
-        def denominator(a: np.ndarray) -> float:
-            return float(np.linalg.norm(gram_chol_inv @ a))
-
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(gram, hermitian=True)
-
-        def denominator(a: np.ndarray) -> float:
-            return math.sqrt(max(float(np.real(np.vdot(inv @ a, a))), 0.0))
+    def denominator(a: np.ndarray) -> float:  # sqrt(a^H G^-1 a)
+        return float(np.linalg.norm(inv_factor @ a))
 
     def gram_step(c: np.ndarray, a: np.ndarray) -> np.ndarray:
         a = gram @ c.conj()
@@ -292,7 +279,6 @@ def bound_sweep(
     budget: int = 16,
     estimate_cap: int = 0,
     seed: int = 0,
-    tol: float = 1e-6,
     workers: int = 1,
 ) -> SweepResult:
     """Witness bounds, optional constant estimates and formulas on a grid.
@@ -301,8 +287,6 @@ def bound_sweep(
     mapped over a thread pool, the merge by index keeps output
     deterministic.  The log-log slope of the witness (and estimate, when
     present on at least two cells) against n/(1-r) is fitted at the end.
-    tol is passed on to interp_constant, which accepts it for compatibility
-    only.
     """
     cells = [(int(n), float(r)) for n in n_grid for r in r_grid]
     if not cells:
@@ -318,7 +302,7 @@ def bound_sweep(
         estimate = None
         if space.is_hilbert and 0 < n <= estimate_cap:
             estimate = interp_constant(
-                space, SigmaSet((complex(r),) * n), budget=budget, tol=tol, seed=seed
+                space, SigmaSet((complex(r),) * n), budget=budget, seed=seed
             )
         return SweepRow(
             n=n,

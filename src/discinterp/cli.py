@@ -58,32 +58,37 @@ class CliError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One parsed invocation; the defaults live in build_parser().
+
+    A field is None when its subcommand has no such option.
+    """
+
     command: str
-    space: str = "hardy"
-    p: float = 2.0
-    alpha: float | None = None
-    beta: float | None = None
-    sigma: str | None = None
-    sigma_file: str | None = None
-    nodes: str | None = None
-    values: str | None = None
-    coeffs: str | None = None
-    n: int | None = None
-    r: float | None = None
-    n_grid: str | None = None
-    r_grid: str | None = None
-    samples: int = 0
-    max_n: int = 6
-    max_r: float = 0.8
-    order: int = 1
-    trunc: int | None = None
-    seed: int = 0
-    tol: float = 1e-8
-    budget: int = 32
-    estimate_cap: int = 0
-    fmt: str = "csv"
-    output: str = "-"
-    reproducible: bool = False
+    space: str | None
+    p: float | None
+    alpha: float | None
+    beta: float | None
+    sigma: str | None
+    sigma_file: str | None
+    nodes: str | None
+    values: str | None
+    coeffs: str | None
+    n: int | None
+    r: float | None
+    n_grid: str | None
+    r_grid: str | None
+    samples: int | None
+    max_n: int | None
+    max_r: float | None
+    order: int | None
+    trunc: int | None
+    seed: int
+    tol: float
+    budget: int | None
+    estimate_cap: int | None
+    fmt: str
+    output: str
+    reproducible: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,7 +292,7 @@ def _run_pick(config: RunConfig) -> tuple[list[dict], dict]:
         raise CliError("pick needs --nodes and --values")
     nodes = _parse_complex_list(config.nodes, "--nodes")
     values = _parse_complex_list(config.values, "--values")
-    result = pick_min_norm(PickProblem(nodes, values), tol=config.tol)
+    result = pick_min_norm(PickProblem(nodes, values))
     rec = {"value": result.value, "certificate": result.certificate, "mode": result.mode}
     return [rec], {"nodes": config.nodes, "values": config.values}
 
@@ -306,14 +311,14 @@ def _run_quotient(config: RunConfig) -> tuple[list[dict], dict]:
         raise CliError("quotient needs --coeffs for the target function")
     sigma = _resolve_sigma(config)
     f = CoeffSeries(np.array(_parse_complex_list(config.coeffs, "--coeffs")))
-    result = quotient_norm(f, sigma, tol=config.tol)
+    result = quotient_norm(f, sigma)
     rec = {"value": result.value, "certificate": result.certificate, "mode": result.mode}
     return [rec], {"sigma": _sigma_text(sigma)}
 
 
 def _run_carleson(config: RunConfig) -> tuple[list[dict], dict]:
     sigma = _resolve_sigma(config)
-    value = carleson_constant(sigma, tol=config.tol, budget=config.budget, seed=config.seed)
+    value = carleson_constant(sigma, budget=config.budget, seed=config.seed)
     rec = {"value": value, "n": sigma.n, "budget": config.budget}
     return [rec], {"sigma": _sigma_text(sigma)}
 
@@ -321,9 +326,7 @@ def _run_carleson(config: RunConfig) -> tuple[list[dict], dict]:
 def _run_constant(config: RunConfig) -> tuple[list[dict], dict]:
     sigma = _resolve_sigma(config)
     space = _resolve_space(config)
-    value = interp_constant(
-        space, sigma, budget=config.budget, tol=config.tol, seed=config.seed
-    )
+    value = interp_constant(space, sigma, budget=config.budget, seed=config.seed)
     rec = {"value": value, "n": sigma.n, "r": sigma.r, "budget": config.budget}
     return [rec], {"sigma": _sigma_text(sigma), "space": space.label()}
 
@@ -372,7 +375,6 @@ def _run_sweep(config: RunConfig) -> tuple[list[dict], dict]:
         budget=config.budget,
         estimate_cap=config.estimate_cap,
         seed=config.seed,
-        tol=config.tol,
         workers=workers,
     )
     records = []
@@ -526,12 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    for flag in ("fmt", "reproducible"):
-        if flag in vars(args):
-            data[flag] = vars(args)[flag]
-    return RunConfig(**data)
+    given = vars(args)
+    return RunConfig(**{name: given.get(name) for name in RunConfig.__dataclass_fields__})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -198,13 +198,13 @@ def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value:
         raise DegenerateNodes(f"nodes too close: rounding estimate {bound:.1e}, value {value:.1e}")
 
 
-def pick_min_norm(problem: PickProblem, tol: float = 1e-8) -> ExtremalResult:
+def pick_min_norm(problem: PickProblem) -> ExtremalResult:
     """Least sup-norm of a bounded interpolant through the given data.
 
     The value is ||F(T_B)||_2 for the Lagrange interpolant F of the data,
-    exact up to dense linear-algebra accuracy; there is no iteration, and
-    tol is accepted for compatibility only.  Raises DegenerateNodes for
-    repeated nodes, and when the rounding estimate exceeds _COND_LIMIT.
+    exact up to dense linear-algebra accuracy; there is no iteration.
+    Raises DegenerateNodes for repeated nodes, and when the rounding
+    estimate exceeds _COND_LIMIT.
     """
     if len(set(problem.nodes)) < len(problem.nodes):
         raise DegenerateNodes("a Pick problem needs pairwise distinct nodes")
@@ -232,13 +232,13 @@ def cs_min_norm(coeffs) -> ExtremalResult:
     return _norm_result(toeplitz(c, first_row), "toeplitz")
 
 
-def quotient_norm(f: CoeffSeries, sigma: SigmaSet, tol: float = 1e-8) -> ExtremalResult:
+def quotient_norm(f: CoeffSeries, sigma: SigmaSet) -> ExtremalResult:
     """Distance-to-ideal norm: least sup-norm matching the jet of f on sigma.
 
     Returns ||f(T_B)||_2 with B the Blaschke product of sigma, evaluated
-    exactly by block Horner for any node multiset; tol is accepted for
-    compatibility only.  The mode names the multiset: "pick" for distinct
-    points, "toeplitz" for one repeated point, "hermite" otherwise.
+    exactly by block Horner for any node multiset.  The mode names the
+    multiset: "pick" for distinct points, "toeplitz" for one repeated
+    point, "hermite" otherwise.
     """
     groups = len(sigma.groups())
     mode = "pick" if groups == sigma.n else "toeplitz" if groups == 1 else "hermite"
@@ -247,7 +247,6 @@ def quotient_norm(f: CoeffSeries, sigma: SigmaSet, tol: float = 1e-8) -> Extrema
 
 def carleson_constant(
     sigma: SigmaSet,
-    tol: float = 1e-6,
     budget: int = 64,
     seed: int = 0,
 ) -> float:
@@ -258,9 +257,9 @@ def carleson_constant(
     coefficients of the top singular pair, w_i <- conj(c_i)/|c_i| (w_i kept
     where c_i = 0) raises the value to at least sum_i |c_i|.  budget counts
     the starts, each ascended: the alternating data (1, -1, 1, ..), then
-    seeded uniform phases.  The nodes are factored once; tol is accepted for compatibility
-    only.  Deterministic under a fixed seed; the returned value is attained,
-    so it is a certified lower bound of the supremum, not the supremum itself.
+    seeded uniform phases.  The nodes are factored once.  Deterministic
+    under a fixed seed; the returned value is attained, so it is a
+    certified lower bound of the supremum, not the supremum itself.
     """
     if not sigma.is_distinct(_MIN_SEPARATION):
         raise DegenerateNodes("Carleson constant needs pairwise distinct nodes")

@@ -110,7 +110,7 @@ def _build(sigma: SigmaSet, deg: int) -> MalmquistBasis:
         cl = np.conj(lam)
         e = np.sqrt(1.0 - abs(lam) ** 2) * _s._div_geometric(running, cl)
         out.append(CoeffSeries(e))
-        running = _s._div_geometric(_s._mul_linear(running, lam), cl)
+        running = _s._mul_blaschke(running, lam)
     return MalmquistBasis(sigma, tuple(out))
 
 

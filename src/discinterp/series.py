@@ -1,9 +1,11 @@
 """Truncated Taylor series on the unit disc and Blaschke arithmetic.
 
 A series is its coefficient vector c_0..c_N; all operations are pure and
-return new objects.  Compositions with disc automorphisms are recovered by
-sampling on a circle of radius rho < 1 and inverting the DFT with a radius
-correction, so the only approximation anywhere is a controlled truncation.
+return new objects.  Multiplying by a Blaschke factor b_lam is one linear
+factor and one geometric division on the coefficient vector, and the first
+N + 1 coefficients of g * b_lam depend only on those of g; so Blaschke
+products and compositions f o b_lam (Horner's rule in b_lam) are exact on
+every prefix, and the only approximation anywhere is the truncation degree.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ __all__ = [
     "fejer_kernel",
     "derivative",
     "jet_values",
-    "circle_values",
 ]
 
 #: default truncation degree for adaptive compositions
 TRUNC_DEFAULT = 1024
 #: hard cap on adaptive truncation degrees
 TRUNC_MAX = 1 << 17
-#: sampling-radius floor; rho = (1 + max(|lambda|, this)) / 2
-DECAY_RADIUS = 0.9
 
 
 class CoeffSeries:
@@ -96,11 +95,6 @@ def eval_series(f: CoeffSeries, z) -> complex | np.ndarray:
     return acc
 
 
-def circle_values(f: CoeffSeries, m: int) -> np.ndarray:
-    """Values of f on the m-point uniform grid of the unit circle (via FFT)."""
-    return np.fft.fft(f.padded(m))
-
-
 def blaschke_factor(lam: complex, z):
     """b_lam(z) = (lam - z) / (1 - conj(lam) z)."""
     lam = complex(lam)
@@ -147,6 +141,11 @@ def _div_geometric(coeffs: np.ndarray, a: complex) -> np.ndarray:
     return out
 
 
+def _mul_blaschke(coeffs: np.ndarray, lam: complex) -> np.ndarray:
+    """Multiply a coefficient vector by b_lam(z) = (lam - z) / (1 - conj(lam) z), same length."""
+    return _div_geometric(_mul_linear(coeffs, lam), np.conj(lam))
+
+
 def blaschke_coeffs(zeros: Sequence[complex], n_trunc: int) -> CoeffSeries:
     """Truncated Taylor series of the Blaschke product with the given zeros."""
     coeffs = np.zeros(n_trunc + 1, dtype=complex)
@@ -155,20 +154,8 @@ def blaschke_coeffs(zeros: Sequence[complex], n_trunc: int) -> CoeffSeries:
         lam = complex(lam)
         if abs(lam) >= 1.0:
             raise PoleOnDomain(f"Blaschke zero |{lam}| >= 1")
-        coeffs = _div_geometric(_mul_linear(coeffs, lam), np.conj(lam))
+        coeffs = _mul_blaschke(coeffs, lam)
     return CoeffSeries(coeffs)
-
-
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m <<= 1
-    return m
-
-
-#: cap on the 1/rho^k roundoff amplification of the radius correction
-_RHO_AMP = 1e3
-_EPS = 2.3e-16
 
 
 def compose_with_blaschke(
@@ -179,16 +166,15 @@ def compose_with_blaschke(
 ) -> CoeffSeries:
     """Taylor coefficients of f(b_lam(z)) up to degree n_out.
 
-    Samples f(b_lam(.)) on an M-point circle of radius rho < 1 and inverts
-    the DFT with the 1/rho^k correction.  rho starts at
-    (1 + max(|lam|, DECAY_RADIUS)) / 2 but is pushed toward 1 for long
-    truncations so the correction never amplifies roundoff by more than
-    _RHO_AMP; the grid size M is enlarged until the geometric aliasing
-    bound max|f| * rho^(M - n_out) sits at the noise floor.  Recovered
-    coefficients below that floor are clipped to zero.
+    Horner's rule in b_lam, acc <- acc * b_lam + f_j from the top
+    coefficient down, on a vector of n_out + 1 coefficients.  Truncating
+    each product loses nothing below degree n_out + 1, so the result is
+    exact on its prefix up to rounding: nothing is sampled or clipped.
 
     With n_out=None the degree starts at TRUNC_DEFAULT and doubles until
-    the tail (top half) carries less than tol of the coefficient mass.
+    the tail (top half) carries at most max(tol, 1e-12) of the head's norm;
+    the result is then trimmed of trailing coefficients below eps times its
+    norm, the rounding level of the recurrence.
     """
     lam = complex(lam)
     if abs(lam) >= 1.0:
@@ -199,33 +185,20 @@ def compose_with_blaschke(
     if n_cur < 0:
         raise ValueError("n_out must be nonnegative")
 
-    scale = float(np.sum(np.abs(f.coeffs)))  # bounds max|f| on the closed disc
-    if scale == 0.0:
-        return CoeffSeries(np.zeros(n_cur + 1))
-
     while True:
-        rho = max(
-            0.5 * (1.0 + max(abs(lam), DECAY_RADIUS)),
-            _RHO_AMP ** (-1.0 / max(n_cur, 1)),
-        )
-        extra = int(np.ceil(np.log(_EPS) / np.log(rho)))
-        m = _next_pow2(max(8 * (n_cur + 1), n_cur + 1 + extra, 64))
-        grid = rho * np.exp(2j * np.pi * np.arange(m) / m)
-        vals = eval_series(f, blaschke_eval([lam], grid))
-        hatted = np.fft.fft(vals) / m
-        ks = np.arange(n_cur + 1)
-        correction = rho**ks
-        coeffs = hatted[: n_cur + 1] / correction
-        floor = 64.0 * _EPS * scale / correction
-        coeffs[np.abs(coeffs) < floor] = 0.0
+        acc = np.zeros(n_cur + 1, dtype=complex)
+        acc[0] = f.coeffs[-1]
+        for c in f.coeffs[-2::-1]:
+            acc = _mul_blaschke(acc, lam)
+            acc[0] += c
 
         if not adaptive:
-            return CoeffSeries(coeffs)
+            return CoeffSeries(acc)
 
-        head = np.linalg.norm(coeffs[: (n_cur + 1) // 2])
-        tail = np.linalg.norm(coeffs[(n_cur + 1) // 2 :])
+        head = np.linalg.norm(acc[: (n_cur + 1) // 2])
+        tail = np.linalg.norm(acc[(n_cur + 1) // 2 :])
         if tail <= max(tol, 1e-12) * max(head, 1e-300):
-            return CoeffSeries(coeffs).trimmed(tol=0.0)
+            return CoeffSeries(acc).trimmed(tol=np.finfo(float).eps * np.linalg.norm(acc))
         n_cur *= 2
         if n_cur > TRUNC_MAX:
             raise TruncationError(
@@ -351,10 +324,28 @@ class SigmaSet:
         return SigmaSet(tuple(w * p for p in self.points))
 
 
+def _falling(ks: np.ndarray, d: int) -> np.ndarray:
+    """Falling factorial (k)_d = k (k-1) ... (k-d+1)."""
+    out = np.ones_like(ks, dtype=float)
+    for i in range(d):
+        out *= ks - i
+    return out
+
+
+def _functional_block(funcs, ks: np.ndarray) -> np.ndarray:
+    """P[i, j] = (k_j)_{d_i} lam_i^(k_j - d_i), zero where k_j < d_i.
+
+    Row i maps the coefficients c_k, k in ks, to the part of f^(d_i)(lam_i)
+    they carry, for the (lam_i, d_i) functionals of SigmaSet.functionals().
+    """
+    P = np.zeros((len(funcs), ks.size), dtype=complex)
+    for i, (lam, d) in enumerate(funcs):
+        mask = ks >= d
+        kk = ks[mask].astype(float)
+        P[i, mask] = _falling(kk, d) * np.power(complex(lam), kk - d)
+    return P
+
+
 def jet_values(f: CoeffSeries, sigma: SigmaSet) -> np.ndarray:
     """Jet of f on sigma: f^(d)(lam) for each (lam, d) functional."""
-    max_order = max(d for _, d in sigma.functionals())
-    derivs = [f]
-    for _ in range(max_order):
-        derivs.append(derivs[-1].derivative())
-    return np.array([eval_series(derivs[d], lam) for lam, d in sigma.functionals()])
+    return _functional_block(sigma.functionals(), np.arange(len(f))) @ f.coeffs

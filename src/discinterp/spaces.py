@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky, solve_triangular
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     NotHilbert,
     UnsupportedSpace,
 )
-from .series import CoeffSeries, SigmaSet, _next_pow2, series_power
+from .series import CoeffSeries, SigmaSet, _functional_block, series_power
 
 __all__ = [
     "SpaceSpec",
@@ -49,6 +49,13 @@ _SERIES_TOL = 1e-14
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _COND_FLOOR = 1e-13
+
+
+def _next_pow2(n: int) -> int:
+    m = 1
+    while m < n:
+        m <<= 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -321,24 +328,6 @@ def _weighted_power_sum(alpha: float, t: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _falling(ks: np.ndarray, d: int) -> np.ndarray:
-    """Falling factorial (k)_d = k (k-1) ... (k-d+1)."""
-    out = np.ones_like(ks, dtype=float)
-    for i in range(d):
-        out *= ks - i
-    return out
-
-
-def _functional_block(funcs, ks: np.ndarray) -> np.ndarray:
-    """P[i, j] = (k_j)_{d_i} lam_i^(k_j - d_i), zero where k_j < d_i."""
-    P = np.zeros((len(funcs), ks.size), dtype=complex)
-    for i, (lam, d) in enumerate(funcs):
-        mask = ks >= d
-        kk = ks[mask].astype(float)
-        P[i, mask] = _falling(kk, d) * np.power(complex(lam), kk - d)
-    return P
-
-
 def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     """Gram matrix of the evaluation (and derivative) functionals on sigma.
 
@@ -386,33 +375,38 @@ class MinNormResult:
     multipliers: np.ndarray
 
 
-def _solve_hermitian(G: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _inverse_factor(G: np.ndarray) -> np.ndarray:
+    """R with R^H R = G^-1 for a Hermitian Gram matrix G.
+
+    Normally R = L^-1 with G = L L^H the Cholesky factorisation.  When G is
+    not numerically positive definite, R = diag(w^-1/2) V^H over the
+    eigenpairs (w, V) of G with w above _COND_FLOOR times the largest, so
+    R^H R is the pseudo-inverse that drops the near-null directions.
+    """
     try:
-        return cho_solve(cho_factor(G, lower=True), a)
+        L = cholesky(G, lower=True)
     except np.linalg.LinAlgError:
-        pass
-    except ValueError:
-        pass
-    # eigendecomposition fallback for near-singular Gram matrices
-    w, V = np.linalg.eigh(G)
-    w = np.where(w > _COND_FLOOR * max(w[-1], 0.0), w, np.inf)
-    return V @ ((V.conj().T @ a) / w)
+        w, V = np.linalg.eigh(G)
+        keep = w > _COND_FLOOR * max(w[-1], 0.0)
+        return V[:, keep].conj().T / np.sqrt(w[keep])[:, None]
+    return solve_triangular(L, np.eye(G.shape[0]), lower=True)
 
 
 def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     """Minimal-norm element of the space with the prescribed jet on sigma.
 
-    Solves G c = a and returns sqrt(Re <c, a>) together with the truncated
+    Solves G c = a as c = R^H (R a) with R^H R = G^-1 (_inverse_factor) and
+    returns ||R a|| = sqrt(a^H G^-1 a) together with the truncated
     representer combination sum_i c_i k_i.
     """
     a = np.asarray(a, dtype=complex)
     funcs = sigma.functionals()
     if a.shape != (len(funcs),):
         raise ValueError(f"trace vector must have length {len(funcs)}")
-    G = gram_matrix(space, sigma)
-    c = _solve_hermitian(G, a)
-    norm_sq = float(np.real(np.vdot(c, a)))
-    value = float(np.sqrt(max(norm_sq, 0.0)))
+    R = _inverse_factor(gram_matrix(space, sigma))
+    Ra = R @ a
+    c = R.conj().T @ Ra
+    value = float(np.linalg.norm(Ra))
 
     coeffs: list[np.ndarray] = []
     max_d = max(d for _, d in funcs)

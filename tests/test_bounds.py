@@ -17,6 +17,7 @@ from discinterp import (
     projection_operator_norm,
     quotient_norm,
     seq_weighted,
+    series,
     theorem_bounds,
     witness_lower_bound,
 )
@@ -132,6 +133,15 @@ class TestWitness:
         )
         oracle = np.sqrt(np.real(W.coeffs.conj() @ gram @ W.coeffs))
         assert norm(hardy(2), f) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5)])
+    def test_witness_paths_do_not_evaluate_series_pointwise(self, monkeypatch, space):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval_series called on a witness path")
+
+        monkeypatch.setattr(series, "eval_series", refuse)
+        assert witness_lower_bound(space, 0.7, 4) > 0.0
+        assert interp_constant(space, SigmaSet((0.7,) * 4), budget=4) > 0.0
 
     def test_unsupported_space(self):
         with pytest.raises(UnsupportedSpace):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from discinterp.cli import main, read_sigma_file
+from discinterp.cli import build_parser, config_from_args, main, read_sigma_file
 
 
 def run_to_file(tmp_path, name, argv):
@@ -140,6 +140,29 @@ class TestDeterminismAndFormats:
         monkeypatch.setenv("DISCINTERP_THREADS", "4")
         _, pooled = run_to_file(tmp_path, "w4.csv", self.SWEEP + ["--reproducible"])
         assert base.read_bytes() == pooled.read_bytes()
+
+
+class TestRunConfig:
+    MINIMAL = {
+        "basis": ["--sigma", "0.5"],
+        "bernstein": ["--sigma", "0.5"],
+        "pick": ["--nodes", "0", "--values", "1"],
+        "cs": ["--coeffs", "1"],
+        "quotient": ["--coeffs", "1", "--sigma", "0.5"],
+        "carleson": ["--sigma", "0.5"],
+        "constant": ["--sigma", "0.5"],
+        "bounds": ["--n", "2", "--r", "0.5"],
+        "sweep": ["--n-grid", "2", "--r-grid", "0.5"],
+    }
+    BUDGETS = {"carleson": 64, "constant": 32, "sweep": 16}
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL))
+    def test_argparse_defaults_reach_run_config(self, command):
+        config = config_from_args(build_parser().parse_args([command] + self.MINIMAL[command]))
+        assert config.command == command
+        assert config.budget == self.BUDGETS.get(command)
+        assert config.seed == 0
+        assert config.tol == 1e-8
 
 
 class TestValidation:

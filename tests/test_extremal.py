@@ -64,7 +64,7 @@ class TestPick:
         for _ in range(10):
             sigma = random_sigma(rng, n_max=5, r_max=0.8, distinct=True)
             w = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
-            res = pick_min_norm(PickProblem(sigma.points, tuple(w)), tol=1e-8)
+            res = pick_min_norm(PickProblem(sigma.points, tuple(w)))
             assert -1e-7 <= res.certificate <= 1e-7
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

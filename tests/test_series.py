@@ -124,6 +124,21 @@ class TestCompose:
         g = compose_with_blaschke(CoeffSeries([0.0, 0.0]), 0.4, n_out=5)
         assert np.all(g.coeffs == 0)
 
+    @pytest.mark.parametrize("lam", [0.9, -0.5 + 0.4j])
+    def test_prefix_does_not_depend_on_output_length(self, rng, lam):
+        f = random_poly(rng, 40)
+        short = compose_with_blaschke(f, lam, n_out=300)
+        long = compose_with_blaschke(f, lam, n_out=1200)
+        assert np.array_equal(short.coeffs, long.coeffs[:301])
+
+    @pytest.mark.parametrize("lam", [0.9, -0.5 + 0.4j, 0.99j])
+    def test_powers_of_z_give_blaschke_powers(self, lam):
+        for j in range(1, 7):
+            monomial = CoeffSeries(np.eye(j + 1)[j])
+            got = compose_with_blaschke(monomial, lam, n_out=400)
+            want = blaschke_coeffs([lam] * j, 400)
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14
+
 
 class TestKernelsAndProducts:
     def test_hadamard_identity(self, rng):
@@ -189,6 +204,18 @@ class TestSigmaSet:
         num_d1 = (eval_series(f, 0.3 + h) - eval_series(f, 0.3 - h)) / (2 * h)
         assert jets[0] == pytest.approx(eval_series(f, 0.3))
         assert jets[1] == pytest.approx(num_d1, rel=1e-7)
+
+    def test_jet_values_match_derivative_chain_on_mixed_sigma(self, rng):
+        f = random_poly(rng, 30)
+        s = SigmaSet((0.0, 0.5, 0.0, -0.3 + 0.6j, 0.5, 0.0, 0.5))
+        want = []
+        for lam, d in s.functionals():
+            g = f
+            for _ in range(d):
+                g = derivative(g)
+            want.append(eval_series(g, lam))
+        got = jet_values(f, s)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_boundary_point(self):
         with pytest.raises(PoleOnDomain):

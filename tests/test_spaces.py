@@ -26,7 +26,7 @@ from discinterp import (
     series_product,
 )
 
-from discinterp.spaces import _BERGMAN_BLOCK, _golden_max, _radial_rule
+from discinterp.spaces import _BERGMAN_BLOCK, _golden_max, _inverse_factor, _radial_rule
 
 from conftest import random_poly, random_sigma
 
@@ -272,6 +272,25 @@ class TestMinNorm:
             pad = max(len(res.interpolant), len(h))
             combined = CoeffSeries(res.interpolant.padded(pad) + h.padded(pad))
             assert norm(hardy(2), combined) >= res.norm - 1e-9
+
+
+class TestInverseFactor:
+    def test_positive_definite_gram_gives_inverse(self, rng):
+        sigma = random_sigma(rng, n=4, r_max=0.7, distinct=True)
+        G = gram_matrix(hardy(2), sigma)
+        R = _inverse_factor(G)
+        assert np.allclose(R, np.tril(R))
+        assert np.max(np.abs(R.conj().T @ R @ G - np.eye(4))) <= 1e-10
+
+    def test_indefinite_gram_drops_near_null_directions(self, rng):
+        V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        w = np.array([-1e-9, 1e-15, 1.0, 2.0])
+        G = (V * w) @ V.conj().T
+        R = _inverse_factor(G)
+        assert R.shape == (2, 4)
+        kept = V[:, 2:]
+        want = (kept / w[2:]) @ kept.conj().T
+        assert np.max(np.abs(R.conj().T @ R - want)) <= 1e-12
 
 
 class TestPowerInequality:
