@@ -97,23 +97,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_complex_list(text: str, what: str) -> tuple[complex, ...]:
+def _complex_token(tok: str) -> complex:
+    return complex(tok.strip().replace("i", "j"))
+
+
+def _parse_list(text: str, what: str, cast) -> tuple:
     try:
-        return tuple(complex(tok.strip().replace("i", "j")) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise CliError(f"cannot parse {what} {text!r}: {exc}") from exc
-
-
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise CliError(f"cannot parse {what} {text!r}: {exc}") from exc
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(cast(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise CliError(f"cannot parse {what} {text!r}: {exc}") from exc
 
@@ -146,7 +136,7 @@ def _resolve_sigma(config: RunConfig) -> SigmaSet:
     if config.sigma and config.sigma_file:
         raise CliError("give either --sigma or --sigma-file, not both")
     if config.sigma:
-        return SigmaSet(_parse_complex_list(config.sigma, "--sigma"))
+        return SigmaSet(_parse_list(config.sigma, "--sigma", _complex_token))
     if config.sigma_file:
         return SigmaSet(read_sigma_file(config.sigma_file))
     raise CliError("a node set is required (--sigma or --sigma-file)")
@@ -287,33 +277,32 @@ def _iterated_bound(sigma: SigmaSet, order: int) -> float:
     return math.factorial(order) * (2.5 * sigma.n / (1.0 - sigma.r)) ** order
 
 
+def _extremal_records(result) -> list[dict]:
+    return [{"value": result.value, "certificate": result.certificate, "mode": result.mode}]
+
+
 def _run_pick(config: RunConfig) -> tuple[list[dict], dict]:
     if not config.nodes or not config.values:
         raise CliError("pick needs --nodes and --values")
-    nodes = _parse_complex_list(config.nodes, "--nodes")
-    values = _parse_complex_list(config.values, "--values")
+    nodes = _parse_list(config.nodes, "--nodes", _complex_token)
+    values = _parse_list(config.values, "--values", _complex_token)
     result = pick_min_norm(PickProblem(nodes, values))
-    rec = {"value": result.value, "certificate": result.certificate, "mode": result.mode}
-    return [rec], {"nodes": config.nodes, "values": config.values}
+    return _extremal_records(result), {"nodes": config.nodes, "values": config.values}
 
 
 def _run_cs(config: RunConfig) -> tuple[list[dict], dict]:
     if not config.coeffs:
         raise CliError("cs needs --coeffs")
-    coeffs = _parse_complex_list(config.coeffs, "--coeffs")
-    result = cs_min_norm(np.array(coeffs))
-    rec = {"value": result.value, "certificate": result.certificate, "mode": result.mode}
-    return [rec], {"coeffs": config.coeffs}
+    coeffs = _parse_list(config.coeffs, "--coeffs", _complex_token)
+    return _extremal_records(cs_min_norm(np.array(coeffs))), {"coeffs": config.coeffs}
 
 
 def _run_quotient(config: RunConfig) -> tuple[list[dict], dict]:
     if not config.coeffs:
         raise CliError("quotient needs --coeffs for the target function")
     sigma = _resolve_sigma(config)
-    f = CoeffSeries(np.array(_parse_complex_list(config.coeffs, "--coeffs")))
-    result = quotient_norm(f, sigma)
-    rec = {"value": result.value, "certificate": result.certificate, "mode": result.mode}
-    return [rec], {"sigma": _sigma_text(sigma)}
+    f = CoeffSeries(np.array(_parse_list(config.coeffs, "--coeffs", _complex_token)))
+    return _extremal_records(quotient_norm(f, sigma)), {"sigma": _sigma_text(sigma)}
 
 
 def _run_carleson(config: RunConfig) -> tuple[list[dict], dict]:
@@ -365,8 +354,8 @@ def _run_sweep(config: RunConfig) -> tuple[list[dict], dict]:
     if not config.n_grid or not config.r_grid:
         raise CliError("sweep needs --n-grid and --r-grid")
     space = _resolve_space(config)
-    n_grid = _parse_int_list(config.n_grid, "--n-grid")
-    r_grid = _parse_float_list(config.r_grid, "--r-grid")
+    n_grid = _parse_list(config.n_grid, "--n-grid", int)
+    r_grid = _parse_list(config.r_grid, "--r-grid", float)
     workers = max(1, int(os.environ.get("DISCINTERP_THREADS", "1") or 1))
     result = bound_sweep(
         space,

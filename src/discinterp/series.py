@@ -24,7 +24,6 @@ __all__ = [
     "blaschke_factor",
     "blaschke_eval",
     "blaschke_coeffs",
-    "geometric_coeffs",
     "compose_with_blaschke",
     "hadamard_product",
     "series_product",
@@ -116,11 +115,6 @@ def blaschke_eval(zeros: Sequence[complex], z):
     if np.isscalar(z) or zs.ndim == 0:
         return complex(out)
     return out
-
-
-def geometric_coeffs(a: complex, n_trunc: int) -> CoeffSeries:
-    """Taylor coefficients of 1 / (1 - a z) up to degree n_trunc."""
-    return CoeffSeries(np.power(complex(a), np.arange(n_trunc + 1)))
 
 
 def _mul_linear(coeffs: np.ndarray, lam: complex) -> np.ndarray:

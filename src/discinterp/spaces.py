@@ -8,9 +8,12 @@ Three families are implemented:
   (no 1/pi normalisation).
 
 The p = 2 members are Hilbert spaces with a diagonal reproducing kernel
-sum_k kappa_k (lambda conj(mu))^k; everything kernel-based (evaluation
-functional norms, Gram matrices, minimal-norm interpolants) runs off the
-kappa_k diagonal, summed in blocks to a fixed tail tolerance.
+sum_k kappa_k (lambda conj(mu))^k, and ``kernel_diagonal`` is the one place
+that encodes kappa_k.  Everything Hilbert-space follows from it: the norm
+sqrt(sum_k |f_k|^2 / kappa_k), evaluation-functional norms, Gram matrices
+and minimal-norm interpolants.  The kernel series are summed in blocks by
+one loop (``_series``) with one tail rule and one ``Divergence``.  The FFT
+and quadrature norms serve only p != 2.
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ __all__ = [
     "power_inequality_check",
 ]
 
+# Tail rules of _series, relative to the running total mass.  Kernel and
+# Gram sums stop at 1e-14 of the total; the representer series needs 1e-26
+# of its squared coefficient norm, since at 1e-14 the H^2 one-point
+# interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.
 _SERIES_TOL = 1e-14
+_REPRESENTER_TOL = 1e-26
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _COND_FLOOR = 1e-13
@@ -121,6 +129,43 @@ def kernel_diagonal(space: SpaceSpec, ks: np.ndarray) -> np.ndarray:
     b = space.beta
     logw = np.log(np.pi) + gammaln(ks + 1.0) + gammaln(b + 1.0) - gammaln(ks + b + 2.0)
     return np.exp(-logw)
+
+
+def _series(term, min_k: int, tol: float) -> list:
+    """The pieces of a kernel series, summed in blocks of k = 0, 1, 2, ...
+
+    ``term(ks)`` returns ``(piece, mass)`` with ``mass >= 0`` for one block
+    of indices.  Blocks have max(_SERIES_BLOCK, min_k) indices; the sum
+    stops at the first block that ends past index min_k and whose mass is
+    at most ``tol`` times the total mass so far.  Raises Divergence once
+    more than _SERIES_KMAX indices were summed.
+    """
+    block = max(_SERIES_BLOCK, min_k)
+    pieces = []
+    total = 0.0
+    k0 = 0
+    while True:
+        piece, mass = term(np.arange(k0, k0 + block))
+        pieces.append(piece)
+        total += mass
+        k0 += block
+        if k0 > min_k and mass <= tol * total:
+            return pieces
+        if k0 > _SERIES_KMAX:
+            raise Divergence(
+                f"kernel series did not converge within {_SERIES_KMAX} terms;"
+                " a point is too close to the unit circle"
+            )
+
+
+def _kernel_diag_sum(space: SpaceSpec, x: float) -> float:
+    """sum_k kappa_k x^k for 0 <= x < 1."""
+
+    def term(ks):
+        block = float(np.sum(kernel_diagonal(space, ks) * x**ks))
+        return block, block
+
+    return sum(_series(term, 0, _SERIES_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +259,9 @@ def _radial_rule(k_rad: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
-    """L^p_a(beta) norm by a radial Gauss-Jacobi rule and one FFT per circle.
+    """L^p_a(beta) norm, p != 2, by a radial Gauss-Jacobi rule and one FFT per circle.
 
+    p = 2 never reaches it: ``norm`` sums the kernel diagonal exactly.
     The rule has k_rad = max(24, deg // 2 + 8) nodes in u = s^2, exact up to
     degree about deg + 15, while |f|^p has degree p deg / 2 in u for even p
     and is not a polynomial otherwise.  Measured on monomials z^n against
@@ -246,7 +292,16 @@ def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
 
 
 def norm(space: SpaceSpec, f: CoeffSeries) -> float:
-    """Norm of a truncated series in the given space."""
+    """Norm of a truncated series in the given space.
+
+    At p = 2 it is sqrt(sum_k |f_k|^2 / kappa_k) with kappa_k from
+    kernel_diagonal, exact in every family.  Other p use boundary means
+    (hardy), the weighted coefficient sum (seq) or the radial quadrature of
+    _bergman_norm.
+    """
+    if space.is_hilbert:
+        kap = kernel_diagonal(space, np.arange(len(f)))
+        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 / kap)))
     if space.family == "hardy":
         return _hardy_norm(space.p, f)
     if space.family == "seq":
@@ -267,9 +322,11 @@ def norm(space: SpaceSpec, f: CoeffSeries) -> float:
 def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     """Norm of f |-> f(t) on the space, 0 <= t < 1.
 
-    Hilbert cases sum the kernel diagonal; hardy(p) uses the classical
-    sharp value (1-t^2)^(-1/p); general sequence spaces use the Hoelder
-    dual of the weighted coefficient norm.  Bergman with p != 2 is out.
+    Hilbert cases are sqrt(sum_k kappa_k t^(2k)); hardy(p) uses the
+    classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
+    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the same
+    kernel sum on l^2_a(1 + q (alpha-1)/2) at t^q for finite q (q = 1 at
+    p = inf), and the peak term at p = 1.  Bergman with p != 2 is out.
     """
     t = float(t)
     if t < 0.0 or t >= 1.0:
@@ -281,46 +338,16 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     if space.is_hilbert:
         return float(np.sqrt(_kernel_diag_sum(space, t * t)))
     if space.family == "seq":
-        q = np.inf if space.p == 1.0 else space.p / (space.p - 1.0)
-        return float(_weighted_power_sum(space.alpha, t, q))
+        alpha = space.alpha
+        if space.p == 1.0:
+            # the terms rise, peak near k = (alpha-1)/(-log t), then decay
+            k_peak = int(np.ceil((alpha - 1.0) / -np.log(t))) if t > 0.0 else 0
+            ks = np.arange(k_peak + 4, dtype=float)
+            return float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
+        q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
+        dual = seq_weighted(2.0, 1.0 + q * (alpha - 1.0) / 2.0)
+        return float(_kernel_diag_sum(dual, t**q) ** (1.0 / q))
     raise UnsupportedSpace("evaluation norm for Bergman p != 2 is not implemented")
-
-
-def _kernel_diag_sum(space: SpaceSpec, x: float) -> float:
-    """sum_k kappa_k x^k for 0 <= x < 1, summed in blocks to _SERIES_TOL."""
-    total = 0.0
-    k0 = 0
-    while True:
-        ks = np.arange(k0, k0 + _SERIES_BLOCK, dtype=float)
-        block = float(np.sum(kernel_diagonal(space, ks) * x**ks))
-        total += block
-        k0 += _SERIES_BLOCK
-        if block <= _SERIES_TOL * max(total, 1.0) or x == 0.0:
-            return total
-        if k0 > _SERIES_KMAX:
-            raise Divergence("kernel diagonal sum did not converge")
-
-
-def _weighted_power_sum(alpha: float, t: float, q: float) -> float:
-    """l^q norm of ((k+1)^(alpha-1) t^k)_k, q possibly inf."""
-    if t == 0.0:
-        return 1.0
-    if q == np.inf:
-        # terms rise then decay; peak index (alpha-1)/(-log t)
-        k_peak = int(np.ceil((alpha - 1.0) / (-np.log(t)))) + 2
-        ks = np.arange(0, k_peak + 2, dtype=float)
-        return float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
-    total = 0.0
-    k0 = 0
-    while True:
-        ks = np.arange(k0, k0 + _SERIES_BLOCK, dtype=float)
-        block = float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks) ** q))
-        total += block
-        k0 += _SERIES_BLOCK
-        if block <= _SERIES_TOL * max(total, 1.0):
-            return total ** (1.0 / q)
-        if k0 > _SERIES_KMAX:
-            raise Divergence("dual weight sum did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +361,21 @@ def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     Entry (i, j) is sum_k kappa_k (k)_{d_i} (k)_{d_j}
     lam_i^(k-d_i) conj(lam_j)^(k-d_j), the pairing of the Riesz
     representers; repeated points contribute derivative functionals in
-    order of appearance.  Warns IllConditionedWarning when the spectrum
-    spans more than 1e13.
+    order of appearance.  The series is summed by _series until a block's
+    trace is below _SERIES_TOL of the total trace.  Warns
+    IllConditionedWarning when the spectrum spans more than 1e13.
     """
     if not space.is_hilbert:
         raise NotHilbert("Gram matrices need a Hilbert-case space")
     funcs = sigma.functionals()
-    n = len(funcs)
-    G = np.zeros((n, n), dtype=complex)
     max_d = max(d for _, d in funcs)
-    k0 = 0
-    block = max(_SERIES_BLOCK, 2 * max_d + 2)
-    while True:
-        ks = np.arange(k0, k0 + block)
-        kap = kernel_diagonal(space, ks)
+
+    def term(ks):
         P = _functional_block(funcs, ks)
-        piece = (P * kap) @ P.conj().T
-        G += piece
-        contrib = float(np.linalg.norm(piece))
-        k0 += block
-        if k0 > 2 * max_d + 2 and contrib <= _SERIES_TOL * max(np.linalg.norm(G), 1.0):
-            break
-        if k0 > _SERIES_KMAX:
-            raise Divergence("Gram series did not converge (r too close to 1?)")
+        piece = (P * kernel_diagonal(space, ks)) @ P.conj().T
+        return piece, float(np.trace(piece).real)
+
+    G = sum(_series(term, 2 * max_d + 2, _SERIES_TOL))
     G = 0.5 * (G + G.conj().T)
     eig = np.linalg.eigvalsh(G)
     if eig[0] < _COND_FLOOR * eig[-1]:
@@ -397,7 +416,9 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
 
     Solves G c = a as c = R^H (R a) with R^H R = G^-1 (_inverse_factor) and
     returns ||R a|| = sqrt(a^H G^-1 a) together with the truncated
-    representer combination sum_i c_i k_i.
+    representer combination sum_i c_i k_i, whose coefficients are
+    kappa_k (P^H c)_k.  _series sums them until a block's squared norm is
+    below _REPRESENTER_TOL of the total.
     """
     a = np.asarray(a, dtype=complex)
     funcs = sigma.functionals()
@@ -407,25 +428,13 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     Ra = R @ a
     c = R.conj().T @ Ra
     value = float(np.linalg.norm(Ra))
-
-    coeffs: list[np.ndarray] = []
     max_d = max(d for _, d in funcs)
-    total = 0.0
-    k0 = 0
-    block = max(_SERIES_BLOCK, 2 * max_d + 2)
-    while True:
-        ks = np.arange(k0, k0 + block)
-        kap = kernel_diagonal(space, ks)
-        P = _functional_block(funcs, ks)
-        piece = kap * (P.conj().T @ c)
-        coeffs.append(piece)
-        contrib = float(np.linalg.norm(piece))
-        total = float(np.hypot(total, contrib))
-        k0 += block
-        if k0 > 2 * max_d + 2 and contrib <= 1e-13 * max(total, 1e-300):
-            break
-        if k0 > _SERIES_KMAX:
-            raise Divergence("representer series did not converge")
+
+    def term(ks):
+        piece = kernel_diagonal(space, ks) * (_functional_block(funcs, ks).conj().T @ c)
+        return piece, float(np.vdot(piece, piece).real)
+
+    coeffs = _series(term, 2 * max_d + 2, _REPRESENTER_TOL)
     interpolant = CoeffSeries(np.concatenate(coeffs)).trimmed(tol=0.0)
     return MinNormResult(value, interpolant, c)
 

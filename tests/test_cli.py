@@ -38,6 +38,17 @@ class TestCommands:
         assert header[:7] == ["family", "p", "alpha", "beta", "n", "r", "x"]
         assert float(rows[0]["lower"]) == pytest.approx(0.7071067811865476, abs=1e-10)
 
+    def test_bounds_seq_sup_norm(self, tmp_path):
+        code, out = run_to_file(
+            tmp_path, "b.csv",
+            ["bounds", "--space", "seq", "--p", "inf", "--alpha", "2",
+             "--n", "2", "--r", "0.5"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        # 1/(1-t)^2 at t = 1 - (1-r)/n = 0.75
+        assert float(rows[0]["phi_scale"]) == pytest.approx(16.0, rel=1e-12)
+
     def test_cs_golden(self, tmp_path):
         code, out = run_to_file(tmp_path, "cs.csv", ["cs", "--coeffs", "1,1"])
         assert code == 0

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,16 @@ class TestEvalFunctional:
                     bound = eval_functional_norm(space, t) * nf
                     assert abs(eval_series(f, t)) <= bound * (1 + 1e-6) + 1e-12
 
+    @pytest.mark.parametrize("t", [0.3, 0.8, 0.95])
+    def test_seq_sup_norm_dual_weight(self, t):
+        # the l^1 norm of the dual weight: sum_k (k+1)^(alpha-1) t^k
+        assert eval_functional_norm(seq_weighted(np.inf, 1.0), t) == pytest.approx(
+            1.0 / (1.0 - t), rel=1e-13, abs=0.0
+        )
+        assert eval_functional_norm(seq_weighted(np.inf, 2.0), t) == pytest.approx(
+            1.0 / (1.0 - t) ** 2, rel=1e-13, abs=0.0
+        )
+
     def test_sharpness_for_kernel_series(self):
         for space in (hardy(2), seq_weighted(2, 1.5)):
             t = 0.7
@@ -319,3 +330,61 @@ class TestPowerInequality:
     def test_rejects_non_integer_power(self):
         with pytest.raises(ValueError):
             power_inequality_check(1.25, CoeffSeries([1.0]))
+
+
+def _beta_exact(n: int, b: float) -> float:
+    """B(n+1, b+1) as B(1, b+1) prod_{k<=n} k/(k+b+1), the logs summed exactly."""
+    ks = np.arange(1, n + 1)
+    return math.exp(math.fsum(np.log1p(-(b + 1.0) / (ks + b + 1.0)))) / (b + 1.0)
+
+
+class TestKernelDiagonalEncoding:
+    """Every p = 2 quantity follows from kernel_diagonal, summed by one loop."""
+
+    @pytest.mark.parametrize("beta", [1.0, -0.5])
+    def test_bergman_interpolant_norm_is_min_norm(self, beta):
+        space = bergman_radial(2, beta)
+        res = min_norm_trace(space, SigmaSet((0.99,) * 3), [1.0, -0.5, 0.25])
+        assert norm(space, res.interpolant) == pytest.approx(res.norm, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [384, 1000, 5000])
+    def test_bergman_monomial_norm(self, n):
+        # kernel_diagonal rounds log-gamma values near 4e4 at n = 5000, which
+        # leaves up to 4e-12 against the exact value
+        f = CoeffSeries(np.eye(n + 1)[n])
+        for beta in (-0.5, 0.0, 1.0):
+            want = math.sqrt(math.pi * _beta_exact(n, beta))
+            assert norm(bergman_radial(2, beta), f) == pytest.approx(want, rel=5e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [0.99, -0.995])
+    def test_h2_one_point_interpolant_tail(self, lam):
+        # f = k_lam / k_lam(lam) = (1 - |lam|^2) sum_k conj(lam)^k z^k
+        got = min_norm_trace(hardy(2), SigmaSet((lam,)), [1.0]).interpolant
+        want = (1.0 - lam * lam) * np.conj(lam) ** np.arange(20000)
+        assert np.linalg.norm(got.padded(20000) - want) <= 1e-12
+
+    def test_gram_closed_forms(self):
+        pts = np.array([0.6, -0.3 + 0.5j, 0.1j, -0.7 - 0.2j])
+        x = 1.0 - np.outer(pts, pts.conj())
+        sigma = SigmaSet(tuple(pts))
+        G = gram_matrix(seq_weighted(2, 1.5), sigma)
+        assert np.max(np.abs(G / x**-2.0 - 1.0)) <= 1e-13
+        for beta in (-0.5, 0.0, 1.0):
+            G = gram_matrix(bergman_radial(2, beta), sigma)
+            want = (beta + 1.0) / (np.pi * x ** (beta + 2.0))
+            assert np.max(np.abs(G / want - 1.0)) <= 1e-13
+
+    def test_one_divergence_message(self):
+        t = 1.0 - 1e-7
+        calls = (
+            lambda: gram_matrix(hardy(2), SigmaSet((t,))),
+            lambda: min_norm_trace(hardy(2), SigmaSet((t,)), [1.0]),
+            lambda: eval_functional_norm(seq_weighted(2, 1.5), t),
+            lambda: eval_functional_norm(seq_weighted(3, 1.5), t),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(Divergence) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
