@@ -324,9 +324,9 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
 
     Hilbert cases are sqrt(sum_k kappa_k t^(2k)); hardy(p) uses the
     classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
-    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the same
-    kernel sum on l^2_a(1 + q (alpha-1)/2) at t^q for finite q (q = 1 at
-    p = inf), and the peak term at p = 1.  Bergman with p != 2 is out.
+    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: a _series
+    sum of its q-th powers for finite q (q = 1 at p = inf), and the peak
+    term at p = 1.  Bergman with p != 2 is out.
     """
     t = float(t)
     if t < 0.0 or t >= 1.0:
@@ -345,8 +345,13 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
             ks = np.arange(k_peak + 4, dtype=float)
             return float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
         q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
-        dual = seq_weighted(2.0, 1.0 + q * (alpha - 1.0) / 2.0)
-        return float(_kernel_diag_sum(dual, t**q) ** (1.0 / q))
+
+        def term(ks):
+            # raise each weight to q whole: (k+1)^(q(alpha-1)) alone overflows
+            block = float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks) ** q))
+            return block, block
+
+        return float(sum(_series(term, 0, _SERIES_TOL)) ** (1.0 / q))
     raise UnsupportedSpace("evaluation norm for Bergman p != 2 is not implemented")
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, logsumexp
 
 from discinterp import (
     CoeffSeries,
@@ -200,6 +200,17 @@ class TestEvalFunctional:
         assert eval_functional_norm(seq_weighted(np.inf, 2.0), t) == pytest.approx(
             1.0 / (1.0 - t) ** 2, rel=1e-13, abs=0.0
         )
+
+    @pytest.mark.parametrize("p, alpha, t", [(1.01, 2.0, 0.99844), (1.01, 3.0, 0.9)])
+    def test_seq_dual_weight_large_q(self, p, alpha, t):
+        # q = p/(p-1) = 101: (k+1)^(q(alpha-1)) alone leaves the double
+        # range well before the sum converges, while each q-th power stays finite
+        q = p / (p - 1.0)
+        ks = np.arange(400000, dtype=float)
+        log_terms = q * ((alpha - 1.0) * np.log1p(ks) + ks * np.log(t))
+        want = np.exp(logsumexp(log_terms) / q)
+        got = eval_functional_norm(seq_weighted(p, alpha), t)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_sharpness_for_kernel_series(self):
         for space in (hardy(2), seq_weighted(2, 1.5)):
