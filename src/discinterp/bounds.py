@@ -18,13 +18,12 @@ are not numeric.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotHilbert, UnsupportedSpace
-from .extremal import _ascend, _check_accuracy, _pick_factor, _pick_value, cs_min_norm
+from .extremal import _ascend, _pick_factor, cs_min_norm
 from .series import (
     CoeffSeries,
     SigmaSet,
@@ -220,14 +219,7 @@ def interp_constant(
             pass
         else:  # guarantees estimate >= witness_lower_bound on this class
             starts.insert(0, jet / np.linalg.norm(jet))
-    best, best_a = 0.0, None
-    for a0 in starts:
-        value, a = _ascend(factor, a0, gram_step, denominator)
-        if value > best:
-            best, best_a = value, a
-    if best_a is not None:
-        _check_accuracy(factor, best_a, _pick_value(factor, best_a))
-    return best
+    return _ascend(factor, starts, gram_step, denominator)[0]
 
 
 def _jet_starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
@@ -279,14 +271,12 @@ def bound_sweep(
     budget: int = 16,
     estimate_cap: int = 0,
     seed: int = 0,
-    workers: int = 1,
 ) -> SweepResult:
     """Witness bounds, optional constant estimates and formulas on a grid.
 
-    Rows are ordered n-major then r; grid cells are independent and may be
-    mapped over a thread pool, the merge by index keeps output
-    deterministic.  The log-log slope of the witness (and estimate, when
-    present on at least two cells) against n/(1-r) is fitted at the end.
+    Rows are ordered n-major then r.  The log-log slope of the witness (and
+    estimate, when present on at least two cells) against n/(1-r) is fitted
+    at the end.
     """
     cells = [(int(n), float(r)) for n in n_grid for r in r_grid]
     if not cells:
@@ -317,11 +307,7 @@ def bound_sweep(
             upper_tag=report.upper_tag,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(make_row, cells))
-    else:
-        rows = tuple(make_row(c) for c in cells)
+    rows = tuple(make_row(c) for c in cells)
 
     wit = [(row.x, row.witness) for row in rows if row.witness]
     est = [(row.x, row.estimate) for row in rows if row.estimate]

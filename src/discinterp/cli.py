@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -54,41 +53,6 @@ COLUMNS = {
 
 class CliError(ValueError):
     """Invalid run configuration (exit status 1)."""
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation; the defaults live in build_parser().
-
-    A field is None when its subcommand has no such option.
-    """
-
-    command: str
-    space: str | None
-    p: float | None
-    alpha: float | None
-    beta: float | None
-    sigma: str | None
-    sigma_file: str | None
-    nodes: str | None
-    values: str | None
-    coeffs: str | None
-    n: int | None
-    r: float | None
-    n_grid: str | None
-    r_grid: str | None
-    samples: int | None
-    max_n: int | None
-    max_r: float | None
-    order: int | None
-    trunc: int | None
-    seed: int
-    tol: float
-    budget: int | None
-    estimate_cap: int | None
-    fmt: str
-    output: str
-    reproducible: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,29 +96,26 @@ def read_sigma_file(path: str) -> tuple[complex, ...]:
     return tuple(points)
 
 
-def _resolve_sigma(config: RunConfig) -> SigmaSet:
-    if config.sigma and config.sigma_file:
+def _resolve_sigma(args: argparse.Namespace) -> SigmaSet:
+    if args.sigma and args.sigma_file:
         raise CliError("give either --sigma or --sigma-file, not both")
-    if config.sigma:
-        return SigmaSet(_parse_list(config.sigma, "--sigma", _complex_token))
-    if config.sigma_file:
-        return SigmaSet(read_sigma_file(config.sigma_file))
+    if args.sigma:
+        return SigmaSet(_parse_list(args.sigma, "--sigma", _complex_token))
+    if args.sigma_file:
+        return SigmaSet(read_sigma_file(args.sigma_file))
     raise CliError("a node set is required (--sigma or --sigma-file)")
 
 
-def _resolve_space(config: RunConfig) -> SpaceSpec:
-    p = np.inf if config.p in ("inf", np.inf) else float(config.p)
-    if config.space == "hardy":
-        return hardy(p)
-    if config.space == "seq":
-        if config.alpha is None:
+def _resolve_space(args: argparse.Namespace) -> SpaceSpec:
+    if args.space == "hardy":
+        return hardy(args.p)
+    if args.space == "seq":
+        if args.alpha is None:
             raise CliError("--alpha is required for --space seq")
-        return seq_weighted(p, config.alpha)
-    if config.space == "bergman":
-        if config.beta is None:
-            raise CliError("--beta is required for --space bergman")
-        return bergman_radial(p, config.beta)
-    raise CliError(f"unknown space family {config.space!r}")
+        return seq_weighted(args.p, args.alpha)
+    if args.beta is None:
+        raise CliError("--beta is required for --space bergman")
+    return bergman_radial(args.p, args.beta)
 
 
 def _fmt_cell(value: Any) -> str:
@@ -173,18 +134,18 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, columns, records: list[dict], meta: dict) -> None:
+def _emit(args: argparse.Namespace, columns, records: list[dict], meta: dict) -> None:
     full_meta = {
         "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "tol": config.tol,
+        "command": args.command,
+        "seed": args.seed,
+        "tol": args.tol,
     }
     full_meta.update(meta)
-    if not config.reproducible:
+    if not args.reproducible:
         full_meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "meta": {k: _json_safe(v) for k, v in full_meta.items()},
             "columns": list(columns),
@@ -204,10 +165,10 @@ def _emit(config: RunConfig, columns, records: list[dict], meta: dict) -> None:
             lines.append(",".join(_fmt_cell(rec.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
 
-    if config.output in ("-", ""):
+    if args.output in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
@@ -226,9 +187,9 @@ def _json_safe(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _run_basis(config: RunConfig) -> tuple[list[dict], dict]:
-    sigma = _resolve_sigma(config)
-    basis = malmquist_basis(sigma, n_trunc=config.trunc)
+def _run_basis(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    sigma = _resolve_sigma(args)
+    basis = malmquist_basis(sigma, n_trunc=args.trunc)
     records = []
     for k, e in enumerate(basis.series, start=1):
         trimmed = e.trimmed(tol=1e-15)
@@ -242,33 +203,33 @@ def _sigma_text(sigma: SigmaSet) -> str:
     return ";".join(f"{p.real:.12g}{p.imag:+.12g}j" for p in sigma.points)
 
 
-def _run_bernstein(config: RunConfig) -> tuple[list[dict], dict]:
+def _run_bernstein(args: argparse.Namespace) -> tuple[list[dict], dict]:
     rows = []
-    if config.samples > 0:
-        rng = np.random.default_rng(config.seed)
+    if args.samples > 0:
+        rng = np.random.default_rng(args.seed)
         sigmas = []
-        for _ in range(config.samples):
-            count = int(rng.integers(1, config.max_n + 1))
-            radii = config.max_r * np.sqrt(rng.uniform(size=count))
+        for _ in range(args.samples):
+            count = int(rng.integers(1, args.max_n + 1))
+            radii = args.max_r * np.sqrt(rng.uniform(size=count))
             angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
             sigmas.append(SigmaSet(tuple(radii * np.exp(1j * angles))))
     else:
-        sigmas = [_resolve_sigma(config)]
+        sigmas = [_resolve_sigma(args)]
     for idx, sigma in enumerate(sigmas):
-        ratio = bernstein_ratio(sigma, order=config.order)
-        bound = _iterated_bound(sigma, config.order)
+        ratio = bernstein_ratio(sigma, order=args.order)
+        bound = _iterated_bound(sigma, args.order)
         rows.append(
             {
                 "idx": idx,
                 "n": sigma.n,
                 "r": sigma.r,
-                "order": config.order,
+                "order": args.order,
                 "ratio": ratio,
                 "bound": bound,
                 "ratio_over_bound": ratio / bound if bound else None,
             }
         )
-    return rows, {"samples": len(sigmas), "order": config.order}
+    return rows, {"samples": len(sigmas), "order": args.order}
 
 
 def _iterated_bound(sigma: SigmaSet, order: int) -> float:
@@ -277,120 +238,65 @@ def _iterated_bound(sigma: SigmaSet, order: int) -> float:
     return math.factorial(order) * (2.5 * sigma.n / (1.0 - sigma.r)) ** order
 
 
-def _extremal_records(result) -> list[dict]:
-    return [{"value": result.value, "certificate": result.certificate, "mode": result.mode}]
-
-
-def _run_pick(config: RunConfig) -> tuple[list[dict], dict]:
-    if not config.nodes or not config.values:
-        raise CliError("pick needs --nodes and --values")
-    nodes = _parse_list(config.nodes, "--nodes", _complex_token)
-    values = _parse_list(config.values, "--values", _complex_token)
+def _run_pick(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    nodes = _parse_list(args.nodes, "--nodes", _complex_token)
+    values = _parse_list(args.values, "--values", _complex_token)
     result = pick_min_norm(PickProblem(nodes, values))
-    return _extremal_records(result), {"nodes": config.nodes, "values": config.values}
+    return [asdict(result)], {"nodes": args.nodes, "values": args.values}
 
 
-def _run_cs(config: RunConfig) -> tuple[list[dict], dict]:
-    if not config.coeffs:
-        raise CliError("cs needs --coeffs")
-    coeffs = _parse_list(config.coeffs, "--coeffs", _complex_token)
-    return _extremal_records(cs_min_norm(np.array(coeffs))), {"coeffs": config.coeffs}
+def _run_cs(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    coeffs = _parse_list(args.coeffs, "--coeffs", _complex_token)
+    return [asdict(cs_min_norm(np.array(coeffs)))], {"coeffs": args.coeffs}
 
 
-def _run_quotient(config: RunConfig) -> tuple[list[dict], dict]:
-    if not config.coeffs:
-        raise CliError("quotient needs --coeffs for the target function")
-    sigma = _resolve_sigma(config)
-    f = CoeffSeries(np.array(_parse_list(config.coeffs, "--coeffs", _complex_token)))
-    return _extremal_records(quotient_norm(f, sigma)), {"sigma": _sigma_text(sigma)}
+def _run_quotient(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    sigma = _resolve_sigma(args)
+    f = CoeffSeries(np.array(_parse_list(args.coeffs, "--coeffs", _complex_token)))
+    return [asdict(quotient_norm(f, sigma))], {"sigma": _sigma_text(sigma)}
 
 
-def _run_carleson(config: RunConfig) -> tuple[list[dict], dict]:
-    sigma = _resolve_sigma(config)
-    value = carleson_constant(sigma, budget=config.budget, seed=config.seed)
-    rec = {"value": value, "n": sigma.n, "budget": config.budget}
+def _run_carleson(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    sigma = _resolve_sigma(args)
+    value = carleson_constant(sigma, budget=args.budget, seed=args.seed)
+    rec = {"value": value, "n": sigma.n, "budget": args.budget}
     return [rec], {"sigma": _sigma_text(sigma)}
 
 
-def _run_constant(config: RunConfig) -> tuple[list[dict], dict]:
-    sigma = _resolve_sigma(config)
-    space = _resolve_space(config)
-    value = interp_constant(space, sigma, budget=config.budget, seed=config.seed)
-    rec = {"value": value, "n": sigma.n, "r": sigma.r, "budget": config.budget}
+def _run_constant(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    sigma = _resolve_sigma(args)
+    space = _resolve_space(args)
+    value = interp_constant(space, sigma, budget=args.budget, seed=args.seed)
+    rec = {"value": value, "n": sigma.n, "r": sigma.r, "budget": args.budget}
     return [rec], {"sigma": _sigma_text(sigma), "space": space.label()}
 
 
-def _space_cells(space: SpaceSpec) -> dict:
-    return {
-        "family": space.family,
-        "p": float(space.p),
-        "alpha": space.alpha,
-        "beta": space.beta,
-    }
-
-
-def _run_bounds(config: RunConfig) -> tuple[list[dict], dict]:
-    if config.n is None or config.r is None:
-        raise CliError("bounds needs --n and --r")
-    space = _resolve_space(config)
-    report = theorem_bounds(space, config.n, config.r)
-    rec = dict(_space_cells(space))
-    rec.update(
-        {
-            "n": report.n,
-            "r": report.r,
-            "x": report.n / (1.0 - report.r),
-            "lower": report.lower,
-            "upper": report.upper,
-            "phi_scale": report.phi_scale,
-            "lower_tag": report.lower_tag,
-            "upper_tag": report.upper_tag,
-        }
-    )
+def _run_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    space = _resolve_space(args)
+    report = theorem_bounds(space, args.n, args.r)
+    rec = {**asdict(space), **asdict(report), "x": report.n / (1.0 - report.r)}
     return [rec], {"space": space.label()}
 
 
-def _run_sweep(config: RunConfig) -> tuple[list[dict], dict]:
-    if not config.n_grid or not config.r_grid:
-        raise CliError("sweep needs --n-grid and --r-grid")
-    space = _resolve_space(config)
-    n_grid = _parse_list(config.n_grid, "--n-grid", int)
-    r_grid = _parse_list(config.r_grid, "--r-grid", float)
-    workers = max(1, int(os.environ.get("DISCINTERP_THREADS", "1") or 1))
+def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    space = _resolve_space(args)
+    n_grid = _parse_list(args.n_grid, "--n-grid", int)
+    r_grid = _parse_list(args.r_grid, "--r-grid", float)
     result = bound_sweep(
         space,
         n_grid,
         r_grid,
-        budget=config.budget,
-        estimate_cap=config.estimate_cap,
-        seed=config.seed,
-        workers=workers,
+        budget=args.budget,
+        estimate_cap=args.estimate_cap,
+        seed=args.seed,
     )
-    records = []
-    cells = _space_cells(space)
-    for row in result.rows:
-        rec = dict(cells)
-        rec.update(
-            {
-                "n": row.n,
-                "r": row.r,
-                "x": row.x,
-                "witness": row.witness,
-                "estimate": row.estimate,
-                "lower": row.lower,
-                "upper": row.upper,
-                "phi_scale": row.phi_scale,
-                "lower_tag": row.lower_tag,
-                "upper_tag": row.upper_tag,
-            }
-        )
-        records.append(rec)
+    records = [{**asdict(space), **asdict(row)} for row in result.rows]
     meta = {
         "space": space.label(),
         "slope_witness": result.slope_witness,
         "slope_estimate": result.slope_estimate,
-        "estimate_cap": config.estimate_cap,
-        "budget": config.budget,
+        "estimate_cap": args.estimate_cap,
+        "budget": args.budget,
     }
     return records, meta
 
@@ -408,21 +314,21 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        records, meta = _RUNNERS[config.command](config)
+        records, meta = _RUNNERS[args.command](args)
     except (CliError, DegenerateNodes, NotHilbert,
             UnsupportedSpace, PoleOnDomain, ValueError) as exc:
-        print(f"discinterp {config.command}: error: {exc}", file=sys.stderr)
+        print(f"discinterp {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except (TruncationError, Divergence, np.linalg.LinAlgError) as exc:
         print(
-            f"discinterp {config.command}: numerical failure: {exc} "
-            f"(seed={config.seed}, tol={config.tol})",
+            f"discinterp {args.command}: numerical failure: {exc} "
+            f"(seed={args.seed}, tol={args.tol})",
             file=sys.stderr,
         )
         return 2
-    _emit(config, COLUMNS[config.command], records, meta)
+    _emit(args, COLUMNS[args.command], records, meta)
     return 0
 
 
@@ -516,15 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    return RunConfig(**{name: given.get(name) for name in RunConfig.__dataclass_fields__})
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

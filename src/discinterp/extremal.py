@@ -157,28 +157,34 @@ def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
 
 
 def _ascend(
-    factor: tuple[np.ndarray, np.ndarray], x: np.ndarray, update, denominator
-) -> tuple[float, np.ndarray]:
-    """Best value of ||F(x)||_2 / denominator(x) along the ascent from x, and its point.
+    factor: tuple[np.ndarray, np.ndarray], starts, update, denominator
+) -> tuple[float, np.ndarray | None]:
+    """Best ||F(x)||_2 / denominator(x) over the ascents from starts, and its point.
 
     Each step takes the top singular pair (u, v) of F(x), forms c_i = u^H M_i v
     (so ||F(x)||_2 = sum_i x_i c_i) and moves to x <- update(c, x).  The
     update maximises |sum_i x_i c_i| / denominator(x) for this c, which bounds
     the value at the new point from below, so the values do not decrease up
-    to rounding.  A point with denominator at most 1e-14 has value 0.
+    to rounding.  A point with denominator at most 1e-14 has value 0.  The
+    starts are ascended in order and the first best point wins; its data
+    map is checked by _check_accuracy.
     """
-    stack, n = factor[0], x.size
-    best, best_x = 0.0, x
-    for _ in range(_ASCENT_STEPS):
-        U, s, Vh = np.linalg.svd((x @ stack).reshape(n, n))
-        den = denominator(x)
-        value = float(s[0]) / den if den > 1e-14 else 0.0
-        rising = value > best * (1.0 + _ASCENT_RTOL)
-        if value > best:
-            best, best_x = value, x
-        if not rising:
-            break
-        x = update(stack @ np.outer(U[:, 0].conj(), Vh[0].conj()).ravel(), x)
+    stack = factor[0]
+    best, best_x, best_top = 0.0, None, 0.0
+    for x in starts:
+        n, run_best = x.size, 0.0
+        for _ in range(_ASCENT_STEPS):
+            U, s, Vh = np.linalg.svd((x @ stack).reshape(n, n))
+            den = denominator(x)
+            value = float(s[0]) / den if den > 1e-14 else 0.0
+            if value > best:
+                best, best_x, best_top = value, x, float(s[0])
+            if value <= run_best * (1.0 + _ASCENT_RTOL):
+                break
+            run_best = value
+            x = update(stack @ np.outer(U[:, 0].conj(), Vh[0].conj()).ravel(), x)
+    if best_x is not None:
+        _check_accuracy(factor, best_x, best_top)
     return best, best_x
 
 
@@ -277,11 +283,4 @@ def carleson_constant(
     while len(starts) < budget:
         phases = rng.uniform(-np.pi, np.pi, size=n - 1)
         starts.append(np.exp(1j * np.concatenate(([0.0], phases))))
-
-    best, best_w = 0.0, starts[0]
-    for w0 in starts:
-        value, w = _ascend(factor, w0, phase_step, lambda w: 1.0)
-        if value > best:
-            best, best_w = value, w
-    _check_accuracy(factor, best_w, best)
-    return best
+    return _ascend(factor, starts, phase_step, lambda w: 1.0)[0]

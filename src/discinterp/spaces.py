@@ -51,9 +51,12 @@ __all__ = [
 # Tail rules of _series, relative to the running total mass.  Kernel and
 # Gram sums stop at 1e-14 of the total; the representer series needs 1e-26
 # of its squared coefficient norm, since at 1e-14 the H^2 one-point
-# interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.
+# interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.  The l^p_a
+# dual weight stops at 1e-16: at 1e-14 its slowly decaying tail at t = 0.9999,
+# alpha = 1 is left off at 4e-13 of the norm.
 _SERIES_TOL = 1e-14
 _REPRESENTER_TOL = 1e-26
+_DUAL_WEIGHT_TOL = 1e-16
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _COND_FLOOR = 1e-13
@@ -324,9 +327,10 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
 
     Hilbert cases are sqrt(sum_k kappa_k t^(2k)); hardy(p) uses the
     classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
-    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: a _series
-    sum of its q-th powers for finite q (q = 1 at p = inf), and the peak
-    term at p = 1.  Bergman with p != 2 is out.
+    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the peak
+    weight times a _series sum of the q-th powers of the weights over the
+    peak for finite q (q = 1 at p = inf), and the peak itself at p = 1.
+    Bergman with p != 2 is out.
     """
     t = float(t)
     if t < 0.0 or t >= 1.0:
@@ -339,19 +343,22 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
         return float(np.sqrt(_kernel_diag_sum(space, t * t)))
     if space.family == "seq":
         alpha = space.alpha
+        # the weights rise, peak near k = (alpha-1)/(-log t), then decay
+        k_peak = int(np.ceil((alpha - 1.0) / -np.log(t))) if t > 0.0 else 0
+        ks = np.arange(k_peak + 4, dtype=float)
+        peak = float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
         if space.p == 1.0:
-            # the terms rise, peak near k = (alpha-1)/(-log t), then decay
-            k_peak = int(np.ceil((alpha - 1.0) / -np.log(t))) if t > 0.0 else 0
-            ks = np.arange(k_peak + 4, dtype=float)
-            return float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
+            return peak
         q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
 
         def term(ks):
-            # raise each weight to q whole: (k+1)^(q(alpha-1)) alone overflows
-            block = float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks) ** q))
+            # weights over the peak, so their q-th powers stay <= 1: near
+            # p = 1 the peak weight to the power q alone overflows
+            block = float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks / peak) ** q))
             return block, block
 
-        return float(sum(_series(term, 0, _SERIES_TOL)) ** (1.0 / q))
+        # min_k = k_peak: a first block that underflows to 0 must not end the sum
+        return peak * float(sum(_series(term, k_peak, _DUAL_WEIGHT_TOL)) ** (1.0 / q))
     raise UnsupportedSpace("evaluation norm for Bergman p != 2 is not implemented")
 
 

@@ -242,19 +242,21 @@ class TestInterpConstant:
         runs = []
         ascend = extremal._ascend
 
-        def recording(factor, x, update, denominator):
+        def recording(factor, starts, update, denominator):
             def value(y):
                 return extremal._pick_value(factor, y) / denominator(y)
 
-            values = [value(x)]
-            runs.append(values)
+            def each_start():
+                for x in starts:
+                    runs.append([value(x)])
+                    yield x
 
             def step(c, y):
                 new = update(c, y)
-                values.append(value(new))
+                runs[-1].append(value(new))
                 return new
 
-            return ascend(factor, x, step, denominator)
+            return ascend(factor, each_start(), step, denominator)
 
         monkeypatch.setattr(bounds, "_ascend", recording)
         interp_constant(hardy(2), SigmaSet(points), budget=6, seed=4)
@@ -308,8 +310,3 @@ class TestSweep:
     def test_slope_near_half_for_hardy2(self):
         res = bound_sweep(hardy(2), [4, 8, 16, 32], [0.5])
         assert res.slope_witness == pytest.approx(0.5, abs=0.15)
-
-    def test_workers_do_not_change_rows(self):
-        a = bound_sweep(hardy(2), [2, 4], [0.0, 0.5], workers=1)
-        b = bound_sweep(hardy(2), [2, 4], [0.0, 0.5], workers=4)
-        assert a == b

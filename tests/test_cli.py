@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from discinterp.cli import build_parser, config_from_args, main, read_sigma_file
+from discinterp.cli import build_parser, main, read_sigma_file
+
+MINIMAL = {
+    "basis": ["--sigma", "0.5"],
+    "bernstein": ["--sigma", "0.5"],
+    "pick": ["--nodes", "0", "--values", "1"],
+    "cs": ["--coeffs", "1"],
+    "quotient": ["--coeffs", "1", "--sigma", "0.5"],
+    "carleson": ["--sigma", "0.5"],
+    "constant": ["--sigma", "0.5"],
+    "bounds": ["--n", "2", "--r", "0.5"],
+    "sweep": ["--n-grid", "2", "--r-grid", "0.5"],
+}
 
 
 def run_to_file(tmp_path, name, argv):
@@ -146,34 +158,48 @@ class TestDeterminismAndFormats:
         raw = out.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
 
-    def test_thread_cap_env_does_not_change_output(self, tmp_path, monkeypatch):
-        _, base = run_to_file(tmp_path, "w1.csv", self.SWEEP + ["--reproducible"])
-        monkeypatch.setenv("DISCINTERP_THREADS", "4")
-        _, pooled = run_to_file(tmp_path, "w4.csv", self.SWEEP + ["--reproducible"])
-        assert base.read_bytes() == pooled.read_bytes()
+    # written out, not read from cli.COLUMNS: columns may only be appended
+    HEADERS = {
+        "basis": "k,j,re,im",
+        "bernstein": "idx,n,r,order,ratio,bound,ratio_over_bound",
+        "pick": "value,certificate,mode",
+        "cs": "value,certificate,mode",
+        "quotient": "value,certificate,mode",
+        "carleson": "value,n,budget",
+        "constant": "value,n,r,budget",
+        "bounds": "family,p,alpha,beta,n,r,x,lower,upper,phi_scale,lower_tag,upper_tag",
+        "sweep": "family,p,alpha,beta,n,r,x,witness,estimate,"
+        "lower,upper,phi_scale,lower_tag,upper_tag",
+    }
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL))
+    def test_frozen_columns(self, tmp_path, command):
+        argv = [command] + MINIMAL[command] + ["--reproducible"]
+        code, out = run_to_file(tmp_path, "h.csv", argv)
+        assert code == 0
+        header = next(
+            ln for ln in out.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")
+        )
+        assert header == self.HEADERS[command]
+        code, out = run_to_file(tmp_path, "h.json", argv + ["--format", "json"])
+        assert code == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["columns"] == self.HEADERS[command].split(",")
+        assert all(list(rec) == sorted(payload["columns"]) for rec in payload["records"])
 
 
 class TestRunConfig:
-    MINIMAL = {
-        "basis": ["--sigma", "0.5"],
-        "bernstein": ["--sigma", "0.5"],
-        "pick": ["--nodes", "0", "--values", "1"],
-        "cs": ["--coeffs", "1"],
-        "quotient": ["--coeffs", "1", "--sigma", "0.5"],
-        "carleson": ["--sigma", "0.5"],
-        "constant": ["--sigma", "0.5"],
-        "bounds": ["--n", "2", "--r", "0.5"],
-        "sweep": ["--n-grid", "2", "--r-grid", "0.5"],
-    }
+    """The parsed namespace is the run configuration; build_parser() holds every default."""
+
     BUDGETS = {"carleson": 64, "constant": 32, "sweep": 16}
 
     @pytest.mark.parametrize("command", sorted(MINIMAL))
     def test_argparse_defaults_reach_run_config(self, command):
-        config = config_from_args(build_parser().parse_args([command] + self.MINIMAL[command]))
-        assert config.command == command
-        assert config.budget == self.BUDGETS.get(command)
-        assert config.seed == 0
-        assert config.tol == 1e-8
+        ns = build_parser().parse_args([command] + MINIMAL[command])
+        assert ns.command == command
+        assert getattr(ns, "budget", None) == self.BUDGETS.get(command)
+        assert ns.seed == 0
+        assert ns.tol == 1e-8
 
 
 class TestValidation:

@@ -307,16 +307,18 @@ class TestCarleson:
         runs = []
         ascend = extremal._ascend
 
-        def recording(factor, w, update, denominator):
-            values = [extremal._pick_value(factor, w)]
-            runs.append(values)
+        def recording(factor, starts, update, denominator):
+            def each_start():
+                for w in starts:
+                    runs.append([extremal._pick_value(factor, w)])
+                    yield w
 
             def step(c, y):
                 new = update(c, y)
-                values.append(extremal._pick_value(factor, new))
+                runs[-1].append(extremal._pick_value(factor, new))
                 return new
 
-            return ascend(factor, w, step, denominator)
+            return ascend(factor, each_start(), step, denominator)
 
         monkeypatch.setattr(extremal, "_ascend", recording)
         carleson_constant(SigmaSet((0.5, -0.3 + 0.4j, 0.1j, -0.6 - 0.2j)), budget=6, seed=2)
