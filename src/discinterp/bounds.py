@@ -219,7 +219,7 @@ def interp_constant(
             pass
         else:  # guarantees estimate >= witness_lower_bound on this class
             starts.insert(0, jet / np.linalg.norm(jet))
-    return _ascend(factor, starts, gram_step, denominator)[0]
+    return _ascend(factor, starts, gram_step, denominator)
 
 
 def _jet_starts(n: int, budget: int, seed: int) -> list[np.ndarray]:

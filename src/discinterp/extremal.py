@@ -158,8 +158,8 @@ def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
 
 def _ascend(
     factor: tuple[np.ndarray, np.ndarray], starts, update, denominator
-) -> tuple[float, np.ndarray | None]:
-    """Best ||F(x)||_2 / denominator(x) over the ascents from starts, and its point.
+) -> float:
+    """Best ||F(x)||_2 / denominator(x) over the ascents from starts.
 
     Each step takes the top singular pair (u, v) of F(x), forms c_i = u^H M_i v
     (so ||F(x)||_2 = sum_i x_i c_i) and moves to x <- update(c, x).  The
@@ -185,7 +185,7 @@ def _ascend(
             x = update(stack @ np.outer(U[:, 0].conj(), Vh[0].conj()).ravel(), x)
     if best_x is not None:
         _check_accuracy(factor, best_x, best_top)
-    return best, best_x
+    return best
 
 
 def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value: float):
@@ -283,4 +283,4 @@ def carleson_constant(
     while len(starts) < budget:
         phases = rng.uniform(-np.pi, np.pi, size=n - 1)
         starts.append(np.exp(1j * np.concatenate(([0.0], phases))))
-    return _ascend(factor, starts, phase_step, lambda w: 1.0)[0]
+    return _ascend(factor, starts, phase_step, lambda w: 1.0)

@@ -51,12 +51,9 @@ __all__ = [
 # Tail rules of _series, relative to the running total mass.  Kernel and
 # Gram sums stop at 1e-14 of the total; the representer series needs 1e-26
 # of its squared coefficient norm, since at 1e-14 the H^2 one-point
-# interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.  The l^p_a
-# dual weight stops at 1e-16: at 1e-14 its slowly decaying tail at t = 0.9999,
-# alpha = 1 is left off at 4e-13 of the norm.
+# interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.
 _SERIES_TOL = 1e-14
 _REPRESENTER_TOL = 1e-26
-_DUAL_WEIGHT_TOL = 1e-16
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _COND_FLOOR = 1e-13
@@ -328,8 +325,9 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     Hilbert cases are sqrt(sum_k kappa_k t^(2k)); hardy(p) uses the
     classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
     norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the peak
-    weight times a _series sum of the q-th powers of the weights over the
-    peak for finite q (q = 1 at p = inf), and the peak itself at p = 1.
+    weight times a _series sum, plus its geometric tail, of the q-th powers
+    of the weights over the peak for finite q (q = 1 at p = inf), and the
+    peak itself at p = 1.
     Bergman with p != 2 is out.
     """
     t = float(t)
@@ -343,9 +341,10 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
         return float(np.sqrt(_kernel_diag_sum(space, t * t)))
     if space.family == "seq":
         alpha = space.alpha
-        # the weights rise, peak near k = (alpha-1)/(-log t), then decay
-        k_peak = int(np.ceil((alpha - 1.0) / -np.log(t))) if t > 0.0 else 0
-        ks = np.arange(k_peak + 4, dtype=float)
+        # the weights rise, peak at k* = (alpha-1)/(-log t) - 1, then decay;
+        # log w_k is concave, so the peak is at an integer neighbour of k*
+        k_top = (alpha - 1.0) / -np.log(t) if t > 0.0 else 0.0
+        ks = np.maximum(np.floor(k_top - 1.0) + np.array([0.0, 1.0]), 0.0)
         peak = float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
         if space.p == 1.0:
             return peak
@@ -357,8 +356,15 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
             block = float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks / peak) ** q))
             return block, block
 
-        # min_k = k_peak: a first block that underflows to 0 must not end the sum
-        return peak * float(sum(_series(term, k_peak, _DUAL_WEIGHT_TOL)) ** (1.0 / q))
+        # min_k past the peak: a first block that underflows to 0 must not
+        # end the sum.  Capped one past _SERIES_KMAX, a peak out of reach
+        # costs one bounded block and raises Divergence.
+        min_k = int(min(np.ceil(k_top), _SERIES_KMAX + 1))
+        pieces = _series(term, min_k, _SERIES_TOL)
+        # past the peak the blocks decay about geometrically: add the tail
+        # after the last block, at the ratio r of the last two
+        r = pieces[-1] / pieces[-2]
+        return peak * float(sum(pieces) + pieces[-1] * r / (1.0 - r)) ** (1.0 / q)
     raise UnsupportedSpace("evaluation norm for Bergman p != 2 is not implemented")
 
 

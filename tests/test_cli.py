@@ -228,6 +228,13 @@ class TestValidation:
         )
         assert code == 2
 
+    def test_dual_weight_peak_out_of_reach_exit_code(self, capsys):
+        # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8
+        argv = ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",
+                "--n", "100000000", "--r", "0.5"]
+        assert main(argv) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_sigma_file_multiplicity_and_comments(self, tmp_path):
         path = tmp_path / "sigma.txt"
         path.write_text(

@@ -201,6 +201,28 @@ class TestEvalFunctional:
             1.0 / (1.0 - t) ** 2, rel=1e-13, abs=0.0
         )
 
+    def test_seq_sup_norm_dual_weight_near_kmax(self):
+        # at alpha = 1 the tail rule ends the sum near 2^21 terms here
+        t = 1.0 - 1.4e-5
+        assert eval_functional_norm(seq_weighted(np.inf, 1.0), t) == pytest.approx(
+            1.0 / (1.0 - t), rel=1e-13, abs=0.0
+        )
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, np.inf])
+    def test_seq_dual_weight_peak_out_of_reach(self, p):
+        # the peak sits near k = 2e9, past the summed range: a bounded
+        # first block, then Divergence
+        with pytest.raises(Divergence):
+            eval_functional_norm(seq_weighted(p, 3.0), 1.0 - 1e-9)
+
+    def test_seq_dual_weight_sup_far_peak(self):
+        # p = 1: the sup of (k+1)^2 t^k, at k + 1 = 2/(-log t), without summing
+        t = 1.0 - 1e-9
+        k1 = 2.0 / -np.log(t)
+        want = np.exp(2.0 * np.log(k1) + (k1 - 1.0) * np.log(t))
+        got = eval_functional_norm(seq_weighted(1.0, 3.0), t)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize(
         "p, alpha, t", [(1.01, 2.0, 0.99844), (1.01, 3.0, 0.9), (1.01, 3.0, 0.99)]
     )
