@@ -4,126 +4,23 @@ Construction of Malmquist bases and the linear interpolation operator,
 exact Nevanlinna-Pick and Caratheodory-Schur minimal-norm solvers,
 interpolation-constant estimation over Hardy / weighted-sequence / radial
 Bergman scales, and Bernstein-type derivative bounds on model spaces.
+
+The public names are those of the layers' ``__all__`` lists, re-exported
+here unchanged; each name is declared only in its own layer.
 """
 
-from .errors import (
-    DegenerateNodes,
-    DiscinterpError,
-    Divergence,
-    IllConditionedWarning,
-    NotHilbert,
-    PoleOnDomain,
-    TruncationError,
-    UnsupportedSpace,
-)
-from .series import (
-    CoeffSeries,
-    SigmaSet,
-    blaschke_coeffs,
-    blaschke_eval,
-    blaschke_factor,
-    compose_with_blaschke,
-    derivative,
-    dirichlet_kernel,
-    eval_series,
-    fejer_kernel,
-    hadamard_product,
-    jet_values,
-    series_power,
-    series_product,
-)
-from .spaces import (
-    MinNormResult,
-    SpaceSpec,
-    bergman_radial,
-    eval_functional_norm,
-    gram_matrix,
-    hardy,
-    kernel_diagonal,
-    min_norm_trace,
-    norm,
-    power_inequality_check,
-    seq_weighted,
-)
-from .modelspace import (
-    MalmquistBasis,
-    bernstein_ratio,
-    cauchy_pairing,
-    malmquist_basis,
-    project,
-    projection_operator_norm,
-)
-from .extremal import (
-    ExtremalResult,
-    PickProblem,
-    carleson_constant,
-    cs_min_norm,
-    pick_min_norm,
-    quotient_norm,
-)
-from .bounds import (
-    BoundReport,
-    SweepResult,
-    SweepRow,
-    bound_sweep,
-    interp_constant,
-    theorem_bounds,
-    witness_lower_bound,
-)
+from . import bounds, errors, extremal, modelspace, series, spaces
+from .errors import *  # noqa: F403
+from .series import *  # noqa: F403
+from .spaces import *  # noqa: F403
+from .modelspace import *  # noqa: F403
+from .extremal import *  # noqa: F403
+from .bounds import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
-    "CoeffSeries",
-    "DegenerateNodes",
-    "DiscinterpError",
-    "Divergence",
-    "ExtremalResult",
-    "IllConditionedWarning",
-    "MalmquistBasis",
-    "MinNormResult",
-    "NotHilbert",
-    "PickProblem",
-    "PoleOnDomain",
-    "SigmaSet",
-    "SpaceSpec",
-    "SweepResult",
-    "SweepRow",
-    "TruncationError",
-    "UnsupportedSpace",
-    "bergman_radial",
-    "bernstein_ratio",
-    "blaschke_coeffs",
-    "blaschke_eval",
-    "blaschke_factor",
-    "bound_sweep",
-    "carleson_constant",
-    "cauchy_pairing",
-    "compose_with_blaschke",
-    "cs_min_norm",
-    "derivative",
-    "dirichlet_kernel",
-    "eval_functional_norm",
-    "eval_series",
-    "fejer_kernel",
-    "gram_matrix",
-    "hadamard_product",
-    "hardy",
-    "interp_constant",
-    "jet_values",
-    "kernel_diagonal",
-    "malmquist_basis",
-    "min_norm_trace",
-    "norm",
-    "pick_min_norm",
-    "power_inequality_check",
-    "project",
-    "projection_operator_norm",
-    "quotient_norm",
-    "seq_weighted",
-    "series_power",
-    "series_product",
-    "theorem_bounds",
-    "witness_lower_bound",
+    name
+    for layer in (errors, series, spaces, modelspace, extremal, bounds)
+    for name in layer.__all__
 ]

@@ -48,7 +48,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Two-sided growth bounds for a (n, r) class, plus the conjectured scale."""
+    """Two-sided growth bounds for a (n, r) class, plus the conjectured scale.
+
+    ``lower``/``upper`` are powers of x = n / (1 - r) named by their tags;
+    ``*_known`` is False where the constant is set to 1 (order only).
+    ``phi_scale`` is the evaluation-functional norm at 1 - (1 - r)/n, or None.
+    """
 
     n: int
     r: float
@@ -59,22 +64,20 @@ class BoundReport:
     lower_known: bool
     upper_known: bool
     phi_scale: float | None
-    order_hints: tuple[tuple[str, float], ...] = ()
-    estimate: float | None = None
 
 
 def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
     """Closed-form lower/upper bound values for the class (n, r).
 
-    Known multiplicative constants are filled in (the Hardy lower side
-    1/32^(1/p), the explicit sqrt(2) upper factor at p = 2); everything
+    The class is every sigma of at most n points (with multiplicity) in
+    |z| <= r.  Known multiplicative constants are filled in (the Hardy lower
+    side 1/32^(1/p), the explicit sqrt(2) upper factor at p = 2); everything
     else is emitted with constant 1 and flagged order-only, never to be
-    asserted against estimates.
+    asserted against estimates.  Raises ValueError unless n >= 1, 0 <= r < 1.
     """
     if n < 1 or not (0.0 <= r < 1.0):
         raise ValueError("need n >= 1 and 0 <= r < 1")
     x = n / (1.0 - r)
-    hints: tuple[tuple[str, float], ...] = ()
 
     if space.family == "hardy":
         invp = 0.0 if space.p == np.inf else 1.0 / space.p
@@ -94,14 +97,8 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
         alpha = space.alpha
         if space.p == 2:
             expo = (2.0 * alpha - 1.0) / 2.0
-            big_n = int(math.floor(alpha))
-            hints = (
-                ("lower-const", 1.0 / (2.0 ** (3 * big_n) * math.factorial(2 * big_n))),
-                ("upper-const", float(big_n) ** (2 * big_n) if big_n > 0 else 1.0),
-            )
             report = BoundReport(
-                n, r, x**expo, x**expo, "seq-order", "seq-order", False, False, None,
-                hints,
+                n, r, x**expo, x**expo, "seq-order", "seq-order", False, False, None
             )
         else:
             lower = (1.0 / (1.0 - r)) ** (alpha - 1.0 / space.p)

@@ -32,25 +32,6 @@ from .modelspace import bernstein_ratio, malmquist_basis
 from .extremal import PickProblem, carleson_constant, cs_min_norm, pick_min_norm, quotient_norm
 from .bounds import bound_sweep, interp_constant, theorem_bounds
 
-COLUMNS = {
-    "basis": ("k", "j", "re", "im"),
-    "bernstein": ("idx", "n", "r", "order", "ratio", "bound", "ratio_over_bound"),
-    "pick": ("value", "certificate", "mode"),
-    "cs": ("value", "certificate", "mode"),
-    "quotient": ("value", "certificate", "mode"),
-    "carleson": ("value", "n", "budget"),
-    "constant": ("value", "n", "r", "budget"),
-    "bounds": (
-        "family", "p", "alpha", "beta", "n", "r", "x",
-        "lower", "upper", "phi_scale", "lower_tag", "upper_tag",
-    ),
-    "sweep": (
-        "family", "p", "alpha", "beta", "n", "r", "x", "witness", "estimate",
-        "lower", "upper", "phi_scale", "lower_tag", "upper_tag",
-    ),
-}
-
-
 class CliError(ValueError):
     """Invalid run configuration (exit status 1)."""
 
@@ -74,23 +55,27 @@ def _parse_list(text: str, what: str, cast) -> tuple:
 
 def read_sigma_file(path: str) -> tuple[complex, ...]:
     """One point per line: `re im [multiplicity]`, `#` starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:  # missing file, a directory, no permission
+        raise CliError(f"cannot read --sigma-file {path!r}: {exc.strerror or exc}") from exc
     points: list[complex] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise CliError(f"{path}:{lineno}: expected `re im [multiplicity]`")
-            try:
-                re_part, im_part = float(parts[0]), float(parts[1])
-                mult = int(parts[2]) if len(parts) == 3 else 1
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: {exc}") from exc
-            if mult < 1:
-                raise CliError(f"{path}:{lineno}: multiplicity must be >= 1")
-            points.extend([complex(re_part, im_part)] * mult)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise CliError(f"{path}:{lineno}: expected `re im [multiplicity]`")
+        try:
+            re_part, im_part = float(parts[0]), float(parts[1])
+            mult = int(parts[2]) if len(parts) == 3 else 1
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from exc
+        if mult < 1:
+            raise CliError(f"{path}:{lineno}: multiplicity must be >= 1")
+        points.extend([complex(re_part, im_part)] * mult)
     if not points:
         raise CliError(f"{path}: no points found")
     return tuple(points)
@@ -134,7 +119,8 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
-def _emit(args: argparse.Namespace, columns, records: list[dict], meta: dict) -> None:
+def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
+    columns = args.columns
     full_meta = {
         "version": __version__,
         "command": args.command,
@@ -301,22 +287,10 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, meta
 
 
-_RUNNERS = {
-    "basis": _run_basis,
-    "bernstein": _run_bernstein,
-    "pick": _run_pick,
-    "cs": _run_cs,
-    "quotient": _run_quotient,
-    "carleson": _run_carleson,
-    "constant": _run_constant,
-    "bounds": _run_bounds,
-    "sweep": _run_sweep,
-}
-
-
 def run(args: argparse.Namespace) -> int:
+    """Run ``args.run`` and write its ``args.columns`` table (both set in build_parser)."""
     try:
-        records, meta = _RUNNERS[args.command](args)
+        records, meta = args.run(args)
     except (CliError, DegenerateNodes, NotHilbert,
             UnsupportedSpace, PoleOnDomain, ValueError) as exc:
         print(f"discinterp {args.command}: error: {exc}", file=sys.stderr)
@@ -328,7 +302,7 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _emit(args, COLUMNS[args.command], records, meta)
+    _emit(args, records, meta)
     return 0
 
 
@@ -365,12 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("basis", parents=[], help="Malmquist basis coefficients")
+    sub = subs.add_parser("basis", help="Malmquist basis coefficients")
+    sub.set_defaults(run=_run_basis, columns=("k", "j", "re", "im"))
     _add_sigma_options(sub)
     sub.add_argument("--trunc", type=int, default=None)
     _add_output_options(sub)
 
     sub = subs.add_parser("bernstein", help="derivative operator norm on the model space")
+    sub.set_defaults(run=_run_bernstein,
+                     columns=("idx", "n", "r", "order", "ratio", "bound", "ratio_over_bound"))
     _add_sigma_options(sub)
     sub.add_argument("--order", type=int, default=1)
     sub.add_argument("--samples", type=int, default=0,
@@ -380,37 +357,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(sub)
 
     sub = subs.add_parser("pick", help="minimal-norm interpolation at distinct nodes")
+    sub.set_defaults(run=_run_pick, columns=("value", "certificate", "mode"))
     sub.add_argument("--nodes", required=True)
     sub.add_argument("--values", required=True)
     _add_output_options(sub)
 
     sub = subs.add_parser("cs", help="minimal-norm extension of a Taylor jet at 0")
+    sub.set_defaults(run=_run_cs, columns=("value", "certificate", "mode"))
     sub.add_argument("--coeffs", required=True)
     _add_output_options(sub)
 
     sub = subs.add_parser("quotient", help="distance-to-ideal norm of a series on sigma")
+    sub.set_defaults(run=_run_quotient, columns=("value", "certificate", "mode"))
     sub.add_argument("--coeffs", required=True)
     _add_sigma_options(sub)
     _add_output_options(sub)
 
     sub = subs.add_parser("carleson", help="worst unit-data interpolation (lower estimate)")
+    sub.set_defaults(run=_run_carleson, columns=("value", "n", "budget"))
     _add_sigma_options(sub)
     sub.add_argument("--budget", type=int, default=64)
     _add_output_options(sub)
 
     sub = subs.add_parser("constant", help="interpolation constant estimate")
+    sub.set_defaults(run=_run_constant, columns=("value", "n", "r", "budget"))
     _add_sigma_options(sub)
     _add_space_options(sub)
     sub.add_argument("--budget", type=int, default=32)
     _add_output_options(sub)
 
     sub = subs.add_parser("bounds", help="closed-form bound formulas for one (n, r)")
+    sub.set_defaults(run=_run_bounds, columns=(
+        "family", "p", "alpha", "beta", "n", "r", "x",
+        "lower", "upper", "phi_scale", "lower_tag", "upper_tag"))
     _add_space_options(sub)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--r", type=float, required=True)
     _add_output_options(sub)
 
     sub = subs.add_parser("sweep", help="witness/estimate/bound table over a grid")
+    sub.set_defaults(run=_run_sweep, columns=(
+        "family", "p", "alpha", "beta", "n", "r", "x", "witness", "estimate",
+        "lower", "upper", "phi_scale", "lower_tag", "upper_tag"))
     _add_space_options(sub)
     sub.add_argument("--n-grid", required=True)
     sub.add_argument("--r-grid", required=True)

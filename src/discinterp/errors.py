@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DiscinterpError",
+    "PoleOnDomain",
+    "TruncationError",
+    "UnsupportedSpace",
+    "NotHilbert",
+    "Divergence",
+    "DegenerateNodes",
+    "IllConditionedWarning",
+]
+
 
 class DiscinterpError(Exception):
     """Base class for domain and numerical errors raised by this package."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .series import CoeffSeries, SigmaSet
-from .spaces import SpaceSpec, _polished_max, kernel_diagonal
+from .spaces import _CIRCLE_GRID, _POLISH_PEAKS, SpaceSpec, _polished_max, kernel_diagonal
 from . import series as _s
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _TRUNC_CAP = 1 << 16
+#: largest unit-norm deficit of a basis element that malmquist_basis accepts
+_BASIS_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -66,37 +68,36 @@ class MalmquistBasis:
         return out
 
 
-def _initial_degree(sigma: SigmaSet, tol: float) -> int:
+def _initial_degree(sigma: SigmaSet) -> int:
     r = max(sigma.r, 0.1)
-    est = int((-np.log(tol) + 3.0 * sigma.n) / (1.0 - r)) + 16
+    est = int((-np.log(_BASIS_TOL) + 3.0 * sigma.n) / (1.0 - r)) + 16
     m = 64
     while m < est and m < _TRUNC_CAP:
         m <<= 1
     return m
 
 
-def malmquist_basis(
-    sigma: SigmaSet, n_trunc: int | None = None, tol: float = 1e-11
-) -> MalmquistBasis:
-    """Construct the Malmquist basis, truncated so each ||e_k||_2 = 1 - O(tol).
+def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBasis:
+    """Construct the Malmquist basis, truncated so each ||e_k||_2 = 1 - O(1e-11).
 
     The truncation degree doubles until the coefficient mass lost in the
-    tail (measured through the unit-norm deficit of the last basis
-    element) drops below tol.
+    tail (the largest unit-norm deficit of a basis element) is at most
+    _BASIS_TOL = 1e-11.  Raises TruncationError if degree 2^16, or a pinned
+    ``n_trunc`` (tried alone), misses that tolerance.
     """
     pinned = n_trunc is not None
-    deg = int(n_trunc) if pinned else _initial_degree(sigma, tol)
+    deg = int(n_trunc) if pinned else _initial_degree(sigma)
     while True:
         basis = _build(sigma, deg)
         deficit = max(
             abs(1.0 - float(np.sum(np.abs(e.coeffs) ** 2))) for e in basis.series
         )
-        if deficit <= tol:
+        if deficit <= _BASIS_TOL:
             return basis
         if pinned or deg >= _TRUNC_CAP:
             raise TruncationError(
                 f"Malmquist truncation at degree {deg} misses unit norm by "
-                f"{deficit:.3e} (r={sigma.r:.3f}); tolerance {tol}"
+                f"{deficit:.3e} (r={sigma.r:.3f}); tolerance {_BASIS_TOL}"
             )
         deg *= 2
 
@@ -155,8 +156,8 @@ def bernstein_ratio(
 def projection_operator_norm(
     space: SpaceSpec,
     sigma: SigmaSet,
-    coarse: int = 4096,
-    top: int = 8,
+    coarse: int = _CIRCLE_GRID,
+    top: int = _POLISH_PEAKS,
     basis: MalmquistBasis | None = None,
 ) -> float:
     """Exact norm of the interpolation operator from the space into H^inf.

@@ -38,6 +38,8 @@ __all__ = [
 TRUNC_DEFAULT = 1024
 #: hard cap on adaptive truncation degrees
 TRUNC_MAX = 1 << 17
+#: tail-to-head norm ratio at which an adaptive composition stops doubling
+_COMPOSE_TAIL_TOL = 1e-12
 
 
 class CoeffSeries:
@@ -152,12 +154,7 @@ def blaschke_coeffs(zeros: Sequence[complex], n_trunc: int) -> CoeffSeries:
     return CoeffSeries(coeffs)
 
 
-def compose_with_blaschke(
-    f: CoeffSeries,
-    lam: complex,
-    n_out: int | None = None,
-    tol: float = 1e-12,
-) -> CoeffSeries:
+def compose_with_blaschke(f: CoeffSeries, lam: complex, n_out: int | None = None) -> CoeffSeries:
     """Taylor coefficients of f(b_lam(z)) up to degree n_out.
 
     Horner's rule in b_lam, acc <- acc * b_lam + f_j from the top
@@ -166,9 +163,10 @@ def compose_with_blaschke(
     exact on its prefix up to rounding: nothing is sampled or clipped.
 
     With n_out=None the degree starts at TRUNC_DEFAULT and doubles until
-    the tail (top half) carries at most max(tol, 1e-12) of the head's norm;
-    the result is then trimmed of trailing coefficients below eps times its
-    norm, the rounding level of the recurrence.
+    the tail (top half) carries at most _COMPOSE_TAIL_TOL = 1e-12 of the
+    head's norm, or raises TruncationError past TRUNC_MAX; the result is
+    then trimmed of trailing coefficients below eps times its norm, the
+    rounding level of the recurrence.
     """
     lam = complex(lam)
     if abs(lam) >= 1.0:
@@ -191,13 +189,13 @@ def compose_with_blaschke(
 
         head = np.linalg.norm(acc[: (n_cur + 1) // 2])
         tail = np.linalg.norm(acc[(n_cur + 1) // 2 :])
-        if tail <= max(tol, 1e-12) * max(head, 1e-300):
+        if tail <= _COMPOSE_TAIL_TOL * max(head, 1e-300):
             return CoeffSeries(acc).trimmed(tol=np.finfo(float).eps * np.linalg.norm(acc))
         n_cur *= 2
         if n_cur > TRUNC_MAX:
             raise TruncationError(
                 f"composition with b_{lam} does not reach tail tolerance "
-                f"{tol} below degree {TRUNC_MAX}"
+                f"{_COMPOSE_TAIL_TOL} below degree {TRUNC_MAX}"
             )
 
 

@@ -57,6 +57,11 @@ _REPRESENTER_TOL = 1e-26
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _COND_FLOOR = 1e-13
+# Circle maxima: a grid of at least _CIRCLE_GRID angles, then _GOLDEN_ITERS
+# golden-section steps on the _POLISH_PEAKS tallest grid peaks.
+_CIRCLE_GRID = 4096
+_POLISH_PEAKS = 8
+_GOLDEN_ITERS = 60
 
 
 def _next_pow2(n: int) -> int:
@@ -186,13 +191,13 @@ def _hardy_norm(p: float, f: CoeffSeries) -> float:
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
-def _circle_max(f: CoeffSeries, coarse: int = 4096, top: int = 8) -> float:
+def _circle_max(f: CoeffSeries) -> float:
     """Max modulus on the unit circle: coarse grid + golden-section polish.
 
     The grid values come from one FFT; the polish evaluates f at all
-    ``top`` trial angles at once as ``exp(i theta k) @ coeffs``.
+    _POLISH_PEAKS trial angles at once as ``exp(i theta k) @ coeffs``.
     """
-    m = _next_pow2(max(coarse, 2 * f.degree + 2))
+    m = _next_pow2(max(_CIRCLE_GRID, 2 * f.degree + 2))
     vals = np.abs(np.fft.fft(f.padded(m)))
     ks = np.arange(len(f))
 
@@ -200,7 +205,7 @@ def _circle_max(f: CoeffSeries, coarse: int = 4096, top: int = 8) -> float:
         return np.abs(np.exp(1j * np.outer(thetas, ks)) @ f.coeffs)
 
     # the fft grid runs clockwise
-    return _polished_max(vals, -2.0 * np.pi * np.arange(m) / m, fn, top)
+    return _polished_max(vals, -2.0 * np.pi * np.arange(m) / m, fn, _POLISH_PEAKS)
 
 
 def _polished_max(vals: np.ndarray, thetas: np.ndarray, fn, top: int) -> float:
@@ -217,18 +222,19 @@ def _polished_max(vals: np.ndarray, thetas: np.ndarray, fn, top: int) -> float:
     return float(np.max(_golden_max(fn, centres - h, centres + h), initial=best))
 
 
-def _golden_max(fn, a: np.ndarray, b: np.ndarray, iters: int = 60) -> np.ndarray:
+def _golden_max(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section maximisation of a smooth function on each [a_j, b_j].
 
     All intervals advance together: ``fn`` is called once per iteration
     with one trial angle per interval, and each interval keeps the update
-    of the scalar method, so its result equals a one-interval run.
+    of the scalar method, so its result equals a one-interval run.  Each
+    of the _GOLDEN_ITERS steps shrinks every interval by 0.618.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         up = fc < fd
         # up: [a, b] -> [c, b], old d becomes c; else [a, b] -> [a, d], old c becomes d
         a = np.where(up, c, a)
@@ -407,9 +413,14 @@ def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinNormResult:
+    """Result of min_norm_trace: the least norm with jet a, and its minimiser.
+
+    ``norm`` is sqrt(a^H G^-1 a); ``interpolant`` is the minimiser's Taylor
+    series, cut where a block carries under _REPRESENTER_TOL of its squared norm.
+    """
+
     norm: float
     interpolant: CoeffSeries
-    multipliers: np.ndarray
 
 
 def _inverse_factor(G: np.ndarray) -> np.ndarray:
@@ -431,6 +442,10 @@ def _inverse_factor(G: np.ndarray) -> np.ndarray:
 
 def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     """Minimal-norm element of the space with the prescribed jet on sigma.
+
+    ``a`` has one target per sigma.functionals() entry: f(lam) at a point's
+    first occurrence, f'(lam) at its second, and so on.  Raises NotHilbert
+    unless p = 2, and ValueError for an ``a`` of the wrong length.
 
     Solves G c = a as c = R^H (R a) with R^H R = G^-1 (_inverse_factor) and
     returns ||R a|| = sqrt(a^H G^-1 a) together with the truncated
@@ -454,7 +469,7 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
 
     coeffs = _series(term, 2 * max_d + 2, _REPRESENTER_TOL)
     interpolant = CoeffSeries(np.concatenate(coeffs)).trimmed(tol=0.0)
-    return MinNormResult(value, interpolant, c)
+    return MinNormResult(value, interpolant)
 
 
 def power_inequality_check(alpha: float, f: CoeffSeries) -> tuple[float, float]:

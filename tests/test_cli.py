@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +162,7 @@ class TestDeterminismAndFormats:
         raw = out.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
 
-    # written out, not read from cli.COLUMNS: columns may only be appended
+    # written out, not read from build_parser(): columns may only be appended
     HEADERS = {
         "basis": "k,j,re,im",
         "bernstein": "idx,n,r,order,ratio,bound,ratio_over_bound",
@@ -242,6 +246,21 @@ class TestValidation:
         )
         pts = read_sigma_file(str(path))
         assert pts == (0.5 + 0j, 0.5 + 0j, -0.25 + 0.1j)
+
+    @pytest.mark.parametrize("target", ["missing.txt", "."])
+    def test_unreadable_sigma_file_is_validation_error(self, tmp_path, target):
+        # a missing path and a directory: exit 1 with the one-line diagnostic
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "discinterp", "basis", "--sigma-file",
+             str(tmp_path / target)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("discinterp basis: error: cannot read --sigma-file")
 
     def test_sigma_file_via_quotient(self, tmp_path):
         path = tmp_path / "sigma.txt"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from discinterp import (
     CoeffSeries,
@@ -247,6 +247,27 @@ class TestQuotient:
                     assert eps < 1e-6
                     continue
                 assert split == pytest.approx(merged, rel=1e-3)
+
+    # Bound fixed from a sweep of 4000 random and 20000 adversarial draws
+    # (monomials, |lam| = 0.9): gap / (delta sum_k k |c_k|) peaked at 0.30
+    # and was flat in delta from 1e-2 to 1e-8.  The last term is rounding.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam_r=st.floats(0.0, 0.9),
+        angles=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 3),
+        coeffs=st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False), min_size=12, max_size=12
+        ),
+    )
+    def test_split_node_converges_to_merged_jet(self, lam_r, angles, coeffs):
+        lam, mu, d = np.array([lam_r, 0.7, 1.0]) * np.exp(1j * np.array(angles))
+        assume(abs(mu - lam) >= 0.2)
+        f = CoeffSeries(coeffs)
+        merged = quotient_norm(f, SigmaSet((lam, lam, mu))).value
+        mags = np.abs(coeffs)
+        for delta in 10.0 ** -np.arange(2, 9):
+            split = quotient_norm(f, SigmaSet((lam, lam + delta * d, mu))).value
+            assert abs(split - merged) <= 0.5 * delta * (np.arange(12) @ mags) + 1e-15 * mags.sum()
 
 
 class TestCarleson:
