@@ -7,8 +7,8 @@ collapses to a finite-dimensional maximisation over jet vectors a on the
 unit sphere of C^n, run here as a monotone singular-vector ascent from a
 fixed list of seeded starts.
 
-Lower bounds come from explicit witnesses: the Fejer-smoothed Dirichlet
-kernel (or its integer power for weighted sequence spaces), antipodally
+Lower bounds come from explicit witnesses: the analytic Fejer kernel
+(or its integer power for weighted sequence spaces), antipodally
 rotated and transplanted to the target point by composition with the
 Blaschke involution.  Closed-form two-sided bound formulas are emitted
 alongside, with honest "order-only" flags where the underlying constants
@@ -18,7 +18,7 @@ are not numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .series import (
     CoeffSeries,
     SigmaSet,
     compose_with_blaschke,
-    dirichlet_kernel,
     fejer_kernel,
-    hadamard_product,
     jet_values,
     series_power,
 )
@@ -48,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Two-sided growth bounds for a (n, r) class, plus the conjectured scale.
+    """Two-sided growth bounds for one (n, r) class, plus the conjectured scale.
 
     ``lower``/``upper`` are powers of x = n / (1 - r) named by their tags;
     ``*_known`` is False where the constant is set to 1 (order only).
@@ -57,6 +55,7 @@ class BoundReport:
 
     n: int
     r: float
+    x: float
     lower: float
     upper: float
     lower_tag: str
@@ -78,58 +77,44 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
     if n < 1 or not (0.0 <= r < 1.0):
         raise ValueError("need n >= 1 and 0 <= r < 1")
     x = n / (1.0 - r)
+    invp = 0.0 if space.p == np.inf else 1.0 / space.p
 
     if space.family == "hardy":
-        invp = 0.0 if space.p == np.inf else 1.0 / space.p
-        lower = (1.0 / 32.0) ** invp * x**invp
+        lower, lower_tag, lower_known = (1.0 / 32.0) ** invp * x**invp, "hardy-lower", True
         if space.p == 2:
             upper, upper_tag, upper_known = (
-                math.sqrt(2.0) * math.sqrt(x),
-                "hardy-upper-exact",
-                True,
+                math.sqrt(2.0) * math.sqrt(x), "hardy-upper-exact", True
             )
         else:
             upper, upper_tag, upper_known = x**invp, "hardy-upper-order", False
-        report = BoundReport(
-            n, r, lower, upper, "hardy-lower", upper_tag, True, upper_known, None
-        )
     elif space.family == "seq":
         alpha = space.alpha
         if space.p == 2:
-            expo = (2.0 * alpha - 1.0) / 2.0
-            report = BoundReport(
-                n, r, x**expo, x**expo, "seq-order", "seq-order", False, False, None
-            )
+            lower = upper = x ** ((2.0 * alpha - 1.0) / 2.0)
+            lower_tag = upper_tag = "seq-order"
         else:
-            lower = (1.0 / (1.0 - r)) ** (alpha - 1.0 / space.p)
-            if space.p <= 2:
-                up_expo = alpha - 0.5
-            else:
-                invp = 0.0 if space.p == np.inf else 1.0 / space.p
-                up_expo = alpha + 0.5 - 2.0 * invp
-            report = BoundReport(
-                n, r, lower, x**up_expo, "seq-eval-order", "seq-interp-order",
-                False, False, None,
-            )
+            lower, lower_tag = (1.0 / (1.0 - r)) ** (alpha - invp), "seq-eval-order"
+            up_expo = alpha - 0.5 if space.p <= 2 else alpha + 0.5 - 2.0 * invp
+            upper, upper_tag = x**up_expo, "seq-interp-order"
+        lower_known = upper_known = False
     else:  # bergman
         beta = space.beta
         if space.p == 2:
-            expo = (beta + 2.0) / 2.0  # same scale as the alpha = (beta+3)/2 sequence space
-            report = BoundReport(
-                n, r, x**expo, x**expo, "bergman-order", "bergman-order",
-                False, False, None,
-            )
+            # same scale as the alpha = (beta+3)/2 sequence space
+            lower = upper = x ** ((beta + 2.0) / 2.0)
+            lower_tag = upper_tag = "bergman-order"
         else:
-            up_expo = (beta + 2.0) / space.p
-            report = BoundReport(
-                n, r, 0.0, x**up_expo, "none", "bergman-jet-upper", False, False, None
-            )
+            lower, lower_tag = 0.0, "none"
+            upper, upper_tag = x ** ((beta + 2.0) / space.p), "bergman-jet-upper"
+        lower_known = upper_known = False
 
     try:
         phi = _sp.eval_functional_norm(space, 1.0 - (1.0 - r) / n)
     except UnsupportedSpace:
         phi = None
-    return replace(report, phi_scale=phi)
+    return BoundReport(
+        n, r, x, lower, upper, lower_tag, upper_tag, lower_known, upper_known, phi
+    )
 
 
 def _witness_power(space: _sp.SpaceSpec) -> int:
@@ -146,9 +131,9 @@ def _witness_power(space: _sp.SpaceSpec) -> int:
 
 
 def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSeries, CoeffSeries]:
-    """The rotated kernel witness W and its transplant f = W o b_lam."""
-    m = _witness_power(space)
-    base = series_power(hadamard_product(dirichlet_kernel(n), fejer_kernel(n)), m)
+    """The rotated Fejer-kernel power W = K_n^m and its transplant f = W o b_lam."""
+    m = _witness_power(space)  # first: an unsupported space builds no kernel
+    base = series_power(fejer_kernel(n), m)
     if lam == 0:
         return base, base
     eta = -np.conj(lam) / abs(lam)
@@ -159,13 +144,13 @@ def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSeries, C
 def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     """Certified lower bound for the interpolation constant of sigma_{lam,n}.
 
-    The witness is (p_n * K_n)^m (coefficientwise product of Dirichlet and
-    Fejer kernels, m = 2*alpha - 1), rotated so its boundary peak faces
-    away from lam, then composed with b_lam.  The returned quotient/norm
-    ratio is a valid lower bound for any witness; the rotation is what
-    makes it grow at the proved (n/(1-r))-power rate.  The involution b_lam
-    carries b_lam^n H^inf onto z^n H^inf, so the quotient norm is the
-    Taylor-jet norm of the rotated witness.
+    The witness is K_n^m, the m-th power of the analytic Fejer kernel
+    (coefficients 1 - k/n for k < n, m = 2*alpha - 1), rotated so its
+    boundary peak faces away from lam, then composed with b_lam.  The
+    returned quotient/norm ratio is a valid lower bound for any witness;
+    the rotation is what makes it grow at the proved (n/(1-r))-power rate.
+    The involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the
+    quotient norm is the Taylor-jet norm of the rotated witness.
     """
     if n < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -235,17 +220,13 @@ def _jet_starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    n: int
-    r: float
-    x: float
+class SweepRow(BoundReport):
+    """A theorem_bounds report plus witness_lower_bound and interp_constant at (r,) * n.
+
+    ``witness`` is None without a kernel witness, ``estimate`` past estimate_cap."""
+
     witness: float | None
     estimate: float | None
-    lower: float
-    upper: float
-    phi_scale: float | None
-    lower_tag: str
-    upper_tag: str
 
 
 @dataclass(frozen=True)
@@ -291,18 +272,7 @@ def bound_sweep(
             estimate = interp_constant(
                 space, SigmaSet((complex(r),) * n), budget=budget, seed=seed
             )
-        return SweepRow(
-            n=n,
-            r=r,
-            x=n / (1.0 - r),
-            witness=witness,
-            estimate=estimate,
-            lower=report.lower,
-            upper=report.upper,
-            phi_scale=report.phi_scale,
-            lower_tag=report.lower_tag,
-            upper_tag=report.upper_tag,
-        )
+        return SweepRow(**asdict(report), witness=witness, estimate=estimate)
 
     rows = tuple(make_row(c) for c in cells)
 

@@ -154,8 +154,12 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
     if args.output in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:  # missing directory, a directory, no permission
+            reason = exc.strerror or exc
+            raise CliError(f"cannot write --output {args.output!r}: {reason}") from exc
 
 
 def _json_safe(value: Any) -> Any:
@@ -260,8 +264,7 @@ def _run_constant(args: argparse.Namespace) -> tuple[list[dict], dict]:
 def _run_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
     space = _resolve_space(args)
     report = theorem_bounds(space, args.n, args.r)
-    rec = {**asdict(space), **asdict(report), "x": report.n / (1.0 - report.r)}
-    return [rec], {"space": space.label()}
+    return [{**asdict(space), **asdict(report)}], {"space": space.label()}
 
 
 def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
@@ -290,7 +293,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
 def run(args: argparse.Namespace) -> int:
     """Run ``args.run`` and write its ``args.columns`` table (both set in build_parser)."""
     try:
-        records, meta = args.run(args)
+        _emit(args, *args.run(args))
     except (CliError, DegenerateNodes, NotHilbert,
             UnsupportedSpace, PoleOnDomain, ValueError) as exc:
         print(f"discinterp {args.command}: error: {exc}", file=sys.stderr)
@@ -302,7 +305,6 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _emit(args, records, meta)
     return 0
 
 

@@ -265,27 +265,29 @@ def _radial_rule(k_rad: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
-    """L^p_a(beta) norm, p != 2, by a radial Gauss-Jacobi rule and one FFT per circle.
+    """L^p_a(beta) norm, p != 2.
 
-    p = 2 never reaches it: ``norm`` sums the kernel diagonal exactly.
-    The rule has k_rad = max(24, deg // 2 + 8) nodes in u = s^2, exact up to
-    degree about deg + 15, while |f|^p has degree p deg / 2 in u for even p
-    and is not a polynomial otherwise.  Measured on monomials z^n against
-    (pi B(np/2 + 1, beta + 1))^(1/p), p in 1.5, 3, 4: the relative error is
-    about 1e-14 at n = 40 and about 1e-11 from n of about 384 on at
-    beta = -0.5 (at most 1.4e-11 up to n = 1000); at beta = 0 it is below
-    1.2e-12 up to n = 384 and 9e-12 at n = 1000.
+    p = 2 never reaches it: ``norm`` sums the kernel diagonal exactly.  At
+    even p, |f|^p = |f^(p/2)|^2, so the norm is the exact p = 2 norm of
+    the power f^(p/2), raised to 2/p.  Other p use a radial Gauss-Jacobi
+    rule and one FFT per circle.  The rule has k_rad = max(24, deg // 2 + 8)
+    nodes in u = s^2, exact up to degree about deg + 15, while |f|^p is not
+    a polynomial in u.  Measured on monomials z^n against
+    (pi B(np/2 + 1, beta + 1))^(1/p), p in 1.5, 3: the relative error is
+    below 1e-13 for n from 10 to 40, and up to 1.4e-11 at n = 384 and
+    1000 (beta = -0.5; 9.2e-12 at beta = 0).  At n = 1 and 2 it is far
+    larger, up to 2.5e-6 at p = 1.5, since u^(np/2) is not smooth at u = 0.
+    The even-p route is within 1.5e-12 for every n up to 1000, p in 4, 6.
     """
     if space.p == np.inf:
         raise UnsupportedSpace("sup-norm Bergman spaces are not implemented")
     p, beta, deg = space.p, space.beta, f.degree
+    if p == int(p) and int(p) % 2 == 0:
+        return norm(bergman_radial(2.0, beta), series_power(f, int(p) // 2)) ** (2.0 / p)
     # radial Gauss-Jacobi in u = s^2 handles the (1-u)^beta endpoint weight
     k_rad = max(24, deg // 2 + 8)
     radii, w = _radial_rule(k_rad, beta)
-    if p == int(p) and int(p) % 2 == 0:
-        m_ang = _next_pow2(max(64, int(p) * deg // 2 + 2))
-    else:
-        m_ang = _next_pow2(max(1024, 2 * deg + 2))
+    m_ang = _next_pow2(max(1024, 2 * deg + 2))
     # f on each sampling circle via one FFT per radius, a block of radii at a time
     ks = np.arange(deg + 1)
     angular = np.empty(k_rad)
@@ -302,8 +304,8 @@ def norm(space: SpaceSpec, f: CoeffSeries) -> float:
 
     At p = 2 it is sqrt(sum_k |f_k|^2 / kappa_k) with kappa_k from
     kernel_diagonal, exact in every family.  Other p use boundary means
-    (hardy), the weighted coefficient sum (seq) or the radial quadrature of
-    _bergman_norm.
+    (hardy), the weighted coefficient sum (seq) or _bergman_norm (the p = 2
+    norm of f^(p/2) at even p, a radial quadrature otherwise).
     """
     if space.is_hilbert:
         kap = kernel_diagonal(space, np.arange(len(f)))

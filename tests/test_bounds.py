@@ -1,8 +1,12 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from discinterp import (
+    BoundReport,
     SigmaSet,
+    SweepRow,
     UnsupportedSpace,
     bergman_radial,
     bound_sweep,
@@ -10,6 +14,7 @@ from discinterp import (
     carleson_constant,
     eval_functional_norm,
     extremal,
+    fejer_kernel,
     hardy,
     interp_constant,
     min_norm_trace,
@@ -18,6 +23,7 @@ from discinterp import (
     quotient_norm,
     seq_weighted,
     series,
+    series_power,
     theorem_bounds,
     witness_lower_bound,
 )
@@ -159,6 +165,19 @@ class TestInterpConstant:
     def test_single_point_closed_form(self):
         got = interp_constant(hardy(2), SigmaSet((0.8,)), budget=2)
         assert got == pytest.approx(5.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [0.99, 0.995, 0.999, 0.9995, 0.9999])
+    def test_one_point_near_boundary_is_eval_norm(self, r):
+        # one point: the constant is the evaluation norm, in closed form here
+        sigma = SigmaSet((r * np.exp(0.7j),))
+        s = 1.0 - r * r
+        cases = [(hardy(2), s**-0.5), (seq_weighted(2, 1.5), 1.0 / s)]
+        for beta in (1.0, -0.5):
+            want = np.sqrt((beta + 1.0) / np.pi) * s ** (-(beta + 2.0) / 2.0)
+            cases.append((bergman_radial(2, beta), want))
+        for space, want in cases:
+            got = interp_constant(space, sigma, budget=2)
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0), space.label()
 
     def test_never_exceeds_projection_norm(self, rng):
         for _ in range(5):
@@ -306,6 +325,20 @@ class TestSweep:
         res = bound_sweep(hardy(2), [2, 4], [0.0, 0.5])
         key = [(row.n, row.r) for row in res.rows]
         assert key == [(2, 0.0), (2, 0.5), (4, 0.0), (4, 0.5)]
+
+    @pytest.mark.parametrize("space, m", [(hardy(2), 1), (seq_weighted(2, 1.5), 2)])
+    def test_rows_extend_theorem_bounds(self, space, m):
+        names = [f.name for f in fields(BoundReport)]
+        assert [f.name for f in fields(SweepRow)] == names + ["witness", "estimate"]
+        res = bound_sweep(space, [1, 3, 8], [0.0, 0.5, 0.9], budget=2, estimate_cap=3)
+        for row in res.rows:
+            report = theorem_bounds(space, row.n, row.r)
+            assert {name: getattr(row, name) for name in names} == asdict(report)
+            assert row.x == row.n / (1 - row.r)
+            assert row.witness == witness_lower_bound(space, complex(row.r), row.n)
+            # the unrotated witness (lam = 0) is the Fejer kernel power, bitwise
+            base = series_power(fejer_kernel(row.n), m)
+            assert np.array_equal(bounds._witness(space, 0j, row.n)[0].coeffs, base.coeffs)
 
     def test_slope_near_half_for_hardy2(self):
         res = bound_sweep(hardy(2), [4, 8, 16, 32], [0.5])

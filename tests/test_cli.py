@@ -262,6 +262,26 @@ class TestValidation:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("discinterp basis: error: cannot read --sigma-file")
 
+    @pytest.mark.parametrize("argv, target", [
+        (["basis", "--sigma", "0.5"], "missing/x.csv"),
+        (["cs", "--coeffs", "1,1"], "."),
+    ])
+    def test_unwritable_output_is_validation_error(self, tmp_path, argv, target):
+        # a missing directory and a directory: exit 1 with the one-line diagnostic
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = str(tmp_path / target)
+        proc = subprocess.run(
+            [sys.executable, "-m", "discinterp", *argv, "--output", path],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            f"discinterp {argv[0]}: error: cannot write --output {path!r}: "
+        )
+
     def test_sigma_file_via_quotient(self, tmp_path):
         path = tmp_path / "sigma.txt"
         path.write_text("0.0 0.0 2\n", encoding="utf-8")

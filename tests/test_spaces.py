@@ -142,6 +142,17 @@ class TestBlockedBergman:
                 want = np.exp((np.log(np.pi) + betaln(n * p / 2 + 1, beta + 1)) / p)
                 assert norm(bergman_radial(p, beta), f) == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_even_p_monomial_closed_form(self, p):
+        # even p: the exact p = 2 norm of f^(p/2), against
+        # (pi B(np/2 + 1, beta + 1))^(1/p) on every 50th degree up to 1000
+        for beta in (-0.5, 0.0, 1.0):
+            for n in [1, 2, 3, *range(0, 1001, 50)]:
+                f = CoeffSeries(np.eye(n + 1)[n])
+                want = (math.pi * _beta_exact(n * int(p) // 2, beta)) ** (1.0 / p)
+                got = norm(bergman_radial(p, beta), f)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (beta, n)
+
     def test_peak_memory_degree_2048(self, rng):
         f = random_poly(rng, 2048)
         tracemalloc.start()
