@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -412,8 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser, so one serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run it; returns the exit status.
+
+    The parser is built once per process, on the first call, and shared by
+    every later call and thread.
+    """
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

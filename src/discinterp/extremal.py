@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DegenerateNodes
 from .series import CoeffSeries, SigmaSet
@@ -233,9 +232,10 @@ def cs_min_norm(coeffs) -> ExtremalResult:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("need a nonempty 1-d coefficient vector")
-    first_row = np.zeros_like(c)
-    first_row[0] = c[0]
-    return _norm_result(toeplitz(c, first_row), "toeplitz")
+    n, k = c.size, np.arange(c.size)
+    # T[i, j] = padded[n - 1 + i - j]: c_{i-j} on and below the diagonal, 0 above
+    padded = np.concatenate((np.zeros(n - 1, dtype=complex), c))
+    return _norm_result(padded[n - 1 + k[:, None] - k], "toeplitz")
 
 
 def quotient_norm(f: CoeffSeries, sigma: SigmaSet) -> ExtremalResult:

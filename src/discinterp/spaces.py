@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import (
     Divergence,
@@ -131,6 +129,8 @@ def kernel_diagonal(space: SpaceSpec, ks: np.ndarray) -> np.ndarray:
     if space.family == "seq":
         return (ks + 1.0) ** (2.0 * (space.alpha - 1.0))
     # bergman: ||z^k||^2 = pi * B(k+1, beta+1)
+    from scipy.special import gammaln  # imported on first use: scipy is slow to load
+
     b = space.beta
     logw = np.log(np.pi) + gammaln(ks + 1.0) + gammaln(b + 1.0) - gammaln(ks + b + 2.0)
     return np.exp(-logw)
@@ -257,6 +257,8 @@ def _radial_rule(k_rad: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are cached and returned read-only.
     """
+    from scipy.special import roots_jacobi  # imported on first use: scipy is slow to load
+
     x, w = roots_jacobi(k_rad, beta, 0.0)
     radii = np.sqrt((x + 1.0) / 2.0)
     radii.setflags(write=False)
@@ -428,18 +430,27 @@ class MinNormResult:
 def _inverse_factor(G: np.ndarray) -> np.ndarray:
     """R with R^H R = G^-1 for a Hermitian Gram matrix G.
 
-    Normally R = L^-1 with G = L L^H the Cholesky factorisation.  When G is
-    not numerically positive definite, R = diag(w^-1/2) V^H over the
-    eigenpairs (w, V) of G with w above _COND_FLOOR times the largest, so
-    R^H R is the pseudo-inverse that drops the near-null directions.
+    Normally R = L^-1 with G = L L^H the Cholesky factorisation, found row
+    by row by forward substitution.  When G is not numerically positive
+    definite, R = diag(w^-1/2) V^H over the eigenpairs (w, V) of G with w
+    above _COND_FLOOR times the largest, so R^H R is the pseudo-inverse
+    that drops the near-null directions.  Raises ValueError when G holds
+    a NaN or an infinity.
     """
+    if not np.all(np.isfinite(G)):
+        # np.linalg.cholesky would return NaNs instead of raising
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        L = cholesky(G, lower=True)
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(G)
         keep = w > _COND_FLOOR * max(w[-1], 0.0)
         return V[:, keep].conj().T / np.sqrt(w[keep])[:, None]
-    return solve_triangular(L, np.eye(G.shape[0]), lower=True)
+    R = np.zeros_like(L)
+    for i in range(L.shape[0]):  # row i of L R = I
+        R[i, i] = 1.0
+        R[i] = (R[i] - L[i, :i] @ R[:i]) / L[i, i]
+    return R
 
 
 def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:

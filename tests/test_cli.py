@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discinterp.cli import build_parser, main, read_sigma_file
+from discinterp.cli import build_parser, main, read_sigma_file, run
 
 MINIMAL = {
     "basis": ["--sigma", "0.5"],
@@ -206,6 +206,66 @@ class TestRunConfig:
         assert ns.tol == 1e-8
 
 
+class TestSharedParser:
+    """main parses with one parser per process; no call leaves state for the next."""
+
+    MIXED = [
+        ["constant", "--sigma", "0.5,-0.3j", "--budget", "3", "--seed", "4"],
+        ["cs", "--coeffs", "1,1", "--format", "json"],
+        ["bounds", "--space", "seq", "--p", "inf", "--alpha", "2", "--n", "3", "--r", "0.5"],
+        ["constant", "--sigma", "0.5,-0.3j"],
+        ["pick", "--nodes", "0,0.5", "--values", "0,0.5", "--format", "json"],
+        ["sweep", "--n-grid", "2", "--r-grid", "0.5", "--estimate-cap", "2", "--budget", "2"],
+        ["cs", "--coeffs", "1,1"],
+        ["bounds", "--n", "3", "--r", "0.5"],
+    ] + [[command] + argv for command, argv in sorted(MINIMAL.items())]
+
+    @staticmethod
+    def fresh(tmp_path, name, argv):
+        out = tmp_path / name
+        code = run(build_parser().parse_args(argv + ["--output", str(out)]))
+        return code, out.read_bytes()
+
+    @staticmethod
+    def shared(tmp_path, name, argv):
+        code, out = run_to_file(tmp_path, name, argv)
+        return code, out.read_bytes()
+
+    def test_mixed_calls_match_fresh_parsers(self, tmp_path):
+        argvs = [argv + ["--reproducible"] for argv in self.MIXED]
+        shared = [self.shared(tmp_path, f"s{i}", argv) for i, argv in enumerate(argvs)]
+        fresh = [self.fresh(tmp_path, f"f{i}", argv) for i, argv in enumerate(argvs)]
+        assert [code for code, _ in shared] == [0] * len(argvs)
+        assert shared == fresh
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path):
+        first = ["constant", "--sigma", "0.5", "--budget", "3", "--seed", "5",
+                 "--tol", "1e-3", "--space", "seq", "--alpha", "2", "--reproducible"]
+        assert main(first + ["--format", "json", "--output", str(tmp_path / "a")]) == 0
+        code, out = run_to_file(tmp_path, "b.csv", ["constant", "--sigma", "0.5"])
+        assert code == 0
+        meta, _, rows = parse_csv(out)
+        assert rows[0]["budget"] == "32"
+        assert (meta["seed"], meta["tol"], meta["space"]) == ("0", "1e-08", "H^2")
+        assert "generated" in meta
+
+    @pytest.mark.parametrize("bad", [
+        ["constant", "--sigma", "0.5", "--space", "seq"],  # CliError, returned
+        ["constant", "--sigma", "0.5", "--budget", "many"],  # argparse, SystemExit
+        ["cs", "--coeffs", "1,1", "--no-such-flag"],
+        ["frobnicate"],
+    ])
+    def test_validation_error_leaves_next_call_unchanged(self, tmp_path, capsys, bad):
+        argv = ["constant", "--sigma", "0.5,-0.3j", "--budget", "3", "--reproducible"]
+        try:
+            code = main(bad)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert self.shared(tmp_path, "after", argv) == self.fresh(tmp_path, "fresh", argv)
+
+
 class TestValidation:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -293,3 +353,39 @@ class TestValidation:
         assert code == 0
         _, _, rows = parse_csv(out)
         assert float(rows[0]["value"]) == pytest.approx(1.0, abs=1e-8)
+
+
+SCIPY_FREE = [
+    ["cs", "--coeffs", "1,1"],
+    ["pick", "--nodes", "0,0.5", "--values", "0,0.5"],
+    ["quotient", "--coeffs", "1,2", "--sigma", "0.5,0.5,-0.2j"],
+    ["basis", "--sigma", "0.5,-0.2+0.3j"],
+    ["bernstein", "--sigma", "0.5,0.5,-0.3j"],  # H^2: no kernel diagonal
+]
+
+
+def test_import_and_light_commands_load_no_scipy():
+    # scipy takes most of the import time; only Bergman kernels and the
+    # Gauss-Jacobi rule import it, on first use
+    code = f"""
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+steps = {{}}
+import discinterp
+steps["import discinterp"] = loaded()
+from discinterp import cli
+steps["import discinterp.cli"] = loaded()
+for argv in {SCIPY_FREE!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps[" ".join(argv)] = [cli.main(argv)] + loaded()
+print(json.dumps(steps))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    steps = json.loads(proc.stdout)
+    assert steps.pop("import discinterp") == []
+    assert steps.pop("import discinterp.cli") == []
+    assert steps == {" ".join(argv): [0] for argv in SCIPY_FREE}

@@ -1,4 +1,7 @@
-"""Library calls and the CLI give the same bits from several threads as alone."""
+"""Library calls and the CLI give the same bits from several threads as alone.
+
+The CLI calls share the one parser that cli.main builds per process.
+"""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +56,9 @@ def _jobs(tmp_path, tag):
 
 def test_threads_reproduce_sequential_results(tmp_path):
     spaces._radial_rule.cache_clear()
+    cli._parser.cache_clear()
     alone = [job() for job in _jobs(tmp_path, "seq")]
+    cli_calls = cli._parser.cache_info().hits + 1
     spaces._radial_rule.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -64,3 +69,6 @@ def test_threads_reproduce_sequential_results(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert pooled == alone
+    # the sequential pass built the one parser; every pooled call reused it
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * cli_calls - 1)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import toeplitz
 
 from discinterp import (
     CoeffSeries,
@@ -173,6 +174,19 @@ class TestCaratheodorySchur:
         grid = np.exp(2j * np.pi * np.arange(512) / 512)
         sup = np.max(np.abs(eval_series(f, grid)))
         assert cs_min_norm(f.coeffs).value <= sup * (1 + 1e-10)
+
+    def test_matrix_equals_scipy_toeplitz_bitwise(self, rng, monkeypatch):
+        seen = []
+        monkeypatch.setattr(extremal, "_norm_result", lambda matrix, mode: seen.append(matrix))
+        for n in range(1, 65):
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cs_min_norm(c)
+            first_row = np.zeros_like(c)
+            first_row[0] = c[0]
+            want = toeplitz(c, first_row)
+            got = seen.pop()
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestQuotient:

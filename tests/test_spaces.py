@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 from scipy.special import betaln, gammaln, logsumexp
 
 from discinterp import (
@@ -340,6 +341,23 @@ class TestInverseFactor:
         assert np.allclose(R, np.tril(R))
         assert np.max(np.abs(R.conj().T @ R @ G - np.eye(4))) <= 1e-10
 
+    def test_matches_triangular_solve_when_well_conditioned(self, rng):
+        # the forward substitution against scipy's Cholesky and triangular solve
+        eps = np.finfo(float).eps
+        for space in (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1.0)):
+            for t in range(20):
+                sigma = random_sigma(rng, n_max=10, r_max=0.95)
+                if t % 3 == 0:  # a repeated node: derivative functionals
+                    sigma = SigmaSet(sigma.points + sigma.points[:1])
+                G = gram_matrix(space, sigma)
+                cond = np.linalg.cond(G)
+                assert cond < 1e8
+                R = _inverse_factor(G)
+                want = solve_triangular(cholesky(G, lower=True), np.eye(sigma.n), lower=True)
+                assert np.max(np.abs(R - want)) <= 1e-13 * np.max(np.abs(want))
+                residual = np.max(np.abs(R.conj().T @ R @ G - np.eye(sigma.n)))
+                assert residual <= 10 * sigma.n * eps * cond
+
     def test_indefinite_gram_drops_near_null_directions(self, rng):
         V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         w = np.array([-1e-9, 1e-15, 1.0, 2.0])
@@ -349,6 +367,13 @@ class TestInverseFactor:
         kept = V[:, 2:]
         want = (kept / w[2:]) @ kept.conj().T
         assert np.max(np.abs(R.conj().T @ R - want)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_gram_raises(self, bad):
+        G = np.eye(3, dtype=complex) * 2.0
+        G[2, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _inverse_factor(G)
 
 
 class TestPowerInequality:
