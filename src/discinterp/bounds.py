@@ -1,11 +1,14 @@
 """Interpolation-constant estimation and closed-form growth bounds.
 
 The constant of a node set sigma over a Hilbert space X is
-sup { min-sup-norm interpolant of f / ||f||_X } over the unit ball.  For
-a fixed jet the worst f is the minimal-norm representative, so the sup
-collapses to a finite-dimensional maximisation over jet vectors a on the
-unit sphere of C^n, run here as a monotone singular-vector ascent from a
-fixed list of seeded starts.
+sup { min-sup-norm interpolant of f / ||f||_X } over the unit ball.  Two
+functions with the same jet on sigma have the same projection
+g = sum_k b_k e_k onto the model space K_B, and the worst f for a given
+g is its minimal-norm representative, so the sup collapses to a
+maximisation over Malmquist coordinates b on the unit sphere of C^n,
+run here as a monotone singular-vector ascent from a fixed list of
+seeded starts.  Everything it needs comes from the compressed shift
+T_B: the stack e_k(T_B) and the Stein-sum Gram S of the coordinates.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), antipodally
@@ -23,13 +26,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotHilbert, UnsupportedSpace
-from .extremal import _ascend, _pick_factor, cs_min_norm
+from .extremal import _ascend, _malmquist_factor, cs_min_norm
+from .modelspace import _malmquist_gram
 from .series import (
     CoeffSeries,
     SigmaSet,
+    _div_geometric,
     compose_with_blaschke,
     fejer_kernel,
-    jet_values,
     series_power,
 )
 from . import spaces as _sp
@@ -130,15 +134,14 @@ def _witness_power(space: _sp.SpaceSpec) -> int:
     )
 
 
-def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSeries, CoeffSeries]:
-    """The rotated Fejer-kernel power W = K_n^m and its transplant f = W o b_lam."""
+def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> CoeffSeries:
+    """The Fejer-kernel power W = K_n^m, rotated so its boundary peak faces away from lam."""
     m = _witness_power(space)  # first: an unsupported space builds no kernel
     base = series_power(fejer_kernel(n), m)
     if lam == 0:
-        return base, base
+        return base
     eta = -np.conj(lam) / abs(lam)
-    rotated = CoeffSeries(base.coeffs * eta ** np.arange(len(base)))
-    return rotated, compose_with_blaschke(rotated, lam)
+    return CoeffSeries(base.coeffs * eta ** np.arange(len(base)))
 
 
 def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
@@ -154,8 +157,10 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     """
     if n < 1:
         raise ValueError("multiplicity must be >= 1")
-    rotated, f = _witness(space, complex(lam), n)
-    return cs_min_norm(rotated.coeffs[:n]).value / _sp.norm(space, f)
+    lam = complex(lam)
+    W = _witness(space, lam, n)
+    f = compose_with_blaschke(W, lam) if lam != 0 else W  # radial norm: W(-z) = W
+    return cs_min_norm(W.coeffs[:n]).value / _sp.norm(space, f)
 
 
 def interp_constant(
@@ -166,14 +171,18 @@ def interp_constant(
 ) -> float:
     """Ascent estimate of the interpolation constant of sigma over X.
 
-    Maximises J(a) = (min sup-norm interpolant of jet a) /
-    (min X-norm with jet a) = ||F(a)||_2 / sqrt(a^H G^-1 a) over jet
-    vectors, G the Gram matrix.  Each step takes the coefficients c of the
-    top singular pair of F(a) and moves to a <- G conj(c), where J is at
-    least sqrt(c^T G conj(c)), itself at least the previous value.  budget
-    counts the starts, each ascended: the unit jets e_i, the all-ones and
-    alternating jets, then seeded random jets, with the transplanted witness
-    jet first when sigma is one repeated point.  Deterministic under a
+    Maximises J(b) = ||sum_k b_k A_k||_2 / sqrt(b^H S^-1 b) over the
+    Malmquist coordinates b of g = sum_k b_k e_k: the numerator is the
+    least sup-norm with the jet of g (A_k = e_k(T_B)), the denominator the
+    least X-norm, S the kernel-weighted Gram of the basis coefficients
+    (S = I on H^2).  Each step takes the coefficients c of the top
+    singular pair and moves to b <- S conj(c), where J is at least
+    sqrt(c^T S conj(c)), itself at least the previous value.  budget
+    counts the starts, each ascended: the unit vectors, the all-ones and
+    alternating vectors, then seeded random vectors, with the transplanted
+    witness first when sigma is one repeated point (lam,)*n; its
+    coordinates are s sum_{j<=k} W_j conj(lam)^(k-j) in closed form, so
+    the estimate is at least witness_lower_bound.  Deterministic under a
     fixed seed.  The result is an attained value, so a lower estimate of
     the true sup, never below any start's J, and never exceeds the
     projection operator norm (plus rounding).
@@ -181,30 +190,34 @@ def interp_constant(
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
-    gram = _sp.gram_matrix(space, sigma)
+    gram = _malmquist_gram(space, sigma)
     inv_factor = _sp._inverse_factor(gram)
 
-    def denominator(a: np.ndarray) -> float:  # sqrt(a^H G^-1 a)
-        return float(np.linalg.norm(inv_factor @ a))
+    def denominator(b: np.ndarray) -> float:  # sqrt(b^H S^-1 b)
+        return float(np.linalg.norm(inv_factor @ b))
 
-    def gram_step(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-        a = gram @ c.conj()
-        return a / np.linalg.norm(a)
+    def gram_step(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        b = gram @ c.conj()
+        return b / np.linalg.norm(b)
 
-    factor = _pick_factor(sigma.points)
-    starts = _jet_starts(n, budget, seed)
-    single = sigma.single_point()
-    if single is not None:
+    factor = _malmquist_factor(sigma.points)
+    starts = _starts(n, budget, seed)
+    lam = sigma.single_point()
+    if lam is not None:
         try:
-            jet = jet_values(_witness(space, single, n)[1], sigma)
+            W = _witness(space, lam, n)
         except UnsupportedSpace:
             pass
-        else:  # guarantees estimate >= witness_lower_bound on this class
-            starts.insert(0, jet / np.linalg.norm(jet))
+        else:
+            # U h = s h(b_lam) / (1 - conj(lam) z) is unitary on H^2 with
+            # U z^k = e_k, and W o b_lam = U h for h = s W / (1 - conj(lam) z):
+            # the coordinates are h's first n coefficients (s cancels below)
+            b = _div_geometric(W.coeffs[:n], np.conj(lam))
+            starts.insert(0, b / np.linalg.norm(b))
     return _ascend(factor, starts, gram_step, denominator)
 
 
-def _jet_starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
+def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
     starts: list[np.ndarray] = []
     for i in range(n):
         e = np.zeros(n, dtype=complex)

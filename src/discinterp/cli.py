@@ -1,7 +1,7 @@
 """Command-line driver emitting machine-readable experiment tables.
 
 Every subcommand runs one operation and writes a single CSV or JSON
-artifact with a provenance header (version, seed, tolerances).  CSV
+artifact with a provenance header (version, command, seed).  CSV
 columns are frozen per command; new columns may only be appended.  All
 stochastic searches are fully determined by --seed.
 """
@@ -126,7 +126,6 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "tol": args.tol,
     }
     full_meta.update(meta)
     if not args.reproducible:
@@ -301,8 +300,7 @@ def run(args: argparse.Namespace) -> int:
         return 1
     except (TruncationError, Divergence, np.linalg.LinAlgError) as exc:
         print(
-            f"discinterp {args.command}: numerical failure: {exc} "
-            f"(seed={args.seed}, tol={args.tol})",
+            f"discinterp {args.command}: numerical failure: {exc} (seed={args.seed})",
             file=sys.stderr,
         )
         return 2
@@ -320,7 +318,6 @@ def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--reproducible", action="store_true",
                      help="suppress the timestamp header line")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-8)
 
 
 def _add_space_options(sub: argparse.ArgumentParser) -> None:

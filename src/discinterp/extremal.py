@@ -6,9 +6,11 @@ basis: ||f||_{H^inf / B H^inf} = ||f(T_B)||_2 (Sarason).  In closed form
 T[k, k] = lam_k and, for k > l, T[k, l] = -s_k s_l prod_{l<m<k} conj(lam_m)
 with s_k = sqrt(1 - |lam_k|^2), zero above the diagonal; nothing is
 truncated, and distinct, repeated and mixed multisets are handled alike.
-A function is evaluated at T_B by block Horner; interpolation data enter
-through the Newton form of their Hermite interpolant, built once per node
-set.  cs_min_norm keeps the direct Toeplitz solver for jets at the origin.
+A function is evaluated at T_B by block Horner.  Data at distinct nodes
+enter through the Newton form of their Lagrange interpolant (_pick_factor),
+and Malmquist coordinates on any multiset through the stack e_k(T_B)
+(_malmquist_factor); each stack is built once per node set.  cs_min_norm
+keeps the direct Toeplitz solver for jets at the origin.
 
 The estimators maximise ||F(x)||_2 over a set of data x by a monotone
 singular-vector ascent (_ascend): F is linear, so with (u, v) the top
@@ -119,33 +121,48 @@ def _norm_result(matrix: np.ndarray, mode: str) -> ExtremalResult:
 
 
 def _pick_factor(points) -> tuple[np.ndarray, np.ndarray]:
-    """Stack M of the data map on the node multiset, and the norms ||M_i||_2.
+    """Stack M of the data map on distinct nodes, and the norms ||M_i||_2.
 
-    For a jet a in jet_values order, F(a) = sum_i a_i M_i is its Hermite
-    interpolant at T_B in Newton form, equal nodes grouped consecutively;
-    M is flat, shape (n, n*n).  Raises DegenerateNodes for unequal nodes
-    closer than _MIN_SEPARATION.
+    For data w at the nodes, F(w) = sum_i w_i M_i is their Lagrange
+    interpolant at T_B in Newton form; M is flat, shape (n, n*n).  Raises
+    DegenerateNodes for nodes closer than _MIN_SEPARATION.
     """
     sigma = SigmaSet(tuple(points))
     n = sigma.n
-    sep = SigmaSet(tuple(p for p, _ in sigma.groups())).min_separation()
+    sep = sigma.min_separation()
     if sep < _MIN_SEPARATION:
         raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
-    nodes = [p for p, mult in sigma.groups() for _ in range(mult)]
-    unit = {func: row for func, row in zip(sigma.functionals(), np.eye(n, dtype=complex))}
-    # row j ends as the divided difference f[z_0, .., z_j] of each unit jet
-    table = np.array([unit[z, 0] for z in nodes])
+    nodes = np.array(sigma.points)
+    # row j ends as the divided difference w[z_0, .., z_j] of each unit datum
+    table = np.eye(n, dtype=complex)
     for k in range(1, n):
         for j in range(n - 1, k - 1, -1):
-            if nodes[j] == nodes[j - k]:
-                table[j] = unit[nodes[j], k] / math.factorial(k)
-            else:
-                table[j] = (table[j] - table[j - 1]) / (nodes[j] - nodes[j - k])
-    # Newton form c_0 + (T - z_0)(c_1 + (T - z_1)(..)) for all unit jets at once
+            table[j] = (table[j] - table[j - 1]) / (nodes[j] - nodes[j - k])
+    # Newton form c_0 + (T - z_0)(c_1 + (T - z_1)(..)) for all unit data at once
     T, eye = _compressed_shift(nodes), np.eye(n)
     stack = table[-1][:, None, None] * eye
     for j in range(n - 2, -1, -1):
         stack = (T - nodes[j] * eye) @ stack + table[j][:, None, None] * eye
+    return stack.reshape(n, n * n), np.linalg.norm(stack, 2, axis=(1, 2))
+
+
+def _malmquist_factor(points) -> tuple[np.ndarray, np.ndarray]:
+    """Stack of A_k = e_k(T_B) on any node multiset, and the norms ||A_k||_2.
+
+    A_k = s_k (I - conj(lam_k) T)^-1 prod_{j<k} b_{lam_j}(T) with
+    b_lam(T) = (lam - T)(I - conj(lam) T)^-1, so g = sum_k b_k e_k in the
+    Malmquist basis has ||g||_{H^inf / B H^inf} = ||sum_k b_k A_k||_2.
+    The stack is flat, shape (n, n*n), as _pick_factor's.
+    """
+    lam = np.asarray(points, dtype=complex)
+    n = lam.size
+    T, eye = _compressed_shift(lam), np.eye(n)
+    stack = np.empty((n, n, n), dtype=complex)
+    running = eye.astype(complex)  # prod_{j<k} b_{lam_j}(T)
+    for k in range(n):
+        resolvent = np.linalg.solve(eye - np.conj(lam[k]) * T, running)
+        stack[k] = np.sqrt(1.0 - abs(lam[k]) ** 2) * resolvent
+        running = (lam[k] * eye - T) @ resolvent
     return stack.reshape(n, n * n), np.linalg.norm(stack, 2, axis=(1, 2))
 
 

@@ -8,7 +8,9 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
 projects onto span(e_k) through the coefficient pairing
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
-sigma.  Derivative operator norms on K_B are read off Gram matrices of
+sigma.  The kernel-weighted Gram of the basis coefficients is a Stein sum
+in the compressed shift T_B, so the operator norm needs no truncated
+basis; derivative operator norms on K_B are read off Gram matrices of
 differentiated basis series.
 """
 
@@ -19,8 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
+from .extremal import _compressed_shift
 from .series import CoeffSeries, SigmaSet
-from .spaces import _CIRCLE_GRID, _POLISH_PEAKS, SpaceSpec, _polished_max, kernel_diagonal
+from .spaces import (
+    _CIRCLE_GRID,
+    _POLISH_PEAKS,
+    _SERIES_BLOCK,
+    _SERIES_TOL,
+    SpaceSpec,
+    _polished_max,
+    _series,
+    kernel_diagonal,
+)
 from . import series as _s
 
 __all__ = [
@@ -58,14 +70,47 @@ class MalmquistBasis:
 
     def eval(self, z) -> np.ndarray:
         """Exact rational values e_k(z); shape (n, len(z))."""
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty((self.n, zs.size), dtype=complex)
-        running = np.ones_like(zs)
-        for k, lam in enumerate(self.sigma.points):
-            cl = np.conj(lam)
-            out[k] = np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - cl * zs) * running
-            running = running * (lam - zs) / (1.0 - cl * zs)
-        return out
+        return _basis_values(self.sigma, z)
+
+
+def _basis_values(sigma: SigmaSet, z) -> np.ndarray:
+    """e_k(z) from the rational formula, for every k; shape (n, len(z))."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty((sigma.n, zs.size), dtype=complex)
+    running = np.ones_like(zs)
+    for k, lam in enumerate(sigma.points):
+        cl = np.conj(lam)
+        out[k] = np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - cl * zs) * running
+        running = running * (lam - zs) / (1.0 - cl * zs)
+    return out
+
+
+def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
+    """S_kl = sum_m kappa_m conj(E_km) E_lm, E[k, m] the m-th coefficient of e_k.
+
+    Column m of E is conj(T_B)^m e(0), so S is the Stein sum
+    sum_m kappa_m v_m v_m^H with v_m = T_B^m conj(e(0)), summed by _series
+    from T_B alone: nothing is truncated.  The least X-norm of an f whose
+    projection onto K_B has the coordinates b is sqrt(b^H S^-1 b).  On
+    H^2, S is the identity.
+    """
+    lam = np.asarray(sigma.points)
+    # e_k(0) = s_k prod_{j<k} lam_j
+    e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
+    # the first block [v_0, .., v_255] by doubling [V, T^j V]; step = T^256
+    V, step = e0.conj()[:, None], _compressed_shift(lam)
+    while V.shape[1] < _SERIES_BLOCK:
+        V, step = np.hstack((V, step @ V)), step @ step
+
+    def term(ks):  # _series passes blocks of _SERIES_BLOCK indices in order
+        nonlocal V
+        if ks[0]:
+            V = step @ V
+        piece = (V * kernel_diagonal(space, ks)) @ V.conj().T
+        return piece, float(np.trace(piece).real)
+
+    S = sum(_series(term, 0, _SERIES_TOL))
+    return 0.5 * (S + S.conj().T)
 
 
 def _initial_degree(sigma: SigmaSet) -> int:
@@ -158,32 +203,23 @@ def projection_operator_norm(
     sigma: SigmaSet,
     coarse: int = _CIRCLE_GRID,
     top: int = _POLISH_PEAKS,
-    basis: MalmquistBasis | None = None,
 ) -> float:
     """Exact norm of the interpolation operator from the space into H^inf.
 
     For fixed z the functional f |-> (Tf)(z) has dual norm
-    sqrt(conj(e(z))^H S conj(e(z))) with S the kernel-weighted Gram of the
-    basis coefficients; the sup over the closed disc sits on the circle
-    and is located on a ``coarse``-point grid, then polished by golden
-    section at the ``top`` tallest grid peaks together, each polish step
-    evaluating the exact rational basis at one angle per peak.
+    sqrt(e(z)^T S conj(e(z))) with S the kernel-weighted Gram of the
+    basis coefficients (_malmquist_gram) and e(z) the exact rational basis
+    values; the sup over the closed disc sits on the circle and is
+    located on a ``coarse``-point grid, then polished by golden section at
+    the ``top`` tallest grid peaks together, one angle per peak per step.
     Every value returned bounds the interpolation constant of sigma from
     above, because Tf interpolates f.
     """
-    if basis is None:
-        basis = malmquist_basis(sigma)
-    E = basis.coeff_matrix()  # (n, N+1)
-    kap = kernel_diagonal(space, np.arange(E.shape[1]))
-    S = (E.conj() * kap) @ E.T  # S_kl = sum_m kappa_m conj(E_km) E_lm
+    S = _malmquist_gram(space, sigma)
 
-    def dual_sq(zs: np.ndarray) -> np.ndarray:
-        vals = basis.eval(zs)  # (n, M)
+    def fn(ts: np.ndarray) -> np.ndarray:
+        vals = _basis_values(sigma, np.exp(1j * ts))  # (n, M)
         return np.real(np.einsum("km,kl,lm->m", vals, S, vals.conj()))
 
     thetas = 2.0 * np.pi * np.arange(coarse) / coarse
-
-    def fn(ts: np.ndarray) -> np.ndarray:
-        return dual_sq(np.exp(1j * ts))
-
     return float(np.sqrt(_polished_max(fn(thetas), thetas, fn, top)))

@@ -5,6 +5,7 @@ import pytest
 
 from discinterp import (
     BoundReport,
+    CoeffSeries,
     SigmaSet,
     SweepRow,
     UnsupportedSpace,
@@ -12,11 +13,14 @@ from discinterp import (
     bound_sweep,
     bounds,
     carleson_constant,
+    compose_with_blaschke,
     eval_functional_norm,
     extremal,
     fejer_kernel,
     hardy,
     interp_constant,
+    jet_values,
+    malmquist_basis,
     min_norm_trace,
     norm,
     projection_operator_norm,
@@ -286,10 +290,12 @@ class TestInterpConstant:
 
     @pytest.mark.parametrize("points", [(0.3, -0.5, 0.2j), (0.3, -0.4 + 0.2j, 0.3, 0.1j, 0.3)])
     def test_one_step_cap_returns_best_start(self, monkeypatch, points):
+        # each start b is scored by the jet route: the jet of g = sum_k b_k e_k
         space, sigma = hardy(2), SigmaSet(points)
+        E = malmquist_basis(sigma).coeff_matrix()
         best_start = 0.0
-        for a in bounds._jet_starts(sigma.n, 6, 3):
-            res = min_norm_trace(space, sigma, a)
+        for b in bounds._starts(sigma.n, 6, 3):
+            res = min_norm_trace(space, sigma, jet_values(CoeffSeries(b @ E), sigma))
             best_start = max(
                 best_start, quotient_norm(res.interpolant, sigma).value / res.norm
             )
@@ -300,17 +306,51 @@ class TestInterpConstant:
 
     def test_factors_nodes_once_per_call(self, monkeypatch):
         calls = []
-        factor = bounds._pick_factor
+        factor = bounds._malmquist_factor
 
         def counted(nodes):
             calls.append(nodes)
             return factor(nodes)
 
-        monkeypatch.setattr(bounds, "_pick_factor", counted)
+        monkeypatch.setattr(bounds, "_malmquist_factor", counted)
         interp_constant(hardy(2), SigmaSet((0.3, -0.5, 0.2j)), budget=4, seed=1)
         assert len(calls) == 1
         interp_constant(hardy(2), SigmaSet((0.3,) * 3), budget=2)
         assert len(calls) == 2
+
+
+    @pytest.mark.parametrize("lam", [0.5, 0.3 - 0.6j, 0.9j, 0.0])
+    def test_witness_start_is_the_projected_transplant(self, monkeypatch, lam):
+        # the closed-form start equals the Malmquist coordinates of W o b_lam
+        n, starts = 6, []
+        monkeypatch.setattr(bounds, "_ascend", lambda f, xs, u, d: starts.extend(xs) or 0.0)
+        E = malmquist_basis(SigmaSet((lam,) * n)).coeff_matrix()
+        for space in (hardy(2), seq_weighted(2, 1.5)):
+            starts.clear()
+            interp_constant(space, SigmaSet((lam,) * n), budget=2)
+            f = compose_with_blaschke(bounds._witness(space, lam, n), lam)
+            m = min(E.shape[1], len(f))
+            coords = E[:, :m].conj() @ f.coeffs[:m]
+            assert np.max(np.abs(starts[0] - coords / np.linalg.norm(coords))) <= 1e-14
+
+
+class TestHighMultiplicity:
+    """One repeated point up to n = 32, where jet coordinates lose all accuracy."""
+
+    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5)])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+    def test_witness_estimate_operator_norm_and_growth(self, space, r):
+        previous = 0.0
+        for n in (2, 4, 8, 12, 16, 24, 32):
+            sigma = SigmaSet((complex(r),) * n)
+            witness = witness_lower_bound(space, complex(r), n)
+            est = interp_constant(space, sigma, budget=4)
+            top = projection_operator_norm(space, sigma)
+            assert witness <= est * (1 + 1e-9), (n, witness, est)
+            assert est <= top * (1 + 1e-9), (n, est, top)
+            # more conditions can only raise the constant
+            assert est >= previous, (n, previous, est)
+            previous = est
 
 
 class TestSweep:
@@ -338,8 +378,12 @@ class TestSweep:
             assert row.witness == witness_lower_bound(space, complex(row.r), row.n)
             # the unrotated witness (lam = 0) is the Fejer kernel power, bitwise
             base = series_power(fejer_kernel(row.n), m)
-            assert np.array_equal(bounds._witness(space, 0j, row.n)[0].coeffs, base.coeffs)
+            assert np.array_equal(bounds._witness(space, 0j, row.n).coeffs, base.coeffs)
 
     def test_slope_near_half_for_hardy2(self):
         res = bound_sweep(hardy(2), [4, 8, 16, 32], [0.5])
         assert res.slope_witness == pytest.approx(0.5, abs=0.15)
+
+    def test_estimate_slope_near_half_for_hardy2(self):
+        res = bound_sweep(hardy(2), [8, 16, 32], [0.9], budget=4, estimate_cap=32)
+        assert res.slope_estimate == pytest.approx(0.5, abs=0.05)

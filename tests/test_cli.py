@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from discinterp import IllConditionedWarning
 from discinterp.cli import build_parser, main, read_sigma_file, run
 
 MINIMAL = {
@@ -203,7 +205,6 @@ class TestRunConfig:
         assert ns.command == command
         assert getattr(ns, "budget", None) == self.BUDGETS.get(command)
         assert ns.seed == 0
-        assert ns.tol == 1e-8
 
 
 class TestSharedParser:
@@ -240,14 +241,43 @@ class TestSharedParser:
 
     def test_options_do_not_leak_into_the_next_call(self, tmp_path):
         first = ["constant", "--sigma", "0.5", "--budget", "3", "--seed", "5",
-                 "--tol", "1e-3", "--space", "seq", "--alpha", "2", "--reproducible"]
+                 "--space", "seq", "--alpha", "2", "--reproducible"]
         assert main(first + ["--format", "json", "--output", str(tmp_path / "a")]) == 0
         code, out = run_to_file(tmp_path, "b.csv", ["constant", "--sigma", "0.5"])
         assert code == 0
         meta, _, rows = parse_csv(out)
         assert rows[0]["budget"] == "32"
-        assert (meta["seed"], meta["tol"], meta["space"]) == ("0", "1e-08", "H^2")
+        assert (meta["seed"], meta["space"]) == ("0", "H^2")
         assert "generated" in meta
+
+    # one point of multiplicity 12 near the circle: its jet Gram matrix is
+    # nearly singular, and the estimator must not depend on it
+    REPEATED = ["constant", "--sigma", ",".join(["0.9"] * 12), "--budget", "2",
+                "--reproducible"]
+
+    def test_repeated_call_gives_the_same_artifact_and_no_warning(self, capsys):
+        outs = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                assert main(self.REPEATED) == 0
+                outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert [w for w in caught if issubclass(w.category, IllConditionedWarning)] == []
+
+    def test_repeated_call_in_one_process_writes_the_same_streams(self):
+        # pytest captures warnings, so stderr is compared in a plain process
+        code = (f"from discinterp.cli import main\n"
+                f"for _ in range(2):\n    main({self.REPEATED!r})\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stderr == ""
+        half = len(proc.stdout) // 2
+        assert proc.stdout[:half] == proc.stdout[half:]
+        assert proc.stdout.startswith("# discinterp")
 
     @pytest.mark.parametrize("bad", [
         ["constant", "--sigma", "0.5", "--space", "seq"],  # CliError, returned

@@ -8,12 +8,15 @@ from discinterp import (
     blaschke_coeffs,
     cauchy_pairing,
     bernstein_ratio,
+    bergman_radial,
     dirichlet_kernel,
     eval_series,
     fejer_kernel,
     hardy,
     jet_values,
+    kernel_diagonal,
     malmquist_basis,
+    modelspace,
     norm,
     project,
     projection_operator_norm,
@@ -178,11 +181,40 @@ class TestOperatorNorm:
         got = projection_operator_norm(hardy(2), SigmaSet((0.0, 0.0)))
         assert got == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
+    def test_stein_gram_matches_truncated_basis(self, rng):
+        # S_kl = sum_m kappa_m conj(E_km) E_lm from T_B alone, against the coefficients
+        spaces = (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1.0), bergman_radial(2, -0.5))
+        for i in range(12):
+            sigma = random_sigma(rng, n_max=8, r_max=0.9)
+            if i % 2 and sigma.n > 1:  # a repeated node
+                sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
+            E = malmquist_basis(sigma).coeff_matrix()
+            for space in spaces:
+                want = (E.conj() * kernel_diagonal(space, np.arange(E.shape[1]))) @ E.T
+                got = modelspace._malmquist_gram(space, sigma)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_near_circle_needs_no_truncated_basis(self):
+        # on H^2 the squared dual norm at z on the circle is |B'(z)|
+        lam = np.array([0.9999, -0.9999j, 0.3, 0.3])
+        sigma = SigmaSet(tuple(lam))
+        with pytest.raises(TruncationError):
+            malmquist_basis(sigma)
+        zs = np.exp(1j * np.concatenate((np.linspace(-1e-3, 1e-3, 200001),
+                                         -np.pi / 2 + np.linspace(-1e-3, 1e-3, 200001))))
+        b_prime = (1 - np.abs(lam[:, None]) ** 2) / np.abs(zs - lam[:, None]) ** 2
+        want = np.sqrt(np.max(np.sum(b_prime, axis=0)))
+        got = projection_operator_norm(hardy(2), sigma)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(141.43, rel=1e-4)
+        seq = projection_operator_norm(seq_weighted(2, 1.5), sigma)
+        assert np.isfinite(seq) and seq == pytest.approx(10003.7, rel=1e-5)
+
     def test_dominates_observed_ratios(self, rng):
         for space in (hardy(2), seq_weighted(2, 1.5)):
             sigma = random_sigma(rng, n_max=4, r_max=0.7)
             basis = malmquist_basis(sigma)
-            top = projection_operator_norm(space, sigma, basis=basis)
+            top = projection_operator_norm(space, sigma)
             for _ in range(8):
                 f = random_poly(rng, 14)
                 ratio = norm(hardy(np.inf), project(basis, f)) / norm(space, f)
