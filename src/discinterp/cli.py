@@ -9,6 +9,7 @@ stochastic searches are fully determined by --seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import functools
 import json
@@ -22,7 +23,6 @@ from . import __version__
 from .errors import (
     DegenerateNodes,
     Divergence,
-    NotHilbert,
     PoleOnDomain,
     TruncationError,
     UnsupportedSpace,
@@ -44,7 +44,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex_token(tok: str) -> complex:
-    return complex(tok.strip().replace("i", "j"))
+    z = complex(tok.strip().replace("i", "j"))
+    if not cmath.isfinite(z):
+        raise ValueError(f"{tok.strip()!r} is not a finite number")
+    return z
+
+
+def _budget(tok: str) -> int:
+    if not tok.strip().isdecimal() or int(tok) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {tok!r}")
+    return int(tok)
 
 
 def _parse_list(text: str, what: str, cast) -> tuple:
@@ -294,16 +303,16 @@ def run(args: argparse.Namespace) -> int:
     """Run ``args.run`` and write its ``args.columns`` table (both set in build_parser)."""
     try:
         _emit(args, *args.run(args))
-    except (CliError, DegenerateNodes, NotHilbert,
-            UnsupportedSpace, PoleOnDomain, ValueError) as exc:
-        print(f"discinterp {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+    # first: np.linalg.LinAlgError is a ValueError
     except (TruncationError, Divergence, np.linalg.LinAlgError) as exc:
         print(
             f"discinterp {args.command}: numerical failure: {exc} (seed={args.seed})",
             file=sys.stderr,
         )
         return 2
+    except (ValueError, DegenerateNodes, UnsupportedSpace, PoleOnDomain) as exc:
+        print(f"discinterp {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -376,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("carleson", help="worst unit-data interpolation (lower estimate)")
     sub.set_defaults(run=_run_carleson, columns=("value", "n", "budget"))
     _add_sigma_options(sub)
-    sub.add_argument("--budget", type=int, default=64)
+    sub.add_argument("--budget", type=_budget, default=64)
     _add_output_options(sub)
 
     sub = subs.add_parser("constant", help="interpolation constant estimate")
     sub.set_defaults(run=_run_constant, columns=("value", "n", "r", "budget"))
     _add_sigma_options(sub)
     _add_space_options(sub)
-    sub.add_argument("--budget", type=int, default=32)
+    sub.add_argument("--budget", type=_budget, default=32)
     _add_output_options(sub)
 
     sub = subs.add_parser("bounds", help="closed-form bound formulas for one (n, r)")
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_options(sub)
     sub.add_argument("--n-grid", required=True)
     sub.add_argument("--r-grid", required=True)
-    sub.add_argument("--budget", type=int, default=16)
+    sub.add_argument("--budget", type=_budget, default=16)
     sub.add_argument("--estimate-cap", type=int, default=0,
                      help="run the constant estimator for n up to this cap")
     _add_output_options(sub)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .extremal import _compressed_shift
-from .series import CoeffSeries, SigmaSet
+from .series import CoeffSeries, SigmaSet, _basis_values
 from .spaces import (
     _CIRCLE_GRID,
     _POLISH_PEAKS,
@@ -71,18 +71,6 @@ class MalmquistBasis:
     def eval(self, z) -> np.ndarray:
         """Exact rational values e_k(z); shape (n, len(z))."""
         return _basis_values(self.sigma, z)
-
-
-def _basis_values(sigma: SigmaSet, z) -> np.ndarray:
-    """e_k(z) from the rational formula, for every k; shape (n, len(z))."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty((sigma.n, zs.size), dtype=complex)
-    running = np.ones_like(zs)
-    for k, lam in enumerate(sigma.points):
-        cl = np.conj(lam)
-        out[k] = np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - cl * zs) * running
-        running = running * (lam - zs) / (1.0 - cl * zs)
-    return out
 
 
 def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:

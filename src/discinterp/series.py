@@ -263,8 +263,8 @@ class SigmaSet:
         if not pts:
             raise ValueError("sigma must contain at least one point")
         for p in pts:
-            if abs(p) >= 1.0:
-                raise PoleOnDomain(f"sigma point |{p}| >= 1")
+            if not abs(p) < 1.0:  # also catches NaN
+                raise PoleOnDomain(f"sigma point {p} is not in the open unit disc")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -314,6 +314,18 @@ class SigmaSet:
     def rotated(self, theta: float) -> "SigmaSet":
         w = np.exp(1j * theta)
         return SigmaSet(tuple(w * p for p in self.points))
+
+
+def _basis_values(sigma: SigmaSet, z) -> np.ndarray:
+    """e_k(z) from the rational formula, for every k; shape (n, len(z))."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty((sigma.n, zs.size), dtype=complex)
+    running = np.ones_like(zs)
+    for k, lam in enumerate(sigma.points):
+        cl = np.conj(lam)
+        out[k] = np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - cl * zs) * running
+        running = running * (lam - zs) / (1.0 - cl * zs)
+    return out
 
 
 def _falling(ks: np.ndarray, d: int) -> np.ndarray:

@@ -430,12 +430,11 @@ class MinNormResult:
 def _inverse_factor(G: np.ndarray) -> np.ndarray:
     """R with R^H R = G^-1 for a Hermitian Gram matrix G.
 
-    Normally R = L^-1 with G = L L^H the Cholesky factorisation, found row
-    by row by forward substitution.  When G is not numerically positive
-    definite, R = diag(w^-1/2) V^H over the eigenpairs (w, V) of G with w
-    above _COND_FLOOR times the largest, so R^H R is the pseudo-inverse
-    that drops the near-null directions.  Raises ValueError when G holds
-    a NaN or an infinity.
+    Normally R = L^-1 with G = L L^H the Cholesky factorisation.  When G
+    is not numerically positive definite, R = diag(w^-1/2) V^H over the
+    eigenpairs (w, V) of G with w above _COND_FLOOR times the largest, so
+    R^H R is the pseudo-inverse that drops the near-null directions.
+    Raises ValueError when G holds a NaN or an infinity.
     """
     if not np.all(np.isfinite(G)):
         # np.linalg.cholesky would return NaNs instead of raising
@@ -446,11 +445,9 @@ def _inverse_factor(G: np.ndarray) -> np.ndarray:
         w, V = np.linalg.eigh(G)
         keep = w > _COND_FLOOR * max(w[-1], 0.0)
         return V[:, keep].conj().T / np.sqrt(w[keep])[:, None]
-    R = np.zeros_like(L)
-    for i in range(L.shape[0]):  # row i of L R = I
-        R[i, i] = 1.0
-        R[i] = (R[i] - L[i, :i] @ R[:i]) / L[i, i]
-    return R
+    # L^T is upper triangular, so the LU inside inv exchanges no rows and the
+    # inverse is a back substitution; inv(L) pivots and fills the upper part
+    return np.linalg.inv(L.T).T
 
 
 def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:

@@ -322,6 +322,44 @@ class TestValidation:
         )
         assert code == 2
 
+    def test_linalg_error_is_numerical_failure(self, capsys):
+        # np.linalg.LinAlgError is a ValueError, yet it must not exit 1
+        def failing(args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        args = build_parser().parse_args(["cs", "--coeffs", "1"])
+        args.run = failing
+        assert run(args) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--sigma", "nan"],
+        ["pick", "--nodes", "0,0.5", "--values", "0,nan"],
+        ["cs", "--coeffs", "1,nan"],
+        ["quotient", "--coeffs", "1,nan", "--sigma", "0.5"],
+        ["basis", "--sigma", "nan"],
+    ])
+    def test_non_finite_input_is_validation_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"discinterp {argv[0]}: error: cannot parse")
+
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--sigma", "0.5", "--budget", "-3"],
+        ["carleson", "--sigma", "0.5", "--budget", "0"],
+        ["sweep", "--n-grid", "2", "--r-grid", "0.5", "--budget", "0"],
+    ])
+    def test_budget_below_one_is_validation_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"discinterp {argv[0]}: error: argument --budget")
+
     def test_dual_weight_peak_out_of_reach_exit_code(self, capsys):
         # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8
         argv = ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",

@@ -27,6 +27,7 @@ from discinterp import (
     projection_operator_norm,
     quotient_norm,
 )
+from discinterp.series import _basis_values
 
 from conftest import random_poly, random_sigma
 
@@ -154,6 +155,58 @@ class TestPick:
             PickProblem(nodes3, tuple(eval_series(f, z) for z in nodes3))
         ).value
         assert v3 >= v2 - 1e-8
+
+    def test_rejects_repeated_and_non_finite_nodes(self):
+        with pytest.raises(DegenerateNodes):
+            pick_min_norm(PickProblem((0.3, -0.2, 0.3), (0.0, 1.0, 0.5)))
+        with pytest.raises(DegenerateNodes):
+            PickProblem((0.3, complex("nan")), (0.0, 1.0))
+
+
+class TestPickFactor:
+    """The data map C^-1 diag(w) C from the Malmquist values C[j, k] = e_k(lam_j)."""
+
+    def test_value_is_classical_pick_value(self, rng):
+        # least sup-norm^2 = lambda_max(P^-1 W P W^H), P the Cauchy matrix, W = diag(w)
+        for _ in range(40):
+            sigma = random_sigma(rng, n_max=6, r_max=0.9, distinct=True)
+            lam, n = np.array(sigma.points), sigma.n
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            cauchy = 1.0 / (1.0 - np.outer(lam, lam.conj()))
+            top = np.linalg.eigvals(np.linalg.solve(cauchy, w[:, None] * cauchy * w.conj()))
+            want = np.sqrt(np.max(top.real))
+            got = pick_min_norm(PickProblem(sigma.points, tuple(w))).value
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_malmquist_values_factor_the_cauchy_matrix(self, rng):
+        for _ in range(40):
+            sigma = random_sigma(rng, n_max=6, r_max=0.9, distinct=True)
+            lam = np.array(sigma.points)
+            C = _basis_values(sigma, lam).T
+            cauchy = 1.0 / (1.0 - np.outer(lam, lam.conj()))
+            assert np.array_equal(C, np.tril(C))
+            assert np.max(np.abs(C @ C.conj().T - cauchy)) <= 1e-13 * np.max(np.abs(cauchy))
+
+    def test_unit_data_with_a_close_pair(self, rng):
+        # data e_i: the least interpolant is B_i / B_i(lam_i), B_i the Blaschke
+        # product of the other nodes, so the value is 1 / |B_i(lam_i)|
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            nodes = np.array(random_sigma(rng, n=n, r_max=0.9, distinct=True).points)
+            nodes[1] = nodes[0] + 10 ** rng.uniform(-6, -3) * np.exp(2j * np.pi * rng.uniform())
+            for i in range(n):
+                others = np.delete(nodes, i)
+                pseudo = np.abs((others - nodes[i]) / (1.0 - others.conj() * nodes[i]))
+                value = pick_min_norm(PickProblem(tuple(nodes), tuple(np.eye(n)[i]))).value
+                assert value == pytest.approx(1.0 / np.prod(pseudo), rel=1e-13)
+
+    def test_closed_form_norms_match_svd(self, rng):
+        for _ in range(40):
+            sigma = random_sigma(rng, n_max=8, r_max=0.9, distinct=True)
+            n = sigma.n
+            stack, norms = extremal._pick_factor(sigma.points)
+            svd = np.linalg.norm(stack.reshape(n, n, n), 2, axis=(1, 2))
+            assert np.max(np.abs(norms - svd) / svd) <= 1e-13
 
 
 class TestCaratheodorySchur:

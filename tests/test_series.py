@@ -221,6 +221,11 @@ class TestSigmaSet:
         with pytest.raises(PoleOnDomain):
             SigmaSet((1.0,))
 
+    def test_rejects_non_finite_point(self):
+        for p in (complex("nan"), complex("inf"), complex(0.1, float("nan"))):
+            with pytest.raises(PoleOnDomain):
+                SigmaSet((0.5, p))
+
 
 class TestGeometricDivision:
     @pytest.mark.parametrize("a", [0.0, 0.3, -0.5 + 0.5j, 0.99j, 0.9999])

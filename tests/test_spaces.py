@@ -342,7 +342,7 @@ class TestInverseFactor:
         assert np.max(np.abs(R.conj().T @ R @ G - np.eye(4))) <= 1e-10
 
     def test_matches_triangular_solve_when_well_conditioned(self, rng):
-        # the forward substitution against scipy's Cholesky and triangular solve
+        # the inverse Cholesky factor against scipy's Cholesky and triangular solve
         eps = np.finfo(float).eps
         for space in (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1.0)):
             for t in range(20):
