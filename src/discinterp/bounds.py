@@ -12,10 +12,12 @@ T_B: the stack e_k(T_B) and the Stein-sum Gram S of the coordinates.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), antipodally
-rotated and transplanted to the target point by composition with the
-Blaschke involution.  Closed-form two-sided bound formulas are emitted
-alongside, with honest "order-only" flags where the underlying constants
-are not numeric.
+rotated and transplanted to the target point by the Blaschke involution.
+The norm of the transplant W o b_lam is summed from its exact Malmquist
+coordinates over the zeros (lam,)*deg W + (0,): nothing is composed or
+truncated.  Closed-form two-sided bound formulas are emitted alongside,
+with honest "order-only" flags where the underlying constants are not
+numeric.
 """
 
 from __future__ import annotations
@@ -25,17 +27,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotHilbert, UnsupportedSpace
+from .errors import NotHilbert, PoleOnDomain, UnsupportedSpace
 from .extremal import _ascend, _malmquist_factor, cs_min_norm
-from .modelspace import _malmquist_gram
-from .series import (
-    CoeffSeries,
-    SigmaSet,
-    _div_geometric,
-    compose_with_blaschke,
-    fejer_kernel,
-    series_power,
-)
+from .modelspace import _malmquist_gram, _malmquist_series
+from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
 from . import spaces as _sp
 
 __all__ = [
@@ -144,22 +139,43 @@ def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> CoeffSeries:
     return CoeffSeries(base.coeffs * eta ** np.arange(len(base)))
 
 
+def _witness_coords(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSeries, np.ndarray]:
+    """The witness W and h_0..h_m of h = W / (1 - conj(lam) z), m = deg W.
+
+    W o b_lam = sum_k s h_k e_k over the Malmquist basis of (lam, lam, ..),
+    s = sqrt(1 - |lam|^2), so its projection onto the model space of
+    (lam,)*n has the coordinates s h_0..s h_(n-1).  Past m, h_k = h_m
+    conj(lam)^(k-m) and the tail sums to h_m b_lam^m, so over the zeros
+    (lam,)*m + (0,) the coordinates are s h_k (k < m) and h_m, exactly.
+    """
+    W = _witness(space, lam, n)
+    return W, _div_geometric(W.coeffs, np.conj(lam))
+
+
 def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     """Certified lower bound for the interpolation constant of sigma_{lam,n}.
 
     The witness is K_n^m, the m-th power of the analytic Fejer kernel
     (coefficients 1 - k/n for k < n, m = 2*alpha - 1), rotated so its
-    boundary peak faces away from lam, then composed with b_lam.  The
+    boundary peak faces away from lam, then transplanted by b_lam.  The
     returned quotient/norm ratio is a valid lower bound for any witness;
     the rotation is what makes it grow at the proved (n/(1-r))-power rate.
     The involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the
-    quotient norm is the Taylor-jet norm of the rotated witness.
+    quotient norm is the Taylor-jet norm of the rotated witness.  The norm
+    of W o b_lam is that of its Taylor series, summed by _malmquist_series
+    from its exact Malmquist coordinates (_witness_coords).
     """
     if n < 1:
         raise ValueError("multiplicity must be >= 1")
     lam = complex(lam)
-    W = _witness(space, lam, n)
-    f = compose_with_blaschke(W, lam) if lam != 0 else W  # radial norm: W(-z) = W
+    if not abs(lam) < 1.0:  # also catches NaN
+        raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
+    W, h = _witness_coords(space, lam, n)
+    if lam == 0:
+        f = W  # radial norm: W(-z) = W
+    else:
+        b = np.append(math.sqrt(1.0 - abs(lam) ** 2) * h[:-1], h[-1])
+        f = _malmquist_series(SigmaSet((lam,) * (len(h) - 1) + (0,)), b)
     return cs_min_norm(W.coeffs[:n]).value / _sp.norm(space, f)
 
 
@@ -205,24 +221,16 @@ def interp_constant(
     lam = sigma.single_point()
     if lam is not None:
         try:
-            W = _witness(space, lam, n)
+            _, h = _witness_coords(space, lam, n)
         except UnsupportedSpace:
             pass
         else:
-            # U h = s h(b_lam) / (1 - conj(lam) z) is unitary on H^2 with
-            # U z^k = e_k, and W o b_lam = U h for h = s W / (1 - conj(lam) z):
-            # the coordinates are h's first n coefficients (s cancels below)
-            b = _div_geometric(W.coeffs[:n], np.conj(lam))
-            starts.insert(0, b / np.linalg.norm(b))
+            starts.insert(0, h[:n] / np.linalg.norm(h[:n]))
     return _ascend(factor, starts, gram_step, denominator)
 
 
 def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
-    starts: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0
-        starts.append(e)
+    starts = list(np.eye(n, dtype=complex))
     starts.append(np.ones(n, dtype=complex) / math.sqrt(n))
     starts.append(np.array([(-1.0) ** k for k in range(n)], dtype=complex) / math.sqrt(n))
     rng = np.random.default_rng(seed)

@@ -8,15 +8,16 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
 projects onto span(e_k) through the coefficient pairing
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
-sigma.  The kernel-weighted Gram of the basis coefficients is a Stein sum
-in the compressed shift T_B, so the operator norm needs no truncated
-basis; derivative operator norms on K_B are read off Gram matrices of
-differentiated basis series.
+sigma.  The kernel-weighted Gram of the basis coefficients and the Taylor
+series of any sum_k b_k e_k are sums over powers of the compressed shift
+T_B, so neither needs a truncated basis; derivative operator norms on K_B
+are read off Gram matrices of differentiated basis series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -73,32 +74,53 @@ class MalmquistBasis:
         return _basis_values(self.sigma, z)
 
 
-def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
-    """S_kl = sum_m kappa_m conj(E_km) E_lm, E[k, m] the m-th coefficient of e_k.
+def _stein_blocks(points) -> Iterator[np.ndarray]:
+    """Blocks [v_k, .., v_(k+255)], k = 0, 256, .., of v_m = T_B^m conj(e(0)).
 
-    Column m of E is conj(T_B)^m e(0), so S is the Stein sum
-    sum_m kappa_m v_m v_m^H with v_m = T_B^m conj(e(0)), summed by _series
-    from T_B alone: nothing is truncated.  The least X-norm of an f whose
-    projection onto K_B has the coordinates b is sqrt(b^H S^-1 b).  On
-    H^2, S is the identity.
+    Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m).  The
+    first block is built by doubling [V, T^j V] and each later one is T^256
+    times the one before, so the series over E need T_B alone.
     """
-    lam = np.asarray(sigma.points)
+    lam = np.asarray(points, dtype=complex)
     # e_k(0) = s_k prod_{j<k} lam_j
     e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
-    # the first block [v_0, .., v_255] by doubling [V, T^j V]; step = T^256
     V, step = e0.conj()[:, None], _compressed_shift(lam)
     while V.shape[1] < _SERIES_BLOCK:
         V, step = np.hstack((V, step @ V)), step @ step
+    while True:
+        yield V
+        V = step @ V
+
+
+def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
+    """S_kl = sum_m kappa_m conj(E_km) E_lm, the Stein sum sum_m kappa_m v_m v_m^H.
+
+    The least X-norm of an f whose projection onto K_B has the coordinates
+    b is sqrt(b^H S^-1 b).  On H^2, S is the identity.
+    """
+    blocks = _stein_blocks(sigma.points)
 
     def term(ks):  # _series passes blocks of _SERIES_BLOCK indices in order
-        nonlocal V
-        if ks[0]:
-            V = step @ V
+        V = next(blocks)
         piece = (V * kernel_diagonal(space, ks)) @ V.conj().T
         return piece, float(np.trace(piece).real)
 
     S = sum(_series(term, 0, _SERIES_TOL))
     return 0.5 * (S + S.conj().T)
+
+
+def _malmquist_series(sigma: SigmaSet, b: np.ndarray) -> CoeffSeries:
+    """Taylor series of sum_k b_k e_k, cut by the tail rule of every kernel series.
+
+    Coefficient m is b^T conj(v_m); conj(v_m) is v_m of the conjugate node set.
+    """
+    blocks = _stein_blocks(np.conj(sigma.points))
+
+    def term(ks):  # one block per call, as in _malmquist_gram
+        piece = b @ next(blocks)
+        return piece, float(np.vdot(piece, piece).real)
+
+    return CoeffSeries(np.concatenate(_series(term, 0, _SERIES_TOL)))
 
 
 def _initial_degree(sigma: SigmaSet) -> int:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PoleOnDomain, TruncationError
+from .errors import PoleOnDomain
 
 __all__ = [
     "CoeffSeries",
@@ -33,14 +33,6 @@ __all__ = [
     "derivative",
     "jet_values",
 ]
-
-#: default truncation degree for adaptive compositions
-TRUNC_DEFAULT = 1024
-#: hard cap on adaptive truncation degrees
-TRUNC_MAX = 1 << 17
-#: tail-to-head norm ratio at which an adaptive composition stops doubling
-_COMPOSE_TAIL_TOL = 1e-12
-
 
 class CoeffSeries:
     """Finite Taylor series sum_k c_k z^k with immutable coefficients."""
@@ -154,49 +146,27 @@ def blaschke_coeffs(zeros: Sequence[complex], n_trunc: int) -> CoeffSeries:
     return CoeffSeries(coeffs)
 
 
-def compose_with_blaschke(f: CoeffSeries, lam: complex, n_out: int | None = None) -> CoeffSeries:
+def compose_with_blaschke(f: CoeffSeries, lam: complex, n_out: int) -> CoeffSeries:
     """Taylor coefficients of f(b_lam(z)) up to degree n_out.
 
     Horner's rule in b_lam, acc <- acc * b_lam + f_j from the top
     coefficient down, on a vector of n_out + 1 coefficients.  Truncating
     each product loses nothing below degree n_out + 1, so the result is
     exact on its prefix up to rounding: nothing is sampled or clipped.
-
-    With n_out=None the degree starts at TRUNC_DEFAULT and doubles until
-    the tail (top half) carries at most _COMPOSE_TAIL_TOL = 1e-12 of the
-    head's norm, or raises TruncationError past TRUNC_MAX; the result is
-    then trimmed of trailing coefficients below eps times its norm, the
-    rounding level of the recurrence.
+    No library path composes: the witness transplant is read from its
+    Malmquist coordinates (bounds.witness_lower_bound).
     """
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise PoleOnDomain(f"Blaschke zero |{lam}| >= 1")
-
-    adaptive = n_out is None
-    n_cur = TRUNC_DEFAULT if adaptive else int(n_out)
-    if n_cur < 0:
+    if n_out < 0:
         raise ValueError("n_out must be nonnegative")
-
-    while True:
-        acc = np.zeros(n_cur + 1, dtype=complex)
-        acc[0] = f.coeffs[-1]
-        for c in f.coeffs[-2::-1]:
-            acc = _mul_blaschke(acc, lam)
-            acc[0] += c
-
-        if not adaptive:
-            return CoeffSeries(acc)
-
-        head = np.linalg.norm(acc[: (n_cur + 1) // 2])
-        tail = np.linalg.norm(acc[(n_cur + 1) // 2 :])
-        if tail <= _COMPOSE_TAIL_TOL * max(head, 1e-300):
-            return CoeffSeries(acc).trimmed(tol=np.finfo(float).eps * np.linalg.norm(acc))
-        n_cur *= 2
-        if n_cur > TRUNC_MAX:
-            raise TruncationError(
-                f"composition with b_{lam} does not reach tail tolerance "
-                f"{_COMPOSE_TAIL_TOL} below degree {TRUNC_MAX}"
-            )
+    acc = np.zeros(int(n_out) + 1, dtype=complex)
+    acc[0] = f.coeffs[-1]
+    for c in f.coeffs[-2::-1]:
+        acc = _mul_blaschke(acc, lam)
+        acc[0] += c
+    return CoeffSeries(acc)
 
 
 def hadamard_product(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:

@@ -84,11 +84,11 @@ class SpaceSpec:
         if not (1.0 <= self.p):
             raise UnsupportedSpace("p must satisfy 1 <= p <= inf")
         if self.family == "seq":
-            if self.alpha is None or self.alpha < 1.0:
-                raise UnsupportedSpace("sequence-space weight needs alpha >= 1")
+            if self.alpha is None or not (1.0 <= self.alpha < np.inf):  # NaN fails
+                raise UnsupportedSpace("sequence-space weight needs a finite alpha >= 1")
         if self.family == "bergman":
-            if self.beta is None or self.beta <= -1.0:
-                raise UnsupportedSpace("radial Bergman weight needs beta > -1")
+            if self.beta is None or not (-1.0 < self.beta < np.inf):
+                raise UnsupportedSpace("radial Bergman weight needs a finite beta > -1")
 
     @property
     def is_hilbert(self) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from discinterp import (
     BoundReport,
     CoeffSeries,
+    PoleOnDomain,
     SigmaSet,
     SweepRow,
     UnsupportedSpace,
@@ -14,6 +15,7 @@ from discinterp import (
     bounds,
     carleson_constant,
     compose_with_blaschke,
+    cs_min_norm,
     eval_functional_norm,
     extremal,
     fejer_kernel,
@@ -137,12 +139,41 @@ class TestWitness:
         base = di.hadamard_product(di.dirichlet_kernel(n), di.fejer_kernel(n))
         eta = -1.0
         W = di.CoeffSeries(base.coeffs * eta ** np.arange(n))
-        f = di.compose_with_blaschke(W, lam)
+        f = di.compose_with_blaschke(W, lam, n_out=1 << 12)
         gram = np.fromfunction(
             lambda j, k: np.where(j >= k, lam ** (j - k), lam ** (k - j)), (n, n)
         )
         oracle = np.sqrt(np.real(W.coeffs.conj() @ gram @ W.coeffs))
         assert norm(hardy(2), f) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5), seq_weighted(2, 2)])
+    def test_matches_composition_at_fixed_length(self, rng, space):
+        # the norm of the Malmquist series against W o b_lam composed to degree 2^15
+        for n in range(1, 25):
+            lam = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            W = bounds._witness(space, lam, n)
+            composed = compose_with_blaschke(W, lam, n_out=1 << 15)
+            want = cs_min_norm(W.coeffs[:n]).value / norm(space, composed)
+            assert witness_lower_bound(space, lam, n) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lam, n, value", [(0.999, 32, 25.65357973), (0.9999, 4, 4.02902838)])
+    def test_near_circle_h2_matches_coordinate_sum(self, lam, n, value):
+        # ||W o b_lam||_2^2 = s^2 sum_k |h_k|^2 with h = W / (1 - conj(lam) z);
+        # past m = deg W, h_k = h_m conj(lam)^(k-m), so the terms from m sum to |h_m|^2
+        W = bounds._witness(hardy(2), lam, n)
+        h = series._div_geometric(W.coeffs, np.conj(lam))
+        s2 = 1.0 - abs(lam) ** 2
+        norm2 = s2 * np.sum(np.abs(h[:-1]) ** 2) + np.abs(h[-1]) ** 2
+        want = cs_min_norm(W.coeffs[:n]).value / np.sqrt(norm2)
+        got = witness_lower_bound(hardy(2), lam, n)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("lam, n, value", [(0.999, 32, 597.868), (0.9999, 4, 15.5129)])
+    def test_near_circle_weighted_is_finite(self, lam, n, value):
+        got = witness_lower_bound(seq_weighted(2, 1.5), lam, n)
+        assert np.isfinite(got)
+        assert got == pytest.approx(value, rel=1e-5)
 
     @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5)])
     def test_witness_paths_do_not_evaluate_series_pointwise(self, monkeypatch, space):
@@ -152,6 +183,12 @@ class TestWitness:
         monkeypatch.setattr(series, "eval_series", refuse)
         assert witness_lower_bound(space, 0.7, 4) > 0.0
         assert interp_constant(space, SigmaSet((0.7,) * 4), budget=4) > 0.0
+
+    @pytest.mark.parametrize("lam", [1.0, -1.5j, complex("nan")])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_point_off_the_open_disc(self, lam, n):
+        with pytest.raises(PoleOnDomain):
+            witness_lower_bound(hardy(2), lam, n)
 
     def test_unsupported_space(self):
         with pytest.raises(UnsupportedSpace):
@@ -328,7 +365,7 @@ class TestInterpConstant:
         for space in (hardy(2), seq_weighted(2, 1.5)):
             starts.clear()
             interp_constant(space, SigmaSet((lam,) * n), budget=2)
-            f = compose_with_blaschke(bounds._witness(space, lam, n), lam)
+            f = compose_with_blaschke(bounds._witness(space, lam, n), lam, n_out=1 << 12)
             m = min(E.shape[1], len(f))
             coords = E[:, :m].conj() @ f.coeffs[:m]
             assert np.max(np.abs(starts[0] - coords / np.linalg.norm(coords))) <= 1e-14

@@ -46,6 +46,16 @@ def parse_csv(path):
 
 
 class TestCommands:
+    def test_near_circle_sweep_has_a_witness(self, tmp_path):
+        code, out = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep", "--space", "hardy", "--n-grid", "32", "--r-grid", "0.999"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        witness = float(rows[0]["witness"])
+        assert witness == pytest.approx(25.65357973, rel=1e-9)
+
     def test_bounds_frozen_row(self, tmp_path):
         code, out = run_to_file(
             tmp_path, "b.csv",
@@ -345,6 +355,21 @@ class TestValidation:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"discinterp {argv[0]}: error: cannot parse")
+
+    @pytest.mark.parametrize("weight", [
+        ["--space", "seq", "--alpha", "nan"],
+        ["--space", "seq", "--alpha", "inf"],
+        ["--space", "bergman", "--beta", "nan"],
+        ["--space", "bergman", "--beta", "inf"],
+    ])
+    def test_non_finite_weight_is_validation_error(self, capsys, weight):
+        # not a kernel series summed to 2^21 terms and a numerical failure
+        assert main(["constant", "--sigma", "0.5"] + weight) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("discinterp constant: error:")
+        assert "finite" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["constant", "--sigma", "0.5", "--budget", "-3"],

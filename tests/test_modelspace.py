@@ -194,6 +194,21 @@ class TestOperatorNorm:
                 got = modelspace._malmquist_gram(space, sigma)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_malmquist_series_matches_truncated_basis(self, rng):
+        # the Taylor series of sum_k b_k e_k from T_B alone, against b^T E
+        for i in range(12):
+            sigma = random_sigma(rng, n_max=8, r_max=0.9)
+            if i % 2 and sigma.n > 1:  # a repeated node
+                sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
+            b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
+            want = b @ malmquist_basis(sigma).coeff_matrix()
+            got = modelspace._malmquist_series(sigma, b).coeffs
+            m = min(got.size, want.size)
+            assert np.max(np.abs(got[:m] - want[:m])) <= 1e-14 * np.max(np.abs(want))
+            # past the common length both are below the tail rule
+            rest = np.concatenate((got[m:], want[m:]))
+            assert np.sum(np.abs(rest) ** 2) <= 1e-13 * np.sum(np.abs(want) ** 2)
+
     def test_near_circle_needs_no_truncated_basis(self):
         # on H^2 the squared dual norm at z on the circle is |B'(z)|
         lam = np.array([0.9999, -0.9999j, 0.3, 0.3])

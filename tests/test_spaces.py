@@ -73,6 +73,13 @@ class TestNorms:
             np.pi, rel=1e-10
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(UnsupportedSpace, match="finite alpha"):
+            seq_weighted(2, bad)
+        with pytest.raises(UnsupportedSpace, match="finite beta"):
+            bergman_radial(2, bad)
+
     def test_unsupported_bergman_sup(self):
         with pytest.raises(UnsupportedSpace):
             norm(bergman_radial(np.inf, 0.0), CoeffSeries([1.0]))
