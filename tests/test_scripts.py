@@ -1,6 +1,8 @@
-"""Smoke runs of the experiment scripts, so they keep working with the library."""
+"""Smoke runs of the experiment scripts and the README example, so they keep
+working with the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,10 @@ def test_script_runs(script, args, summary):
     )
     assert out.returncode == 0, out.stderr
     assert summary in out.stdout
+
+
+def test_readme_library_example_runs():
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import betaln, gammaln, logsumexp, roots_jacobi
 
 from discinterp import (
     CoeffSeries,
@@ -21,14 +21,24 @@ from discinterp import (
     hardy,
     jet_values,
     kernel_diagonal,
+    malmquist_basis,
     min_norm_trace,
     norm,
     power_inequality_check,
+    project,
     seq_weighted,
     series_product,
 )
 
-from discinterp.spaces import _BERGMAN_BLOCK, _golden_max, _inverse_factor, _radial_rule
+from discinterp.spaces import (
+    _BERGMAN_BLOCK,
+    _BERGMAN_MIN_RADII,
+    _drop_negligible_tail,
+    _golden_max,
+    _hardy_norm,
+    _inverse_factor,
+    _radial_rule,
+)
 
 from conftest import random_poly, random_sigma
 
@@ -86,6 +96,68 @@ class TestNorms:
 
 
 
+def _model_interpolant(n: int, r: float) -> CoeffSeries:
+    """Tf on a seeded set shaped like a benchmark model slot.
+
+    n nodes of modulus at most r, the first at r and doubled, and f a
+    random polynomial of degree 16; Tf comes at the padded basis degree.
+    """
+    rng = np.random.default_rng([n, int(100 * r)])
+    moduli = r * np.sqrt(rng.uniform(size=n - 1))
+    moduli[0] = r
+    points = moduli * np.exp(2j * np.pi * rng.uniform(size=n - 1))
+    sigma = SigmaSet((*points, points[0]))
+    f = CoeffSeries(rng.standard_normal(17) + 1j * rng.standard_normal(17))
+    return project(malmquist_basis(sigma), f)
+
+
+def _bergman_oversampled(f, p, beta, k_rad=3000, m_ang=16384):
+    """L^p_a(beta) norm from a k_rad-point radial rule and m_ang angles."""
+    x, w = roots_jacobi(k_rad, beta, 0.0)
+    radii = np.sqrt((x + 1.0) / 2.0)
+    ks = np.arange(len(f))
+    angular = np.empty(k_rad)
+    for i in range(0, k_rad, 64):
+        rows = radii[i : i + 64, None] ** ks[None, :]
+        vals = np.abs(np.fft.fft(f.coeffs[None, :] * rows, n=m_ang, axis=1))
+        angular[i : i + 64] = np.mean(vals**p, axis=1) * 2.0 * np.pi
+    return float((2.0 ** (-beta - 2.0) * np.dot(w, angular)) ** (1.0 / p))
+
+
+class TestNegligibleTail:
+    SPACES = (
+        hardy(1), hardy(3), hardy(np.inf),
+        bergman_radial(1.5, 1.0), bergman_radial(3, 1.0), bergman_radial(4, 0.0),
+    )
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
+    def test_zero_padding_is_bitwise_invisible(self, space, rng):
+        for f in (random_poly(rng, 30), _model_interpolant(3, 0.5)):
+            padded = CoeffSeries(f.padded(4 * len(f)))
+            assert norm(space, padded) == norm(space, f)
+
+    def test_dropped_tail_keeps_hardy_norms(self):
+        # Tf comes at degree 2048; past degree 823 its coefficients carry
+        # under 2^-53 of max_k |c_k| in l1 mass
+        tf = _model_interpolant(9, 0.95)
+        for p in (1.0, 3.0, np.inf):
+            kept = _drop_negligible_tail(hardy(p), tf)
+            assert len(kept) < len(tf) // 2
+            want = _hardy_norm(p, tf)
+            assert norm(hardy(p), tf) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_dense_series_is_kept(self, rng):
+        f = random_poly(rng, 64)
+        for space in self.SPACES:
+            assert _drop_negligible_tail(space, f) is f
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_are_kept(self, bad):
+        f = CoeffSeries([1.0, bad, 0.0, 0.0])
+        for space in self.SPACES:
+            assert _drop_negligible_tail(space, f) is f
+
+
 def _golden_ref(fn, a, b, iters=60):
     """Scalar golden-section maximisation on one interval."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -140,10 +212,10 @@ class TestCirclePolish:
 
 
 class TestBlockedBergman:
-    @pytest.mark.parametrize("n", [40, 113, 384])
+    @pytest.mark.parametrize("n", [40, 250, 384])
     def test_monomial_closed_form(self, n):
-        # n = 40, 113, 384 give 28, 64 and 200 radii against blocks of 64
-        assert max(24, n // 2 + 8) in (28, _BERGMAN_BLOCK, 200)
+        # n = 40, 250, 384 give 128, 133 and 200 radii against blocks of 64
+        assert max(_BERGMAN_MIN_RADII, n // 2 + 8) in (2 * _BERGMAN_BLOCK, 133, 200)
         f = CoeffSeries(np.eye(n + 1)[n])
         for p in (1.5, 3.0, 4.0):
             for beta in (0.0, 1.0):
@@ -170,6 +242,24 @@ class TestBlockedBergman:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0])
+    def test_low_degree_monomials(self, p, beta):
+        # |z^n|^p = u^(np/2) is not smooth at u = 0; the floor of 128 radii
+        # holds the worst case, z at p = 1.5, beta = 1, to 8.1e-9
+        for n in (1, 2, 3):
+            f = CoeffSeries(np.eye(n + 1)[n])
+            want = np.exp((np.log(np.pi) + betaln(n * p / 2 + 1, beta + 1)) / p)
+            assert norm(bergman_radial(p, beta), f) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("n, r", [(3, 0.5), (5, 0.9), (9, 0.95)])
+    def test_interpolant_l3_against_oversampled_rule(self, n, r):
+        # Tf of degree 128 to 2048, its tail dropped, against 3000 radii and
+        # 16384 angles on every circle
+        tf = _model_interpolant(n, r)
+        want = _bergman_oversampled(tf, 3.0, 1.0)
+        assert norm(bergman_radial(3, 1.0), tf) == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_cached_rule_is_read_only(self):
         radii, w = _radial_rule(40, 0.5)
