@@ -148,7 +148,7 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
                 {c: _json_safe(rec.get(c)) for c in columns} for rec in records
             ],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     else:
         lines = [f"# discinterp {__version__}"]
         for key, val in full_meta.items():
@@ -169,6 +169,37 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
         except OSError as exc:  # missing directory, a directory, no permission
             reason = exc.strerror or exc
             raise CliError(f"cannot write --output {args.output!r}: {reason}") from exc
+
+
+# the item separator of a record at its depth in the indent=2 layout
+_RECORD_SEPARATORS = (",\n      ", ": ")
+# records per C-encoder call: one call over all records holds a chunk per
+# token of every record at once, which raised the traced peak of a
+# 5600-record basis job from 3.3 to 4.8 MB
+_RECORD_BATCH = 64
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Only the payload without its records goes through the pure-Python
+    indenting encoder.  The records go through the C encoder, _RECORD_BATCH
+    at a time, with the item separator of the indented layout, and only the
+    braces between them are indented by hand.  Each record is flat and
+    non-empty, and a JSON string holds no raw newline, so "},\\n      {"
+    occurs only between two records.  "records" sorts last, so the records
+    are spliced in where the indented text ends with an empty list.
+    """
+    rows = payload["records"]
+    text = json.dumps({**payload, "records": []}, indent=2, sort_keys=True)
+    if not rows:
+        return text + "\n"
+    between = "},\n      {"
+    body = between.join(
+        json.dumps(rows[i : i + _RECORD_BATCH], sort_keys=True, separators=_RECORD_SEPARATORS)[2:-2]
+        for i in range(0, len(rows), _RECORD_BATCH)
+    ).replace(between, "\n    },\n    {\n      ")
+    return text[: -len("[]\n}")] + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
 
 
 def _json_safe(value: Any) -> Any:

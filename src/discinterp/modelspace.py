@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .extremal import _compressed_shift
-from .series import CoeffSeries, SigmaSet, _basis_values
+from .series import CoeffSeries, SigmaSet, _basis_derivatives, _basis_values
 from .spaces import (
     _CIRCLE_GRID,
     _POLISH_PEAKS,
@@ -216,20 +216,33 @@ def projection_operator_norm(
 ) -> float:
     """Exact norm of the interpolation operator from the space into H^inf.
 
-    For fixed z the functional f |-> (Tf)(z) has dual norm
-    sqrt(e(z)^T S conj(e(z))) with S the kernel-weighted Gram of the
-    basis coefficients (_malmquist_gram) and e(z) the exact rational basis
-    values; the sup over the closed disc sits on the circle and is
-    located on a ``coarse``-point grid, then polished by golden section at
-    the ``top`` tallest grid peaks together, one angle per peak per step.
+    For fixed z the functional f |-> (Tf)(z) has dual norm sqrt(g) with
+    g = e(z)^T S conj(e(z)), S the kernel-weighted Gram of the basis
+    coefficients (_malmquist_gram) and e(z) the exact rational basis
+    values; the sup over the closed disc sits on the circle.  It is
+    located on a ``coarse``-point grid, then polished by safeguarded
+    Newton steps on g(theta), z = e^{i theta}, at the ``top`` tallest grid
+    peaks together (_polished_max).  With d/dtheta = i z d/dz and e', e''
+    in closed form (_basis_derivatives), g' = 2 Re(e_theta'^T S conj(e))
+    and g'' = 2 Re(e_theta''^T S conj(e)) + 2 e_theta'^T S conj(e_theta').
     Every value returned bounds the interpolation constant of sigma from
     above, because Tf interpolates f.
     """
     S = _malmquist_gram(space, sigma)
 
-    def fn(ts: np.ndarray) -> np.ndarray:
-        vals = _basis_values(sigma, np.exp(1j * ts))  # (n, M)
-        return np.real(np.einsum("km,kl,lm->m", vals, S, vals.conj()))
+    def g(ts: np.ndarray):
+        z = np.exp(1j * ts)
+        e, e1, e2 = _basis_derivatives(sigma, z)  # (n, M) each, d/dz
+        d1 = 1j * z * e1
+        d2 = -z * e1 - z * z * e2
+        w = S @ e.conj()
+        return (
+            np.real(np.sum(e * w, axis=0)),
+            2.0 * np.real(np.sum(d1 * w, axis=0)),
+            2.0 * np.real(np.sum(d2 * w + d1 * (S @ d1.conj()), axis=0)),
+        )
 
     thetas = 2.0 * np.pi * np.arange(coarse) / coarse
-    return float(np.sqrt(_polished_max(fn(thetas), thetas, fn, top)))
+    e = _basis_values(sigma, np.exp(1j * thetas))
+    vals = np.real(np.sum(e * (S @ e.conj()), axis=0))
+    return float(np.sqrt(_polished_max(vals, thetas, g, top)))

@@ -298,6 +298,26 @@ def _basis_values(sigma: SigmaSet, z) -> np.ndarray:
     return out
 
 
+def _basis_derivatives(sigma: SigmaSet, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e_k(z), e_k'(z) and e_k''(z) in closed form, each of shape (n, len(z)).
+
+    With t_j = conj(lam_j) / (1 - conj(lam_j) z) and u_j = 1 / (lam_j - z),
+    the logarithmic derivative of e_k is L_k = t_k + sum_{j<k} (t_j - u_j),
+    its derivative is L_k' = t_k^2 + sum_{j<k} (t_j^2 - u_j^2), and
+    e_k' = e_k L_k, e_k'' = e_k (L_k^2 + L_k').  Needs z off the nodes.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    lam = np.asarray(sigma.points, dtype=complex)[:, None]
+    t = np.conj(lam) / (1.0 - np.conj(lam) * zs)
+    u = 1.0 / (lam - zs)
+    a, a2 = t - u, t * t - u * u
+    # the sums over j < k are cumulative sums less their own term
+    L = t + np.cumsum(a, axis=0) - a
+    dL = t * t + np.cumsum(a2, axis=0) - a2
+    e = _basis_values(sigma, zs)
+    return e, e * L, e * (L * L + dL)
+
+
 def _falling(ks: np.ndarray, d: int) -> np.ndarray:
     """Falling factorial (k)_d = k (k-1) ... (k-d+1)."""
     out = np.ones_like(ks, dtype=float)

@@ -55,11 +55,14 @@ _REPRESENTER_TOL = 1e-26
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _COND_FLOOR = 1e-13
-# Circle maxima: a grid of at least _CIRCLE_GRID angles, then _GOLDEN_ITERS
-# golden-section steps on the _POLISH_PEAKS tallest grid peaks.
+# Circle maxima: a grid of at least _CIRCLE_GRID angles, then safeguarded
+# Newton steps on the squared objective at the _POLISH_PEAKS tallest grid
+# peaks, until a step's predicted gain is below _NEWTON_GAIN of the value
+# or its bracket is a few ulps wide.
 _CIRCLE_GRID = 4096
 _POLISH_PEAKS = 8
-_GOLDEN_ITERS = 60
+_NEWTON_GAIN = 2.0**-60
+_NEWTON_MAX_STEPS = 100
 # Non-Hilbert norms drop a trailing tail only while it moves the value by
 # at most _TAIL_EPS of it (_drop_negligible_tail).
 _TAIL_EPS = 2.0**-53
@@ -195,60 +198,75 @@ def _hardy_norm(p: float, f: CoeffSeries) -> float:
 
 
 def _circle_max(f: CoeffSeries) -> float:
-    """Max modulus on the unit circle: coarse grid + golden-section polish.
+    """Max modulus on the unit circle: coarse grid + Newton polish of |f|^2.
 
-    The grid values come from one FFT; the polish evaluates f at all
-    _POLISH_PEAKS trial angles at once as ``exp(i theta k) @ coeffs``.
+    The grid values come from one FFT.  The polish evaluates F = f(e^{i theta})
+    and its angular derivatives F', F'' at all _POLISH_PEAKS trial angles
+    at once, as one ``exp(i theta k)`` matrix against the columns c_k,
+    i k c_k and -k^2 c_k.
     """
     m = _next_pow2(max(_CIRCLE_GRID, 2 * f.degree + 2))
-    vals = np.abs(np.fft.fft(f.padded(m)))
+    vals = np.abs(np.fft.fft(f.padded(m))) ** 2
     ks = np.arange(len(f))
+    cols = f.coeffs[:, None] * np.stack((np.ones(len(f)), 1j * ks, -(ks**2.0)), axis=1)
 
-    def fn(thetas: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(1j * np.outer(thetas, ks)) @ f.coeffs)
+    def g(thetas: np.ndarray):
+        # k theta as k times the nearest grid angle, reduced exactly mod 2 pi,
+        # plus k times the offset from it: a rounded k theta would put a
+        # phase error of k ulp(theta) into each term
+        j = np.rint(thetas * (m / (2.0 * np.pi))).astype(np.int64)
+        offset = thetas - 2.0 * np.pi * j / m
+        phase = (2.0 * np.pi / m) * (np.outer(j, ks) % m) + np.outer(offset, ks)
+        F, F1, F2 = (np.exp(1j * phase) @ cols).T
+        return (
+            np.abs(F) ** 2,
+            2.0 * np.real(np.conj(F) * F1),
+            2.0 * (np.abs(F1) ** 2 + np.real(np.conj(F) * F2)),
+        )
 
     # the fft grid runs clockwise
-    return _polished_max(vals, -2.0 * np.pi * np.arange(m) / m, fn, _POLISH_PEAKS)
+    return float(np.sqrt(_polished_max(vals, -2.0 * np.pi * np.arange(m) / m, g, _POLISH_PEAKS)))
 
 
-def _polished_max(vals: np.ndarray, thetas: np.ndarray, fn, top: int) -> float:
-    """Max of fn from its grid values, polished by golden section at the top peaks.
+def _polished_max(vals: np.ndarray, thetas: np.ndarray, g, top: int) -> float:
+    """Max of a smooth g on the circle from its grid values, polished by Newton.
 
-    ``fn`` maps an array of angles to an array of values; the ``top``
-    tallest grid peaks are polished together on ``[theta - h, theta + h]``.
+    ``g`` maps an array of angles to the arrays (g, g', g'') there.  The
+    ``top`` tallest grid peaks are polished together, each inside its
+    bracket [theta - h, theta + h], h the grid step.  Each step first
+    shrinks the bracket to the side where g' points, then takes the Newton
+    step -g'/g'' where g'' < 0 and the step lands strictly inside the
+    bracket, and bisects the bracket otherwise.  A peak stops once g' = 0,
+    once the predicted gain g'^2 / (2 |g''|) of its next step is below
+    _NEWTON_GAIN of its value, or once its bracket is a few ulps wide.  The
+    best value ever evaluated is returned, never less than the grid
+    maximum.
     """
     best = float(np.max(vals))
     is_peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.nonzero(is_peak)[0]
     h = 2.0 * np.pi / vals.size
-    centres = thetas[peaks[np.argsort(vals[peaks])][-top:]]
-    return float(np.max(_golden_max(fn, centres - h, centres + h), initial=best))
-
-
-def _golden_max(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Golden-section maximisation of a smooth function on each [a_j, b_j].
-
-    All intervals advance together: ``fn`` is called once per iteration
-    with one trial angle per interval, and each interval keeps the update
-    of the scalar method, so its result equals a one-interval run.  Each
-    of the _GOLDEN_ITERS steps shrinks every interval by 0.618.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_ITERS):
-        up = fc < fd
-        # up: [a, b] -> [c, b], old d becomes c; else [a, b] -> [a, d], old c becomes d
-        a = np.where(up, c, a)
-        b = np.where(up, b, d)
-        keep = np.where(up, d, c)
-        keep_f = np.where(up, fd, fc)
-        new = np.where(up, a + invphi * (b - a), b - invphi * (b - a))
-        new_f = fn(new)
-        c, fc = np.where(up, keep, new), np.where(up, keep_f, new_f)
-        d, fd = np.where(up, new, keep), np.where(up, new_f, keep_f)
-    return np.maximum(fc, fd)
+    x = thetas[peaks[np.argsort(vals[peaks])][-top:]]
+    lo, hi = x - h, x + h
+    for _ in range(_NEWTON_MAX_STEPS):
+        val, d1, d2 = g(x)
+        best = float(np.max(val, initial=best))
+        lo = np.where(d1 > 0.0, x, lo)
+        hi = np.where(d1 > 0.0, hi, x)
+        # where g'' >= 0 the divisor is a stand-in: that step is never taken
+        newton = x - d1 / np.where(d2 < 0.0, d2, -1.0)
+        inside = (d2 < 0.0) & (lo < newton) & (newton < hi)
+        done = (
+            (d1 == 0.0)
+            | ((d2 < 0.0) & (d1 * d1 <= -2.0 * d2 * _NEWTON_GAIN * np.abs(val)))
+            | (hi - lo <= 4.0 * np.spacing(np.abs(x) + h))
+        )
+        keep = ~done
+        if not keep.any():
+            break
+        x = np.where(inside, newton, 0.5 * (lo + hi))[keep]
+        lo, hi = lo[keep], hi[keep]
+    return best
 
 
 _BERGMAN_BLOCK = 64

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from discinterp import IllConditionedWarning
-from discinterp.cli import build_parser, main, read_sigma_file, run
+from discinterp.cli import _emit, build_parser, main, read_sigma_file, run
 
 MINIMAL = {
     "basis": ["--sigma", "0.5"],
@@ -168,6 +168,46 @@ class TestDeterminismAndFormats:
         assert len(payload["records"]) == 4
         redumped = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert redumped == out.read_text(encoding="utf-8")
+
+    def test_json_writer_matches_indented_dumps_on_basis(self, tmp_path):
+        # thousands of records, each written by the C encoder and indented by hand
+        sigma = "0.95,0.95,-0.9j,-0.9j,0.5+0.5i,0.3,0.3,-0.7"
+        argv = ["basis", "--sigma", sigma, "--format", "json", "--reproducible"]
+        _, out = run_to_file(tmp_path, "b.json", argv)
+        text = out.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert len(payload["records"]) > 1000
+        # compared as one flag: a diff of two 600 kB strings takes pytest a minute
+        same = json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+        assert same
+
+    def test_json_writer_without_records(self, tmp_path):
+        out = tmp_path / "empty.json"
+        args = build_parser().parse_args(
+            ["basis", "--sigma", "0.5", "--format", "json", "--reproducible", "--output", str(out)]
+        )
+        _emit(args, [], {"sigma": "0.5"})
+        text = out.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert payload["records"] == []
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+
+    def test_json_writer_with_braces_and_newlines_in_strings(self, tmp_path):
+        # a string's newline is escaped, so its braces never end a record
+        out = tmp_path / "strings.json"
+        args = build_parser().parse_args(
+            ["pick", "--nodes", "0", "--values", "1", "--format", "json", "--reproducible",
+             "--output", str(out)]
+        )
+        records = [
+            {"value": float("inf"), "certificate": "},\n      {", "mode": None},
+            {"value": np.float64(0.5), "certificate": "}, {\n", "mode": "a\"b"},
+        ]
+        _emit(args, records, {"note": "},\n      {"})
+        text = out.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert payload["records"][0]["certificate"] == "},\n      {"
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
 
     def test_csv_uses_lf_endings(self, tmp_path):
         _, out = run_to_file(tmp_path, "lf.csv", self.SWEEP + ["--reproducible"])

@@ -24,6 +24,8 @@ from discinterp import (
     series_product,
 )
 
+from discinterp.series import _basis_derivatives, _basis_values
+
 from conftest import random_poly, random_sigma
 
 
@@ -234,3 +236,54 @@ class TestOperatorNorm:
                 f = random_poly(rng, 14)
                 ratio = norm(hardy(np.inf), project(basis, f)) / norm(space, f)
                 assert ratio <= top * (1 + 1e-8) + 1e-9
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (0.3, -0.5 + 0.4j, 0.9j),  # distinct
+            (0.7 - 0.2j, 0.7 - 0.2j, 0.7 - 0.2j, -0.4),  # repeated
+            (0.0, 0.0, 0.5, 0.0),  # zero nodes
+        ],
+    )
+    def test_basis_derivatives_against_central_differences(self, points):
+        sigma = SigmaSet(points)
+        zs = np.array([0.2 + 0.1j, -0.6j, np.exp(0.7j), np.exp(-2.5j), -0.3])
+        e, e1, e2 = _basis_derivatives(sigma, zs)
+        assert np.array_equal(e, _basis_values(sigma, zs))
+        h = 1e-4
+        ep, em = _basis_values(sigma, zs + h), _basis_values(sigma, zs - h)
+        # the differences are off by h^2 times the third and fourth derivatives
+        assert np.max(np.abs(e1 - (ep - em) / (2 * h))) <= 1e-6 * np.max(np.abs(e1))
+        assert np.max(np.abs(e2 - (ep - 2 * e + em) / h**2)) <= 1e-6 * np.max(np.abs(e2))
+
+    @staticmethod
+    def _refined_grid_max(space, sigma, m=1 << 18):
+        """sqrt of the largest g on m angles, and on m / 64 angles around its top."""
+        S = modelspace._malmquist_gram(space, sigma)
+
+        def g(ts):
+            e = _basis_values(sigma, np.exp(1j * ts))
+            return np.real(np.sum(e * (S @ e.conj()), axis=0))
+
+        thetas = 2 * np.pi * np.arange(m) / m
+        vals = np.concatenate([g(chunk) for chunk in np.split(thetas, 16)])
+        top = thetas[np.argmax(vals)]
+        local = top + np.linspace(-1.0, 1.0, m // 64) * (2 * np.pi / m)
+        return np.sqrt(vals.max()), np.sqrt(g(local).max())
+
+    def test_matches_refined_grid_maximum(self):
+        # at r = 0.95 the 2^18-angle grid alone sits a few 1e-8 below
+        # the top, so the reference refines it around its best angle
+        rng = np.random.default_rng(1616)
+        spaces = (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1.0))
+        for i, r in enumerate((0.5, 0.8, 0.9, 0.95, 0.95, 0.95)):
+            points = list(random_sigma(rng, n_max=8, r_max=r).points)
+            # the outermost node moved out to modulus r and repeated once or twice
+            k = int(np.argmax(np.abs(points)))
+            points[k] *= r / abs(points[k])
+            sigma = SigmaSet(tuple(points) + (points[k],) * (1 + i % 2))
+            space = spaces[i % 3]
+            got = projection_operator_norm(space, sigma)
+            coarse, fine = self._refined_grid_max(space, sigma)
+            assert got >= coarse
+            assert got == pytest.approx(fine, rel=1e-13, abs=0.0)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import betaln, gammaln, logsumexp, roots_jacobi
 
@@ -34,9 +35,9 @@ from discinterp.spaces import (
     _BERGMAN_BLOCK,
     _BERGMAN_MIN_RADII,
     _drop_negligible_tail,
-    _golden_max,
     _hardy_norm,
     _inverse_factor,
+    _polished_max,
     _radial_rule,
 )
 
@@ -158,24 +159,6 @@ class TestNegligibleTail:
             assert _drop_negligible_tail(space, f) is f
 
 
-def _golden_ref(fn, a, b, iters=60):
-    """Scalar golden-section maximisation on one interval."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-    return max(fc, fd)
-
-
 class TestCirclePolish:
     STEP = 2.0 * np.pi / 4096  # coarse grid step of _circle_max at low degree
 
@@ -200,15 +183,72 @@ class TestCirclePolish:
         assert grid_max < 1.7 - 1e-6
         assert norm(hardy(np.inf), f) == pytest.approx(1.7, abs=1e-13)
 
-    def test_vector_golden_matches_scalar(self, rng):
-        def fn(t):
-            return (t - 0.3) * (t + 1.1) * (2.0 - t) * (t * t + 0.5)
+    GRID = 2.0 * np.pi * np.arange(4096) / 4096
 
-        a = rng.uniform(-2.0, 2.0, size=9)
-        b = a + rng.uniform(0.01, 1.5, size=9)
-        got = _golden_max(fn, a, b)
-        want = [_golden_ref(fn, float(lo), float(hi)) for lo, hi in zip(a, b)]
-        assert np.array_equal(got, np.array(want))
+    def test_flat_quartic_top_off_grid(self):
+        # g = 1 - K (1 - cos x)^2 is 1 - K x^4 / 4 near its top, so g'' = 0
+        # there and Newton converges only linearly
+        K, phi = 1e4, (1000 + 0.37) * self.STEP
+
+        def g(t):
+            x = t - phi
+            u = 1.0 - np.cos(x)
+            return 1.0 - K * u * u, -2.0 * K * u * np.sin(x), -2.0 * K * (np.sin(x) ** 2 + u * np.cos(x))
+
+        vals = g(self.GRID)[0]
+        assert vals.max() < 1.0 - 1e-10
+        got = _polished_max(vals, self.GRID, g, 8)
+        assert got >= vals.max()
+        assert got == pytest.approx(1.0, abs=1e-13)
+
+    def test_convex_start(self):
+        # a Gaussian bump a third of a grid step wide: at the grid peak,
+        # 0.45 steps off its centre, g'' > 0 and the polish bisects first
+        w, phi = self.STEP / 3.0, (2000 + 0.45) * self.STEP
+
+        def g(t):
+            x = (t - phi) / w
+            val = np.exp(-x * x)
+            return val, -2.0 * x / w * val, (4.0 * x * x - 2.0) / w**2 * val
+
+        vals = g(self.GRID)[0]
+        peak = int(np.argmax(vals))
+        assert g(self.GRID[peak : peak + 1])[2][0] > 0.0
+        got = _polished_max(vals, self.GRID, g, 8)
+        assert got >= vals.max()
+        assert got == pytest.approx(1.0, abs=1e-13)
+
+    def test_never_below_grid_max(self):
+        # derivatives that point nowhere and values below the grid: the grid
+        # maximum stands
+        vals = 1.0 + np.cos(self.GRID - 0.1)
+
+        def g(t):
+            return np.zeros_like(t), np.ones_like(t), np.ones_like(t)
+
+        assert _polished_max(vals, self.GRID, g, 8) == vals.max()
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.inf]])
+    def test_non_finite_coefficients_give_nan(self, coeffs):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(norm(hardy(np.inf), CoeffSeries(coeffs)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        deg=st.integers(1, 2048),
+        seed=st.integers(0, 2**32 - 1),
+        decay=st.floats(0.0, 0.05),
+    )
+    def test_between_grid_max_and_coefficient_sum(self, deg, seed, decay):
+        rng = np.random.default_rng(seed)
+        coeffs = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) * np.exp(
+            -decay * np.arange(deg + 1)
+        )
+        got = norm(hardy(np.inf), CoeffSeries(coeffs))
+        grid_max = float(np.max(np.abs(np.fft.fft(coeffs, 8192))))
+        # rounding slack only: both sides are sums of deg + 1 terms
+        assert grid_max <= got * (1.0 + 1e-13)
+        assert got <= float(np.sum(np.abs(coeffs))) * (1.0 + 1e-13)
 
 
 class TestBlockedBergman:
