@@ -12,6 +12,7 @@ import argparse
 import cmath
 import datetime
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -144,9 +145,7 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
         payload = {
             "meta": {k: _json_safe(v) for k, v in full_meta.items()},
             "columns": list(columns),
-            "records": [
-                {c: _json_safe(rec.get(c)) for c in columns} for rec in records
-            ],
+            "records": _json_records(records, columns),
         }
         text = _json_text(payload)
     else:
@@ -200,6 +199,28 @@ def _json_text(payload: dict) -> str:
         for i in range(0, len(rows), _RECORD_BATCH)
     ).replace(between, "\n    },\n    {\n      ")
     return text[: -len("[]\n}")] + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
+
+
+# cell types that _json_safe leaves as they are, a float only while finite
+_PLAIN_CELLS = frozenset((int, float, bool, str, type(None)))
+
+
+def _json_records(records: list[dict], columns) -> list[dict]:
+    """The records as ``{c: _json_safe(rec.get(c)) for c in columns}``.
+
+    They come back as they are when each holds exactly the columns and no
+    cell needs converting: no numpy scalar and no infinity.
+    """
+    keys = set(columns)
+    cells = list(itertools.chain.from_iterable(map(dict.values, records)))
+    if (
+        all(rec.keys() == keys for rec in records)
+        and set(map(type, cells)) <= _PLAIN_CELLS
+        and np.inf not in cells
+        and -np.inf not in cells
+    ):
+        return records
+    return [{c: _json_safe(rec.get(c)) for c in columns} for rec in records]
 
 
 def _json_safe(value: Any) -> Any:

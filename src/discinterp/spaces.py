@@ -309,9 +309,21 @@ def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
     interpolant Tf at r = 0.9 of degree 403, L^3_a(1) is off by 3.2e-11
     at 1024 angles and 7.9e-13 at 2048.  Dense random polynomials have
     many zeros near the circle, so at degree 512 the 2048 angles leave
-    errors of 8e-8 to 2.3e-7.  Below degree 240 the floors of 128 radii
-    and 2048 angles set the cost.  The even-p route is within 1.5e-12 for
+    errors of 8e-8 to 2.3e-7.  The even-p route is within 1.5e-12 for
     every n up to 1000, p in 4, 6.
+
+    The circles go through the FFT _BERGMAN_BLOCK radii at a time, and a
+    block fills only the first w columns of one zeroed (_BERGMAN_BLOCK,
+    m_ang) buffer with f_k s^k.  w is the smallest width with
+    sum_{k >= w} |f_k| s_max^k <= 2^-53 max_k |f_k| s_max^k, s_max the
+    block's largest radius (_tail_cut): the rule of _drop_negligible_tail
+    at C = 1 on the circle of radius s_max, where |f_k| s_max^k is at
+    most the mean of |f|.  The same w holds on every smaller circle of
+    the block: if |f_k| s_max^k peaks at k = j, then j < w, and at
+    s <= s_max the tail-to-peak ratio is at most (s/s_max)^(w-j) times
+    the one at s_max.  So the cut terms move no circle's L^p mean by more
+    than 2^-53 of it, and the inner circles skip the terms whose s^k
+    underflows.
     """
     if space.p == np.inf:
         raise UnsupportedSpace("sup-norm Bergman spaces are not implemented")
@@ -322,13 +334,21 @@ def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
     k_rad = max(_BERGMAN_MIN_RADII, deg // 2 + 8)
     radii, w = _radial_rule(k_rad, beta)
     m_ang = _next_pow2(max(_BERGMAN_MIN_ANGLES, 2 * deg + 2))
-    # f on each sampling circle via one FFT per radius, a block of radii at a time
+    # f on each sampling circle via one FFT per radius, a block of radii at a
+    # time; a block fills only the columns below its certified width
     ks = np.arange(deg + 1)
+    mags = np.abs(f.coeffs)
+    buf = np.zeros((_BERGMAN_BLOCK, m_ang), dtype=complex)
     angular = np.empty(k_rad)
     for i in range(0, k_rad, _BERGMAN_BLOCK):
-        rows = radii[i : i + _BERGMAN_BLOCK, None] ** ks[None, :]
-        vals = np.abs(np.fft.fft(f.coeffs[None, :] * rows, n=m_ang, axis=1))
-        angular[i : i + _BERGMAN_BLOCK] = np.mean(vals**p, axis=1) * 2.0 * np.pi
+        block = radii[i : i + _BERGMAN_BLOCK, None]
+        top = mags * block[-1, 0] ** ks  # the block's largest radius is its last
+        width = _tail_cut(top, _TAIL_EPS * float(np.max(top)))
+        rows = buf[: block.shape[0]]
+        rows[:, :width] = f.coeffs[:width] * block ** ks[:width]
+        vals = np.abs(np.fft.fft(rows, axis=1))
+        rows[:, :width] = 0.0
+        angular[i : i + block.shape[0]] = np.mean(vals**p, axis=1) * 2.0 * np.pi
     integral = 2.0 ** (-beta - 2.0) * float(np.dot(w, angular))
     return float(integral ** (1.0 / p))
 
@@ -356,13 +376,20 @@ def _drop_negligible_tail(space: SpaceSpec, f: CoeffSeries) -> CoeffSeries:
         mags_lower = mags * ((b + 1.0) * np.exp(betaln(ks / 2.0 + 1.0, b + 1.0)))
     else:
         mags_lower = mags
-    bound = _TAIL_EPS * float(np.max(mags_lower))
-    # nothing to drop past a last coefficient above the bound; a NaN or
-    # infinite bound keeps f as it is
+    kept = _tail_cut(mags, _TAIL_EPS * float(np.max(mags_lower)))
+    return f if kept == mags.size else CoeffSeries(f.coeffs[:kept])
+
+
+def _tail_cut(mags: np.ndarray, bound: float) -> int:
+    """The smallest w >= 1 with sum_{k >= w} mags_k <= bound.
+
+    Nothing is cut past a last entry above the bound, and a NaN or
+    infinite bound cuts nothing: both give mags.size.
+    """
     if not mags[-1] <= bound < np.inf:
-        return f
-    tail = np.cumsum(mags[::-1])[::-1]  # tail[i] = sum_{k >= i} |f_k|, nonincreasing
-    return CoeffSeries(f.coeffs[: max(1, int(np.count_nonzero(tail > bound)))])
+        return mags.size
+    tail = np.cumsum(mags[::-1])[::-1]  # tail[i] = sum_{k >= i} mags_k, nonincreasing
+    return max(1, int(np.count_nonzero(tail > bound)))
 
 
 def norm(space: SpaceSpec, f: CoeffSeries) -> float:

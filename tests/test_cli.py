@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from discinterp import IllConditionedWarning
-from discinterp.cli import _emit, build_parser, main, read_sigma_file, run
+from discinterp.cli import (
+    _emit,
+    _json_records,
+    _json_safe,
+    _json_text,
+    build_parser,
+    main,
+    read_sigma_file,
+    run,
+)
 
 MINIMAL = {
     "basis": ["--sigma", "0.5"],
@@ -208,6 +217,31 @@ class TestDeterminismAndFormats:
         payload = json.loads(text)
         assert payload["records"][0]["certificate"] == "},\n      {"
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+
+    @pytest.mark.parametrize(
+        "cell",
+        [np.float64(0.25), np.int64(7), float("inf"), float("-inf"), float("nan"),
+         0.25, 7, True, None, "inf"],
+        ids=repr,
+    )
+    def test_json_records_match_per_cell_conversion(self, cell):
+        columns = ("idx", "value", "note")
+        plain = [{"idx": i, "value": 0.5 * i, "note": "n"} for i in range(4)]
+        variants = {
+            "cell": [*plain[:2], {**plain[2], "value": cell}, plain[3]],
+            "missing column": [*plain[:3], {"idx": 3, "value": cell}],
+            "extra key": [*plain[:3], {**plain[3], "value": cell, "extra": 1}],
+        }
+        for what, records in variants.items():
+            old = [{c: _json_safe(rec.get(c)) for c in columns} for rec in records]
+            new = _json_records(records, columns)
+            payload = {"columns": list(columns), "meta": {}}
+            assert _json_text({**payload, "records": new}) == _json_text(
+                {**payload, "records": old}
+            ), what
+        # the records are passed on as they are only where nothing converts
+        plain = type(cell) in (int, float, bool, str, type(None)) and cell not in (np.inf, -np.inf)
+        assert (_json_records(variants["cell"], columns) is variants["cell"]) == plain
 
     def test_csv_uses_lf_endings(self, tmp_path):
         _, out = run_to_file(tmp_path, "lf.csv", self.SWEEP + ["--reproducible"])

@@ -33,10 +33,12 @@ from discinterp import (
 
 from discinterp.spaces import (
     _BERGMAN_BLOCK,
+    _BERGMAN_MIN_ANGLES,
     _BERGMAN_MIN_RADII,
     _drop_negligible_tail,
     _hardy_norm,
     _inverse_factor,
+    _next_pow2,
     _polished_max,
     _radial_rule,
 )
@@ -300,6 +302,50 @@ class TestBlockedBergman:
         tf = _model_interpolant(n, r)
         want = _bergman_oversampled(tf, 3.0, 1.0)
         assert norm(bergman_radial(3, 1.0), tf) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @staticmethod
+    def _parity_cases():
+        rng = np.random.default_rng(1717)
+        decay = np.exp(-0.02 * np.arange(901))
+        return [
+            CoeffSeries(np.eye(41)[40]),
+            CoeffSeries(np.eye(251)[250]),
+            random_poly(rng, 250),
+            random_poly(rng, 700),
+            CoeffSeries(random_poly(rng, 900).coeffs * decay),
+            CoeffSeries(random_poly(rng, 600).coeffs * decay[:601] ** 3),
+            _model_interpolant(3, 0.5),
+            _model_interpolant(6, 0.9),
+            _model_interpolant(9, 0.95),
+        ]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0])
+    def test_block_width_matches_full_rows(self, p, beta):
+        # the same grid with every circle's row at full degree, as before the
+        # block width: monomials, dense and decaying polynomials and Tf
+        space = bergman_radial(p, beta)
+        k_rads = set()
+        for f in self._parity_cases():
+            deg = _drop_negligible_tail(space, f).degree
+            k_rad = max(_BERGMAN_MIN_RADII, deg // 2 + 8)
+            k_rads.add(k_rad)
+            m_ang = _next_pow2(max(_BERGMAN_MIN_ANGLES, 2 * deg + 2))
+            want = _bergman_oversampled(
+                _drop_negligible_tail(space, f), p, beta, k_rad=k_rad, m_ang=m_ang
+            )
+            got = norm(space, f)
+            assert abs(got - want) <= 2.0**-51 * want, (deg, got, want)
+        # a short last block, and a degree large enough for several blocks
+        assert any(k % _BERGMAN_BLOCK for k in k_rads) and max(k_rads) > 4 * _BERGMAN_BLOCK
+
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("k_rad", [24, 128, 133, 408, 2000])
+    def test_radii_ascend(self, beta, k_rad):
+        # a block's width is certified at its last radius, so that one must
+        # be its largest
+        radii = _radial_rule(k_rad, beta)[0]
+        assert np.all(np.diff(radii) > 0.0)
 
     def test_cached_rule_is_read_only(self):
         radii, w = _radial_rule(40, 0.5)
