@@ -51,10 +51,16 @@ def _complex_token(tok: str) -> complex:
     return z
 
 
-def _budget(tok: str) -> int:
-    if not tok.strip().isdecimal() or int(tok) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {tok!r}")
-    return int(tok)
+def _at_least(least: int):
+    """argparse type for a decimal integer of at least ``least``."""
+
+    def parse(tok: str) -> int:
+        if not tok.strip().isdecimal() or int(tok) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {least}, got {tok!r}")
+        return int(tok)
+
+    return parse
 
 
 def _parse_list(text: str, what: str, cast) -> tuple:
@@ -403,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("basis", help="Malmquist basis coefficients")
     sub.set_defaults(run=_run_basis, columns=("k", "j", "re", "im"))
     _add_sigma_options(sub)
-    sub.add_argument("--trunc", type=int, default=None)
+    sub.add_argument("--trunc", type=_at_least(0), default=None,
+                     help="pin the basis degree instead of certifying it; exit 2 "
+                          "if the rows then drop more than 1e-11 of coefficient mass")
     _add_output_options(sub)
 
     sub = subs.add_parser("bernstein", help="derivative operator norm on the model space")
@@ -437,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("carleson", help="worst unit-data interpolation (lower estimate)")
     sub.set_defaults(run=_run_carleson, columns=("value", "n", "budget"))
     _add_sigma_options(sub)
-    sub.add_argument("--budget", type=_budget, default=64)
+    sub.add_argument("--budget", type=_at_least(1), default=64)
     _add_output_options(sub)
 
     sub = subs.add_parser("constant", help="interpolation constant estimate")
     sub.set_defaults(run=_run_constant, columns=("value", "n", "r", "budget"))
     _add_sigma_options(sub)
     _add_space_options(sub)
-    sub.add_argument("--budget", type=_budget, default=32)
+    sub.add_argument("--budget", type=_at_least(1), default=32)
     _add_output_options(sub)
 
     sub = subs.add_parser("bounds", help="closed-form bound formulas for one (n, r)")
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_options(sub)
     sub.add_argument("--n-grid", required=True)
     sub.add_argument("--r-grid", required=True)
-    sub.add_argument("--budget", type=_budget, default=16)
+    sub.add_argument("--budget", type=_at_least(1), default=16)
     sub.add_argument("--estimate-cap", type=int, default=0,
                      help="run the constant estimator for n up to this cap")
     _add_output_options(sub)

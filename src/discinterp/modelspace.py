@@ -10,8 +10,10 @@ projects onto span(e_k) through the coefficient pairing
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
 sigma.  The kernel-weighted Gram of the basis coefficients and the Taylor
 series of any sum_k b_k e_k are sums over powers of the compressed shift
-T_B, so neither needs a truncated basis; derivative operator norms on K_B
-are read off Gram matrices of differentiated basis series.
+T_B, so neither needs a truncated basis.  The basis itself keeps N = 2^j
+coefficients, the fewest whose dropped mass ||T_B^N||_F^2 is at most
+2^-106, in one (n, N) matrix; derivative operator norms on K_B are read
+off the Gram matrix of that matrix differentiated.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import numpy as np
 
 from .errors import TruncationError
 from .extremal import _compressed_shift
-from .series import CoeffSeries, SigmaSet, _basis_derivatives, _basis_values
+from .series import CoeffSeries, SigmaSet, _basis_derivatives, _basis_values, _falling
 from .spaces import (
     _CIRCLE_GRID,
     _POLISH_PEAKS,
     _SERIES_BLOCK,
     _SERIES_TOL,
+    _TAIL_EPS,
     SpaceSpec,
     _polished_max,
     _series,
@@ -46,28 +49,32 @@ __all__ = [
 ]
 
 _TRUNC_CAP = 1 << 16
-#: largest unit-norm deficit of a basis element that malmquist_basis accepts
+#: largest coefficient mass malmquist_basis lets its rows drop, summed over rows
 _BASIS_TOL = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MalmquistBasis:
     """Orthonormal basis of K_B, truncated to a common degree."""
 
     sigma: SigmaSet
-    series: tuple[CoeffSeries, ...]
+    coeffs: np.ndarray  # read-only (n, degree+1); row k holds e_k
 
     @property
     def n(self) -> int:
-        return len(self.series)
+        return self.coeffs.shape[0]
 
     @property
     def degree(self) -> int:
-        return self.series[0].degree
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def series(self) -> tuple[CoeffSeries, ...]:
+        return tuple(CoeffSeries(row) for row in self.coeffs)
 
     def coeff_matrix(self) -> np.ndarray:
         """(n, degree+1) array of basis coefficients."""
-        return np.vstack([e.coeffs for e in self.series])
+        return self.coeffs
 
     def eval(self, z) -> np.ndarray:
         """Exact rational values e_k(z); shape (n, len(z))."""
@@ -123,51 +130,41 @@ def _malmquist_series(sigma: SigmaSet, b: np.ndarray) -> CoeffSeries:
     return CoeffSeries(np.concatenate(_series(term, 0, _SERIES_TOL)))
 
 
-def _initial_degree(sigma: SigmaSet) -> int:
-    r = max(sigma.r, 0.1)
-    est = int((-np.log(_BASIS_TOL) + 3.0 * sigma.n) / (1.0 - r)) + 16
-    m = 64
-    while m < est and m < _TRUNC_CAP:
-        m <<= 1
-    return m
-
-
 def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBasis:
-    """Construct the Malmquist basis, truncated so each ||e_k||_2 = 1 - O(1e-11).
+    """Construct the Malmquist basis, cut where its dropped tail is certified negligible.
 
-    The truncation degree doubles until the coefficient mass lost in the
-    tail (the largest unit-norm deficit of a basis element) is at most
-    _BASIS_TOL = 1e-11.  Raises TruncationError if degree 2^16, or a pinned
-    ``n_trunc`` (tried alone), misses that tolerance.
+    Column m of the coefficient matrix is conj(v_m), v_m = T_B^m conj(e(0)),
+    and sum_m v_m v_m^H = I, so the rows drop exactly ||T_B^N||_F^2 of
+    coefficient mass past N columns.  N doubles from 1, squaring T_B^N,
+    until that mass is at most _TAIL_EPS^2 = 2^-106 or N reaches
+    _TRUNC_CAP = 2^16; a pinned ``n_trunc`` >= 0 takes N = n_trunc + 1.
+    Raises TruncationError if the mass exceeds _BASIS_TOL = 1e-11.  The
+    degree is N - 1; the Blaschke recursion is exact on every prefix.
     """
-    pinned = n_trunc is not None
-    deg = int(n_trunc) if pinned else _initial_degree(sigma)
-    while True:
-        basis = _build(sigma, deg)
-        deficit = max(
-            abs(1.0 - float(np.sum(np.abs(e.coeffs) ** 2))) for e in basis.series
+    T = _compressed_shift(sigma.points)
+    if n_trunc is None:
+        length = 1
+        while np.vdot(T, T).real > _TAIL_EPS**2 and length < _TRUNC_CAP:
+            T, length = T @ T, 2 * length
+    elif n_trunc < 0:
+        raise ValueError(f"n_trunc must be >= 0, got {n_trunc}")
+    else:
+        length = int(n_trunc) + 1
+        T = np.linalg.matrix_power(T, length)
+    mass = float(np.vdot(T, T).real)
+    if mass > _BASIS_TOL:
+        raise TruncationError(
+            f"Malmquist truncation at degree {length - 1} drops coefficient mass "
+            f"{mass:.3e} (r={sigma.r:.3f}); tolerance {_BASIS_TOL}"
         )
-        if deficit <= _BASIS_TOL:
-            return basis
-        if pinned or deg >= _TRUNC_CAP:
-            raise TruncationError(
-                f"Malmquist truncation at degree {deg} misses unit norm by "
-                f"{deficit:.3e} (r={sigma.r:.3f}); tolerance {_BASIS_TOL}"
-            )
-        deg *= 2
-
-
-def _build(sigma: SigmaSet, deg: int) -> MalmquistBasis:
-    n_len = deg + 1
-    out = []
-    running = np.zeros(n_len, dtype=complex)
+    E = np.empty((sigma.n, length), dtype=complex)
+    running = np.zeros(length, dtype=complex)
     running[0] = 1.0
-    for lam in sigma.points:
-        cl = np.conj(lam)
-        e = np.sqrt(1.0 - abs(lam) ** 2) * _s._div_geometric(running, cl)
-        out.append(CoeffSeries(e))
+    for k, lam in enumerate(sigma.points):
+        E[k] = np.sqrt(1.0 - abs(lam) ** 2) * _s._div_geometric(running, np.conj(lam))
         running = _s._mul_blaschke(running, lam)
-    return MalmquistBasis(sigma, tuple(out))
+    E.setflags(write=False)
+    return MalmquistBasis(sigma, E)
 
 
 def cauchy_pairing(h: CoeffSeries, g: CoeffSeries) -> complex:
@@ -189,20 +186,16 @@ def bernstein_ratio(
 ) -> float:
     """Operator norm of order-fold differentiation K_B -> H^2.
 
-    Builds the Hermitian Gram matrix of the differentiated basis series
-    and returns sqrt of its largest eigenvalue.
+    Differentiates the coefficient matrix in one step, column m times the
+    falling factorial (m)_order, and returns sqrt of the largest eigenvalue
+    of the Hermitian Gram matrix of its rows.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if basis is None:
         basis = malmquist_basis(sigma)
-    ders = []
-    for e in basis.series:
-        d = e
-        for _ in range(order):
-            d = d.derivative()
-        ders.append(d.coeffs)
-    D = np.vstack(ders)
+    E = basis.coeffs
+    D = E[:, order:] * _falling(np.arange(order, E.shape[1]), order)
     M = D @ D.conj().T
     eig = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     return float(np.sqrt(max(eig[-1], 0.0)))

@@ -169,16 +169,6 @@ def _series(term, min_k: int, tol: float) -> list:
             )
 
 
-def _kernel_diag_sum(space: SpaceSpec, x: float) -> float:
-    """sum_k kappa_k x^k for 0 <= x < 1."""
-
-    def term(ks):
-        block = float(np.sum(kernel_diagonal(space, ks) * x**ks))
-        return block, block
-
-    return sum(_series(term, 0, _SERIES_TOL))
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -426,23 +416,23 @@ def norm(space: SpaceSpec, f: CoeffSeries) -> float:
 def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     """Norm of f |-> f(t) on the space, 0 <= t < 1.
 
-    Hilbert cases are sqrt(sum_k kappa_k t^(2k)); hardy(p) uses the
-    classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
-    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the peak
-    weight times a _series sum, plus its geometric tail, of the q-th powers
-    of the weights over the peak for finite q (q = 1 at p = inf), and the
-    peak itself at p = 1.
-    Bergman with p != 2 is out.
+    One rule per family, each with 1 - t^2 formed as (1-t)(1+t), free of
+    cancellation as t -> 1.  hardy(p) uses the classical sharp value
+    (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q norm, 1/p + 1/q = 1, of
+    the dual weight (k+1)^(alpha-1) t^k: the peak weight times a _series
+    sum, plus its geometric tail, of the q-th powers of the weights over
+    the peak for finite q (q = 1 at p = inf, q = 2 at p = 2), and the peak
+    itself at p = 1.  Bergman at p = 2 is sqrt of the kernel diagonal
+    (beta+1)/pi (1-t^2)^-(beta+2); Bergman with p != 2 is out.
     """
     t = float(t)
     if t < 0.0 or t >= 1.0:
         raise Divergence(f"evaluation norm needs 0 <= t < 1, got {t}")
+    one_minus_t2 = (1.0 - t) * (1.0 + t)
     if space.family == "hardy":
         if space.p == np.inf:
             return 1.0
-        return float((1.0 - t * t) ** (-1.0 / space.p))
-    if space.is_hilbert:
-        return float(np.sqrt(_kernel_diag_sum(space, t * t)))
+        return float(one_minus_t2 ** (-1.0 / space.p))
     if space.family == "seq":
         alpha = space.alpha
         # the weights rise, peak at k* = (alpha-1)/(-log t) - 1, then decay;
@@ -469,6 +459,9 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
         # after the last block, at the ratio r of the last two
         r = pieces[-1] / pieces[-2]
         return peak * float(sum(pieces) + pieces[-1] * r / (1.0 - r)) ** (1.0 / q)
+    if space.is_hilbert:
+        beta = space.beta
+        return float(np.sqrt((beta + 1.0) / np.pi) * one_minus_t2 ** (-(beta + 2.0) / 2.0))
     raise UnsupportedSpace("evaluation norm for Bergman p != 2 is not implemented")
 
 

@@ -459,6 +459,16 @@ class TestValidation:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"discinterp {argv[0]}: error: argument --budget")
 
+    @pytest.mark.parametrize("trunc", ["-1", "-3"])
+    def test_negative_trunc_is_validation_error(self, capsys, trunc):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", "--sigma", "0.5", "--trunc", trunc])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("discinterp basis: error: argument --trunc")
+
     def test_dual_weight_peak_out_of_reach_exit_code(self, capsys):
         # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8
         argv = ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",

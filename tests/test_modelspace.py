@@ -24,6 +24,7 @@ from discinterp import (
     series_product,
 )
 
+from discinterp.extremal import _compressed_shift
 from discinterp.series import _basis_derivatives, _basis_values
 
 from conftest import random_poly, random_sigma
@@ -68,6 +69,60 @@ class TestBasis:
         # the adaptive start for r = 0.9999 would exceed the truncation cap
         with pytest.raises(TruncationError):
             malmquist_basis(SigmaSet((0.9999,)))
+
+    @staticmethod
+    def _seeded_sets():
+        """Seeded node sets, r <= 0.9, with repeated and zero nodes."""
+        rng = np.random.default_rng(1818)
+        for i in range(24):
+            points = list(random_sigma(rng, n_max=8, r_max=0.9).points)
+            if i % 3 == 1:
+                points += points[:1]
+            if i % 3 == 2:
+                points[int(rng.integers(len(points)))] = 0.0
+                points += [0.0]
+            yield SigmaSet(tuple(points))
+
+    def test_dropped_mass_is_frobenius_norm_of_shift_power(self):
+        # sum_m v_m v_m^H = I, so the rows drop exactly the row masses of T_B^N
+        for sigma in self._seeded_sets():
+            E = malmquist_basis(sigma, n_trunc=4095).coeff_matrix()
+            T = _compressed_shift(sigma.points)
+            for N in (4, 16, 64):
+                want = np.sum(np.abs(np.linalg.matrix_power(T, N)) ** 2, axis=1)
+                got = np.sum(np.abs(E[:, N:]) ** 2, axis=1)
+                assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_rows_are_prefixes_of_a_longer_basis(self):
+        for sigma in self._seeded_sets():
+            E = malmquist_basis(sigma).coeff_matrix()
+            N = E.shape[1]
+            longer = malmquist_basis(sigma, n_trunc=2 * N - 1).coeff_matrix()
+            assert np.array_equal(E, longer[:, :N])
+
+    def test_length_is_least_certified_power_of_two(self):
+        for sigma in self._seeded_sets():
+            N = malmquist_basis(sigma).degree + 1
+            assert N & (N - 1) == 0
+            T = _compressed_shift(sigma.points)
+
+            def mass(m):
+                P = np.linalg.matrix_power(T, m)
+                return np.vdot(P, P).real
+
+            assert mass(N) <= 2.0**-106
+            if N > 1:
+                assert mass(N // 2) > 2.0**-106
+
+    def test_origin_degree(self):
+        # T_B is the nilpotent shift: T_B^N = 0 exactly from N = n on
+        for n in range(1, 11):
+            want = 1 << (n - 1).bit_length()
+            assert malmquist_basis(SigmaSet((0.0,) * n)).degree == want - 1
+
+    def test_negative_pinned_degree_rejected(self):
+        with pytest.raises(ValueError):
+            malmquist_basis(SigmaSet((0.5,)), n_trunc=-1)
 
     def test_rational_evaluator_matches_series(self, rng):
         sigma = random_sigma(rng, n_max=6, r_max=0.7)
@@ -151,6 +206,21 @@ class TestBernstein:
             sigma = random_sigma(rng, n_max=10, r_max=0.9)
             bound = 2.5 * sigma.n / (1.0 - sigma.r)
             assert bernstein_ratio(sigma) <= bound
+
+    def test_matches_per_row_derivative_chain(self, rng):
+        for i in range(25):
+            sigma = random_sigma(rng, n_max=8, r_max=0.9)
+            basis = malmquist_basis(sigma)
+            order = 1 + i % 3
+            rows = []
+            for e in basis.series:
+                for _ in range(order):
+                    e = e.derivative()
+                rows.append(e.coeffs)
+            D = np.vstack(rows)
+            want = np.sqrt(max(np.linalg.eigvalsh(D @ D.conj().T)[-1], 0.0))
+            got = bernstein_ratio(sigma, order=order, basis=basis)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_iterated_bound(self, rng):
         import math

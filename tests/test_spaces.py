@@ -103,7 +103,7 @@ def _model_interpolant(n: int, r: float) -> CoeffSeries:
     """Tf on a seeded set shaped like a benchmark model slot.
 
     n nodes of modulus at most r, the first at r and doubled, and f a
-    random polynomial of degree 16; Tf comes at the padded basis degree.
+    random polynomial of degree 16; Tf comes at the basis degree.
     """
     rng = np.random.default_rng([n, int(100 * r)])
     moduli = r * np.sqrt(rng.uniform(size=n - 1))
@@ -140,9 +140,9 @@ class TestNegligibleTail:
             assert norm(space, padded) == norm(space, f)
 
     def test_dropped_tail_keeps_hardy_norms(self):
-        # Tf comes at degree 2048; past degree 823 its coefficients carry
+        # Tf padded to degree 2048; past degree 823 its coefficients carry
         # under 2^-53 of max_k |c_k| in l1 mass
-        tf = _model_interpolant(9, 0.95)
+        tf = CoeffSeries(_model_interpolant(9, 0.95).padded(2049))
         for p in (1.0, 3.0, np.inf):
             kept = _drop_negligible_tail(hardy(p), tf)
             assert len(kept) < len(tf) // 2
@@ -431,6 +431,23 @@ class TestEvalFunctional:
         want = np.exp(logsumexp(log_terms) / q)
         got = eval_functional_norm(seq_weighted(p, alpha), t)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.5])
+    def test_bergman2_kernel_diagonal_sum(self, beta):
+        # sqrt(sum_k kappa_k t^(2k)), summed exactly, against the closed form
+        space = bergman_radial(2, beta)
+        ks = np.arange(8000)
+        kap = kernel_diagonal(space, ks)
+        for t in np.linspace(0.0, 0.99, 12):
+            want = math.sqrt(math.fsum(kap * t ** (2 * ks)))
+            assert eval_functional_norm(space, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_seq2_closed_form(self):
+        # at alpha = 3/2 the squared dual weights are (k+1) t^(2k): 1/(1-t^2)^2
+        for t in (0.0, 0.3, 0.9, 0.99, 0.999, 0.9999):
+            want = 1.0 / ((1.0 - t) * (1.0 + t))
+            got = eval_functional_norm(seq_weighted(2, 1.5), t)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_sharpness_for_kernel_series(self):
         for space in (hardy(2), seq_weighted(2, 1.5)):
