@@ -7,8 +7,10 @@ g = sum_k b_k e_k onto the model space K_B, and the worst f for a given
 g is its minimal-norm representative, so the sup collapses to a
 maximisation over Malmquist coordinates b on the unit sphere of C^n,
 run here as a monotone singular-vector ascent from a fixed list of
-seeded starts.  Everything it needs comes from the compressed shift
-T_B: the stack e_k(T_B) and the Stein-sum Gram S of the coordinates.
+seeded starts, all climbing in lockstep.  Everything it needs comes from
+the compressed shift T_B: the stack e_k(T_B) and the Stein-sum Gram S of
+the coordinates, which also give a certified upper bound of the sup (the
+least spectral norm of three flattenings), where the ascent stops.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), antipodally
@@ -23,7 +25,7 @@ numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,9 +163,10 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     returned quotient/norm ratio is a valid lower bound for any witness;
     the rotation is what makes it grow at the proved (n/(1-r))-power rate.
     The involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the
-    quotient norm is the Taylor-jet norm of the rotated witness.  The norm
-    of W o b_lam is that of its Taylor series, summed by _malmquist_series
-    from its exact Malmquist coordinates (_witness_coords).
+    quotient norm is the Taylor-jet norm of the rotated witness.  W o b_lam
+    has exact Malmquist coordinates b (_witness_coords); the basis is
+    orthonormal in H^2, so there the norm is ||b||_2, and elsewhere it is
+    the norm of the Taylor series that _malmquist_series sums from b.
     """
     if n < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -171,12 +174,14 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     if not abs(lam) < 1.0:  # also catches NaN
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
     W, h = _witness_coords(space, lam, n)
-    if lam == 0:
-        f = W  # radial norm: W(-z) = W
+    b = np.append(math.sqrt(1.0 - abs(lam) ** 2) * h[:-1], h[-1])
+    if space.family == "hardy":  # _witness_coords admits only p = 2 there
+        size = float(np.linalg.norm(b))
+    elif lam == 0:
+        size = _sp.norm(space, W)  # radial norm: W(-z) = W
     else:
-        b = np.append(math.sqrt(1.0 - abs(lam) ** 2) * h[:-1], h[-1])
-        f = _malmquist_series(SigmaSet((lam,) * (len(h) - 1) + (0,)), b)
-    return cs_min_norm(W.coeffs[:n]).value / _sp.norm(space, f)
+        size = _sp.norm(space, _malmquist_series(SigmaSet((lam,) * (len(h) - 1) + (0,)), b))
+    return cs_min_norm(W.coeffs[:n]).value / size
 
 
 def interp_constant(
@@ -194,14 +199,17 @@ def interp_constant(
     (S = I on H^2).  Each step takes the coefficients c of the top
     singular pair and moves to b <- S conj(c), where J is at least
     sqrt(c^T S conj(c)), itself at least the previous value.  budget
-    counts the starts, each ascended: the unit vectors, the all-ones and
-    alternating vectors, then seeded random vectors, with the transplanted
-    witness first when sigma is one repeated point (lam,)*n; its
-    coordinates are s sum_{j<=k} W_j conj(lam)^(k-j) in closed form, so
-    the estimate is at least witness_lower_bound.  Deterministic under a
-    fixed seed.  The result is an attained value, so a lower estimate of
-    the true sup, never below any start's J, and never exceeds the
-    projection operator norm (plus rounding).
+    counts the starts, ascended in lockstep (_ascend): the unit vectors,
+    the all-ones and alternating vectors, then seeded random vectors, with
+    the transplanted witness first when sigma is one repeated point
+    (lam,)*n; its coordinates are s sum_{j<=k} W_j conj(lam)^(k-j) in
+    closed form, so the estimate is at least witness_lower_bound.  Every
+    start stops once the estimate is within _ASCENT_RTOL of the flattening
+    bound (_flattening_bound), which bounds the sup from above.
+    Deterministic under a fixed seed.  The result is an attained value, so
+    a lower estimate of the true sup, never below any start's J, and never
+    exceeds the flattening bound or the projection operator norm (plus
+    rounding).
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
@@ -209,12 +217,12 @@ def interp_constant(
     gram = _malmquist_gram(space, sigma)
     inv_factor = _sp._inverse_factor(gram)
 
-    def denominator(b: np.ndarray) -> float:  # sqrt(b^H S^-1 b)
-        return float(np.linalg.norm(inv_factor @ b))
+    def denominator(B: np.ndarray) -> np.ndarray:  # sqrt(b^H S^-1 b) per row b
+        return np.linalg.norm(B @ inv_factor.T, axis=1)
 
-    def gram_step(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-        b = gram @ c.conj()
-        return b / np.linalg.norm(b)
+    def gram_step(C: np.ndarray, B: np.ndarray) -> np.ndarray:  # b = S conj(c) per row
+        B = C.conj() @ gram.T
+        return B / np.linalg.norm(B, axis=1, keepdims=True)
 
     factor = _malmquist_factor(sigma.points)
     starts = _starts(n, budget, seed)
@@ -226,7 +234,27 @@ def interp_constant(
             pass
         else:
             starts.insert(0, h[:n] / np.linalg.norm(h[:n]))
-    return _ascend(factor, starts, gram_step, denominator)
+    return _ascend(factor, starts, gram_step, denominator, _flattening_bound(factor[0], gram))
+
+
+def _flattening_bound(stack: np.ndarray, gram: np.ndarray) -> float:
+    """Upper bound of max_b ||sum_k b_k A_k||_2 / sqrt(b^H S^-1 b), or inf.
+
+    With S = L L^H and b = L y the maximum is the spectral norm of the
+    3-tensor N_j = sum_i L_ij A_i over unit y, u, v, which each of its three
+    flattenings (n x n^2 matrices) bounds from above; this is the least of
+    the three, one stacked eigvalsh of their Grams.  inf when S has no
+    Cholesky factor, where _inverse_factor takes its pseudo-inverse.
+    """
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return math.inf
+    n = L.shape[0]
+    N = (L.T @ stack).reshape(n, n, n)  # N[j, a, b]
+    F = np.stack((N, N.transpose(1, 0, 2), N.transpose(2, 0, 1))).reshape(3, n, n * n)
+    top = np.linalg.eigvalsh(F @ F.conj().transpose(0, 2, 1))[:, -1]
+    return math.sqrt(max(float(top.min()), 0.0))
 
 
 def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
@@ -293,7 +321,7 @@ def bound_sweep(
             estimate = interp_constant(
                 space, SigmaSet((complex(r),) * n), budget=budget, seed=seed
             )
-        return SweepRow(**asdict(report), witness=witness, estimate=estimate)
+        return SweepRow(**vars(report), witness=witness, estimate=estimate)
 
     rows = tuple(make_row(c) for c in cells)
 

@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -299,18 +298,18 @@ def _run_pick(args: argparse.Namespace) -> tuple[list[dict], dict]:
     nodes = _parse_list(args.nodes, "--nodes", _complex_token)
     values = _parse_list(args.values, "--values", _complex_token)
     result = pick_min_norm(PickProblem(nodes, values))
-    return [asdict(result)], {"nodes": args.nodes, "values": args.values}
+    return [{**vars(result)}], {"nodes": args.nodes, "values": args.values}
 
 
 def _run_cs(args: argparse.Namespace) -> tuple[list[dict], dict]:
     coeffs = _parse_list(args.coeffs, "--coeffs", _complex_token)
-    return [asdict(cs_min_norm(np.array(coeffs)))], {"coeffs": args.coeffs}
+    return [{**vars(cs_min_norm(np.array(coeffs)))}], {"coeffs": args.coeffs}
 
 
 def _run_quotient(args: argparse.Namespace) -> tuple[list[dict], dict]:
     sigma = _resolve_sigma(args)
     f = CoeffSeries(np.array(_parse_list(args.coeffs, "--coeffs", _complex_token)))
-    return [asdict(quotient_norm(f, sigma))], {"sigma": _sigma_text(sigma)}
+    return [{**vars(quotient_norm(f, sigma))}], {"sigma": _sigma_text(sigma)}
 
 
 def _run_carleson(args: argparse.Namespace) -> tuple[list[dict], dict]:
@@ -331,7 +330,7 @@ def _run_constant(args: argparse.Namespace) -> tuple[list[dict], dict]:
 def _run_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
     space = _resolve_space(args)
     report = theorem_bounds(space, args.n, args.r)
-    return [{**asdict(space), **asdict(report)}], {"space": space.label()}
+    return [{**vars(space), **vars(report)}], {"space": space.label()}
 
 
 def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
@@ -346,7 +345,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
         estimate_cap=args.estimate_cap,
         seed=args.seed,
     )
-    records = [{**asdict(space), **asdict(row)} for row in result.rows]
+    records = [{**vars(space), **vars(row)} for row in result.rows]
     meta = {
         "space": space.label(),
         "slope_witness": result.slope_witness,
@@ -418,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=_run_bernstein,
                      columns=("idx", "n", "r", "order", "ratio", "bound", "ratio_over_bound"))
     _add_sigma_options(sub)
-    sub.add_argument("--order", type=int, default=1)
-    sub.add_argument("--samples", type=int, default=0,
+    sub.add_argument("--order", type=_at_least(1), default=1)
+    sub.add_argument("--samples", type=_at_least(0), default=0,
                      help="draw this many random node sets instead of --sigma")
-    sub.add_argument("--max-n", type=int, default=6)
+    sub.add_argument("--max-n", type=_at_least(1), default=6)
     sub.add_argument("--max-r", type=float, default=0.8)
     _add_output_options(sub)
 

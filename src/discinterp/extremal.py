@@ -16,6 +16,8 @@ The estimators maximise ||F(x)||_2 over a set of data x by a monotone
 singular-vector ascent (_ascend): F is linear, so with (u, v) the top
 singular pair of F(x) the value is sum_i x_i c_i with c_i = u^H M_i v, and
 an update of x that maximises that bilinear form for fixed c never lowers it.
+All starts climb in lockstep, one stacked SVD per step, and stop together
+once the best value meets a certified upper bound, where there is one.
 """
 
 from __future__ import annotations
@@ -168,35 +170,52 @@ def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
 
 
 def _ascend(
-    factor: tuple[np.ndarray, np.ndarray], starts, update, denominator
+    factor: tuple[np.ndarray, np.ndarray], starts, update, denominator, upper: float = math.inf
 ) -> float:
-    """Best ||F(x)||_2 / denominator(x) over the ascents from starts.
+    """Best ||F(x)||_2 / denominator(x) over the ascents from starts, in lockstep.
 
-    Each step takes the top singular pair (u, v) of F(x), forms c_i = u^H M_i v
-    (so ||F(x)||_2 = sum_i x_i c_i) and moves to x <- update(c, x).  The
-    update maximises |sum_i x_i c_i| / denominator(x) for this c, which bounds
-    the value at the new point from below, so the values do not decrease up
-    to rounding.  A point with denominator at most 1e-14 has value 0.  The
-    starts are ascended in order and the first best point wins; its data
-    map is checked by _check_accuracy.
+    Each step takes one stacked SVD of the data maps F(x) of the starts still
+    climbing, with (u, v) the top singular pair of each, forms the rows
+    c_i = u^H M_i v (so ||F(x)||_2 = sum_i x_i c_i) and moves the rows X to
+    update(C, X).  The update maximises |sum_i x_i c_i| / denominator(x) for
+    each row, which bounds the value at the new point from below, so each
+    start's values do not decrease up to rounding; denominator(X) returns
+    one value per row, and a point with denominator at most 1e-14 has value 0.
+    A start stops once a step raises its value by less than _ASCENT_RTOL, or
+    after _ASCENT_STEPS SVDs; every start stops once the best value reaches
+    upper (1 - _ASCENT_RTOL), for upper a certified bound of the supremum.
+    Each start's first best point is kept and the first start with the best
+    value wins, as if the starts had been ascended in order; the data map
+    of that point is checked by _check_accuracy.
     """
-    stack = factor[0]
-    best, best_x, best_top = 0.0, None, 0.0
-    for x in starts:
-        n, run_best = x.size, 0.0
-        for _ in range(_ASCENT_STEPS):
-            U, s, Vh = np.linalg.svd((x @ stack).reshape(n, n))
-            den = denominator(x)
-            value = float(s[0]) / den if den > 1e-14 else 0.0
-            if value > best:
-                best, best_x, best_top = value, x, float(s[0])
-            if value <= run_best * (1.0 + _ASCENT_RTOL):
-                break
-            run_best = value
-            x = update(stack @ np.outer(U[:, 0].conj(), Vh[0].conj()).ravel(), x)
-    if best_x is not None:
-        _check_accuracy(factor, best_x, best_top)
-    return best
+    stack, stop = factor[0], upper * (1.0 - _ASCENT_RTOL)
+    X = np.array(starts)
+    k, n = X.shape
+    # the per-row bookkeeping is on Python floats: at a budget of a few
+    # starts, numpy calls on so short arrays cost more than the SVDs save
+    rows = list(range(k))  # the start of each climbing row, in order
+    run_best, best, best_at = [0.0] * k, [0.0] * k, [None] * k
+    for _ in range(_ASCENT_STEPS):
+        U, s, Vh = np.linalg.svd((X @ stack).reshape(-1, n, n))
+        top = s[:, 0].tolist()
+        values = [t / d if d > 1e-14 else 0.0 for t, d in zip(top, denominator(X).tolist())]
+        for j, (r, value) in enumerate(zip(rows, values)):
+            if value > best[r]:
+                best[r], best_at[r] = value, (X[j], top[j])
+        climbing = [v > b * (1.0 + _ASCENT_RTOL) for v, b in zip(values, run_best)]
+        if max(values) >= stop or not any(climbing):
+            break
+        if not all(climbing):
+            keep = np.flatnonzero(climbing)
+            rows, values = [rows[j] for j in keep], [values[j] for j in keep]
+            X, U, Vh = X[keep], U[keep], Vh[keep]
+        run_best = values
+        pairs = (U[:, :, 0, None] * Vh[:, 0, None, :]).conj().reshape(len(rows), n * n)
+        X = update(pairs @ stack.T, X)
+    i = max(range(k), key=best.__getitem__)  # the first start with the best value
+    if best_at[i] is not None:
+        _check_accuracy(factor, *best_at[i])
+    return best[i]
 
 
 def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value: float):
@@ -271,8 +290,10 @@ def carleson_constant(
     the unit polydisc is attained there) by the monotone ascent: with c the
     coefficients of the top singular pair, w_i <- conj(c_i)/|c_i| (w_i kept
     where c_i = 0) raises the value to at least sum_i |c_i|.  budget counts
-    the starts, each ascended: the alternating data (1, -1, 1, ..), then
-    seeded uniform phases.  The nodes are factored once.  Deterministic
+    the starts, ascended in lockstep, each to its own stop rule (the upper
+    bound sqrt(n) ||[M_1; ..; M_n]||_2 sits 1.05-1.70x above the ascent,
+    too far to stop it): the alternating data (1, -1, 1, ..), then seeded
+    uniform phases.  The nodes are factored once.  Deterministic
     under a fixed seed; the returned value is attained, so it is a
     certified lower bound of the supremum, not the supremum itself.
     Raises DegenerateNodes for nodes closer than _MIN_SEPARATION.
@@ -280,9 +301,9 @@ def carleson_constant(
     n = sigma.n
     factor = _pick_factor(sigma.points)
 
-    def phase_step(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-        mag = np.abs(c)
-        return np.divide(c.conj(), mag, out=w.copy(), where=mag > 0)
+    def phase_step(C: np.ndarray, W: np.ndarray) -> np.ndarray:
+        mag = np.abs(C)
+        return np.divide(C.conj(), mag, out=W.copy(), where=mag > 0)
 
     # not the all-ones data: F(1, .., 1) = I, whose top singular pair is not
     # unique, and from the pair the SVD returns the ascent cannot leave it
@@ -291,4 +312,4 @@ def carleson_constant(
     while len(starts) < budget:
         phases = rng.uniform(-np.pi, np.pi, size=n - 1)
         starts.append(np.exp(1j * np.concatenate(([0.0], phases))))
-    return _ascend(factor, starts, phase_step, lambda w: 1.0)
+    return _ascend(factor, starts, phase_step, lambda W: np.ones(len(W)))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -34,7 +35,7 @@ from discinterp import (
     witness_lower_bound,
 )
 
-from conftest import random_sigma
+from conftest import random_sigma, recording_ascent, sequential_ascent
 
 # Nelder-Mead estimates (budget max(8, n + 3), 60 evaluations per start) on
 # the 30 criterion-10 draws of rng(110); each is an attained value of J
@@ -169,6 +170,25 @@ class TestWitness:
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(value, rel=1e-9)
 
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 0.99, 0.999, 0.9999])
+    def test_h2_norm_is_the_coordinate_sum(self, monkeypatch, rng, r):
+        # the Malmquist basis is orthonormal in H^2, so ||W o b_lam||_2^2 is
+        # s^2 sum_k |h_k|^2 exactly, with the terms from m = deg W summing to
+        # |h_m|^2, and no Taylor series of W o b_lam is built
+        def refuse(*args):
+            raise AssertionError("_malmquist_series called on an H^2 witness")
+
+        monkeypatch.setattr(bounds, "_malmquist_series", refuse)
+        for n in range(1, 33):
+            lam = r * np.exp(2j * np.pi * rng.uniform())
+            W = bounds._witness(hardy(2), lam, n)
+            h = series._div_geometric(W.coeffs, np.conj(lam))
+            norm2 = (1.0 - abs(lam) ** 2) * math.fsum(np.abs(h[:-1]) ** 2) + abs(h[-1]) ** 2
+            want = cs_min_norm(W.coeffs[:n]).value / math.sqrt(norm2)
+            assert witness_lower_bound(hardy(2), lam, n) == pytest.approx(want, rel=1e-15)
+        if r == 0.9999:
+            assert witness_lower_bound(hardy(2), r, 4) == pytest.approx(4.02902837834968, rel=1e-15)
+
     @pytest.mark.parametrize("lam, n, value", [(0.999, 32, 597.868), (0.9999, 4, 15.5129)])
     def test_near_circle_weighted_is_finite(self, lam, n, value):
         got = witness_lower_bound(seq_weighted(2, 1.5), lam, n)
@@ -300,25 +320,7 @@ class TestInterpConstant:
     )
     def test_ascent_values_never_decrease(self, monkeypatch, points):
         runs = []
-        ascend = extremal._ascend
-
-        def recording(factor, starts, update, denominator):
-            def value(y):
-                return extremal._pick_value(factor, y) / denominator(y)
-
-            def each_start():
-                for x in starts:
-                    runs.append([value(x)])
-                    yield x
-
-            def step(c, y):
-                new = update(c, y)
-                runs[-1].append(value(new))
-                return new
-
-            return ascend(factor, each_start(), step, denominator)
-
-        monkeypatch.setattr(bounds, "_ascend", recording)
+        monkeypatch.setattr(bounds, "_ascend", recording_ascent(runs))
         interp_constant(hardy(2), SigmaSet(points), budget=6, seed=4)
         assert len(runs) >= 6
         for values in runs:
@@ -341,6 +343,66 @@ class TestInterpConstant:
         assert est == pytest.approx(best_start, rel=1e-9)
         assert est <= projection_operator_norm(space, sigma) + 1e-6
 
+    def test_certified_stop_on_a_degenerate_shift(self, monkeypatch):
+        # on (0, 0) in l^2_a(1.5) the flattening bound is the constant sqrt(2),
+        # which the unit start e_1 attains at once; the witness start alone
+        # would creep through all _ASCENT_STEPS SVDs to 5e-7 below it
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        est = interp_constant(seq_weighted(2, 1.5), SigmaSet((0, 0)), budget=2)
+        assert est == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert len(calls) <= 3
+
+    def test_estimate_within_flattening_bound(self, monkeypatch):
+        # estimate <= upper on the criterion-10 draws, the high-multiplicity
+        # cells and single points, with equality at n = 1
+        uppers = []
+        ascend = extremal._ascend
+
+        def recording(factor, starts, update, denominator, upper):
+            uppers.append(upper)
+            return ascend(factor, starts, update, denominator, upper)
+
+        monkeypatch.setattr(bounds, "_ascend", recording)
+        rng = np.random.default_rng(110)
+        cases = []
+        for _ in NELDER_MEAD_CRITERION_10:
+            sigma = random_sigma(rng, n_max=5, r_max=0.8, distinct=True, min_sep=0.08)
+            cases.append((hardy(2), sigma, max(8, sigma.n + 3)))
+        for space in (hardy(2), seq_weighted(2, 1.5)):
+            for r in (0.0, 0.5, 0.9):
+                for n in (2, 4, 8, 12, 16, 24, 32):
+                    cases.append((space, SigmaSet((complex(r),) * n), 4))
+        for space in (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1)):
+            for lam in (0.0, 0.5, 0.3 - 0.6j, 0.9):
+                cases.append((space, SigmaSet((lam,)), 2))
+        for space, sigma, budget in cases:
+            est = interp_constant(space, sigma, budget=budget)
+            assert est <= uppers[-1] * (1 + 1e-12), (space, sigma.points, est, uppers[-1])
+            if sigma.n == 1:
+                assert est == pytest.approx(uppers[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 2, 8, 32])
+    def test_lockstep_matches_sequential_ascent(self, monkeypatch, budget):
+        # at budget 1 the witness start on (0, 0) in l^2_a(1.5) creeps to 5e-7
+        # below the bound sqrt(2): a stop looser than _ASCENT_RTOL shows there
+        rng = np.random.default_rng(19)
+        sets = [SigmaSet((0, 0)), SigmaSet((0.5,) * 3)]
+        for n in (1, 3, 5):
+            sets.append(random_sigma(rng, n=n, r_max=0.8, distinct=True, min_sep=0.08))
+            points = random_sigma(rng, n=n, r_max=0.8).points
+            sets.append(SigmaSet(points + points[:1]))
+        cases = [
+            (space, sigma)
+            for space in (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1))
+            for sigma in sets
+        ]
+        got = [interp_constant(space, sigma, budget=budget, seed=3) for space, sigma in cases]
+        monkeypatch.setattr(bounds, "_ascend", sequential_ascent)
+        want = [interp_constant(space, sigma, budget=budget, seed=3) for space, sigma in cases]
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_factors_nodes_once_per_call(self, monkeypatch):
         calls = []
         factor = bounds._malmquist_factor
@@ -360,7 +422,7 @@ class TestInterpConstant:
     def test_witness_start_is_the_projected_transplant(self, monkeypatch, lam):
         # the closed-form start equals the Malmquist coordinates of W o b_lam
         n, starts = 6, []
-        monkeypatch.setattr(bounds, "_ascend", lambda f, xs, u, d: starts.extend(xs) or 0.0)
+        monkeypatch.setattr(bounds, "_ascend", lambda f, xs, u, d, upper: starts.extend(xs) or 0.0)
         E = malmquist_basis(SigmaSet((lam,) * n)).coeff_matrix()
         for space in (hardy(2), seq_weighted(2, 1.5)):
             starts.clear()

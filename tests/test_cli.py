@@ -469,6 +469,22 @@ class TestValidation:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("discinterp basis: error: argument --trunc")
 
+    @pytest.mark.parametrize("argv, option", [
+        (["--samples", "2", "--max-n", "0"], "--max-n"),
+        (["--samples", "2", "--max-n", "-3"], "--max-n"),
+        (["--samples", "-1"], "--samples"),
+        (["--sigma", "0.5", "--order", "0"], "--order"),
+    ])
+    def test_bernstein_counts_below_range_are_validation_errors(self, capsys, argv, option):
+        # not numpy's bare "low >= high", nor --samples -1 taken as no sampling
+        with pytest.raises(SystemExit) as exc:
+            main(["bernstein"] + argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"discinterp bernstein: error: argument {option}")
+
     def test_dual_weight_peak_out_of_reach_exit_code(self, capsys):
         # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8
         argv = ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",

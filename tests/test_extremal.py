@@ -29,7 +29,7 @@ from discinterp import (
 )
 from discinterp.series import _basis_values
 
-from conftest import random_poly, random_sigma
+from conftest import random_poly, random_sigma, recording_ascent, sequential_ascent
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -393,27 +393,20 @@ class TestCarleson:
 
     def test_ascent_values_never_decrease(self, monkeypatch):
         runs = []
-        ascend = extremal._ascend
-
-        def recording(factor, starts, update, denominator):
-            def each_start():
-                for w in starts:
-                    runs.append([extremal._pick_value(factor, w)])
-                    yield w
-
-            def step(c, y):
-                new = update(c, y)
-                runs[-1].append(extremal._pick_value(factor, new))
-                return new
-
-            return ascend(factor, each_start(), step, denominator)
-
-        monkeypatch.setattr(extremal, "_ascend", recording)
+        monkeypatch.setattr(extremal, "_ascend", recording_ascent(runs))
         carleson_constant(SigmaSet((0.5, -0.3 + 0.4j, 0.1j, -0.6 - 0.2j)), budget=6, seed=2)
         assert len(runs) == 6
         for values in runs:
             assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:]))
         assert any(values[-1] > values[0] * (1 + 1e-6) for values in runs)
+
+    @pytest.mark.parametrize("budget", [2, 8, 32])
+    def test_lockstep_matches_sequential_ascent(self, monkeypatch, rng, budget):
+        sets = [random_sigma(rng, n=n, r_max=0.8, distinct=True, min_sep=0.08) for n in (2, 3, 4, 6)]
+        got = [carleson_constant(sigma, budget=budget, seed=5) for sigma in sets]
+        monkeypatch.setattr(extremal, "_ascend", sequential_ascent)
+        want = [carleson_constant(sigma, budget=budget, seed=5) for sigma in sets]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_one_step_cap_returns_best_start(self, monkeypatch):
         # Pick value <= ||T : H^2 -> H^inf|| times the least H^2 norm of the data
