@@ -215,7 +215,7 @@ def interp_constant(
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
     gram = _malmquist_gram(space, sigma)
-    inv_factor = _sp._inverse_factor(gram)
+    inv_factor, chol = _sp._inverse_factor(gram)
 
     def denominator(B: np.ndarray) -> np.ndarray:  # sqrt(b^H S^-1 b) per row b
         return np.linalg.norm(B @ inv_factor.T, axis=1)
@@ -234,21 +234,19 @@ def interp_constant(
             pass
         else:
             starts.insert(0, h[:n] / np.linalg.norm(h[:n]))
-    return _ascend(factor, starts, gram_step, denominator, _flattening_bound(factor[0], gram))
+    return _ascend(factor, starts, gram_step, denominator, _flattening_bound(factor[0], chol))
 
 
-def _flattening_bound(stack: np.ndarray, gram: np.ndarray) -> float:
+def _flattening_bound(stack: np.ndarray, L: np.ndarray | None) -> float:
     """Upper bound of max_b ||sum_k b_k A_k||_2 / sqrt(b^H S^-1 b), or inf.
 
     With S = L L^H and b = L y the maximum is the spectral norm of the
     3-tensor N_j = sum_i L_ij A_i over unit y, u, v, which each of its three
     flattenings (n x n^2 matrices) bounds from above; this is the least of
     the three, one stacked eigvalsh of their Grams.  inf when S has no
-    Cholesky factor, where _inverse_factor takes its pseudo-inverse.
+    Cholesky factor (L None), where _inverse_factor takes its pseudo-inverse.
     """
-    try:
-        L = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+    if L is None:
         return math.inf
     n = L.shape[0]
     N = (L.T @ stack).reshape(n, n, n)  # N[j, a, b]
@@ -261,7 +259,7 @@ def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
     starts = list(np.eye(n, dtype=complex))
     starts.append(np.ones(n, dtype=complex) / math.sqrt(n))
     starts.append(np.array([(-1.0) ** k for k in range(n)], dtype=complex) / math.sqrt(n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if len(starts) < budget else None
     while len(starts) < budget:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(v / np.linalg.norm(v))

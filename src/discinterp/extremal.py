@@ -89,12 +89,13 @@ class ExtremalResult:
 def _compressed_shift(points) -> np.ndarray:
     """T_B in the Malmquist basis of the Blaschke product with these zeros."""
     lam = np.asarray(points, dtype=complex)
-    n = lam.size
-    tail = np.ones((n, n), dtype=complex)  # tail[k, l] = prod_{l<m<k} conj(lam_m)
-    for k in range(2, n):
-        tail[k, : k - 1] = tail[k - 1, : k - 1] * np.conj(lam[k - 1])
+    T = np.eye(lam.size, k=-1, dtype=complex)  # below the diagonal, prod_{l<m<k} conj(lam_m)
+    for k in range(2, lam.size):
+        T[k, : k - 1] = T[k - 1, : k - 1] * lam[k - 1].conjugate()
     s = np.sqrt(1.0 - np.abs(lam) ** 2)
-    return np.tril(-np.outer(s, s) * tail, -1) + np.diag(lam)
+    T *= -s[:, None] * s
+    T.flat[:: lam.size + 1] = lam
+    return T
 
 
 def _polyval_matrix(coeffs: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -8,12 +8,12 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
 projects onto span(e_k) through the coefficient pairing
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
-sigma.  The kernel-weighted Gram of the basis coefficients and the Taylor
-series of any sum_k b_k e_k are sums over powers of the compressed shift
-T_B, so neither needs a truncated basis.  The basis itself keeps N = 2^j
-coefficients, the fewest whose dropped mass ||T_B^N||_F^2 is at most
-2^-106, in one (n, N) matrix; derivative operator norms on K_B are read
-off the Gram matrix of that matrix differentiated.
+sigma.  The basis coefficients, their kernel-weighted Gram and the Taylor
+series of any sum_k b_k e_k are summed from one stream of T_B-power blocks
+(_stein_blocks), each cut at its exact dropped mass, so the Gram and the
+series need no truncated basis.  The basis keeps the fewest columns N on
+the grid 1, 2, 4, .., 256, 512, 768, .. that drop at most 2^-106; derivative
+operator norms come from the Gram matrix of the differentiated coefficients.
 """
 
 from __future__ import annotations
@@ -23,21 +23,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import Divergence, TruncationError
 from .extremal import _compressed_shift
 from .series import CoeffSeries, SigmaSet, _basis_derivatives, _basis_values, _falling
 from .spaces import (
     _CIRCLE_GRID,
     _POLISH_PEAKS,
+    _DIVERGENCE,
     _SERIES_BLOCK,
-    _SERIES_TOL,
+    _SERIES_KMAX,
     _TAIL_EPS,
     SpaceSpec,
     _polished_max,
-    _series,
     kernel_diagonal,
 )
-from . import series as _s
 
 __all__ = [
     "MalmquistBasis",
@@ -81,88 +80,89 @@ class MalmquistBasis:
         return _basis_values(self.sigma, z)
 
 
-def _stein_blocks(points) -> Iterator[np.ndarray]:
-    """Blocks [v_k, .., v_(k+255)], k = 0, 256, .., of v_m = T_B^m conj(e(0)).
+def _stein_blocks(points, probe=None) -> Iterator[tuple[np.ndarray, float]]:
+    """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass dropped past it.
 
-    Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m).  The
-    first block is built by doubling [V, T^j V] and each later one is T^256
-    times the one before, so the series over E need T_B alone.
-    """
+    Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m); as
+    sum_m v_m v_m^H = I, the columns past M drop ||(T_B^M)^T Q||_F^2 for a
+    probe Q (None: Q = I).  The first block doubles [V, T^w V] while that is
+    above 2^-106 ||Q||^2 (1 for Q = I) and w < _SERIES_BLOCK; later ones are
+    T^w times the one before."""
     lam = np.asarray(points, dtype=complex)
     # e_k(0) = s_k prod_{j<k} lam_j
     e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
     V, step = e0.conj()[:, None], _compressed_shift(lam)
-    while V.shape[1] < _SERIES_BLOCK:
+    floor = _TAIL_EPS**2 * (1.0 if probe is None else float(np.vdot(probe, probe).real))
+    while True:
+        P = step.T if probe is None else step.T @ probe  # (T^w)^T Q
+        if np.vdot(P, P).real <= floor or V.shape[1] >= _SERIES_BLOCK:
+            break
         V, step = np.hstack((V, step @ V)), step @ step
     while True:
-        yield V
-        V = step @ V
+        yield V, float(np.vdot(P, P).real)
+        V, P = step @ V, step.T @ P
 
 
 def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     """S_kl = sum_m kappa_m conj(E_km) E_lm, the Stein sum sum_m kappa_m v_m v_m^H.
 
     The least X-norm of an f whose projection onto K_B has the coordinates
-    b is sqrt(b^H S^-1 b).  On H^2, S is the identity.
-    """
-    blocks = _stein_blocks(sigma.points)
-
-    def term(ks):  # _series passes blocks of _SERIES_BLOCK indices in order
-        V = next(blocks)
-        piece = (V * kernel_diagonal(space, ks)) @ V.conj().T
-        return piece, float(np.trace(piece).real)
-
-    S = sum(_series(term, 0, _SERIES_TOL))
-    return 0.5 * (S + S.conj().T)
+    b is sqrt(b^H S^-1 b).  On H^2, S is the identity.  Past M the sum drops
+    at most ||T^M||_2^2 max_j(kappa_(M+j) / kappa_j) tr S of its trace, the
+    max at j = 0 for every kappa here, so it stops once ||T^M||_F^2 kappa_M
+    <= _TAIL_EPS kappa_0, and diverges past _SERIES_KMAX."""
+    kappa_0 = float(kernel_diagonal(space, 0.0))
+    S, M = 0.0, 0
+    for V, mass in _stein_blocks(sigma.points):
+        kappa = kernel_diagonal(space, np.arange(M, M + V.shape[1] + 1))
+        S, M = S + (V * kappa[:-1]) @ V.conj().T, M + V.shape[1]
+        if mass * kappa[-1] <= _TAIL_EPS * kappa_0:
+            return 0.5 * (S + S.conj().T)
+        if M > _SERIES_KMAX:
+            raise Divergence(_DIVERGENCE)
 
 
 def _malmquist_series(sigma: SigmaSet, b: np.ndarray) -> CoeffSeries:
-    """Taylor series of sum_k b_k e_k, cut by the tail rule of every kernel series.
+    """Taylor series of sum_k b_k e_k, cut where it drops at most 2^-106 ||b||^2.
 
-    Coefficient m is b^T conj(v_m); conj(v_m) is v_m of the conjugate node set.
+    Coefficient m is b^T conj(v_m), and conj(v_m) is v_m of the conjugate
+    node set, probed by b.  Diverges past _SERIES_KMAX coefficients.
     """
-    blocks = _stein_blocks(np.conj(sigma.points))
-
-    def term(ks):  # one block per call, as in _malmquist_gram
-        piece = b @ next(blocks)
-        return piece, float(np.vdot(piece, piece).real)
-
-    return CoeffSeries(np.concatenate(_series(term, 0, _SERIES_TOL)))
+    floor = _TAIL_EPS**2 * float(np.vdot(b, b).real)
+    pieces = []
+    for V, mass in _stein_blocks(np.conj(sigma.points), b):
+        pieces.append(b @ V)
+        if mass <= floor:
+            return CoeffSeries(np.concatenate(pieces))
+        if len(pieces) * V.shape[1] > _SERIES_KMAX:  # every block has the same width
+            raise Divergence(_DIVERGENCE)
 
 
 def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBasis:
     """Construct the Malmquist basis, cut where its dropped tail is certified negligible.
 
-    Column m of the coefficient matrix is conj(v_m), v_m = T_B^m conj(e(0)),
-    and sum_m v_m v_m^H = I, so the rows drop exactly ||T_B^N||_F^2 of
-    coefficient mass past N columns.  N doubles from 1, squaring T_B^N,
-    until that mass is at most _TAIL_EPS^2 = 2^-106 or N reaches
-    _TRUNC_CAP = 2^16; a pinned ``n_trunc`` >= 0 takes N = n_trunc + 1.
-    Raises TruncationError if the mass exceeds _BASIS_TOL = 1e-11.  The
-    degree is N - 1; the Blaschke recursion is exact on every prefix.
-    """
-    T = _compressed_shift(sigma.points)
-    if n_trunc is None:
-        length = 1
-        while np.vdot(T, T).real > _TAIL_EPS**2 and length < _TRUNC_CAP:
-            T, length = T @ T, 2 * length
-    elif n_trunc < 0:
+    The columns are the blocks of _stein_blocks over the conjugate nodes,
+    which drop exactly ||T_B^N||_F^2 of coefficient mass past N columns.
+    N is the first block end where that mass is at most _TAIL_EPS^2 = 2^-106
+    or that reaches _TRUNC_CAP = 2^16; a pinned ``n_trunc`` >= 0 keeps
+    n_trunc + 1 columns.  Raises TruncationError if the mass exceeds
+    _BASIS_TOL = 1e-11.  The degree is N - 1."""
+    if n_trunc is not None and n_trunc < 0:
         raise ValueError(f"n_trunc must be >= 0, got {n_trunc}")
-    else:
-        length = int(n_trunc) + 1
-        T = np.linalg.matrix_power(T, length)
-    mass = float(np.vdot(T, T).real)
+    cap = _TRUNC_CAP if n_trunc is None else int(n_trunc) + 1
+    blocks = []
+    for V, mass in _stein_blocks(np.conj(sigma.points)):
+        blocks.append(V)
+        if len(blocks) * V.shape[1] >= cap or (n_trunc is None and mass <= _TAIL_EPS**2):
+            break
+    E = np.hstack(blocks)
+    mass += float(np.vdot(E[:, cap:], E[:, cap:]).real)  # columns past a pinned n_trunc
+    E = np.ascontiguousarray(E[:, :cap])
     if mass > _BASIS_TOL:
         raise TruncationError(
-            f"Malmquist truncation at degree {length - 1} drops coefficient mass "
+            f"Malmquist truncation at degree {E.shape[1] - 1} drops coefficient mass "
             f"{mass:.3e} (r={sigma.r:.3f}); tolerance {_BASIS_TOL}"
         )
-    E = np.empty((sigma.n, length), dtype=complex)
-    running = np.zeros(length, dtype=complex)
-    running[0] = 1.0
-    for k, lam in enumerate(sigma.points):
-        E[k] = np.sqrt(1.0 - abs(lam) ** 2) * _s._div_geometric(running, np.conj(lam))
-        running = _s._mul_blaschke(running, lam)
     E.setflags(write=False)
     return MalmquistBasis(sigma, E)
 

@@ -11,9 +11,10 @@ The p = 2 members are Hilbert spaces with a diagonal reproducing kernel
 sum_k kappa_k (lambda conj(mu))^k, and ``kernel_diagonal`` is the one place
 that encodes kappa_k.  Everything Hilbert-space follows from it: the norm
 sqrt(sum_k |f_k|^2 / kappa_k), evaluation-functional norms, Gram matrices
-and minimal-norm interpolants.  The kernel series are summed in blocks by
-one loop (``_series``) with one tail rule and one ``Divergence``.  The FFT
-and quadrature norms serve only p != 2.
+and minimal-norm interpolants.  Their kernel series are summed in blocks
+by one loop (``_series``) with one tail rule, and raise one ``Divergence``
+(_DIVERGENCE) as do the Malmquist sums of ``modelspace``.  The FFT and
+quadrature norms serve only p != 2.
 """
 
 from __future__ import annotations
@@ -46,14 +47,16 @@ __all__ = [
     "power_inequality_check",
 ]
 
-# Tail rules of _series, relative to the running total mass.  Kernel and
-# Gram sums stop at 1e-14 of the total; the representer series needs 1e-26
-# of its squared coefficient norm, since at 1e-14 the H^2 one-point
-# interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.
+# Tail rules of _series (eval_functional_norm, gram_matrix, min_norm_trace),
+# relative to the running total mass.  Weight and Gram sums stop at 1e-14 of
+# the total; the representer series needs 1e-26 of its squared norm, since at
+# 1e-14 the H^2 one-point interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.
 _SERIES_TOL = 1e-14
 _REPRESENTER_TOL = 1e-26
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
+_DIVERGENCE = (f"kernel series did not converge within {_SERIES_KMAX} terms;"
+               " a point is too close to the unit circle")
 _COND_FLOOR = 1e-13
 # Circle maxima: a grid of at least _CIRCLE_GRID angles, then safeguarded
 # Newton steps on the squared objective at the _POLISH_PEAKS tallest grid
@@ -163,10 +166,7 @@ def _series(term, min_k: int, tol: float) -> list:
         if k0 > min_k and mass <= tol * total:
             return pieces
         if k0 > _SERIES_KMAX:
-            raise Divergence(
-                f"kernel series did not converge within {_SERIES_KMAX} terms;"
-                " a point is too close to the unit circle"
-            )
+            raise Divergence(_DIVERGENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +514,14 @@ class MinNormResult:
     interpolant: CoeffSeries
 
 
-def _inverse_factor(G: np.ndarray) -> np.ndarray:
-    """R with R^H R = G^-1 for a Hermitian Gram matrix G.
+def _inverse_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(R, L) with R^H R = G^-1 for a Hermitian Gram matrix G.
 
     Normally R = L^-1 with G = L L^H the Cholesky factorisation.  When G
-    is not numerically positive definite, R = diag(w^-1/2) V^H over the
-    eigenpairs (w, V) of G with w above _COND_FLOOR times the largest, so
-    R^H R is the pseudo-inverse that drops the near-null directions.
-    Raises ValueError when G holds a NaN or an infinity.
+    is not numerically positive definite, L is None and R = diag(w^-1/2) V^H
+    over the eigenpairs (w, V) of G with w above _COND_FLOOR times the
+    largest, so R^H R is the pseudo-inverse that drops the near-null
+    directions.  Raises ValueError when G holds a NaN or an infinity.
     """
     if not np.all(np.isfinite(G)):
         # np.linalg.cholesky would return NaNs instead of raising
@@ -531,10 +531,10 @@ def _inverse_factor(G: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(G)
         keep = w > _COND_FLOOR * max(w[-1], 0.0)
-        return V[:, keep].conj().T / np.sqrt(w[keep])[:, None]
+        return V[:, keep].conj().T / np.sqrt(w[keep])[:, None], None
     # L^T is upper triangular, so the LU inside inv exchanges no rows and the
     # inverse is a back substitution; inv(L) pivots and fills the upper part
-    return np.linalg.inv(L.T).T
+    return np.linalg.inv(L.T).T, L
 
 
 def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
@@ -554,7 +554,7 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     funcs = sigma.functionals()
     if a.shape != (len(funcs),):
         raise ValueError(f"trace vector must have length {len(funcs)}")
-    R = _inverse_factor(gram_matrix(space, sigma))
+    R, _ = _inverse_factor(gram_matrix(space, sigma))
     Ra = R @ a
     c = R.conj().T @ Ra
     value = float(np.linalg.norm(Ra))

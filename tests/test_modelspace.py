@@ -100,10 +100,20 @@ class TestBasis:
             longer = malmquist_basis(sigma, n_trunc=2 * N - 1).coeff_matrix()
             assert np.array_equal(E, longer[:, :N])
 
-    def test_length_is_least_certified_power_of_two(self):
-        for sigma in self._seeded_sets():
+    def test_length_is_least_certified_grid_point(self):
+        # the grid 1, 2, 4, .., 256, 512, 768, ..; the r = 0.95 sets pass 512
+        grid = [1 << j for j in range(9)] + [256 * j for j in range(2, 257)]
+        rng = np.random.default_rng(2020)
+        near = []
+        for k in (1, 2, 3):
+            near.append(SigmaSet((0.95 * np.exp(1j * rng.uniform(0, 2 * np.pi)),) * k))
+            points = random_sigma(rng, n_max=4, r_max=0.95).points
+            near.append(SigmaSet(points + (0.95,) * k))
+        lengths = set()
+        for sigma in list(self._seeded_sets()) + near:
             N = malmquist_basis(sigma).degree + 1
-            assert N & (N - 1) == 0
+            assert N in grid
+            lengths.add(N)
             T = _compressed_shift(sigma.points)
 
             def mass(m):
@@ -112,7 +122,8 @@ class TestBasis:
 
             assert mass(N) <= 2.0**-106
             if N > 1:
-                assert mass(N // 2) > 2.0**-106
+                assert mass(grid[grid.index(N) - 1]) > 2.0**-106
+        assert max(lengths) > 512
 
     def test_origin_degree(self):
         # T_B is the nilpotent shift: T_B^N = 0 exactly from N = n on
@@ -280,6 +291,59 @@ class TestOperatorNorm:
             # past the common length both are below the tail rule
             rest = np.concatenate((got[m:], want[m:]))
             assert np.sum(np.abs(rest) ** 2) <= 1e-13 * np.sum(np.abs(want) ** 2)
+
+    @staticmethod
+    def _columns_summed(monkeypatch, call):
+        """call() and the number of Malmquist columns it took from _stein_blocks."""
+        widths, blocks = [], modelspace._stein_blocks
+
+        def recording(*args):
+            for V, mass in blocks(*args):
+                widths.append(V.shape[1])
+                yield V, mass
+
+        with monkeypatch.context() as m:
+            m.setattr(modelspace, "_stein_blocks", recording)
+            return call(), sum(widths)
+
+    def test_series_tail_is_the_probed_shift_power(self, rng):
+        # past its M coefficients the series drops exactly ||(T'^M)^T b||^2,
+        # T' the shift of the conjugate nodes, and that is at most 2^-106 ||b||^2
+        for i in range(12):
+            sigma = random_sigma(rng, n_max=8, r_max=0.95)
+            if i % 2 and sigma.n > 1:  # a repeated node
+                sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
+            b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
+            got = modelspace._malmquist_series(sigma, b).coeffs
+            M = got.size
+            reference = b @ malmquist_basis(sigma, n_trunc=M + 4095).coeff_matrix()
+            assert np.max(np.abs(got - reference[:M])) <= 1e-14 * np.max(np.abs(got))
+            tail = np.sum(np.abs(reference[M:]) ** 2)
+            P = np.linalg.matrix_power(_compressed_shift(np.conj(sigma.points)), M).T @ b
+            want = np.vdot(P, P).real
+            assert tail == pytest.approx(want, rel=1e-12)
+            assert want <= 2.0**-106 * np.vdot(b, b).real
+
+    def test_gram_tail_is_under_its_bound(self, rng, monkeypatch):
+        # past M columns the Stein sum drops at most
+        # ||T^M||_2^2 (kappa_M / kappa_0) tr S of its trace, and at most _TAIL_EPS tr S
+        spaces = (hardy(2), seq_weighted(2, 1.5), seq_weighted(2, 2),
+                  bergman_radial(2, -0.5), bergman_radial(2, 1.0))
+        for i in range(8):
+            sigma = random_sigma(rng, n_max=6, r_max=0.9)
+            if i % 2 and sigma.n > 1:  # a repeated node
+                sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
+            E = malmquist_basis(sigma, n_trunc=8191).coeff_matrix()
+            T = _compressed_shift(sigma.points)
+            for space in spaces:
+                S, M = self._columns_summed(
+                    monkeypatch, lambda: modelspace._malmquist_gram(space, sigma))
+                kappa = kernel_diagonal(space, np.arange(E.shape[1]))
+                tail = np.sum(kappa[M:] * np.sum(np.abs(E[:, M:]) ** 2, axis=0))
+                trace = np.trace(S).real
+                shift_norm = np.linalg.norm(np.linalg.matrix_power(T, M), 2)
+                assert tail <= shift_norm**2 * kappa[M] / kappa[0] * trace * (1 + 1e-9)
+                assert tail <= 2.0**-53 * trace
 
     def test_near_circle_needs_no_truncated_basis(self):
         # on H^2 the squared dual norm at z on the circle is |B'(z)|

@@ -24,6 +24,7 @@ from discinterp import (
     kernel_diagonal,
     malmquist_basis,
     min_norm_trace,
+    modelspace,
     norm,
     power_inequality_check,
     project,
@@ -537,7 +538,8 @@ class TestInverseFactor:
     def test_positive_definite_gram_gives_inverse(self, rng):
         sigma = random_sigma(rng, n=4, r_max=0.7, distinct=True)
         G = gram_matrix(hardy(2), sigma)
-        R = _inverse_factor(G)
+        R, L = _inverse_factor(G)
+        assert np.array_equal(L, np.linalg.cholesky(G))
         assert np.allclose(R, np.tril(R))
         assert np.max(np.abs(R.conj().T @ R @ G - np.eye(4))) <= 1e-10
 
@@ -552,7 +554,7 @@ class TestInverseFactor:
                 G = gram_matrix(space, sigma)
                 cond = np.linalg.cond(G)
                 assert cond < 1e8
-                R = _inverse_factor(G)
+                R, _ = _inverse_factor(G)
                 want = solve_triangular(cholesky(G, lower=True), np.eye(sigma.n), lower=True)
                 assert np.max(np.abs(R - want)) <= 1e-13 * np.max(np.abs(want))
                 residual = np.max(np.abs(R.conj().T @ R @ G - np.eye(sigma.n)))
@@ -562,8 +564,8 @@ class TestInverseFactor:
         V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         w = np.array([-1e-9, 1e-15, 1.0, 2.0])
         G = (V * w) @ V.conj().T
-        R = _inverse_factor(G)
-        assert R.shape == (2, 4)
+        R, L = _inverse_factor(G)
+        assert L is None and R.shape == (2, 4)
         kept = V[:, 2:]
         want = (kept / w[2:]) @ kept.conj().T
         assert np.max(np.abs(R.conj().T @ R - want)) <= 1e-12
@@ -653,6 +655,8 @@ class TestKernelDiagonalEncoding:
             lambda: min_norm_trace(hardy(2), SigmaSet((t,)), [1.0]),
             lambda: eval_functional_norm(seq_weighted(2, 1.5), t),
             lambda: eval_functional_norm(seq_weighted(3, 1.5), t),
+            lambda: modelspace._malmquist_gram(hardy(2), SigmaSet((t,))),
+            lambda: modelspace._malmquist_series(SigmaSet((t,)), np.ones(1)),
         )
         messages = set()
         for call in calls:
