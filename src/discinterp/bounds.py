@@ -17,7 +17,9 @@ Lower bounds come from explicit witnesses: the analytic Fejer kernel
 rotated and transplanted to the target point by the Blaschke involution.
 The norm of the transplant W o b_lam is summed from its exact Malmquist
 coordinates over the zeros (lam,)*deg W + (0,): nothing is composed or
-truncated.  Closed-form two-sided bound formulas are emitted alongside,
+truncated.  The norms are radial, so that size is read at r = |lam| in
+real arithmetic, and a sweep takes the jet norm of each distinct witness
+jet once.  Closed-form two-sided bound formulas are emitted alongside,
 with honest "order-only" flags where the underlying constants are not
 numeric.
 """
@@ -163,25 +165,45 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     returned quotient/norm ratio is a valid lower bound for any witness;
     the rotation is what makes it grow at the proved (n/(1-r))-power rate.
     The involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the
-    quotient norm is the Taylor-jet norm of the rotated witness.  W o b_lam
-    has exact Malmquist coordinates b (_witness_coords); the basis is
-    orthonormal in H^2, so there the norm is ||b||_2, and elsewhere it is
-    the norm of the Taylor series that _malmquist_series sums from b.
+    quotient norm is the Taylor-jet norm cs_min_norm of the rotated
+    witness; _witness_parts gives that jet and the norm of W o b_lam.
+    bound_sweep takes each distinct jet's norm once per sweep.
+    """
+    jet, size = _witness_parts(space, lam, n)
+    return cs_min_norm(jet).value / size
+
+
+def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
+    """The jet W[:n] of the witness rotated for lam and the norm of W o b_lam.
+
+    W o b_lam has exact Malmquist coordinates b (_witness_coords); the
+    basis is orthonormal in H^2, so there the norm is ||b||_2.  Elsewhere
+    it is the norm of the Taylor series that _malmquist_series sums from b,
+    read at r = |lam|: with lam = r e^(i phi), W o b_lam(e^(i phi) z) is
+    W_r o b_r(z), the norms are radial, and W_r, its coordinates and the
+    series over (r,)*deg W + (0,) are real.
     """
     if n < 1:
         raise ValueError("multiplicity must be >= 1")
     lam = complex(lam)
     if not abs(lam) < 1.0:  # also catches NaN
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
-    W, h = _witness_coords(space, lam, n)
-    b = np.append(math.sqrt(1.0 - abs(lam) ** 2) * h[:-1], h[-1])
     if space.family == "hardy":  # _witness_coords admits only p = 2 there
-        size = float(np.linalg.norm(b))
-    elif lam == 0:
-        size = _sp.norm(space, W)  # radial norm: W(-z) = W
-    else:
-        size = _sp.norm(space, _malmquist_series(SigmaSet((lam,) * (len(h) - 1) + (0,)), b))
-    return cs_min_norm(W.coeffs[:n]).value / size
+        W, h = _witness_coords(space, lam, n)
+        return W.coeffs[:n], float(np.linalg.norm(_transplant_coords(h, abs(lam))))
+    W = _witness(space, lam, n)
+    if lam == 0:
+        return W.coeffs[:n], _sp.norm(space, W)  # radial norm: W(-z) = W
+    r = abs(lam)
+    _, h = _witness_coords(space, r, n)
+    b = _transplant_coords(h.real, r)  # h is real at lam = r > 0
+    series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
+    return W.coeffs[:n], _sp.norm(space, CoeffSeries(series))
+
+
+def _transplant_coords(h: np.ndarray, r: float) -> np.ndarray:
+    """Coordinates s h_0..s h_(m-1), h_m of W o b_lam over (lam,)*m + (0,), r = |lam|."""
+    return np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
 
 
 def interp_constant(
@@ -299,21 +321,29 @@ def bound_sweep(
 ) -> SweepResult:
     """Witness bounds, optional constant estimates and formulas on a grid.
 
-    Rows are ordered n-major then r.  The log-log slope of the witness (and
-    estimate, when present on at least two cells) against n/(1-r) is fitted
-    at the end.
+    Rows are ordered n-major then r.  The witness is witness_lower_bound's,
+    bitwise, but the sweep takes the jet norm of each distinct witness jet
+    once: every r > 0 rotates the kernel by -1, so those cells share one.
+    The log-log slope of the witness (and estimate, when present on at
+    least two cells) against n/(1-r) is fitted at the end.
     """
     cells = [(int(n), float(r)) for n in n_grid for r in r_grid]
     if not cells:
         raise ValueError("empty sweep grid")
+    jet_norms: dict[bytes, float] = {}
 
     def make_row(cell: tuple[int, float]) -> SweepRow:
         n, r = cell
         report = theorem_bounds(space, n, r)
         try:
-            witness = witness_lower_bound(space, complex(r), n)
+            jet, size = _witness_parts(space, complex(r), n)
         except UnsupportedSpace:
             witness = None
+        else:
+            key = jet.tobytes()
+            if key not in jet_norms:
+                jet_norms[key] = cs_min_norm(jet).value
+            witness = jet_norms[key] / size
         estimate = None
         if space.is_hilbert and 0 < n <= estimate_cap:
             estimate = interp_constant(

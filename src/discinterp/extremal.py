@@ -87,9 +87,13 @@ class ExtremalResult:
 
 
 def _compressed_shift(points) -> np.ndarray:
-    """T_B in the Malmquist basis of the Blaschke product with these zeros."""
-    lam = np.asarray(points, dtype=complex)
-    T = np.eye(lam.size, k=-1, dtype=complex)  # below the diagonal, prod_{l<m<k} conj(lam_m)
+    """T_B in the Malmquist basis of the Blaschke product with these zeros.
+
+    Real for a real array of zeros, complex otherwise."""
+    lam = np.asarray(points)
+    if lam.dtype.kind != "c":
+        lam = lam.astype(float)
+    T = np.eye(lam.size, k=-1, dtype=lam.dtype)  # below the diagonal, prod_{l<m<k} conj(lam_m)
     for k in range(2, lam.size):
         T[k, : k - 1] = T[k - 1, : k - 1] * lam[k - 1].conjugate()
     s = np.sqrt(1.0 - np.abs(lam) ** 2)

@@ -8,12 +8,15 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
 projects onto span(e_k) through the coefficient pairing
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
-sigma.  The basis coefficients, their kernel-weighted Gram and the Taylor
-series of any sum_k b_k e_k are summed from one stream of T_B-power blocks
-(_stein_blocks), each cut at its exact dropped mass, so the Gram and the
-series need no truncated basis.  The basis keeps the fewest columns N on
-the grid 1, 2, 4, .., 256, 512, 768, .. that drop at most 2^-106; derivative
-operator norms come from the Gram matrix of the differentiated coefficients.
+sigma.  The basis coefficients and their kernel-weighted Gram are summed
+from one stream of T_B-power blocks (_stein_blocks) of w columns each, a
+later block costing n^2 w; the Taylor series of any sum_k b_k e_k takes
+the first block alone and carries one row b^T T_B^(jw) through the later
+ones, n^2 + n w each.  Each is cut at its exact dropped mass, so the Gram
+and the series need no truncated basis.  The basis keeps the fewest
+columns N on the grid 1, 2, 4, .., 256, 512, 768, .. that drop at most
+2^-106; derivative operator norms come from the Gram matrix of the
+differentiated coefficients.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ __all__ = [
 ]
 
 _TRUNC_CAP = 1 << 16
+#: column count at which malmquist_basis checks that _TRUNC_CAP columns can meet
+#: _BASIS_TOL at all, before it builds them; every basis cut below it skips the check
+_CAP_CHECK = 1 << 12
 #: largest coefficient mass malmquist_basis lets its rows drop, summed over rows
 _BASIS_TOL = 1e-11
 
@@ -80,24 +86,32 @@ class MalmquistBasis:
         return _basis_values(self.sigma, z)
 
 
-def _stein_blocks(points, probe=None) -> Iterator[tuple[np.ndarray, float]]:
-    """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass dropped past it.
+def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first block V of the columns v_m = T_B^m conj(e(0)), step = T_B^w and (T_B^w)^T Q.
 
     Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m); as
     sum_m v_m v_m^H = I, the columns past M drop ||(T_B^M)^T Q||_F^2 for a
-    probe Q (None: Q = I).  The first block doubles [V, T^w V] while that is
-    above 2^-106 ||Q||^2 (1 for Q = I) and w < _SERIES_BLOCK; later ones are
-    T^w times the one before."""
-    lam = np.asarray(points, dtype=complex)
+    probe Q (None: Q = I).  V doubles to [V, T^w V] while that mass is above
+    2^-106 ||Q||^2 (1 for Q = I) and its width w < _SERIES_BLOCK.  Real for
+    a real array of zeros."""
+    step = _compressed_shift(points)
+    lam = step.diagonal()
     # e_k(0) = s_k prod_{j<k} lam_j
     e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
-    V, step = e0.conj()[:, None], _compressed_shift(lam)
+    V = e0.conj()[:, None]
     floor = _TAIL_EPS**2 * (1.0 if probe is None else float(np.vdot(probe, probe).real))
     while True:
         P = step.T if probe is None else step.T @ probe  # (T^w)^T Q
         if np.vdot(P, P).real <= floor or V.shape[1] >= _SERIES_BLOCK:
-            break
+            return V, step, P
         V, step = np.hstack((V, step @ V)), step @ step
+
+
+def _stein_blocks(points) -> Iterator[tuple[np.ndarray, float]]:
+    """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass ||T_B^M||_F^2 past it.
+
+    The first is _first_block's; later ones are T^w times the one before."""
+    V, step, P = _first_block(points)
     while True:
         yield V, float(np.vdot(P, P).real)
         V, P = step @ V, step.T @ P
@@ -122,20 +136,25 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
             raise Divergence(_DIVERGENCE)
 
 
-def _malmquist_series(sigma: SigmaSet, b: np.ndarray) -> CoeffSeries:
-    """Taylor series of sum_k b_k e_k, cut where it drops at most 2^-106 ||b||^2.
+def _malmquist_series(points, b: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of sum_k b_k e_k on these zeros, cut at a dropped 2^-106 ||b||^2.
 
     Coefficient m is b^T conj(v_m), and conj(v_m) is v_m of the conjugate
-    node set, probed by b.  Diverges past _SERIES_KMAX coefficients.
+    zeros.  Over those, block j of width w is b^T T^(jw) V_0 = P_(j-1)^T V_0,
+    V_0 the first block (_first_block) and P_j = (T^((j+1)w))^T b, P_(-1) = b,
+    the probe whose squared norm is the mass dropped past block j: each
+    block after the first costs one n x n and one n x w product.  Real for
+    real zeros and a real b.  Diverges past _SERIES_KMAX coefficients.
     """
     floor = _TAIL_EPS**2 * float(np.vdot(b, b).real)
-    pieces = []
-    for V, mass in _stein_blocks(np.conj(sigma.points), b):
-        pieces.append(b @ V)
-        if mass <= floor:
-            return CoeffSeries(np.concatenate(pieces))
+    V, step, P = _first_block(np.conj(points), b)
+    pieces = [b @ V]
+    while np.vdot(P, P).real > floor:
         if len(pieces) * V.shape[1] > _SERIES_KMAX:  # every block has the same width
             raise Divergence(_DIVERGENCE)
+        pieces.append(P @ V)
+        P = step.T @ P
+    return np.concatenate(pieces)
 
 
 def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBasis:
@@ -146,25 +165,41 @@ def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBas
     N is the first block end where that mass is at most _TAIL_EPS^2 = 2^-106
     or that reaches _TRUNC_CAP = 2^16; a pinned ``n_trunc`` >= 0 keeps
     n_trunc + 1 columns.  Raises TruncationError if the mass exceeds
-    _BASIS_TOL = 1e-11.  The degree is N - 1."""
+    _BASIS_TOL = 1e-11; unpinned, that is settled at _CAP_CHECK = 4096
+    columns from ||T_B^(2^16)||_F^2, taken by 16 squarings, so a failing
+    basis builds no more columns.  The degree is N - 1."""
     if n_trunc is not None and n_trunc < 0:
         raise ValueError(f"n_trunc must be >= 0, got {n_trunc}")
     cap = _TRUNC_CAP if n_trunc is None else int(n_trunc) + 1
-    blocks = []
+    blocks, width = [], 0
     for V, mass in _stein_blocks(np.conj(sigma.points)):
         blocks.append(V)
-        if len(blocks) * V.shape[1] >= cap or (n_trunc is None and mass <= _TAIL_EPS**2):
+        width += V.shape[1]
+        if width >= cap or (n_trunc is None and mass <= _TAIL_EPS**2):
             break
+        if n_trunc is None and width == _CAP_CHECK:  # on the block grid
+            # ||T^M||_F never grows with M (||T||_2 <= 1), so T^cap settles a failure now
+            T = _compressed_shift(np.conj(sigma.points))
+            for _ in range(_TRUNC_CAP.bit_length() - 1):
+                T = T @ T
+            cap_mass = float(np.vdot(T, T).real)
+            if cap_mass > _BASIS_TOL:
+                raise _truncation_error(sigma, cap - 1, cap_mass)
     E = np.hstack(blocks)
-    mass += float(np.vdot(E[:, cap:], E[:, cap:]).real)  # columns past a pinned n_trunc
-    E = np.ascontiguousarray(E[:, :cap])
+    if width > cap:  # columns past a pinned n_trunc
+        mass += float(np.vdot(E[:, cap:], E[:, cap:]).real)
+        E = np.ascontiguousarray(E[:, :cap])
     if mass > _BASIS_TOL:
-        raise TruncationError(
-            f"Malmquist truncation at degree {E.shape[1] - 1} drops coefficient mass "
-            f"{mass:.3e} (r={sigma.r:.3f}); tolerance {_BASIS_TOL}"
-        )
+        raise _truncation_error(sigma, E.shape[1] - 1, mass)
     E.setflags(write=False)
     return MalmquistBasis(sigma, E)
+
+
+def _truncation_error(sigma: SigmaSet, degree: int, mass: float) -> TruncationError:
+    return TruncationError(
+        f"Malmquist truncation at degree {degree} drops coefficient mass "
+        f"{mass:.3e} (r={sigma.r:.3f}); tolerance {_BASIS_TOL}"
+    )
 
 
 def cauchy_pairing(h: CoeffSeries, g: CoeffSeries) -> complex:

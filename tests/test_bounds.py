@@ -195,6 +195,15 @@ class TestWitness:
         assert np.isfinite(got)
         assert got == pytest.approx(value, rel=1e-5)
 
+    @pytest.mark.parametrize("space", [seq_weighted(2, 1.5), seq_weighted(2, 2)])
+    def test_ignores_the_phase_of_lam(self, rng, space):
+        # W o b_lam(e^(i phi) z) = W_r o b_r(z), r = |lam|, and the norms are radial
+        for n in (4, 16, 32, 64):
+            for r in (0.5, 0.9, 0.99):
+                lam = r * np.exp(2j * np.pi * rng.uniform())
+                want = witness_lower_bound(space, abs(lam), n)
+                assert witness_lower_bound(space, lam, n) == pytest.approx(want, rel=2e-14)
+
     @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5)])
     def test_witness_paths_do_not_evaluate_series_pointwise(self, monkeypatch, space):
         def refuse(*args, **kwargs):
@@ -478,6 +487,21 @@ class TestSweep:
             # the unrotated witness (lam = 0) is the Fejer kernel power, bitwise
             base = series_power(fejer_kernel(row.n), m)
             assert np.array_equal(bounds._witness(space, 0j, row.n).coeffs, base.coeffs)
+
+    def test_one_jet_norm_per_distinct_jet(self, monkeypatch):
+        # every r > 0 rotates the kernel by -1: two distinct jets per n, not three
+        calls = []
+
+        def counting(coeffs):
+            calls.append(coeffs.size)
+            return cs_min_norm(coeffs)
+
+        monkeypatch.setattr(bounds, "cs_min_norm", counting)
+        res = bound_sweep(seq_weighted(2, 1.5), (4, 8), (0, 0.5, 0.9))
+        assert sorted(calls) == [4, 4, 8, 8]
+        monkeypatch.undo()
+        for row in res.rows:
+            assert row.witness == witness_lower_bound(seq_weighted(2, 1.5), complex(row.r), row.n)
 
     def test_slope_near_half_for_hardy2(self):
         res = bound_sweep(hardy(2), [4, 8, 16, 32], [0.5])

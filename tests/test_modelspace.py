@@ -30,6 +30,26 @@ from discinterp.series import _basis_derivatives, _basis_values
 from conftest import random_poly, random_sigma
 
 
+def _counted(monkeypatch, call):
+    """call() with the columns it took from _stein_blocks and its _compressed_shift calls."""
+    widths, shifts = [], []
+    blocks, shift = modelspace._stein_blocks, modelspace._compressed_shift
+
+    def recording(*args):
+        for V, mass in blocks(*args):
+            widths.append(V.shape[1])
+            yield V, mass
+
+    def counting(points):
+        shifts.append(len(points))
+        return shift(points)
+
+    with monkeypatch.context() as m:
+        m.setattr(modelspace, "_stein_blocks", recording)
+        m.setattr(modelspace, "_compressed_shift", counting)
+        return call(), sum(widths), len(shifts)
+
+
 class TestBasis:
     def test_single_origin(self):
         basis = malmquist_basis(SigmaSet((0.0,)))
@@ -69,6 +89,35 @@ class TestBasis:
         # the adaptive start for r = 0.9999 would exceed the truncation cap
         with pytest.raises(TruncationError):
             malmquist_basis(SigmaSet((0.9999,)))
+
+    @pytest.mark.parametrize("points", [(0.9999,), (0.9999, -0.9999j, 0.3, 0.3)])
+    def test_failure_at_cap_is_settled_at_4096_columns(self, monkeypatch, points):
+        # the rows would drop ||T_B^(2^16)||_F^2 > 1e-11 at the cap, which the
+        # basis reads off 16 squarings of T_B before it builds 65536 columns
+        sigma = SigmaSet(points)
+
+        def failure():
+            with pytest.raises(TruncationError) as info:
+                malmquist_basis(sigma)
+            return str(info.value)
+
+        message, columns, _ = _counted(monkeypatch, failure)
+        assert columns == 4096
+        T = np.linalg.matrix_power(_compressed_shift(np.conj(sigma.points)), 1 << 16)
+        want = np.vdot(T, T).real
+        assert message.startswith("Malmquist truncation at degree 65535 drops coefficient mass ")
+        assert float(message.split()[8]) == pytest.approx(want, rel=1e-3)
+        assert message.endswith(f"(r={sigma.r:.3f}); tolerance 1e-11")
+
+    def test_cap_check_adds_no_work_below_4096_columns(self, monkeypatch):
+        for sigma in self._seeded_sets():
+            basis, columns, shifts = _counted(monkeypatch, lambda: malmquist_basis(sigma))
+            assert columns == basis.degree + 1 < 4096
+            assert shifts == 1
+        # a basis that passes the check is built as before
+        basis, columns, shifts = _counted(monkeypatch, lambda: malmquist_basis(SigmaSet((0.999,))))
+        assert basis.degree + 1 == columns == 36864
+        assert shifts == 2
 
     @staticmethod
     def _seeded_sets():
@@ -285,7 +334,7 @@ class TestOperatorNorm:
                 sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
             b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
             want = b @ malmquist_basis(sigma).coeff_matrix()
-            got = modelspace._malmquist_series(sigma, b).coeffs
+            got = modelspace._malmquist_series(sigma.points, b)
             m = min(got.size, want.size)
             assert np.max(np.abs(got[:m] - want[:m])) <= 1e-14 * np.max(np.abs(want))
             # past the common length both are below the tail rule
@@ -293,18 +342,42 @@ class TestOperatorNorm:
             assert np.sum(np.abs(rest) ** 2) <= 1e-13 * np.sum(np.abs(want) ** 2)
 
     @staticmethod
-    def _columns_summed(monkeypatch, call):
-        """call() and the number of Malmquist columns it took from _stein_blocks."""
-        widths, blocks = [], modelspace._stein_blocks
+    def _block_series(points, b):
+        """The Taylor coefficients of sum_k b_k e_k, each block T^w times the one before."""
+        floor = 2.0**-106 * np.vdot(b, b).real
+        V, step, P = modelspace._first_block(np.conj(points), b)
+        pieces = [b @ V]
+        while np.vdot(P, P).real > floor:
+            V, P = step @ V, step.T @ P
+            pieces.append(b @ V)
+        return np.concatenate(pieces)
 
-        def recording(*args):
-            for V, mass in blocks(*args):
-                widths.append(V.shape[1])
-                yield V, mass
+    def test_series_carries_one_row_per_block(self, rng):
+        # block j is P_(j-1)^T V_0: the same coefficients as propagating the blocks
+        for i in range(12):
+            points = list(random_sigma(rng, n_max=8, r_max=0.95).points)
+            if i % 3 == 1:
+                points += points[:1]
+            if i % 3 == 2:
+                points += [0.0, 0.0]
+            points = np.array(points)
+            b = rng.standard_normal(points.size) + 1j * rng.standard_normal(points.size)
+            got = modelspace._malmquist_series(points, b)
+            want = self._block_series(points, b)
+            assert got.dtype == complex and got.size == want.size
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-        with monkeypatch.context() as m:
-            m.setattr(modelspace, "_stein_blocks", recording)
-            return call(), sum(widths)
+    def test_series_is_real_on_real_data(self, rng):
+        # real zeros and a real b keep real arithmetic, equal to the complex run
+        for i in range(8):
+            points = rng.uniform(-0.95, 0.95, size=int(rng.integers(1, 9)))
+            if i % 2:
+                points = np.append(np.repeat(points[:1], 40), 0.0)  # a witness's zeros
+            b = rng.standard_normal(points.size)
+            got = modelspace._malmquist_series(points, b)
+            want = modelspace._malmquist_series(points.astype(complex), b.astype(complex))
+            assert got.dtype == np.float64 and got.size == want.size
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_series_tail_is_the_probed_shift_power(self, rng):
         # past its M coefficients the series drops exactly ||(T'^M)^T b||^2,
@@ -314,7 +387,7 @@ class TestOperatorNorm:
             if i % 2 and sigma.n > 1:  # a repeated node
                 sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
             b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
-            got = modelspace._malmquist_series(sigma, b).coeffs
+            got = modelspace._malmquist_series(sigma.points, b)
             M = got.size
             reference = b @ malmquist_basis(sigma, n_trunc=M + 4095).coeff_matrix()
             assert np.max(np.abs(got - reference[:M])) <= 1e-14 * np.max(np.abs(got))
@@ -336,8 +409,7 @@ class TestOperatorNorm:
             E = malmquist_basis(sigma, n_trunc=8191).coeff_matrix()
             T = _compressed_shift(sigma.points)
             for space in spaces:
-                S, M = self._columns_summed(
-                    monkeypatch, lambda: modelspace._malmquist_gram(space, sigma))
+                S, M, _ = _counted(monkeypatch, lambda: modelspace._malmquist_gram(space, sigma))
                 kappa = kernel_diagonal(space, np.arange(E.shape[1]))
                 tail = np.sum(kappa[M:] * np.sum(np.abs(E[:, M:]) ** 2, axis=0))
                 trace = np.trace(S).real

@@ -656,7 +656,7 @@ class TestKernelDiagonalEncoding:
             lambda: eval_functional_norm(seq_weighted(2, 1.5), t),
             lambda: eval_functional_norm(seq_weighted(3, 1.5), t),
             lambda: modelspace._malmquist_gram(hardy(2), SigmaSet((t,))),
-            lambda: modelspace._malmquist_series(SigmaSet((t,)), np.ones(1)),
+            lambda: modelspace._malmquist_series((t,), np.ones(1)),
         )
         messages = set()
         for call in calls:
