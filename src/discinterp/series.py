@@ -326,20 +326,36 @@ def _falling(ks: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _functional_block(funcs, ks: np.ndarray) -> np.ndarray:
-    """P[i, j] = (k_j)_{d_i} lam_i^(k_j - d_i), zero where k_j < d_i.
+def _basis_jets(sigma: SigmaSet) -> np.ndarray:
+    """C[i, k] = e_k^(d_i)(lam_i) for the (lam_i, d_i) of sigma.functionals().
 
-    Row i maps the coefficients c_k, k in ks, to the part of f^(d_i)(lam_i)
-    they carry, for the (lam_i, d_i) functionals of SigmaSet.functionals().
+    C is lower triangular: e_k vanishes to order d_i + 1 at lam_i for k > i.
+    At a node mu of multiplicity m, 1 / (1 - conj(lam) (mu + h)) is
+    1 / (1 - conj(lam) mu) times 1 / (1 - a h), a = conj(lam) / (1 -
+    conj(lam) mu), so each factor of e_k(mu + h) is at most a linear term
+    times a geometric series, and the first m Taylor coefficients in h come
+    exactly from _mul_linear and _div_geometric on m-vectors; the d-th
+    derivative is d! times the d-th of them.
     """
-    P = np.zeros((len(funcs), ks.size), dtype=complex)
-    for i, (lam, d) in enumerate(funcs):
-        mask = ks >= d
-        kk = ks[mask].astype(float)
-        P[i, mask] = _falling(kk, d) * np.power(complex(lam), kk - d)
-    return P
+    C = np.zeros((sigma.n, sigma.n), dtype=complex)
+    for mu, m in sigma.groups():
+        rows = [i for i, p in enumerate(sigma.points) if p == mu]  # d = 0, 1, .., m - 1
+        fact = np.cumprod(np.maximum(np.arange(m), 1.0))  # d!
+        running = np.eye(1, m, dtype=complex)[0]  # prod_{j<k} b_lam_j(mu + h)
+        for k, lam in enumerate(sigma.points):
+            den = 1.0 - np.conj(lam) * mu
+            a = np.conj(lam) / den
+            C[rows, k] = fact * (np.sqrt(1.0 - abs(lam) ** 2) / den * _div_geometric(running, a))
+            running = _div_geometric(_mul_linear(running, lam - mu), a) / den
+    return C
 
 
 def jet_values(f: CoeffSeries, sigma: SigmaSet) -> np.ndarray:
-    """Jet of f on sigma: f^(d)(lam) for each (lam, d) functional."""
-    return _functional_block(sigma.functionals(), np.arange(len(f))) @ f.coeffs
+    """Jet of f on sigma: f^(d)(lam) = sum_k (k)_d lam^(k-d) c_k for each (lam, d) functional."""
+    funcs = sigma.functionals()
+    ks = np.arange(len(f))
+    P = np.zeros((len(funcs), ks.size), dtype=complex)
+    for i, (lam, d) in enumerate(funcs):
+        kk = ks[d:].astype(float)
+        P[i, d:] = _falling(kk, d) * np.power(complex(lam), kk - d)
+    return P @ f.coeffs

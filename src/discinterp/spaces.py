@@ -9,12 +9,12 @@ Three families are implemented:
 
 The p = 2 members are Hilbert spaces with a diagonal reproducing kernel
 sum_k kappa_k (lambda conj(mu))^k, and ``kernel_diagonal`` is the one place
-that encodes kappa_k.  Everything Hilbert-space follows from it: the norm
-sqrt(sum_k |f_k|^2 / kappa_k), evaluation-functional norms, Gram matrices
-and minimal-norm interpolants.  Their kernel series are summed in blocks
-by one loop (``_series``) with one tail rule, and raise one ``Divergence``
-(_DIVERGENCE) as do the Malmquist sums of ``modelspace``.  The FFT and
-quadrature norms serve only p != 2.
+that encodes kappa_k.  The norm sqrt(sum_k |f_k|^2 / kappa_k) and the
+evaluation-functional norms follow from it directly; Gram matrices and
+minimal-norm interpolants from the Stein Gram S of the Malmquist
+coefficients and the lower-triangular jets of the basis on sigma, with no
+kernel series in jet coordinates.  Every series that fails to converge
+raises one ``Divergence`` (_DIVERGENCE).  FFT and quadrature serve p != 2.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NotHilbert,
     UnsupportedSpace,
 )
-from .series import CoeffSeries, SigmaSet, _functional_block, series_power
+from .series import CoeffSeries, SigmaSet, _basis_jets, series_power
 
 __all__ = [
     "SpaceSpec",
@@ -47,12 +47,9 @@ __all__ = [
     "power_inequality_check",
 ]
 
-# Tail rules of _series (eval_functional_norm, gram_matrix, min_norm_trace),
-# relative to the running total mass.  Weight and Gram sums stop at 1e-14 of
-# the total; the representer series needs 1e-26 of its squared norm, since at
-# 1e-14 the H^2 one-point interpolant at |lambda| = 0.99 loses about 1e-9 of its tail.
+# Blocks of the l^p_a dual-weight sum (eval_functional_norm) and its tail rule;
+# _SERIES_BLOCK also caps modelspace's column blocks, and both stop at _SERIES_KMAX.
 _SERIES_TOL = 1e-14
-_REPRESENTER_TOL = 1e-26
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
 _DIVERGENCE = (f"kernel series did not converge within {_SERIES_KMAX} terms;"
@@ -143,30 +140,6 @@ def kernel_diagonal(space: SpaceSpec, ks: np.ndarray) -> np.ndarray:
     b = space.beta
     logw = np.log(np.pi) + gammaln(ks + 1.0) + gammaln(b + 1.0) - gammaln(ks + b + 2.0)
     return np.exp(-logw)
-
-
-def _series(term, min_k: int, tol: float) -> list:
-    """The pieces of a kernel series, summed in blocks of k = 0, 1, 2, ...
-
-    ``term(ks)`` returns ``(piece, mass)`` with ``mass >= 0`` for one block
-    of indices.  Blocks have max(_SERIES_BLOCK, min_k) indices; the sum
-    stops at the first block that ends past index min_k and whose mass is
-    at most ``tol`` times the total mass so far.  Raises Divergence once
-    more than _SERIES_KMAX indices were summed.
-    """
-    block = max(_SERIES_BLOCK, min_k)
-    pieces = []
-    total = 0.0
-    k0 = 0
-    while True:
-        piece, mass = term(np.arange(k0, k0 + block))
-        pieces.append(piece)
-        total += mass
-        k0 += block
-        if k0 > min_k and mass <= tol * total:
-            return pieces
-        if k0 > _SERIES_KMAX:
-            raise Divergence(_DIVERGENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +392,7 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     One rule per family, each with 1 - t^2 formed as (1-t)(1+t), free of
     cancellation as t -> 1.  hardy(p) uses the classical sharp value
     (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q norm, 1/p + 1/q = 1, of
-    the dual weight (k+1)^(alpha-1) t^k: the peak weight times a _series
+    the dual weight (k+1)^(alpha-1) t^k: the peak weight times a blocked
     sum, plus its geometric tail, of the q-th powers of the weights over
     the peak for finite q (q = 1 at p = inf, q = 2 at p = 2), and the peak
     itself at p = 1.  Bergman at p = 2 is sqrt of the kernel diagonal
@@ -444,17 +417,24 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
             return peak
         q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
 
-        def term(ks):
+        # blocks of k = 0, 1, 2, .. until one that ends past min_k is at most
+        # _SERIES_TOL of the total.  min_k is past the peak: a first block that
+        # underflows to 0 must not end the sum.  Capped one past _SERIES_KMAX,
+        # a peak out of reach costs one bounded block and raises Divergence.
+        min_k = int(min(np.ceil(k_top), _SERIES_KMAX + 1))
+        block = max(_SERIES_BLOCK, min_k)
+        pieces, total, k0 = [], 0.0, 0
+        while True:
+            ks = np.arange(k0, k0 + block)
             # weights over the peak, so their q-th powers stay <= 1: near
             # p = 1 the peak weight to the power q alone overflows
-            block = float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks / peak) ** q))
-            return block, block
-
-        # min_k past the peak: a first block that underflows to 0 must not
-        # end the sum.  Capped one past _SERIES_KMAX, a peak out of reach
-        # costs one bounded block and raises Divergence.
-        min_k = int(min(np.ceil(k_top), _SERIES_KMAX + 1))
-        pieces = _series(term, min_k, _SERIES_TOL)
+            pieces.append(float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks / peak) ** q)))
+            total += pieces[-1]
+            k0 += block
+            if k0 > min_k and pieces[-1] <= _SERIES_TOL * total:
+                break
+            if k0 > _SERIES_KMAX:
+                raise Divergence(_DIVERGENCE)
         # past the peak the blocks decay about geometrically: add the tail
         # after the last block, at the ratio r of the last two
         r = pieces[-1] / pieces[-2]
@@ -473,24 +453,21 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
 def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     """Gram matrix of the evaluation (and derivative) functionals on sigma.
 
-    Entry (i, j) is sum_k kappa_k (k)_{d_i} (k)_{d_j}
-    lam_i^(k-d_i) conj(lam_j)^(k-d_j), the pairing of the Riesz
-    representers; repeated points contribute derivative functionals in
-    order of appearance.  The series is summed by _series until a block's
-    trace is below _SERIES_TOL of the total trace.  Warns
-    IllConditionedWarning when the spectrum spans more than 1e13.
+    Entry (i, j) is the pairing of the Riesz representers of the (lam_i,
+    d_i) functionals of sigma.functionals(); repeated points contribute
+    derivative functionals in order of appearance.  A jet on sigma sees f
+    only through the coordinates b_k = <f, e_k> of its projection onto K_B,
+    as C b with C[i, k] = e_k^(d_i)(lam_i) lower triangular (_basis_jets),
+    so G = C S C^H with S the Stein Gram of the Malmquist coefficients
+    (modelspace._malmquist_gram).  Warns IllConditionedWarning when the
+    spectrum spans more than 1e13.
     """
+    from .modelspace import _malmquist_gram  # modelspace imports this module
+
     if not space.is_hilbert:
         raise NotHilbert("Gram matrices need a Hilbert-case space")
-    funcs = sigma.functionals()
-    max_d = max(d for _, d in funcs)
-
-    def term(ks):
-        P = _functional_block(funcs, ks)
-        piece = (P * kernel_diagonal(space, ks)) @ P.conj().T
-        return piece, float(np.trace(piece).real)
-
-    G = sum(_series(term, 2 * max_d + 2, _SERIES_TOL))
+    C = _basis_jets(sigma)
+    G = C @ _malmquist_gram(space, sigma) @ C.conj().T
     G = 0.5 * (G + G.conj().T)
     eig = np.linalg.eigvalsh(G)
     if eig[0] < _COND_FLOOR * eig[-1]:
@@ -506,8 +483,8 @@ def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
 class MinNormResult:
     """Result of min_norm_trace: the least norm with jet a, and its minimiser.
 
-    ``norm`` is sqrt(a^H G^-1 a); ``interpolant`` is the minimiser's Taylor
-    series, cut where a block carries under _REPRESENTER_TOL of its squared norm.
+    ``norm`` is sqrt(a^H G^-1 a) with G = gram_matrix; ``interpolant`` is
+    the minimiser's Taylor series, cut as min_norm_trace states.
     """
 
     norm: float
@@ -541,32 +518,37 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     """Minimal-norm element of the space with the prescribed jet on sigma.
 
     ``a`` has one target per sigma.functionals() entry: f(lam) at a point's
-    first occurrence, f'(lam) at its second, and so on.  Raises NotHilbert
-    unless p = 2, and ValueError for an ``a`` of the wrong length.
+    first occurrence, f'(lam) at its second, and so on.  Raises ValueError
+    for an ``a`` of the wrong length or with a NaN or an infinity, and
+    NotHilbert unless p = 2.
 
-    Solves G c = a as c = R^H (R a) with R^H R = G^-1 (_inverse_factor) and
-    returns ||R a|| = sqrt(a^H G^-1 a) together with the truncated
-    representer combination sum_i c_i k_i, whose coefficients are
-    kappa_k (P^H c)_k.  _series sums them until a block's squared norm is
-    below _REPRESENTER_TOL of the total.
+    The jet of f is C b, b the coordinates of its projection onto K_B and
+    C lower triangular (_basis_jets), so b = C^-1 a is one triangular
+    solve, and the confluent G is never formed.  The least norm is ||R b||
+    = sqrt(b^H S^-1 b), R^H R = S^-1 (_inverse_factor) for the Stein Gram S
+    (modelspace._malmquist_gram), attained at f_k = kappa_k g_k for
+    g = sum_k mu_k e_k, S mu = b.  _malmquist_series cuts g where its
+    dropped coefficients carry at most 2^-106 ||mu||^2 of squared mass, so
+    the dropped part of f has squared norm at most that times the largest
+    kappa_k past the cut; on H^2, where S = I, its norm is <= 2^-53 ||f||.
     """
+    from scipy.linalg import solve_triangular  # imported on first use: scipy is slow to load
+
+    from .modelspace import _malmquist_gram, _malmquist_series  # they import this module
+
     a = np.asarray(a, dtype=complex)
-    funcs = sigma.functionals()
-    if a.shape != (len(funcs),):
-        raise ValueError(f"trace vector must have length {len(funcs)}")
-    R, _ = _inverse_factor(gram_matrix(space, sigma))
-    Ra = R @ a
-    c = R.conj().T @ Ra
-    value = float(np.linalg.norm(Ra))
-    max_d = max(d for _, d in funcs)
-
-    def term(ks):
-        piece = kernel_diagonal(space, ks) * (_functional_block(funcs, ks).conj().T @ c)
-        return piece, float(np.vdot(piece, piece).real)
-
-    coeffs = _series(term, 2 * max_d + 2, _REPRESENTER_TOL)
-    interpolant = CoeffSeries(np.concatenate(coeffs)).trimmed(tol=0.0)
-    return MinNormResult(value, interpolant)
+    if a.shape != (sigma.n,):
+        raise ValueError(f"trace vector must have length {sigma.n}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("trace vector must not contain infs or NaNs")
+    if not space.is_hilbert:
+        raise NotHilbert("minimal-norm interpolation needs a Hilbert-case space")
+    b = solve_triangular(_basis_jets(sigma), a, lower=True)
+    R, _ = _inverse_factor(_malmquist_gram(space, sigma))
+    Rb = R @ b
+    g = _malmquist_series(sigma.points, R.conj().T @ Rb)
+    f = CoeffSeries(kernel_diagonal(space, np.arange(g.size)) * g).trimmed(tol=0.0)
+    return MinNormResult(float(np.linalg.norm(Rb)), f)
 
 
 def power_inequality_check(alpha: float, f: CoeffSeries) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from discinterp import (
 )
 
 from discinterp.extremal import _compressed_shift
-from discinterp.series import _basis_derivatives, _basis_values
+from discinterp.series import _basis_derivatives, _basis_jets, _basis_values
 
 from conftest import random_poly, random_sigma
 
@@ -191,6 +191,37 @@ class TestBasis:
         vals = basis.eval(zs)
         for k, e in enumerate(basis.series):
             assert np.max(np.abs(vals[k] - eval_series(e, zs))) < 1e-10
+
+
+class TestBasisJets:
+    """_basis_jets: C[i, k] = e_k^(d_i)(lam_i) on the functionals of sigma."""
+
+    SETS = [
+        (0.3, -0.5 + 0.4j, 0.9j, 0.0),  # distinct
+        (0.5, 0.5, 0.5, -0.4j, -0.4j, 0.7),  # mixed
+        (0.7 - 0.2j,) * 4,  # one repeated point
+        (0.0, 0.5, 0.0, -0.3 + 0.6j, 0.5, 0.0),  # interleaved, zero nodes
+    ]
+
+    @pytest.mark.parametrize("points", SETS)
+    def test_lower_triangular(self, points):
+        C = _basis_jets(SigmaSet(points))
+        assert np.array_equal(np.triu(C, 1), np.zeros_like(C))
+        assert np.all(np.diag(C) != 0)
+
+    def test_distinct_nodes_are_basis_values(self, rng):
+        for _ in range(20):
+            sigma = random_sigma(rng, n_max=8, r_max=0.95, distinct=True)
+            want = _basis_values(sigma, sigma.points).T
+            got = _basis_jets(sigma)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points", SETS[1:])
+    def test_matches_jets_of_basis_rows(self, points):
+        sigma = SigmaSet(points)
+        want = np.array([jet_values(e, sigma) for e in malmquist_basis(sigma).series]).T
+        got = _basis_jets(sigma)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPairing:

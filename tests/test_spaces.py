@@ -522,6 +522,35 @@ class TestMinNorm:
             jets = jet_values(res.interpolant, sigma)
             assert np.max(np.abs(jets - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_target_raises(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            min_norm_trace(hardy(2), SigmaSet((0.5, 0.2j)), [bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "points, tol",
+        [
+            ((0.9,) * 16, 1e-11),
+            ((0.9,) * 24, 1e-9),
+            # seven nodes on |z| = 0.2, their gaps shrinking from 0.16 to 0.005
+            (tuple(0.2 * np.exp(1j * np.cumsum(np.r_[0.0, np.linspace(0.8, 0.025, 6)]))), 1e-11),
+            ((0.5, 0.5, 0.5, -0.4j, -0.4j, 0.7), 1e-13),
+        ],
+    )
+    def test_h2_kernel_jet_closed_form(self, points, tol):
+        # the least H^2 norm with the jet of k_w(z) = 1 / (1 - conj(w) z) is that
+        # of the projection of k_w onto K_B, sqrt((1 - |B(w)|^2) / (1 - |w|^2))
+        w = 0.5 * np.exp(-0.3j)
+        sigma = SigmaSet(points)
+        a = [
+            math.factorial(d) * np.conj(w) ** d / (1.0 - np.conj(w) * lam) ** (d + 1)
+            for lam, d in sigma.functionals()
+        ]
+        B = np.prod([(lam - w) / (1.0 - np.conj(lam) * w) for lam in points])
+        want = math.sqrt((1.0 - abs(B) ** 2) / (1.0 - abs(w) ** 2))
+        got = min_norm_trace(hardy(2), sigma, a).norm
+        assert got == pytest.approx(want, rel=tol, abs=0.0)
+
     def test_optimality_against_vanishing_perturbations(self, rng):
         sigma = random_sigma(rng, n_max=4, r_max=0.7)
         a = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
