@@ -148,6 +148,12 @@ def kernel_diagonal(space: SpaceSpec, ks: np.ndarray) -> np.ndarray:
 
 
 def _hardy_norm(p: float, f: CoeffSeries) -> float:
+    """H^p norm, p != 2: the p-th root of the mean of |f|^p on one FFT grid.
+
+    At even p, |f|^p = |f^(p/2)|^2 is a trigonometric polynomial of degree
+    p deg / 2, so p deg + 2 angles give its mean exactly; other p take a
+    dense grid of at least 8192 angles.  The mean comes from _circle_means.
+    """
     deg = f.degree
     if p == np.inf:
         return _circle_max(f)
@@ -156,8 +162,27 @@ def _hardy_norm(p: float, f: CoeffSeries) -> float:
     else:
         # |f|^p is not a trigonometric polynomial; dense grid, spectral decay
         m = _next_pow2(max(8192, 4 * deg + 4))
-    vals = np.abs(np.fft.fft(f.padded(m)))
-    return float(np.mean(vals**p) ** (1.0 / p))
+    moduli, powers = np.empty((2, m))
+    return float(_circle_means(np.fft.fft(f.padded(m)), p, moduli, powers) ** (1.0 / p))
+
+
+def _circle_means(spectra: np.ndarray, p: float, moduli: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Mean of |F|^p along the last axis of ``spectra``, samples of F on circles.
+
+    ``moduli`` and ``powers`` are real arrays of the shape of ``spectra``,
+    overwritten here.  An integer p takes |F|^p by binary powering from the
+    leading bit: |F| itself at p = 1, two multiplies at p = 3.  Other p
+    raise |F| to p in place.
+    """
+    np.abs(spectra, out=moduli)
+    if p != int(p):
+        return np.power(moduli, p, out=moduli).sum(axis=-1) / spectra.shape[-1]
+    acc = moduli
+    for bit in bin(int(p))[3:]:
+        acc = np.multiply(acc, acc, out=powers)
+        if bit == "1":
+            np.multiply(acc, moduli, out=acc)
+    return acc.sum(axis=-1) / spectra.shape[-1]
 
 
 def _circle_max(f: CoeffSeries) -> float:
@@ -232,7 +257,7 @@ def _polished_max(vals: np.ndarray, thetas: np.ndarray, g, top: int) -> float:
     return best
 
 
-_BERGMAN_BLOCK = 64
+_BERGMAN_BLOCK = 32
 _BERGMAN_MIN_RADII = 128
 _BERGMAN_MIN_ANGLES = 2048
 
@@ -275,18 +300,22 @@ def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
     errors of 8e-8 to 2.3e-7.  The even-p route is within 1.5e-12 for
     every n up to 1000, p in 4, 6.
 
-    The circles go through the FFT _BERGMAN_BLOCK radii at a time, and a
-    block fills only the first w columns of one zeroed (_BERGMAN_BLOCK,
-    m_ang) buffer with f_k s^k.  w is the smallest width with
+    The circles go through the FFT in tiles of _BERGMAN_BLOCK radii, so a
+    tile holds 2^16 samples at 2048 angles and stays in cache.  A tile
+    fills only the first w columns of one zeroed (_BERGMAN_BLOCK, m_ang)
+    buffer with f_k s^k.  w is the smallest width with
     sum_{k >= w} |f_k| s_max^k <= 2^-53 max_k |f_k| s_max^k, s_max the
-    block's largest radius (_tail_cut): the rule of _drop_negligible_tail
-    at C = 1 on the circle of radius s_max, where |f_k| s_max^k is at
-    most the mean of |f|.  The same w holds on every smaller circle of
-    the block: if |f_k| s_max^k peaks at k = j, then j < w, and at
-    s <= s_max the tail-to-peak ratio is at most (s/s_max)^(w-j) times
-    the one at s_max.  So the cut terms move no circle's L^p mean by more
-    than 2^-53 of it, and the inner circles skip the terms whose s^k
-    underflows.
+    tile's largest radius (_tail_cut), taken for every tile in one pass:
+    the rule of _drop_negligible_tail at C = 1 on the circle of radius
+    s_max, where |f_k| s_max^k is at most the mean of |f|.  The same w
+    holds on every smaller circle of the tile: if |f_k| s_max^k peaks at
+    k = j, then j < w, and at s <= s_max the tail-to-peak ratio is at most
+    (s/s_max)^(w-j) times the one at s_max.  So the cut terms move no
+    circle's L^p mean by more than 2^-53 of it, and the inner circles skip
+    the terms whose s^k underflows.  The FFT writes each tile's spectra
+    into a second preallocated tile, and _circle_means takes |F| and |F|^p
+    in two real ones (two multiplies at p = 3); the four tiles are
+    allocated once per call, so concurrent calls share nothing.
     """
     if space.p == np.inf:
         raise UnsupportedSpace("sup-norm Bergman spaces are not implemented")
@@ -297,21 +326,25 @@ def _bergman_norm(space: SpaceSpec, f: CoeffSeries) -> float:
     k_rad = max(_BERGMAN_MIN_RADII, deg // 2 + 8)
     radii, w = _radial_rule(k_rad, beta)
     m_ang = _next_pow2(max(_BERGMAN_MIN_ANGLES, 2 * deg + 2))
-    # f on each sampling circle via one FFT per radius, a block of radii at a
-    # time; a block fills only the columns below its certified width
+    # f on each sampling circle via one FFT per radius, a tile of radii at a
+    # time; a tile fills only the columns below the certified width taken
+    # at its last, largest radius
     ks = np.arange(deg + 1)
-    mags = np.abs(f.coeffs)
-    buf = np.zeros((_BERGMAN_BLOCK, m_ang), dtype=complex)
+    starts = range(0, k_rad, _BERGMAN_BLOCK)
+    s_max = radii[[min(i + _BERGMAN_BLOCK, k_rad) - 1 for i in starts], None]
+    tops = np.abs(f.coeffs) * s_max**ks
+    widths = [_tail_cut(top, _TAIL_EPS * float(np.max(top))) for top in tops]
+    rows = np.zeros((_BERGMAN_BLOCK, m_ang), dtype=complex)
+    spectra = np.empty_like(rows)
+    moduli, powers = np.empty((2, *rows.shape))
     angular = np.empty(k_rad)
-    for i in range(0, k_rad, _BERGMAN_BLOCK):
+    for i, width in zip(starts, widths):
         block = radii[i : i + _BERGMAN_BLOCK, None]
-        top = mags * block[-1, 0] ** ks  # the block's largest radius is its last
-        width = _tail_cut(top, _TAIL_EPS * float(np.max(top)))
-        rows = buf[: block.shape[0]]
-        rows[:, :width] = f.coeffs[:width] * block ** ks[:width]
-        vals = np.abs(np.fft.fft(rows, axis=1))
-        rows[:, :width] = 0.0
-        angular[i : i + block.shape[0]] = np.mean(vals**p, axis=1) * 2.0 * np.pi
+        nb = block.shape[0]
+        np.multiply(f.coeffs[:width], block ** ks[:width], out=rows[:nb, :width])
+        np.fft.fft(rows[:nb], axis=1, out=spectra[:nb])
+        rows[:nb, :width] = 0.0
+        angular[i : i + nb] = _circle_means(spectra[:nb], p, moduli[:nb], powers[:nb]) * 2.0 * np.pi
     integral = 2.0 ** (-beta - 2.0) * float(np.dot(w, angular))
     return float(integral ** (1.0 / p))
 
@@ -365,7 +398,26 @@ def norm(space: SpaceSpec, f: CoeffSeries) -> float:
     L^p_a ones first drop the trailing coefficients that cannot move the
     value by 2^-53 of it (_drop_negligible_tail), so their grids follow the
     degree of f and not that of its padding.
+
+    The value is homogeneous in f.  f is first scaled by the power of two
+    2^-e that brings max_k |f_k| into [1/2, 1), e from np.frexp, and the
+    value is scaled back by 2^e with np.ldexp.  Both steps are exact, so
+    norm(2^k f) == 2^k norm(f) bitwise whenever 2^k f is exact, and no
+    square or p-th power on the way underflows or overflows because f is
+    tiny or huge.  A zero or non-finite series is taken as it is.
     """
+    top = float(np.max(np.abs(f.coeffs)))
+    if not 0.0 < top < np.inf:
+        return _unit_norm(space, f)
+    e = int(np.frexp(top)[1])
+    # ldexp on the interleaved real and imaginary parts is exact, also where
+    # 2^-e itself is out of range (a subnormal max_k |f_k|)
+    unit = CoeffSeries(np.ldexp(f.coeffs.view(float), -e).view(complex))
+    return float(np.ldexp(_unit_norm(space, unit), e))
+
+
+def _unit_norm(space: SpaceSpec, f: CoeffSeries) -> float:
+    """``norm`` of f, taken as it is: max_k |f_k| in [1/2, 1), zero or non-finite."""
     if space.is_hilbert:
         kap = kernel_diagonal(space, np.arange(len(f)))
         return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2 / kap)))

@@ -94,6 +94,26 @@ class TestNorms:
         with pytest.raises(UnsupportedSpace, match="finite beta"):
             bergman_radial(2, bad)
 
+    HOMOGENEITY_SPACES = (
+        hardy(1), hardy(1.5), hardy(2), hardy(3), hardy(4), hardy(np.inf),
+        seq_weighted(3, 1.5), seq_weighted(np.inf, 1.5),
+        bergman_radial(1.5, 0.0), bergman_radial(2, 1.0),
+        bergman_radial(3, 1.0), bergman_radial(4, 1.0),
+    )
+
+    @pytest.mark.parametrize("space", HOMOGENEITY_SPACES, ids=lambda s: s.label())
+    def test_homogeneous(self, space):
+        # powers of two scale exactly; squares and p-th powers of 1e-160 f
+        # would underflow and those of 1e160 f overflow without the rescaling
+        coeffs = np.array([0.3, 1.0, 0.5j, 0.2])
+        value = norm(space, CoeffSeries(coeffs))
+        for k in (-600, -1, 1, 600):
+            assert norm(space, CoeffSeries(np.ldexp(1.0, k) * coeffs)) == np.ldexp(value, k)
+        for c in (1e-160, 1e160):
+            got = norm(space, CoeffSeries(c * coeffs))
+            assert got == pytest.approx(c * value, rel=1e-15, abs=0.0)
+        assert norm(space, CoeffSeries(np.zeros(4))) == 0.0
+
     def test_unsupported_bergman_sup(self):
         with pytest.raises(UnsupportedSpace):
             norm(bergman_radial(np.inf, 0.0), CoeffSeries([1.0]))
@@ -257,8 +277,9 @@ class TestCirclePolish:
 class TestBlockedBergman:
     @pytest.mark.parametrize("n", [40, 250, 384])
     def test_monomial_closed_form(self, n):
-        # n = 40, 250, 384 give 128, 133 and 200 radii against blocks of 64
-        assert max(_BERGMAN_MIN_RADII, n // 2 + 8) in (2 * _BERGMAN_BLOCK, 133, 200)
+        # n = 40, 250, 384 give 128, 133 and 200 radii against tiles of 32:
+        # an exact multiple of the tile, then two with a short last tile
+        assert max(_BERGMAN_MIN_RADII, n // 2 + 8) in (4 * _BERGMAN_BLOCK, 133, 200)
         f = CoeffSeries(np.eye(n + 1)[n])
         for p in (1.5, 3.0, 4.0):
             for beta in (0.0, 1.0):
@@ -285,6 +306,17 @@ class TestBlockedBergman:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_peak_memory_of_the_tiles_degree_2048(self, rng):
+        # four tiles of 32 circles at 8192 angles take 12 MB
+        f = random_poly(rng, 2048)
+        tracemalloc.start()
+        try:
+            norm(bergman_radial(3, 1.0), f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0])
@@ -339,6 +371,19 @@ class TestBlockedBergman:
             assert abs(got - want) <= 2.0**-51 * want, (deg, got, want)
         # a short last block, and a degree large enough for several blocks
         assert any(k % _BERGMAN_BLOCK for k in k_rads) and max(k_rads) > 4 * _BERGMAN_BLOCK
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_values_do_not_depend_on_the_tile(self, p, monkeypatch):
+        # a tile's width is certified at its own largest radius, so other
+        # tiles cut other columns, each by at most 2^-53 of its circle's mean
+        space = bergman_radial(p, 1.0)
+        values = {}
+        for tile in (1, 7, 32, 64):
+            monkeypatch.setattr("discinterp.spaces._BERGMAN_BLOCK", tile)
+            values[tile] = [norm(space, f) for f in self._parity_cases()]
+        for tile, got in values.items():
+            for value, want in zip(got, values[32]):
+                assert abs(value - want) <= 2.0**-52 * want, (tile, value, want)
 
     @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 1.0, 3.0])
     @pytest.mark.parametrize("k_rad", [24, 128, 133, 408, 2000])
