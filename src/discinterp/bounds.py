@@ -18,8 +18,11 @@ rotated and transplanted to the target point by the Blaschke involution.
 The norm of the transplant W o b_lam is summed from its exact Malmquist
 coordinates over the zeros (lam,)*deg W + (0,): nothing is composed or
 truncated.  The norms are radial, so that size is read at r = |lam| in
-real arithmetic, and a sweep takes the jet norm of each distinct witness
-jet once.  Closed-form two-sided bound formulas are emitted alongside,
+real arithmetic.  Rotating a jet by eta (|eta| = 1) is the unitary
+similarity D T D^H, D = diag(eta^i), of its Toeplitz matrix T, so the jet
+norm of every rotation is that of the real, unrotated kernel power: one
+real singular-value solve per n, which a sweep takes once per n.
+Closed-form two-sided bound formulas are emitted alongside,
 with honest "order-only" flags where the underlying constants are not
 numeric.
 """
@@ -27,12 +30,13 @@ numeric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotHilbert, PoleOnDomain, UnsupportedSpace
-from .extremal import _ascend, _malmquist_factor, cs_min_norm
+from .extremal import _ascend, _jet_norm, _malmquist_factor
 from .modelspace import _malmquist_gram, _malmquist_series
 from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
 from . import spaces as _sp
@@ -75,10 +79,12 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
     |z| <= r.  Known multiplicative constants are filled in (the Hardy lower
     side 1/32^(1/p), the explicit sqrt(2) upper factor at p = 2); everything
     else is emitted with constant 1 and flagged order-only, never to be
-    asserted against estimates.  Raises ValueError unless n >= 1, 0 <= r < 1.
+    asserted against estimates.  Raises ValueError unless n is an integer
+    >= 1 and 0 <= r < 1.
     """
-    if n < 1 or not (0.0 <= r < 1.0):
-        raise ValueError("need n >= 1 and 0 <= r < 1")
+    n = _multiplicity(n)
+    if not (0.0 <= r < 1.0):
+        raise ValueError("need 0 <= r < 1")
     x = n / (1.0 - r)
     invp = 0.0 if space.p == np.inf else 1.0 / space.p
 
@@ -118,6 +124,17 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
     return BoundReport(
         n, r, x, lower, upper, lower_tag, upper_tag, lower_known, upper_known, phi
     )
+
+
+def _multiplicity(n) -> int:
+    """n as an int; ValueError unless it is an integer >= 1 (numpy integers too)."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}") from None
+    if k < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return k
 
 
 def _witness_power(space: _sp.SpaceSpec) -> int:
@@ -165,40 +182,47 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     returned quotient/norm ratio is a valid lower bound for any witness;
     the rotation is what makes it grow at the proved (n/(1-r))-power rate.
     The involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the
-    quotient norm is the Taylor-jet norm cs_min_norm of the rotated
-    witness; _witness_parts gives that jet and the norm of W o b_lam.
-    bound_sweep takes each distinct jet's norm once per sweep.
+    quotient norm is the Taylor-jet norm of the rotated witness.  Its
+    Toeplitz matrix is D T D^H with D = diag(eta^i) unitary and T that of
+    the unrotated real jet, so the norm is T's top singular value, taken
+    in real arithmetic without singular vectors (_jet_norm);
+    _witness_parts gives that jet and the norm of W o b_lam.  Raises
+    ValueError unless n is an integer >= 1.
     """
     jet, size = _witness_parts(space, lam, n)
-    return cs_min_norm(jet).value / size
+    return _jet_norm(jet) / size
 
 
 def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
-    """The jet W[:n] of the witness rotated for lam and the norm of W o b_lam.
+    """The real jet K_n^m[:n] of the unrotated witness and the norm of W o b_lam.
 
-    W o b_lam has exact Malmquist coordinates b (_witness_coords); the
-    basis is orthonormal in H^2, so there the norm is ||b||_2.  Elsewhere
-    it is the norm of the Taylor series that _malmquist_series sums from b,
-    read at r = |lam|: with lam = r e^(i phi), W o b_lam(e^(i phi) z) is
-    W_r o b_r(z), the norms are radial, and W_r, its coordinates and the
-    series over (r,)*deg W + (0,) are real.
+    The witness rotated for lam has the jet eta^k c_k, whose Toeplitz
+    matrix is a unitary similarity of that of c = K_n^m[:n], so c, real,
+    carries the jet norm of every rotation.  W o b_lam has exact Malmquist
+    coordinates b (_witness_coords); the basis is orthonormal in H^2, so
+    there the norm is ||b||_2.  Elsewhere it is the norm of the Taylor
+    series that _malmquist_series sums from b, read at r = |lam|: with
+    lam = r e^(i phi), W o b_lam(e^(i phi) z) is W_r o b_r(z), the norms
+    are radial, and W_r, its coordinates and the series over
+    (r,)*deg W + (0,) are real.  Raises ValueError unless n is an integer
+    >= 1.
     """
-    if n < 1:
-        raise ValueError("multiplicity must be >= 1")
+    n = _multiplicity(n)
     lam = complex(lam)
     if not abs(lam) < 1.0:  # also catches NaN
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
+    base = _witness(space, 0j, n)
+    jet = base.coeffs[:n].real
     if space.family == "hardy":  # _witness_coords admits only p = 2 there
-        W, h = _witness_coords(space, lam, n)
-        return W.coeffs[:n], float(np.linalg.norm(_transplant_coords(h, abs(lam))))
-    W = _witness(space, lam, n)
+        _, h = _witness_coords(space, lam, n)
+        return jet, float(np.linalg.norm(_transplant_coords(h, abs(lam))))
     if lam == 0:
-        return W.coeffs[:n], _sp.norm(space, W)  # radial norm: W(-z) = W
+        return jet, _sp.norm(space, base)
     r = abs(lam)
     _, h = _witness_coords(space, r, n)
     b = _transplant_coords(h.real, r)  # h is real at lam = r > 0
     series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
-    return W.coeffs[:n], _sp.norm(space, CoeffSeries(series))
+    return jet, _sp.norm(space, CoeffSeries(series))
 
 
 def _transplant_coords(h: np.ndarray, r: float) -> np.ndarray:
@@ -322,15 +346,17 @@ def bound_sweep(
     """Witness bounds, optional constant estimates and formulas on a grid.
 
     Rows are ordered n-major then r.  The witness is witness_lower_bound's,
-    bitwise, but the sweep takes the jet norm of each distinct witness jet
-    once: every r > 0 rotates the kernel by -1, so those cells share one.
-    The log-log slope of the witness (and estimate, when present on at
-    least two cells) against n/(1-r) is fitted at the end.
+    bitwise, but the sweep takes the jet norm once per n: the rotation for
+    each r is a unitary similarity of the Toeplitz matrix of the one real,
+    unrotated jet, so every cell of that n shares its norm.  The log-log
+    slope of the witness (and estimate, when present on at least two
+    cells) against n/(1-r) is fitted at the end.  Raises ValueError unless
+    every n is an integer >= 1.
     """
-    cells = [(int(n), float(r)) for n in n_grid for r in r_grid]
+    cells = [(n, float(r)) for n in map(_multiplicity, n_grid) for r in r_grid]
     if not cells:
         raise ValueError("empty sweep grid")
-    jet_norms: dict[bytes, float] = {}
+    jet_norms: dict[int, float] = {}
 
     def make_row(cell: tuple[int, float]) -> SweepRow:
         n, r = cell
@@ -340,10 +366,9 @@ def bound_sweep(
         except UnsupportedSpace:
             witness = None
         else:
-            key = jet.tobytes()
-            if key not in jet_norms:
-                jet_norms[key] = cs_min_norm(jet).value
-            witness = jet_norms[key] / size
+            if n not in jet_norms:
+                jet_norms[n] = _jet_norm(jet)
+            witness = jet_norms[n] / size
         estimate = None
         if space.is_hilbert and 0 < n <= estimate_cap:
             estimate = interp_constant(

@@ -10,7 +10,10 @@ A function is evaluated at T_B by block Horner.  Values w at distinct nodes
 enter as C^-1 diag(w) C with C[j, k] = e_k(lam_j), as C T_B = diag(lam) C
 (_pick_factor), and Malmquist coordinates on any multiset through the stack
 e_k(T_B) (_malmquist_factor); each stack is built once per node set.
-cs_min_norm keeps the direct Toeplitz solver for jets at the origin.
+cs_min_norm keeps the direct Toeplitz solver for jets at the origin.  A
+rotated jet eta^k c_k (|eta| = 1) has the Toeplitz matrix D T(c) D^H with
+D = diag(eta^i) unitary, so its norm is that of c: a real jet's norm is
+taken from the real matrix, by singular values alone (_jet_norm).
 
 The estimators maximise ||F(x)||_2 over a set of data x by a monotone
 singular-vector ascent (_ascend): F is linear, so with (u, v) the top
@@ -256,6 +259,19 @@ def pick_min_norm(problem: PickProblem) -> ExtremalResult:
     return ExtremalResult(value, float(np.linalg.eigvalsh(pick)[0]), "pick")
 
 
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix T[i, j] = c_{i-j}, of c's dtype."""
+    n, k = c.size, np.arange(c.size)
+    # T[i, j] = padded[n - 1 + i - j]: c_{i-j} on and below the diagonal, 0 above
+    padded = np.concatenate((np.zeros(n - 1, dtype=c.dtype), c))
+    return padded[n - 1 + k[:, None] - k]
+
+
+def _jet_norm(c: np.ndarray) -> float:
+    """cs_min_norm(c).value from the singular values alone, in c's dtype."""
+    return float(np.linalg.svd(_toeplitz(c), compute_uv=False)[0])
+
+
 def cs_min_norm(coeffs) -> ExtremalResult:
     """Least sup-norm over analytic functions with the given leading jet.
 
@@ -265,10 +281,7 @@ def cs_min_norm(coeffs) -> ExtremalResult:
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("need a nonempty 1-d coefficient vector")
-    n, k = c.size, np.arange(c.size)
-    # T[i, j] = padded[n - 1 + i - j]: c_{i-j} on and below the diagonal, 0 above
-    padded = np.concatenate((np.zeros(n - 1, dtype=complex), c))
-    return _norm_result(padded[n - 1 + k[:, None] - k], "toeplitz")
+    return _norm_result(_toeplitz(c), "toeplitz")
 
 
 def quotient_norm(f: CoeffSeries, sigma: SigmaSet) -> ExtremalResult:

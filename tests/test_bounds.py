@@ -87,6 +87,15 @@ class TestTheoremBounds:
             eval_functional_norm(seq_weighted(2, 1.5), t)
         )
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, 0, -3])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError):
+            theorem_bounds(hardy(2), n, 0.5)
+
+    def test_numpy_integer_n_is_an_int(self):
+        rep = theorem_bounds(hardy(2), np.uint8(8), 0.5)
+        assert type(rep.n) is int and rep == theorem_bounds(hardy(2), 8, 0.5)
+
     def test_lower_never_exceeds_upper(self):
         specs = [hardy(2), hardy(4), seq_weighted(2, 1.5), seq_weighted(1.5, 2.0),
                  seq_weighted(4, 1.5), bergman_radial(2, 0.5), bergman_radial(1, 0.0)]
@@ -218,6 +227,33 @@ class TestWitness:
     def test_rejects_point_off_the_open_disc(self, lam, n):
         with pytest.raises(PoleOnDomain):
             witness_lower_bound(hardy(2), lam, n)
+
+    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5), seq_weighted(2, 2)])
+    def test_jet_norm_is_rotation_invariant(self, rng, space):
+        # T(eta^k c_k) = D T(c) D^H with D = diag(eta^i) unitary: the real
+        # value-only norm of the unrotated jet is that of every rotation
+        for n in range(1, 65):
+            jet, _ = bounds._witness_parts(space, 0.0, n)
+            assert jet.dtype == float
+            got = extremal._jet_norm(jet)
+            for eta in (-1.0, np.exp(1j * rng.uniform(-np.pi, np.pi))):
+                want = cs_min_norm(jet * eta ** np.arange(n)).value
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (n, eta)
+
+    def test_builds_no_singular_vectors(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("singular vectors built on the witness path")
+
+        monkeypatch.setattr(extremal, "_norm_result", refuse)
+        for space in (hardy(2), seq_weighted(2, 1.5)):
+            assert witness_lower_bound(space, 0.5j, 8) > 0.0
+            res = bound_sweep(space, [2, 8], [0.0, 0.9])
+            assert all(row.witness > 0.0 for row in res.rows)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3", None, 0, -2])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError):
+            witness_lower_bound(hardy(2), 0.5, n)
 
     def test_unsupported_space(self):
         with pytest.raises(UnsupportedSpace):
@@ -489,19 +525,27 @@ class TestSweep:
             assert np.array_equal(bounds._witness(space, 0j, row.n).coeffs, base.coeffs)
 
     def test_one_jet_norm_per_distinct_jet(self, monkeypatch):
-        # every r > 0 rotates the kernel by -1: two distinct jets per n, not three
+        # every rotation of the jet is a unitary similarity of the unrotated
+        # jet's Toeplitz matrix: one real jet norm per n, whatever the r
         calls = []
 
         def counting(coeffs):
             calls.append(coeffs.size)
-            return cs_min_norm(coeffs)
+            return extremal._jet_norm(coeffs)
 
-        monkeypatch.setattr(bounds, "cs_min_norm", counting)
+        monkeypatch.setattr(bounds, "_jet_norm", counting)
         res = bound_sweep(seq_weighted(2, 1.5), (4, 8), (0, 0.5, 0.9))
-        assert sorted(calls) == [4, 4, 8, 8]
+        assert calls == [4, 8]
         monkeypatch.undo()
         for row in res.rows:
             assert row.witness == witness_lower_bound(seq_weighted(2, 1.5), complex(row.r), row.n)
+
+    def test_rejects_non_integral_n(self):
+        for n in (2.5, 2.0, 0, -1):
+            with pytest.raises(ValueError):
+                bound_sweep(hardy(2), [n], [0.5])
+        res = bound_sweep(hardy(2), [np.int64(2)], [0.5])
+        assert res.rows[0].n == 2 and type(res.rows[0].n) is int
 
     def test_slope_near_half_for_hardy2(self):
         res = bound_sweep(hardy(2), [4, 8, 16, 32], [0.5])
