@@ -4,6 +4,14 @@ Every subcommand runs one operation and writes a single CSV or JSON
 artifact with a provenance header (version, command, seed).  CSV
 columns are frozen per command; new columns may only be appended.  All
 stochastic searches are fully determined by --seed.
+
+Each subcommand body returns its records as rows, tuples of cells in the
+order of its columns, and one writer (_emit) formats the rows of every
+command: each cell is formatted on its own (_fmt_cell for CSV, the C JSON
+encoder for JSON), and the cells are set into a record template built once
+per table, a chunk of rows at a time (_fill).  The JSON text is
+``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte
+(_json_text).
 """
 
 from __future__ import annotations
@@ -120,6 +128,11 @@ def _resolve_space(args: argparse.Namespace) -> SpaceSpec:
 
 
 def _fmt_cell(value: Any) -> str:
+    # exact floats and ints first: they fill every large table
+    if type(value) is float:
+        return format(value, ".12g") if value == value else ""
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -129,14 +142,11 @@ def _fmt_cell(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         if value != value:  # nan
             return ""
-        if value in (np.inf, -np.inf):
-            return "inf" if value > 0 else "-inf"
-        return format(float(value), ".12g")
+        return format(float(value), ".12g")  # "inf" and "-inf" too
     return str(value)
 
 
-def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
-    columns = args.columns
+def _emit(args: argparse.Namespace, rows: list[tuple], meta: dict) -> None:
     full_meta = {
         "version": __version__,
         "command": args.command,
@@ -147,22 +157,18 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
         full_meta["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     if args.fmt == "json":
-        payload = {
-            "meta": {k: _json_safe(v) for k, v in full_meta.items()},
-            "columns": list(columns),
-            "records": _json_records(records, columns),
-        }
-        text = _json_text(payload)
+        text = _json_text(args.columns, rows, full_meta)
     else:
         lines = [f"# discinterp {__version__}"]
         for key, val in full_meta.items():
             if key == "version":
                 continue
             lines.append(f"# {key}={_fmt_cell(val)}")
-        lines.append(",".join(columns))
-        for rec in records:
-            lines.append(",".join(_fmt_cell(rec.get(c)) for c in columns))
-        text = "\n".join(lines) + "\n"
+        lines.append(",".join(args.columns))
+        record = ",".join(["%s"] * len(args.columns))
+        table = _fill(rows, record, "\n",
+                      lambda chunk: map(_fmt_cell, itertools.chain.from_iterable(chunk)))
+        text = "".join(["\n".join(lines), "\n", *table, "\n" if rows else ""])
 
     if args.output in ("-", ""):
         sys.stdout.write(text)
@@ -175,57 +181,78 @@ def _emit(args: argparse.Namespace, records: list[dict], meta: dict) -> None:
             raise CliError(f"cannot write --output {args.output!r}: {reason}") from exc
 
 
-# the item separator of a record at its depth in the indent=2 layout
-_RECORD_SEPARATORS = (",\n      ", ": ")
-# records per C-encoder call: one call over all records holds a chunk per
-# token of every record at once, which raised the traced peak of a
-# 5600-record basis job from 3.3 to 4.8 MB
-_RECORD_BATCH = 64
+# rows formatted in one step: a table holds the text of one chunk's cells at a
+# time, not of all its cells (traced peak of the JSON writer on a 3246-record
+# basis: 0.74 MB, and 2.2 MB with the whole table in one step)
+_CHUNK = 512
 
 
-def _json_text(payload: dict) -> str:
+def _fill(rows: list[tuple], record: str, sep: str, cells_of) -> list[str]:
+    """Pieces of the rows, each set into the %s-template ``record``, joined by ``sep``.
+
+    ``cells_of(chunk)`` gives the text of the cells of a chunk of _CHUNK
+    rows, row by row, in the order of the template.
+    """
+    pieces = []
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start : start + _CHUNK]
+        pieces += [sep, sep.join(itertools.repeat(record, len(chunk))) % tuple(cells_of(chunk))]
+    return pieces[1:]
+
+
+def _json_text(columns, rows: list[tuple], meta: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    Only the payload without its records goes through the pure-Python
-    indenting encoder.  The records go through the C encoder, _RECORD_BATCH
-    at a time, with the item separator of the indented layout, and only the
-    braces between them are indented by hand.  Each record is flat and
-    non-empty, and a JSON string holds no raw newline, so "},\\n      {"
-    occurs only between two records.  "records" sorts last, so the records
-    are spliced in where the indented text ends with an empty list.
+    The payload holds the columns, the meta with each value through
+    _json_safe, and one record per row, {c: _json_safe(cell)} over the
+    columns.  The meta and the records are flat, so no text is left to the
+    pure-Python indenting encoder: the columns and the meta are each one C
+    encoder call with the separators of the indented layout, and the cells
+    of each chunk of rows one more (_json_cells), set into a record
+    template with the keys in sorted order.
     """
-    rows = payload["records"]
-    text = json.dumps({**payload, "records": []}, indent=2, sort_keys=True)
-    if not rows:
-        return text + "\n"
-    between = "},\n      {"
-    body = between.join(
-        json.dumps(rows[i : i + _RECORD_BATCH], sort_keys=True, separators=_RECORD_SEPARATORS)[2:-2]
-        for i in range(0, len(rows), _RECORD_BATCH)
-    ).replace(between, "\n    },\n    {\n      ")
-    return text[: -len("[]\n}")] + "[\n    {\n      " + body + "\n    }\n  ]\n}\n"
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    keys = [json.dumps(columns[i]).replace("%", "%%") + ": %s" for i in order]
+    record = "{\n      " + ",\n      ".join(keys) + "\n    }"
+    records = _fill(rows, record, ",\n    ", lambda chunk: _json_cells(chunk, order))
+    return "".join([
+        '{\n  "columns": ', _json_block(list(columns)),
+        ',\n  "meta": ', _json_block({k: _json_safe(v) for k, v in meta.items()}),
+        ',\n  "records": ', *(["[\n    ", *records, "\n  ]"] if rows else ["[]"]), "\n}\n",
+    ])
 
 
-# cell types that _json_safe leaves as they are, a float only while finite
-_PLAIN_CELLS = frozenset((int, float, bool, str, type(None)))
+def _json_cells(rows: list[tuple], order: list[int]) -> list[str]:
+    """json.dumps(_json_safe(cell)) of each cell, row by row, each row's cells in ``order``.
 
-
-def _json_records(records: list[dict], columns) -> list[dict]:
-    """The records as ``{c: _json_safe(rec.get(c)) for c in columns}``.
-
-    They come back as they are when each holds exactly the columns and no
-    cell needs converting: no numpy scalar and no infinity.
+    One C encoder call writes one cell per line (a JSON string holds no raw
+    newline), a numpy scalar that is no Python int or float through
+    _json_safe by its default hook.  Where a float infinity shows, every
+    cell goes through _json_safe first: it writes a Python float infinity as
+    "inf" or "-inf" and leaves a numpy one Infinity.
     """
-    keys = set(columns)
-    cells = list(itertools.chain.from_iterable(map(dict.values, records)))
-    if (
-        all(rec.keys() == keys for rec in records)
-        and set(map(type, cells)) <= _PLAIN_CELLS
-        and np.inf not in cells
-        and -np.inf not in cells
-    ):
-        return records
-    return [{c: _json_safe(rec.get(c)) for c in columns} for rec in records]
+    row_major = list(itertools.chain.from_iterable(rows))
+    width = len(order)
+    cells = row_major[:]
+    for slot, col in enumerate(order):
+        cells[slot::width] = row_major[col::width]
+    text = json.dumps(cells, default=_json_number, separators=("\n", ""))
+    if "Infinity" in text:
+        text = json.dumps(list(map(_json_safe, cells)), separators=("\n", ""))
+    return text[1:-1].split("\n")
+
+
+def _json_block(obj) -> str:
+    """A flat list or dict of scalars one level in, as the indent=2 layout writes it."""
+    text = json.dumps(obj, sort_keys=True, separators=(",\n    ", ": "))
+    return text if len(text) == 2 else f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+
+
+def _json_number(value: Any) -> Any:
+    """json.dumps's hook for a numpy scalar that is no Python int or float."""
+    if isinstance(value, (np.integer, np.floating)):
+        return _json_safe(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_safe(value: Any) -> Any:
@@ -243,23 +270,23 @@ def _json_safe(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _run_basis(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_basis(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     sigma = _resolve_sigma(args)
     basis = malmquist_basis(sigma, n_trunc=args.trunc)
-    records = []
+    rows = []
     for k, e in enumerate(basis.series, start=1):
-        trimmed = e.trimmed(tol=1e-15)
-        for j, c in enumerate(trimmed.coeffs):
-            records.append({"k": k, "j": j, "re": float(c.real), "im": float(c.imag)})
+        coeffs = e.trimmed(tol=1e-15).coeffs
+        rows += zip(itertools.repeat(k), range(coeffs.size),
+                    coeffs.real.tolist(), coeffs.imag.tolist())
     meta = {"sigma": _sigma_text(sigma), "degree": basis.degree}
-    return records, meta
+    return rows, meta
 
 
 def _sigma_text(sigma: SigmaSet) -> str:
     return ";".join(f"{p.real:.12g}{p.imag:+.12g}j" for p in sigma.points)
 
 
-def _run_bernstein(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_bernstein(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     rows = []
     if args.samples > 0:
         rng = np.random.default_rng(args.seed)
@@ -275,15 +302,7 @@ def _run_bernstein(args: argparse.Namespace) -> tuple[list[dict], dict]:
         ratio = bernstein_ratio(sigma, order=args.order)
         bound = _iterated_bound(sigma, args.order)
         rows.append(
-            {
-                "idx": idx,
-                "n": sigma.n,
-                "r": sigma.r,
-                "order": args.order,
-                "ratio": ratio,
-                "bound": bound,
-                "ratio_over_bound": ratio / bound if bound else None,
-            }
+            (idx, sigma.n, sigma.r, args.order, ratio, bound, ratio / bound if bound else None)
         )
     return rows, {"samples": len(sigmas), "order": args.order}
 
@@ -294,46 +313,53 @@ def _iterated_bound(sigma: SigmaSet, order: int) -> float:
     return math.factorial(order) * (2.5 * sigma.n / (1.0 - sigma.r)) ** order
 
 
-def _run_pick(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _row(columns, *sources) -> tuple:
+    """The fields named by ``columns`` over the dataclasses ``sources``, None where none has one."""
+    fields = {}
+    for source in sources:
+        fields.update(vars(source))
+    return tuple(map(fields.get, columns))
+
+
+def _run_pick(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     nodes = _parse_list(args.nodes, "--nodes", _complex_token)
     values = _parse_list(args.values, "--values", _complex_token)
     result = pick_min_norm(PickProblem(nodes, values))
-    return [{**vars(result)}], {"nodes": args.nodes, "values": args.values}
+    return [_row(args.columns, result)], {"nodes": args.nodes, "values": args.values}
 
 
-def _run_cs(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_cs(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     coeffs = _parse_list(args.coeffs, "--coeffs", _complex_token)
-    return [{**vars(cs_min_norm(np.array(coeffs)))}], {"coeffs": args.coeffs}
+    return [_row(args.columns, cs_min_norm(np.array(coeffs)))], {"coeffs": args.coeffs}
 
 
-def _run_quotient(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_quotient(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     sigma = _resolve_sigma(args)
     f = CoeffSeries(np.array(_parse_list(args.coeffs, "--coeffs", _complex_token)))
-    return [{**vars(quotient_norm(f, sigma))}], {"sigma": _sigma_text(sigma)}
+    return [_row(args.columns, quotient_norm(f, sigma))], {"sigma": _sigma_text(sigma)}
 
 
-def _run_carleson(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_carleson(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     sigma = _resolve_sigma(args)
     value = carleson_constant(sigma, budget=args.budget, seed=args.seed)
-    rec = {"value": value, "n": sigma.n, "budget": args.budget}
-    return [rec], {"sigma": _sigma_text(sigma)}
+    return [(value, sigma.n, args.budget)], {"sigma": _sigma_text(sigma)}
 
 
-def _run_constant(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_constant(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     sigma = _resolve_sigma(args)
     space = _resolve_space(args)
     value = interp_constant(space, sigma, budget=args.budget, seed=args.seed)
-    rec = {"value": value, "n": sigma.n, "r": sigma.r, "budget": args.budget}
-    return [rec], {"sigma": _sigma_text(sigma), "space": space.label()}
+    row = (value, sigma.n, sigma.r, args.budget)
+    return [row], {"sigma": _sigma_text(sigma), "space": space.label()}
 
 
-def _run_bounds(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_bounds(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     space = _resolve_space(args)
     report = theorem_bounds(space, args.n, args.r)
-    return [{**vars(space), **vars(report)}], {"space": space.label()}
+    return [_row(args.columns, space, report)], {"space": space.label()}
 
 
-def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _run_sweep(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     space = _resolve_space(args)
     n_grid = _parse_list(args.n_grid, "--n-grid", int)
     r_grid = _parse_list(args.r_grid, "--r-grid", float)
@@ -345,7 +371,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
         estimate_cap=args.estimate_cap,
         seed=args.seed,
     )
-    records = [{**vars(space), **vars(row)} for row in result.rows]
+    rows = [_row(args.columns, space, row) for row in result.rows]
     meta = {
         "space": space.label(),
         "slope_witness": result.slope_witness,
@@ -353,7 +379,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], dict]:
         "estimate_cap": args.estimate_cap,
         "budget": args.budget,
     }
-    return records, meta
+    return rows, meta
 
 
 def run(args: argparse.Namespace) -> int:

@@ -38,6 +38,7 @@ from .spaces import (
     _TAIL_EPS,
     SpaceSpec,
     _polished_max,
+    _unit_kernel,
     kernel_diagonal,
 )
 
@@ -246,16 +247,27 @@ def projection_operator_norm(
 
     For fixed z the functional f |-> (Tf)(z) has dual norm sqrt(g) with
     g = e(z)^T S conj(e(z)), S the kernel-weighted Gram of the basis
-    coefficients (_malmquist_gram) and e(z) the exact rational basis
-    values; the sup over the closed disc sits on the circle.  It is
-    located on a ``coarse``-point grid, then polished by safeguarded
-    Newton steps on g(theta), z = e^{i theta}, at the ``top`` tallest grid
-    peaks together (_polished_max).  With d/dtheta = i z d/dz and e', e''
-    in closed form (_basis_derivatives), g' = 2 Re(e_theta'^T S conj(e))
-    and g'' = 2 Re(e_theta''^T S conj(e)) + 2 e_theta'^T S conj(e_theta').
-    Every value returned bounds the interpolation constant of sigma from
-    above, because Tf interpolates f.
+    coefficients and e(z) the exact rational basis values; the sup over
+    the closed disc sits on the circle.  It is located on a ``coarse``-point
+    grid, then polished by safeguarded Newton steps on g(theta),
+    z = e^{i theta}, at the ``top`` tallest grid peaks together
+    (_polished_max).  Every value returned bounds the interpolation
+    constant of sigma from above, because Tf interpolates f.
+
+    Where the kernel diagonal is 1 (H^2, and l^2_a with alpha = 1), S = I
+    and g(theta) = sum_k |e_k(z)|^2 = K_B(z, z) = |B'(z)| on the circle:
+    the sum over the nodes, with multiplicity, of the Poisson kernels
+    (1 - |lam|^2) / |z - lam|^2, taken with g' and g'' in closed form by
+    _unit_kernel_norm.  No Gram and no basis value is formed, so the value
+    holds up to the circle.  Elsewhere S is the Stein sum _malmquist_gram, which
+    raises NotHilbert off p = 2, with e', e'' in closed form
+    (_basis_derivatives): d/dtheta = i z d/dz, g' = 2 Re(e_theta'^T S
+    conj(e)) and g'' = 2 Re(e_theta''^T S conj(e)) + 2 e_theta'^T S
+    conj(e_theta').  Either way g carries rounding noise of a few 1e-15
+    relative (about 4.7e-15 seen), so the value is not yet a certificate.
     """
+    if _unit_kernel(space):
+        return _unit_kernel_norm(sigma, coarse, top)
     S = _malmquist_gram(space, sigma)
 
     def g(ts: np.ndarray):
@@ -274,3 +286,55 @@ def projection_operator_norm(
     e = _basis_values(sigma, np.exp(1j * thetas))
     vals = np.real(np.sum(e * (S @ e.conj()), axis=0))
     return float(np.sqrt(_polished_max(vals, thetas, g, top)))
+
+
+def _unit_kernel_norm(sigma: SigmaSet, coarse: int, top: int) -> float:
+    """sqrt(max |B'|) on the circle, |B'(e^{it})| = sum_k P_k(t) over the nodes with multiplicity.
+
+    P_k = c / D is the Poisson kernel of lam = rho e^{i phi}: c = 1 - rho^2
+    and D = |e^{it} - lam|^2 = (1 - rho)^2 + s^2, s = 2 sqrt(rho) sin(psi / 2)
+    and psi = t - phi.  c is 1 - |lam|^2 correctly rounded and 1 - rho =
+    c / (1 + rho); s and u = 2 sqrt(rho) cos(psi / 2) come from the
+    angle-difference formulas, one product of a (2n, 2) and a (2, m)
+    matrix, whose rounding only moves t.  So D keeps its relative accuracy
+    at the peak of a node near the circle, where 1 + rho^2 - 2 rho cos psi
+    cancels.  The Newton polish takes D' = 2 rho sin psi = s u and
+    D'' = 2 rho cos psi = (u^2 - s^2) / 2, so P' = -P D' / D and
+    P'' = P (2 D'^2 - D D'') / D^2.
+    """
+    n = sigma.n
+    lam = np.asarray(sigma.points, dtype=complex)
+    rho, half_phi = np.abs(lam), 0.5 * np.angle(lam)
+    c = np.array([_one_minus_abs2(z) for z in sigma.points])[:, None]
+    gap2 = (c / (1.0 + rho[:, None])) ** 2
+    a, b = 2.0 * np.sqrt(rho) * np.cos(half_phi), 2.0 * np.sqrt(rho) * np.sin(half_phi)
+    # the rows of s and then of u, against the columns (sin(t/2), cos(t/2))
+    rot = np.concatenate((np.stack((a, -b), axis=1), np.stack((b, a), axis=1)))
+
+    def halves(ts: np.ndarray) -> np.ndarray:
+        return np.stack((np.sin(0.5 * ts), np.cos(0.5 * ts)))
+
+    def g(ts: np.ndarray):
+        su = rot @ halves(ts)
+        s, u = su[:n], su[n:]
+        D = gap2 + s * s
+        D1 = s * u
+        D2 = 0.5 * (u - s) * (u + s)
+        P = c / D
+        return (
+            np.sum(P, axis=0),
+            -np.sum(P * D1 / D, axis=0),
+            np.sum(P * (2.0 * D1 * D1 - D * D2) / (D * D), axis=0),
+        )
+
+    thetas = 2.0 * np.pi * np.arange(coarse) / coarse
+    s = rot[:n] @ halves(thetas)
+    vals = np.sum(c / (gap2 + s * s), axis=0)
+    return float(np.sqrt(_polished_max(vals, thetas, g, top)))
+
+
+def _one_minus_abs2(z: complex) -> float:
+    """1 - |z|^2 correctly rounded: exact integer arithmetic on the binary fractions of z."""
+    (a, p), (b, q) = float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio()
+    d = max(p, q) ** 2  # p and q are powers of two
+    return (d - a * a * (d // (p * p)) - b * b * (d // (q * q))) / d

@@ -142,6 +142,13 @@ def kernel_diagonal(space: SpaceSpec, ks: np.ndarray) -> np.ndarray:
     return np.exp(-logw)
 
 
+def _unit_kernel(space: SpaceSpec) -> bool:
+    """Whether kappa_k = 1 for every k: H^2, and l^2_a with alpha = 1."""
+    return space.is_hilbert and (
+        space.family == "hardy" or (space.family == "seq" and space.alpha == 1.0)
+    )
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------

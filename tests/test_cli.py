@@ -8,11 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discinterp import IllConditionedWarning
+from discinterp import IllConditionedWarning, __version__
 from discinterp.cli import (
     _emit,
-    _json_records,
-    _json_safe,
     _json_text,
     build_parser,
     main,
@@ -31,6 +29,66 @@ MINIMAL = {
     "bounds": ["--n", "2", "--r", "0.5"],
     "sweep": ["--n-grid", "2", "--r-grid", "0.5"],
 }
+
+
+def reference_safe(value):
+    """The JSON cell conversion the writer keeps: numpy scalars to Python, float infinities to text."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, float) and value in (np.inf, -np.inf):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def reference_cell(value):
+    """The CSV cell format the writer keeps."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if value != value:
+            return ""
+        if value in (np.inf, -np.inf):
+            return "inf" if value > 0 else "-inf"
+        return format(float(value), ".12g")
+    return str(value)
+
+
+def reference_json(columns, rows, meta):
+    """The indented dump of dict records, each cell converted on its own."""
+    payload = {
+        "meta": {k: reference_safe(v) for k, v in meta.items()},
+        "columns": list(columns),
+        "records": [{c: reference_safe(v) for c, v in zip(columns, row)} for row in rows],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_csv(columns, rows, meta):
+    lines = [f"# discinterp {meta['version']}"]
+    lines += [f"# {k}={reference_cell(v)}" for k, v in meta.items() if k != "version"]
+    lines.append(",".join(columns))
+    lines += [",".join(map(reference_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def emit_both(tmp_path, argv, rows, meta):
+    """_emit's CSV and JSON text for these rows, each with the reference text for the same meta."""
+    out = []
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"emit.{fmt}"
+        args = build_parser().parse_args(
+            argv + ["--format", fmt, "--reproducible", "--output", str(path)])
+        _emit(args, rows, meta)
+        full_meta = {"version": __version__, "command": args.command, "seed": args.seed, **meta}
+        ref = reference_json if fmt == "json" else reference_csv
+        out.append((path.read_text(encoding="utf-8"), ref(args.columns, rows, full_meta)))
+    return out
 
 
 def run_to_file(tmp_path, name, argv):
@@ -179,7 +237,7 @@ class TestDeterminismAndFormats:
         assert redumped == out.read_text(encoding="utf-8")
 
     def test_json_writer_matches_indented_dumps_on_basis(self, tmp_path):
-        # thousands of records, each written by the C encoder and indented by hand
+        # thousands of records, over several chunks of rows
         sigma = "0.95,0.95,-0.9j,-0.9j,0.5+0.5i,0.3,0.3,-0.7"
         argv = ["basis", "--sigma", sigma, "--format", "json", "--reproducible"]
         _, out = run_to_file(tmp_path, "b.json", argv)
@@ -208,11 +266,11 @@ class TestDeterminismAndFormats:
             ["pick", "--nodes", "0", "--values", "1", "--format", "json", "--reproducible",
              "--output", str(out)]
         )
-        records = [
-            {"value": float("inf"), "certificate": "},\n      {", "mode": None},
-            {"value": np.float64(0.5), "certificate": "}, {\n", "mode": "a\"b"},
+        rows = [
+            (float("inf"), "},\n      {", None),
+            (np.float64(0.5), "}, {\n", "a\"b"),
         ]
-        _emit(args, records, {"note": "},\n      {"})
+        _emit(args, rows, {"note": "},\n      {"})
         text = out.read_text(encoding="utf-8")
         payload = json.loads(text)
         assert payload["records"][0]["certificate"] == "},\n      {"
@@ -224,24 +282,63 @@ class TestDeterminismAndFormats:
          0.25, 7, True, None, "inf"],
         ids=repr,
     )
-    def test_json_records_match_per_cell_conversion(self, cell):
+    def test_json_records_match_per_cell_conversion(self, cell, tmp_path):
+        # the cell in each column of one row in four, against per-cell conversion
         columns = ("idx", "value", "note")
-        plain = [{"idx": i, "value": 0.5 * i, "note": "n"} for i in range(4)]
-        variants = {
-            "cell": [*plain[:2], {**plain[2], "value": cell}, plain[3]],
-            "missing column": [*plain[:3], {"idx": 3, "value": cell}],
-            "extra key": [*plain[:3], {**plain[3], "value": cell, "extra": 1}],
-        }
-        for what, records in variants.items():
-            old = [{c: _json_safe(rec.get(c)) for c in columns} for rec in records]
-            new = _json_records(records, columns)
-            payload = {"columns": list(columns), "meta": {}}
-            assert _json_text({**payload, "records": new}) == _json_text(
-                {**payload, "records": old}
-            ), what
-        # the records are passed on as they are only where nothing converts
-        plain = type(cell) in (int, float, bool, str, type(None)) and cell not in (np.inf, -np.inf)
-        assert (_json_records(variants["cell"], columns) is variants["cell"]) == plain
+        plain = [(i, 0.5 * i, "n") for i in range(4)]
+        for col in range(len(columns)):
+            rows = [*plain[:2], plain[2][:col] + (cell,) + plain[2][col + 1 :], plain[3]]
+            for meta in ({}, {"cell": cell}):
+                assert _json_text(columns, rows, meta) == reference_json(columns, rows, meta)
+            for got, want in emit_both(tmp_path, ["pick", "--nodes", "0", "--values", "1"],
+                                       rows, {"cell": cell}):
+                assert got == want
+
+    @pytest.mark.parametrize(
+        "cell",
+        [np.float64("inf"), np.float64("-inf"), np.float32(0.1), np.int8(-3), np.float64("nan"),
+         -0.0, 1e300, "%s %d {}", "caf\u00e9 \\ \"q\"\t"],
+        ids=repr,
+    )
+    def test_numpy_infinities_and_awkward_strings_match_per_cell_conversion(self, cell, tmp_path):
+        # a numpy infinity stays Infinity in JSON while a Python one is written "inf"
+        columns = ("idx", "value", "note")
+        rows = [(0, float("inf"), "n"), (1, cell, "n"), (np.int64(2), 0.5, cell)]
+        assert _json_text(columns, rows, {}) == reference_json(columns, rows, {})
+        for got, want in emit_both(tmp_path, ["carleson", "--sigma", "0.5"], rows, {"m": cell}):
+            assert got == want
+
+    def test_empty_containers(self, tmp_path):
+        assert _json_text((), [], {}) == '{\n  "columns": [],\n  "meta": {},\n  "records": []\n}\n'
+        for rows in ([], [(1, 2.0, "x")]):
+            want = reference_json(("a", "b", "c"), rows, {})
+            assert _json_text(("a", "b", "c"), rows, {}) == want
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL))
+    def test_every_command_matches_the_reference_writer(self, tmp_path, command):
+        args = build_parser().parse_args([command] + MINIMAL[command])
+        rows, meta = args.run(args)
+        assert rows and all(type(row) is tuple and len(row) == len(args.columns) for row in rows)
+        for got, want in emit_both(tmp_path, [command] + MINIMAL[command], rows, meta):
+            assert got == want
+
+    def test_large_basis_matches_the_reference_writer(self, tmp_path):
+        argv = ["basis", "--sigma", "0.99,0.99"]
+        args = build_parser().parse_args(argv)
+        rows, meta = args.run(args)
+        assert len(rows) > 5000
+        (csv_got, csv_want), (json_got, json_want) = emit_both(tmp_path, argv, rows, meta)
+        # compared as flags: a diff of two large strings takes pytest minutes
+        same_csv, same_json = csv_got == csv_want, json_got == json_want
+        assert same_csv and same_json
+        data_lines = [ln for ln in csv_got.splitlines() if not ln.startswith("#")][1:]
+        assert len(json.loads(json_got)["records"]) == len(rows) == len(data_lines)
+
+    def test_meta_text_that_looks_like_a_record_boundary(self, tmp_path):
+        rows = [(1, 2, 0.5, -0.25)]
+        meta = {"sigma": "},\n      {", "degree": "},\n    {\n      "}
+        for got, want in emit_both(tmp_path, ["basis", "--sigma", "0.5"], rows, meta):
+            assert got == want
 
     def test_csv_uses_lf_endings(self, tmp_path):
         _, out = run_to_file(tmp_path, "lf.csv", self.SWEEP + ["--reproducible"])

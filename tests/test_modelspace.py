@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 from discinterp import (
     CoeffSeries,
+    NotHilbert,
     SigmaSet,
     TruncationError,
     blaschke_coeffs,
@@ -25,6 +29,7 @@ from discinterp import (
 )
 
 from discinterp.extremal import _compressed_shift
+from discinterp.spaces import _polished_max
 from discinterp.series import _basis_derivatives, _basis_jets, _basis_values
 
 from conftest import random_poly, random_sigma
@@ -524,3 +529,112 @@ class TestOperatorNorm:
             coarse, fine = self._refined_grid_max(space, sigma)
             assert got >= coarse
             assert got == pytest.approx(fine, rel=1e-13, abs=0.0)
+
+
+def _gram_path_g(space, sigma):
+    """theta -> (g, g', g'') for g = e^T S conj(e), S the Stein Gram."""
+    S = modelspace._malmquist_gram(space, sigma)
+
+    def g(ts):
+        z = np.exp(1j * ts)
+        e, e1, e2 = _basis_derivatives(sigma, z)
+        d1 = 1j * z * e1
+        d2 = -z * e1 - z * z * e2
+        w = S @ e.conj()
+        return (
+            np.real(np.sum(e * w, axis=0)),
+            2.0 * np.real(np.sum(d1 * w, axis=0)),
+            2.0 * np.real(np.sum(d2 * w + d1 * (S @ d1.conj()), axis=0)),
+        )
+
+    return g
+
+
+def _gram_path_norm(space, sigma):
+    """The operator norm from the Gram path's g, polished with g' and g'' in closed form."""
+    g = _gram_path_g(space, sigma)
+    thetas = 2.0 * np.pi * np.arange(4096) / 4096
+    return float(np.sqrt(_polished_max(g(thetas)[0], thetas, g, 8)))
+
+
+class TestUnitKernelNorm:
+    """On H^2 and l^2_a(1) the operator norm is sqrt(max |B'|), a sum of Poisson kernels."""
+
+    @staticmethod
+    def _sets(rng, count):
+        for i in range(count):
+            points = list(random_sigma(rng, n_max=10, r_max=0.95).points)
+            if i % 3 == 1:  # a repeated node
+                points += points[:1]
+            if i % 3 == 2:  # mixed: a node repeated twice, and the origin
+                points += points[:1] * 2 + [0.0]
+            yield SigmaSet(tuple(points))
+
+    def test_matches_the_gram_path(self, rng):
+        for sigma in self._sets(rng, 24):
+            got = projection_operator_norm(hardy(2), sigma)
+            want = _gram_path_norm(hardy(2), sigma)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_derivatives_match_the_gram_path(self, rng, monkeypatch):
+        # the g, g' and g'' that the Newton polish is handed, at seeded angles
+        handed = []
+
+        def recording(vals, thetas, g, top):
+            handed.append(g)
+            return _polished_max(vals, thetas, g, top)
+
+        monkeypatch.setattr(modelspace, "_polished_max", recording)
+        for sigma in self._sets(rng, 12):
+            projection_operator_norm(hardy(2), sigma)
+            ts = rng.uniform(0.0, 2.0 * np.pi, 64)
+            for got, want in zip(handed.pop()(ts), _gram_path_g(hardy(2), sigma)(ts)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_seq_alpha_one_is_hardy(self, rng):
+        for sigma in self._sets(rng, 9):
+            assert projection_operator_norm(seq_weighted(2, 1), sigma) == projection_operator_norm(
+                hardy(2), sigma)
+
+    @pytest.mark.parametrize("r", [0.999, 0.99999])
+    def test_single_node_near_the_circle(self, r):
+        # off the coarse grid by half a step; the Gram path was 1.3e-12 high at r = 0.99999.
+        # The reference takes the modulus of the node as stored: rounding
+        # r e^{i pi / 4096} to doubles moves it by up to an ulp, which at
+        # r = 0.99999 moves sqrt((1 + r) / (1 - r)) by a few 1e-12
+        lam = r * np.exp(1j * np.pi / 4096)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            mod2 = Fraction(lam.real) ** 2 + Fraction(lam.imag) ** 2
+            rho = (Decimal(mod2.numerator) / Decimal(mod2.denominator)).sqrt()
+            want = float(((1 + rho) / (1 - rho)).sqrt())
+        assert want == pytest.approx(np.sqrt((1 + r) / (1 - r)), rel=1e-11)
+        got = projection_operator_norm(hardy(2), SigmaSet((lam,)))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_minus_abs2_is_correctly_rounded(self, rng):
+        near = (1 - 10.0 ** -rng.uniform(3, 12, 50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+        zs = np.concatenate((rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50), near,
+                             [0.0, 0.5, -0.5j, 0.999999999999]))
+        for z in zs:
+            want = float(1 - Fraction(z.real) ** 2 - Fraction(z.imag) ** 2)
+            assert modelspace._one_minus_abs2(complex(z)) == want
+
+    def test_forms_no_gram_and_no_basis_values(self, rng, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached on a unit kernel diagonal")
+
+        sigmas = list(self._sets(rng, 6))
+        want = [projection_operator_norm(hardy(2), sigma) for sigma in sigmas]
+        for name in ("_malmquist_gram", "_basis_values", "_basis_derivatives", "_stein_blocks"):
+            monkeypatch.setattr(modelspace, name, unreachable)
+        for space in (hardy(2), seq_weighted(2, 1)):
+            assert [projection_operator_norm(space, sigma) for sigma in sigmas] == want
+        with pytest.raises(AssertionError, match="unit kernel"):
+            projection_operator_norm(seq_weighted(2, 1.5), sigmas[0])
+
+    @pytest.mark.parametrize(
+        "space", [hardy(1), hardy(np.inf), seq_weighted(3, 1), bergman_radial(3, 1.0)])
+    def test_non_hilbert_still_raises(self, space):
+        with pytest.raises(NotHilbert):
+            projection_operator_norm(space, SigmaSet((0.5, -0.3j)))
