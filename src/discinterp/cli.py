@@ -227,17 +227,17 @@ def _json_cells(rows: list[tuple], order: list[int]) -> list[str]:
 
     One C encoder call writes one cell per line (a JSON string holds no raw
     newline), a numpy scalar that is no Python int or float through
-    _json_safe by its default hook.  Where a float infinity shows, every
-    cell goes through _json_safe first: it writes a Python float infinity as
-    "inf" or "-inf" and leaves a numpy one Infinity.
+    _json_safe by its default hook.  Where a float is not finite, which the
+    encoder refuses, every cell goes through _json_safe first.
     """
     row_major = list(itertools.chain.from_iterable(rows))
     width = len(order)
     cells = row_major[:]
     for slot, col in enumerate(order):
         cells[slot::width] = row_major[col::width]
-    text = json.dumps(cells, default=_json_number, separators=("\n", ""))
-    if "Infinity" in text:
+    try:
+        text = json.dumps(cells, default=_json_number, separators=("\n", ""), allow_nan=False)
+    except ValueError:  # an infinity or a NaN
         text = json.dumps(list(map(_json_safe, cells)), separators=("\n", ""))
     return text[1:-1].split("\n")
 
@@ -256,12 +256,16 @@ def _json_number(value: Any) -> Any:
 
 
 def _json_safe(value: Any) -> Any:
-    if isinstance(value, (np.integer,)):
+    """A cell as strict JSON holds it: numpy scalars as Python ones, a float
+    infinity as "inf" or "-inf" whatever its type, and NaN as null."""
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, float) and value in (np.inf, -np.inf):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if value != value:  # nan
+            return None
+        if value in (np.inf, -np.inf):
+            return "inf" if value > 0 else "-inf"
     return value
 
 

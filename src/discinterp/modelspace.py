@@ -6,7 +6,7 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
     e_k(z) = sqrt(1 - |lam_k|^2) / (1 - conj(lam_k) z) * prod_{j<k} b_{lam_j}(z),
 
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
-projects onto span(e_k) through the coefficient pairing
+projects onto span(e_k) through the H^2 inner product
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
 sigma.  The basis coefficients and their kernel-weighted Gram are summed
 from one stream of T_B-power blocks (_stein_blocks) of w columns each, a
@@ -45,7 +45,6 @@ from .spaces import (
 __all__ = [
     "MalmquistBasis",
     "malmquist_basis",
-    "cauchy_pairing",
     "project",
     "bernstein_ratio",
     "projection_operator_norm",
@@ -203,12 +202,6 @@ def _truncation_error(sigma: SigmaSet, degree: int, mass: float) -> TruncationEr
     )
 
 
-def cauchy_pairing(h: CoeffSeries, g: CoeffSeries) -> complex:
-    """Coefficient pairing sum_k h_k conj(g_k) over the common range."""
-    m = min(len(h), len(g))
-    return complex(np.vdot(g.coeffs[:m], h.coeffs[:m]))
-
-
 def project(basis: MalmquistBasis, f: CoeffSeries) -> CoeffSeries:
     """Image of f under the interpolation operator sum_k <f, e_k> e_k."""
     E = basis.coeff_matrix()
@@ -217,9 +210,7 @@ def project(basis: MalmquistBasis, f: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(coords @ E)
 
 
-def bernstein_ratio(
-    sigma: SigmaSet, order: int = 1, basis: MalmquistBasis | None = None
-) -> float:
+def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
     """Operator norm of order-fold differentiation K_B -> H^2.
 
     Differentiates the coefficient matrix in one step, column m times the
@@ -228,9 +219,7 @@ def bernstein_ratio(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if basis is None:
-        basis = malmquist_basis(sigma)
-    E = basis.coeffs
+    E = malmquist_basis(sigma).coeffs
     D = E[:, order:] * _falling(np.arange(order, E.shape[1]), order)
     M = D @ D.conj().T
     eig = np.linalg.eigvalsh(0.5 * (M + M.conj().T))

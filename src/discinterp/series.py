@@ -1,17 +1,16 @@
-"""Truncated Taylor series on the unit disc and Blaschke arithmetic.
+"""Truncated Taylor series on the unit disc, node multisets and exact basis jets.
 
 A series is its coefficient vector c_0..c_N; all operations are pure and
-return new objects.  Multiplying by a Blaschke factor b_lam is one linear
-factor and one geometric division on the coefficient vector, and the first
-N + 1 coefficients of g * b_lam depend only on those of g; so Blaschke
-products and compositions f o b_lam (Horner's rule in b_lam) are exact on
-every prefix, and the only approximation anywhere is the truncation degree.
+return new objects.  The Malmquist basis functions e_k are read here in
+closed form: values and derivatives off the nodes, and exact jets on them
+(_basis_jets, for the Gram matrix and the least-norm interpolant).
+compose_with_blaschke is a reference composition that no library path calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,12 +20,8 @@ __all__ = [
     "CoeffSeries",
     "SigmaSet",
     "eval_series",
-    "blaschke_factor",
-    "blaschke_eval",
-    "blaschke_coeffs",
     "compose_with_blaschke",
     "hadamard_product",
-    "series_product",
     "series_power",
     "dirichlet_kernel",
     "fejer_kernel",
@@ -88,29 +83,6 @@ def eval_series(f: CoeffSeries, z) -> complex | np.ndarray:
     return acc
 
 
-def blaschke_factor(lam: complex, z):
-    """b_lam(z) = (lam - z) / (1 - conj(lam) z)."""
-    lam = complex(lam)
-    if abs(lam) >= 1.0:
-        raise PoleOnDomain(f"Blaschke zero |{lam}| >= 1")
-    zs = np.asarray(z, dtype=complex)
-    out = (lam - zs) / (1.0 - np.conj(lam) * zs)
-    if np.isscalar(z) or zs.ndim == 0:
-        return complex(out)
-    return out
-
-
-def blaschke_eval(zeros: Sequence[complex], z):
-    """Product of Blaschke factors with the given zeros, evaluated at z."""
-    zs = np.asarray(z, dtype=complex)
-    out = np.ones_like(zs)
-    for lam in zeros:
-        out = out * blaschke_factor(lam, zs)
-    if np.isscalar(z) or zs.ndim == 0:
-        return complex(out)
-    return out
-
-
 def _mul_linear(coeffs: np.ndarray, lam: complex) -> np.ndarray:
     """Multiply a coefficient vector by (lam - z), same length."""
     out = lam * coeffs.astype(complex)
@@ -129,32 +101,18 @@ def _div_geometric(coeffs: np.ndarray, a: complex) -> np.ndarray:
     return out
 
 
-def _mul_blaschke(coeffs: np.ndarray, lam: complex) -> np.ndarray:
-    """Multiply a coefficient vector by b_lam(z) = (lam - z) / (1 - conj(lam) z), same length."""
-    return _div_geometric(_mul_linear(coeffs, lam), np.conj(lam))
-
-
-def blaschke_coeffs(zeros: Sequence[complex], n_trunc: int) -> CoeffSeries:
-    """Truncated Taylor series of the Blaschke product with the given zeros."""
-    coeffs = np.zeros(n_trunc + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for lam in zeros:
-        lam = complex(lam)
-        if abs(lam) >= 1.0:
-            raise PoleOnDomain(f"Blaschke zero |{lam}| >= 1")
-        coeffs = _mul_blaschke(coeffs, lam)
-    return CoeffSeries(coeffs)
-
-
 def compose_with_blaschke(f: CoeffSeries, lam: complex, n_out: int) -> CoeffSeries:
     """Taylor coefficients of f(b_lam(z)) up to degree n_out.
 
-    Horner's rule in b_lam, acc <- acc * b_lam + f_j from the top
-    coefficient down, on a vector of n_out + 1 coefficients.  Truncating
-    each product loses nothing below degree n_out + 1, so the result is
-    exact on its prefix up to rounding: nothing is sampled or clipped.
-    No library path composes: the witness transplant is read from its
-    Malmquist coordinates (bounds.witness_lower_bound).
+    With b_lam(z) = (lam - z) / (1 - conj(lam) z), Horner's rule in b_lam,
+    acc <- acc * b_lam + f_j from the top coefficient down, on a vector of
+    n_out + 1 coefficients; each product is one linear factor and one
+    geometric division.  Truncating each product loses nothing below degree
+    n_out + 1, so the result is exact on its prefix up to rounding.  No
+    library path composes (the witness transplant is read from its
+    Malmquist coordinates, bounds.witness_lower_bound); this is kept as the
+    reference composition that the tests compare against and that the
+    benchmark tracer names.
     """
     lam = complex(lam)
     if abs(lam) >= 1.0:
@@ -164,7 +122,7 @@ def compose_with_blaschke(f: CoeffSeries, lam: complex, n_out: int) -> CoeffSeri
     acc = np.zeros(int(n_out) + 1, dtype=complex)
     acc[0] = f.coeffs[-1]
     for c in f.coeffs[-2::-1]:
-        acc = _mul_blaschke(acc, lam)
+        acc = _div_geometric(_mul_linear(acc, lam), np.conj(lam))
         acc[0] += c
     return CoeffSeries(acc)
 
@@ -173,11 +131,6 @@ def hadamard_product(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     """Coefficientwise product; length is the shorter of the two."""
     n = min(len(f), len(g))
     return CoeffSeries(f.coeffs[:n] * g.coeffs[:n])
-
-
-def series_product(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
-    """Full polynomial product (convolution of coefficients)."""
-    return CoeffSeries(np.convolve(f.coeffs, g.coeffs))
 
 
 def series_power(f: CoeffSeries, m: int) -> CoeffSeries:
@@ -272,9 +225,6 @@ class SigmaSet:
         return min(
             abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
         )
-
-    def is_distinct(self, sep: float = 1e-10) -> bool:
-        return self.min_separation() >= sep
 
     def single_point(self) -> complex | None:
         """The common point if all entries coincide exactly, else None."""

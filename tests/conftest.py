@@ -1,7 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from discinterp import CoeffSeries, SigmaSet, extremal
+
+
+def _load_oracles():
+    """perfbench/oracles.py, loaded by path: Blaschke references in numpy alone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
 
 
 def random_sigma(rng, n_max=8, r_max=0.9, n=None, distinct=False, min_sep=5e-2):

@@ -8,15 +8,14 @@ PUBLIC = [
     "BoundReport", "CoeffSeries", "DegenerateNodes", "DiscinterpError", "Divergence",
     "ExtremalResult", "IllConditionedWarning", "MalmquistBasis", "MinNormResult",
     "NotHilbert", "PickProblem", "PoleOnDomain", "SigmaSet", "SpaceSpec", "SweepResult",
-    "SweepRow", "TruncationError", "UnsupportedSpace", "bergman_radial", "bernstein_ratio",
-    "blaschke_coeffs", "blaschke_eval", "blaschke_factor", "bound_sweep",
-    "carleson_constant", "cauchy_pairing", "compose_with_blaschke", "cs_min_norm",
-    "derivative", "dirichlet_kernel", "eval_functional_norm", "eval_series",
-    "fejer_kernel", "gram_matrix", "hadamard_product", "hardy", "interp_constant",
-    "jet_values", "kernel_diagonal", "malmquist_basis", "min_norm_trace", "norm",
-    "pick_min_norm", "power_inequality_check", "project", "projection_operator_norm",
-    "quotient_norm", "seq_weighted", "series_power", "series_product", "theorem_bounds",
-    "witness_lower_bound",
+    "SweepRow", "TruncationError", "UnsupportedSpace", "bergman_radial",
+    "bernstein_ratio", "bound_sweep", "carleson_constant", "compose_with_blaschke",
+    "cs_min_norm", "derivative", "dirichlet_kernel", "eval_functional_norm",
+    "eval_series", "fejer_kernel", "gram_matrix", "hadamard_product", "hardy",
+    "interp_constant", "jet_values", "kernel_diagonal", "malmquist_basis",
+    "min_norm_trace", "norm", "pick_min_norm", "power_inequality_check", "project",
+    "projection_operator_norm", "quotient_norm", "seq_weighted", "series_power",
+    "theorem_bounds", "witness_lower_bound",
 ]
 
 LAYERS = ("errors", "series", "spaces", "modelspace", "extremal", "bounds")

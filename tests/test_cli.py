@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,12 +33,15 @@ MINIMAL = {
 
 
 def reference_safe(value):
-    """The JSON cell conversion the writer keeps: numpy scalars to Python, float infinities to text."""
+    """The JSON cell conversion the writer keeps: numpy scalars to Python,
+    every float infinity to "inf" or "-inf" and every NaN to null."""
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, float) and value in (np.inf, -np.inf):
+        value = float(value)
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
 
@@ -301,12 +305,29 @@ class TestDeterminismAndFormats:
         ids=repr,
     )
     def test_numpy_infinities_and_awkward_strings_match_per_cell_conversion(self, cell, tmp_path):
-        # a numpy infinity stays Infinity in JSON while a Python one is written "inf"
+        # an infinity is written "inf" and a NaN null whether it is a numpy or a Python float
         columns = ("idx", "value", "note")
         rows = [(0, float("inf"), "n"), (1, cell, "n"), (np.int64(2), 0.5, cell)]
         assert _json_text(columns, rows, {}) == reference_json(columns, rows, {})
         for got, want in emit_both(tmp_path, ["carleson", "--sigma", "0.5"], rows, {"m": cell}):
             assert got == want
+
+    def test_non_finite_cells_give_strict_json(self, tmp_path):
+        # a bare NaN or Infinity token is not JSON; parse_constant sees only those
+        def refuse(token):
+            raise ValueError(f"bare {token} in the artifact")
+
+        rows = [(np.float64("inf"), 1, 2), (float("nan"), np.float64("-inf"), np.float64("nan"))]
+        path = tmp_path / "strict.json"
+        args = build_parser().parse_args(
+            ["carleson", "--sigma", "0.5", "--format", "json", "--reproducible", "--output", str(path)])
+        _emit(args, rows, {"slope": np.float64("nan"), "cap": float("inf")})
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert data["records"] == [
+            {"value": "inf", "n": 1, "budget": 2},
+            {"value": None, "n": "-inf", "budget": None},
+        ]
+        assert (data["meta"]["slope"], data["meta"]["cap"]) == (None, "inf")
 
     def test_empty_containers(self, tmp_path):
         assert _json_text((), [], {}) == '{\n  "columns": [],\n  "meta": {},\n  "records": []\n}\n'
