@@ -5,12 +5,12 @@ sup { min-sup-norm interpolant of f / ||f||_X } over the unit ball.  Two
 functions with the same jet on sigma have the same projection
 g = sum_k b_k e_k onto the model space K_B, and the worst f for a given
 g is its minimal-norm representative, so the sup collapses to a
-maximisation over Malmquist coordinates b on the unit sphere of C^n,
-run here as a monotone singular-vector ascent from a fixed list of
-seeded starts, all climbing in lockstep.  Everything it needs comes from
-the compressed shift T_B: the stack e_k(T_B) and the Stein-sum Gram S of
-the coordinates, which also give a certified upper bound of the sup (the
-least spectral norm of three flattenings), where the ascent stops.
+maximisation over Malmquist coordinates b: with b = L y, L L^H = S the
+Stein-sum Gram of the coordinates, the spectral norm of the 3-tensor
+N_j = sum_i L_ij e_i(T_B) over unit y, u, v.  It runs as a monotone
+singular-vector ascent in y from a fixed list of seeded starts, all
+climbing in lockstep, and stops at a certified upper bound of the sup
+from the same tensor, the least spectral norm of its three flattenings.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), antipodally
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NotHilbert, PoleOnDomain, UnsupportedSpace
 from .extremal import _ascend, _jet_norm, _malmquist_factor
-from .modelspace import _malmquist_gram, _malmquist_series
+from .modelspace import _malmquist_cholesky, _malmquist_series
 from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
 from . import spaces as _sp
 
@@ -239,38 +239,30 @@ def interp_constant(
     """Ascent estimate of the interpolation constant of sigma over X.
 
     Maximises J(b) = ||sum_k b_k A_k||_2 / sqrt(b^H S^-1 b) over the
-    Malmquist coordinates b of g = sum_k b_k e_k: the numerator is the
-    least sup-norm with the jet of g (A_k = e_k(T_B)), the denominator the
-    least X-norm, S the kernel-weighted Gram of the basis coefficients
-    (S = I on H^2).  Each step takes the coefficients c of the top
-    singular pair and moves to b <- S conj(c), where J is at least
-    sqrt(c^T S conj(c)), itself at least the previous value.  budget
-    counts the starts, ascended in lockstep (_ascend): the unit vectors,
-    the all-ones and alternating vectors, then seeded random vectors, with
-    the transplanted witness first when sigma is one repeated point
-    (lam,)*n; its coordinates are s sum_{j<=k} W_j conj(lam)^(k-j) in
-    closed form, so the estimate is at least witness_lower_bound.  Every
-    start stops once the estimate is within _ASCENT_RTOL of the flattening
-    bound (_flattening_bound), which bounds the sup from above.
-    Deterministic under a fixed seed.  The result is an attained value, so
-    a lower estimate of the true sup, never below any start's J, and never
-    exceeds the flattening bound or the projection operator norm (plus
-    rounding).
+    Malmquist coordinates b of g = sum_k b_k e_k: the least sup-norm with
+    the jet of g (A_k = e_k(T_B)) over the least X-norm, S the
+    kernel-weighted Gram of the basis coefficients (S = I on H^2).  At
+    b = L y, L L^H = S, J is ||sum_j y_j N_j||_2 over unit y
+    (_malmquist_factor), and each step moves to y <- conj(c) / ||c||, c the
+    coefficients of the top singular pair, where the value is at least
+    ||c||, itself at least the previous value.  budget counts the starts
+    b, taken to y = L^-1 b and ascended in lockstep (_ascend): the unit
+    vectors, the all-ones and alternating vectors, then seeded random
+    vectors, with the transplanted witness first when sigma is one
+    repeated point (lam,)*n; its coordinates are s sum_{j<=k} W_j
+    conj(lam)^(k-j) in closed form, so the estimate is at least
+    witness_lower_bound.  Every start stops once the estimate is within
+    _ASCENT_RTOL of the flattening bound (_flattening_bound), which bounds
+    the sup from above.  Deterministic under a fixed seed.  The result is
+    an attained value, so a lower estimate of the true sup, never below
+    any start's J, and never exceeds the flattening bound or the
+    projection operator norm (plus rounding).  Raises LinAlgError where S
+    has no Cholesky factor in double precision (_malmquist_cholesky).
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
-    gram = _malmquist_gram(space, sigma)
-    inv_factor, chol = _sp._inverse_factor(gram)
-
-    def denominator(B: np.ndarray) -> np.ndarray:  # sqrt(b^H S^-1 b) per row b
-        return np.linalg.norm(B @ inv_factor.T, axis=1)
-
-    def gram_step(C: np.ndarray, B: np.ndarray) -> np.ndarray:  # b = S conj(c) per row
-        B = C.conj() @ gram.T
-        return B / np.linalg.norm(B, axis=1, keepdims=True)
-
-    factor = _malmquist_factor(sigma.points)
+    L = _malmquist_cholesky(space, sigma)
     starts = _starts(n, budget, seed)
     lam = sigma.single_point()
     if lam is not None:
@@ -280,22 +272,26 @@ def interp_constant(
             pass
         else:
             starts.insert(0, h[:n] / np.linalg.norm(h[:n]))
-    return _ascend(factor, starts, gram_step, denominator, _flattening_bound(factor[0], chol))
+    Y = np.linalg.solve(L, np.transpose(starts)).T
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+
+    def step(C: np.ndarray, Y: np.ndarray) -> np.ndarray:  # y = conj(c) / ||c|| per row
+        return C.conj() / np.linalg.norm(C, axis=1, keepdims=True)
+
+    factor = _malmquist_factor(sigma.points, L)
+    return _ascend(factor, Y, step, _flattening_bound(factor[0]))
 
 
-def _flattening_bound(stack: np.ndarray, L: np.ndarray | None) -> float:
-    """Upper bound of max_b ||sum_k b_k A_k||_2 / sqrt(b^H S^-1 b), or inf.
+def _flattening_bound(N: np.ndarray) -> float:
+    """Upper bound of max_b ||sum_k b_k A_k||_2 / sqrt(b^H S^-1 b).
 
-    With S = L L^H and b = L y the maximum is the spectral norm of the
-    3-tensor N_j = sum_i L_ij A_i over unit y, u, v, which each of its three
-    flattenings (n x n^2 matrices) bounds from above; this is the least of
-    the three, one stacked eigvalsh of their Grams.  inf when S has no
-    Cholesky factor (L None), where _inverse_factor takes its pseudo-inverse.
+    That maximum is the spectral norm of the tensor N (_malmquist_factor)
+    over unit y, u, v, which each of its three flattenings (n x n^2
+    matrices) bounds from above; this is the least of the three, one
+    stacked eigvalsh of their Grams.
     """
-    if L is None:
-        return math.inf
-    n = L.shape[0]
-    N = (L.T @ stack).reshape(n, n, n)  # N[j, a, b]
+    n = N.shape[0]
+    N = N.reshape(n, n, n)  # N[j, a, b]
     F = np.stack((N, N.transpose(1, 0, 2), N.transpose(2, 0, 1))).reshape(3, n, n * n)
     top = np.linalg.eigvalsh(F @ F.conj().transpose(0, 2, 1))[:, -1]
     return math.sqrt(max(float(top.min()), 0.0))

@@ -8,8 +8,8 @@ with s_k = sqrt(1 - |lam_k|^2), zero above the diagonal; nothing is
 truncated, and distinct, repeated and mixed multisets are handled alike.
 A function is evaluated at T_B by block Horner.  Values w at distinct nodes
 enter as C^-1 diag(w) C with C[j, k] = e_k(lam_j), as C T_B = diag(lam) C
-(_pick_factor), and Malmquist coordinates on any multiset through the stack
-e_k(T_B) (_malmquist_factor); each stack is built once per node set.
+(_pick_factor), and coordinates b = L y on any multiset through the stack
+N_j = sum_i L_ij e_i(T_B) (_malmquist_factor), each built once per node set.
 cs_min_norm keeps the direct Toeplitz solver for jets at the origin.  A
 rotated jet eta^k c_k (|eta| = 1) has the Toeplitz matrix D T(c) D^H with
 D = diag(eta^i) unitary, so its norm is that of c: a real jet's norm is
@@ -151,13 +151,13 @@ def _pick_factor(points) -> tuple[np.ndarray, np.ndarray]:
     return stack, np.linalg.norm(C_inv, axis=0) * np.linalg.norm(C, axis=1)
 
 
-def _malmquist_factor(points) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of A_k = e_k(T_B) on any node multiset, and the norms ||A_k||_2.
+def _malmquist_factor(points, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stack of N_j = sum_i L_ij A_i, A_k = e_k(T_B), and the norms ||N_j||_2.
 
     A_k = s_k (I - conj(lam_k) T)^-1 prod_{j<k} b_{lam_j}(T) with
     b_lam(T) = (lam - T)(I - conj(lam) T)^-1, so g = sum_k b_k e_k in the
-    Malmquist basis has ||g||_{H^inf / B H^inf} = ||sum_k b_k A_k||_2.
-    The stack is flat, shape (n, n*n), as _pick_factor's.
+    Malmquist basis has ||g||_{H^inf / B H^inf} = ||sum_k b_k A_k||_2, which
+    is ||sum_j y_j N_j||_2 at b = L y.  Flat, shape (n, n*n), as _pick_factor's.
     """
     lam = np.asarray(points, dtype=complex)
     n = lam.size
@@ -168,7 +168,8 @@ def _malmquist_factor(points) -> tuple[np.ndarray, np.ndarray]:
         resolvent = np.linalg.solve(eye - np.conj(lam[k]) * T, running)
         stack[k] = np.sqrt(1.0 - abs(lam[k]) ** 2) * resolvent
         running = (lam[k] * eye - T) @ resolvent
-    return stack.reshape(n, n * n), np.linalg.norm(stack, 2, axis=(1, 2))
+    N = L.T @ stack.reshape(n, n * n)
+    return N, np.linalg.norm(N.reshape(n, n, n), 2, axis=(1, 2))
 
 
 def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
@@ -178,19 +179,18 @@ def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
 
 
 def _ascend(
-    factor: tuple[np.ndarray, np.ndarray], starts, update, denominator, upper: float = math.inf
+    factor: tuple[np.ndarray, np.ndarray], starts, update, upper: float = math.inf
 ) -> float:
-    """Best ||F(x)||_2 / denominator(x) over the ascents from starts, in lockstep.
+    """Best ||F(x)||_2 over the ascents from starts, in lockstep.
 
     Each step takes one stacked SVD of the data maps F(x) of the starts still
     climbing, with (u, v) the top singular pair of each, forms the rows
     c_i = u^H M_i v (so ||F(x)||_2 = sum_i x_i c_i) and moves the rows X to
-    update(C, X).  The update maximises |sum_i x_i c_i| / denominator(x) for
-    each row, which bounds the value at the new point from below, so each
-    start's values do not decrease up to rounding; denominator(X) returns
-    one value per row, and a point with denominator at most 1e-14 has value 0.
-    A start stops once a step raises its value by less than _ASCENT_RTOL, or
-    after _ASCENT_STEPS SVDs; every start stops once the best value reaches
+    update(C, X).  The update maximises |sum_i x_i c_i| over the feasible
+    set for each row, which bounds the value at the new point from below,
+    so each start's values do not decrease up to rounding.  A start stops
+    once a step raises its value by less than _ASCENT_RTOL, or after
+    _ASCENT_STEPS SVDs; every start stops once the best value reaches
     upper (1 - _ASCENT_RTOL), for upper a certified bound of the supremum.
     Each start's first best point is kept and the first start with the best
     value wins, as if the starts had been ascended in order; the data map
@@ -205,11 +205,10 @@ def _ascend(
     run_best, best, best_at = [0.0] * k, [0.0] * k, [None] * k
     for _ in range(_ASCENT_STEPS):
         U, s, Vh = np.linalg.svd((X @ stack).reshape(-1, n, n))
-        top = s[:, 0].tolist()
-        values = [t / d if d > 1e-14 else 0.0 for t, d in zip(top, denominator(X).tolist())]
+        values = s[:, 0].tolist()
         for j, (r, value) in enumerate(zip(rows, values)):
             if value > best[r]:
-                best[r], best_at[r] = value, (X[j], top[j])
+                best[r], best_at[r] = value, X[j]
         climbing = [v > b * (1.0 + _ASCENT_RTOL) for v, b in zip(values, run_best)]
         if max(values) >= stop or not any(climbing):
             break
@@ -222,7 +221,7 @@ def _ascend(
         X = update(pairs @ stack.T, X)
     i = max(range(k), key=best.__getitem__)  # the first start with the best value
     if best_at[i] is not None:
-        _check_accuracy(factor, *best_at[i])
+        _check_accuracy(factor, best_at[i], best[i])
     return best[i]
 
 
@@ -330,4 +329,4 @@ def carleson_constant(
     while len(starts) < budget:
         phases = rng.uniform(-np.pi, np.pi, size=n - 1)
         starts.append(np.exp(1j * np.concatenate(([0.0], phases))))
-    return _ascend(factor, starts, phase_step, lambda W: np.ones(len(W)))
+    return _ascend(factor, starts, phase_step)

@@ -136,6 +136,19 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
             raise Divergence(_DIVERGENCE)
 
 
+def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
+    """The Cholesky factor L, L L^H = S, of the Stein Gram _malmquist_gram.
+
+    S >= kappa_0 I, as kappa_k never decreases and sum_m v_m v_m^H = I, so
+    np.linalg.LinAlgError is raised only where rounding hides that, which
+    needs eps lambda_max(S) > kappa_0.  ValueError when S is not finite.
+    """
+    S = _malmquist_gram(space, sigma)
+    if not np.all(np.isfinite(S)):  # np.linalg.cholesky would return NaNs
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.cholesky(S)
+
+
 def _malmquist_series(points, b: np.ndarray) -> np.ndarray:
     """Taylor coefficients of sum_k b_k e_k on these zeros, cut at a dropped 2^-106 ||b||^2.
 

@@ -550,50 +550,27 @@ class MinNormResult:
     interpolant: CoeffSeries
 
 
-def _inverse_factor(G: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(R, L) with R^H R = G^-1 for a Hermitian Gram matrix G.
-
-    Normally R = L^-1 with G = L L^H the Cholesky factorisation.  When G
-    is not numerically positive definite, L is None and R = diag(w^-1/2) V^H
-    over the eigenpairs (w, V) of G with w above _COND_FLOOR times the
-    largest, so R^H R is the pseudo-inverse that drops the near-null
-    directions.  Raises ValueError when G holds a NaN or an infinity.
-    """
-    if not np.all(np.isfinite(G)):
-        # np.linalg.cholesky would return NaNs instead of raising
-        raise ValueError("array must not contain infs or NaNs")
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(G)
-        keep = w > _COND_FLOOR * max(w[-1], 0.0)
-        return V[:, keep].conj().T / np.sqrt(w[keep])[:, None], None
-    # L^T is upper triangular, so the LU inside inv exchanges no rows and the
-    # inverse is a back substitution; inv(L) pivots and fills the upper part
-    return np.linalg.inv(L.T).T, L
-
-
 def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     """Minimal-norm element of the space with the prescribed jet on sigma.
 
     ``a`` has one target per sigma.functionals() entry: f(lam) at a point's
     first occurrence, f'(lam) at its second, and so on.  Raises ValueError
-    for an ``a`` of the wrong length or with a NaN or an infinity, and
-    NotHilbert unless p = 2.
+    for an ``a`` of the wrong length or with a NaN or an infinity,
+    NotHilbert unless p = 2, and LinAlgError where S has no Cholesky factor.
 
     The jet of f is C b, b the coordinates of its projection onto K_B and
     C lower triangular (_basis_jets), so b = C^-1 a is one triangular
-    solve, and the confluent G is never formed.  The least norm is ||R b||
-    = sqrt(b^H S^-1 b), R^H R = S^-1 (_inverse_factor) for the Stein Gram S
-    (modelspace._malmquist_gram), attained at f_k = kappa_k g_k for
-    g = sum_k mu_k e_k, S mu = b.  _malmquist_series cuts g where its
+    solve, and the confluent G is never formed.  With L L^H = S the Stein
+    Gram (modelspace._malmquist_cholesky), the least norm is
+    sqrt(b^H S^-1 b) = ||L^-1 b||, attained at f_k = kappa_k g_k for
+    g = sum_k mu_k e_k, mu = L^-H L^-1 b.  _malmquist_series cuts g where its
     dropped coefficients carry at most 2^-106 ||mu||^2 of squared mass, so
     the dropped part of f has squared norm at most that times the largest
     kappa_k past the cut; on H^2, where S = I, its norm is <= 2^-53 ||f||.
     """
     from scipy.linalg import solve_triangular  # imported on first use: scipy is slow to load
 
-    from .modelspace import _malmquist_gram, _malmquist_series  # they import this module
+    from .modelspace import _malmquist_cholesky, _malmquist_series  # they import this module
 
     a = np.asarray(a, dtype=complex)
     if a.shape != (sigma.n,):
@@ -603,11 +580,11 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     if not space.is_hilbert:
         raise NotHilbert("minimal-norm interpolation needs a Hilbert-case space")
     b = solve_triangular(_basis_jets(sigma), a, lower=True)
-    R, _ = _inverse_factor(_malmquist_gram(space, sigma))
-    Rb = R @ b
-    g = _malmquist_series(sigma.points, R.conj().T @ Rb)
+    L = _malmquist_cholesky(space, sigma)
+    y = solve_triangular(L, b, lower=True)
+    g = _malmquist_series(sigma.points, solve_triangular(L, y, lower=True, trans="C"))
     f = CoeffSeries(kernel_diagonal(space, np.arange(g.size)) * g).trimmed(tol=0.0)
-    return MinNormResult(float(np.linalg.norm(Rb)), f)
+    return MinNormResult(float(np.linalg.norm(y)), f)
 
 
 def power_inequality_check(alpha: float, f: CoeffSeries) -> tuple[float, float]:

@@ -38,15 +38,15 @@ def random_poly(rng, deg, scale=1.0):
 def recording_ascent(runs):
     """extremal._ascend, appending the values of each start's climb to runs.
 
-    A point x scores ||F(x)||_2 / denominator(x).  Each row that the update
+    A point x scores ||F(x)||_2.  Each row that the update
     moves continues the first start, not yet moved in this step, whose last
     point equals that row.
     """
     ascend = extremal._ascend
 
-    def recording(factor, starts, update, denominator, upper=float("inf")):
+    def recording(factor, starts, update, upper=float("inf")):
         def score(x):
-            return extremal._pick_value(factor, x) / denominator(x[None])[0]
+            return extremal._pick_value(factor, x)
 
         first, last = len(runs), [np.array(x) for x in starts]
         runs.extend([score(x)] for x in last)
@@ -63,12 +63,12 @@ def recording_ascent(runs):
                 runs[first + i].append(score(y))
             return new
 
-        return ascend(factor, starts, step, denominator, upper)
+        return ascend(factor, starts, step, upper)
 
     return recording
 
 
-def sequential_ascent(factor, starts, update, denominator, upper=float("inf")):
+def sequential_ascent(factor, starts, update, upper=float("inf")):
     """Reference for extremal._ascend: each start climbs alone, in order, to its own stop.
 
     upper is ignored, so every start runs to _ASCENT_RTOL or _ASCENT_STEPS.
@@ -78,8 +78,7 @@ def sequential_ascent(factor, starts, update, denominator, upper=float("inf")):
         n, run_best = x.size, 0.0
         for _ in range(extremal._ASCENT_STEPS):
             U, s, Vh = np.linalg.svd((x @ stack).reshape(n, n))
-            den = denominator(x[None])[0]
-            value = s[0] / den if den > 1e-14 else 0.0
+            value = s[0]
             best = max(best, value)
             if value <= run_best * (1.0 + extremal._ASCENT_RTOL):
                 break

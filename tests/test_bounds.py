@@ -25,6 +25,7 @@ from discinterp import (
     jet_values,
     malmquist_basis,
     min_norm_trace,
+    modelspace,
     norm,
     projection_operator_norm,
     quotient_norm,
@@ -405,9 +406,9 @@ class TestInterpConstant:
         uppers = []
         ascend = extremal._ascend
 
-        def recording(factor, starts, update, denominator, upper):
+        def recording(factor, starts, update, upper):
             uppers.append(upper)
-            return ascend(factor, starts, update, denominator, upper)
+            return ascend(factor, starts, update, upper)
 
         monkeypatch.setattr(bounds, "_ascend", recording)
         rng = np.random.default_rng(110)
@@ -452,9 +453,9 @@ class TestInterpConstant:
         calls = []
         factor = bounds._malmquist_factor
 
-        def counted(nodes):
-            calls.append(nodes)
-            return factor(nodes)
+        def counted(*args):
+            calls.append(args)
+            return factor(*args)
 
         monkeypatch.setattr(bounds, "_malmquist_factor", counted)
         interp_constant(hardy(2), SigmaSet((0.3, -0.5, 0.2j)), budget=4, seed=1)
@@ -465,17 +466,52 @@ class TestInterpConstant:
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 - 0.6j, 0.9j, 0.0])
     def test_witness_start_is_the_projected_transplant(self, monkeypatch, lam):
-        # the closed-form start equals the Malmquist coordinates of W o b_lam
+        # the closed-form start equals the Malmquist coordinates of W o b_lam;
+        # the ascent receives it as y = L^-1 b, so L y is compared
         n, starts = 6, []
-        monkeypatch.setattr(bounds, "_ascend", lambda f, xs, u, d, upper: starts.extend(xs) or 0.0)
-        E = malmquist_basis(SigmaSet((lam,) * n)).coeff_matrix()
+        monkeypatch.setattr(bounds, "_ascend", lambda f, xs, u, upper: starts.extend(xs) or 0.0)
+        sigma = SigmaSet((lam,) * n)
+        E = malmquist_basis(sigma).coeff_matrix()
         for space in (hardy(2), seq_weighted(2, 1.5)):
             starts.clear()
-            interp_constant(space, SigmaSet((lam,) * n), budget=2)
+            interp_constant(space, sigma, budget=2)
+            b = modelspace._malmquist_cholesky(space, sigma) @ starts[0]
             f = compose_with_blaschke(bounds._witness(space, lam, n), lam, n_out=1 << 12)
             m = min(E.shape[1], len(f))
             coords = E[:, :m].conj() @ f.coeffs[:m]
-            assert np.max(np.abs(starts[0] - coords / np.linalg.norm(coords))) <= 1e-14
+            assert np.max(np.abs(b / np.linalg.norm(b) - coords / np.linalg.norm(coords))) <= 1e-14
+
+
+class TestLargeSteinGram:
+    """Gram matrices S far from kappa_0 I, where the estimate climbs in the frame b = L y."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [hardy(2), seq_weighted(2, 1), seq_weighted(2, 1.5), seq_weighted(2, 6),
+         bergman_radial(2, -0.5), bergman_radial(2, 1), bergman_radial(2, 8)],
+        ids=lambda space: space.label(),
+    )
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.9, 0.999, 0.9999])
+    def test_one_point_is_the_evaluation_norm(self, space, r):
+        # at n = 1 the constant is the norm of f |-> f(lam); l^2_a(6) at
+        # 0.999 has lambda_max(S) / kappa_0 near 4e33
+        want = eval_functional_norm(space, r)
+        for lam in (complex(r), r * np.exp(2.1j)):
+            got = interp_constant(space, SigmaSet((lam,)), budget=2)
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0), lam
+
+    def test_estimate_reaches_the_witness(self):
+        space, sigma = seq_weighted(2, 6), SigmaSet((0.999,) * 2)
+        assert interp_constant(space, sigma, budget=2) >= witness_lower_bound(space, 0.999, 2)
+
+    def test_gram_without_cholesky_factor_raises(self):
+        # lambda_max(S) / kappa_0 is far past 1 / eps: double precision
+        # cannot resolve b^H S^-1 b, and no value is returned
+        space, sigma = seq_weighted(2, 6), SigmaSet((0.999, 0.999, 0.3, 0.999, -0.5j))
+        with pytest.raises(np.linalg.LinAlgError):
+            interp_constant(space, sigma, budget=2)
+        with pytest.raises(np.linalg.LinAlgError):
+            min_norm_trace(space, sigma, np.ones(sigma.n))
 
 
 class TestHighMultiplicity:

@@ -672,6 +672,10 @@ SCIPY_FREE = [
     ["quotient", "--coeffs", "1,2", "--sigma", "0.5,0.5,-0.2j"],
     ["basis", "--sigma", "0.5,-0.2+0.3j"],
     ["bernstein", "--sigma", "0.5,0.5,-0.3j"],  # H^2: no kernel diagonal
+    ["constant", "--space", "hardy", "--sigma", "0.5,0.5,-0.3j", "--budget", "4"],
+    ["carleson", "--sigma", "0.5,-0.3j", "--budget", "4"],
+    ["sweep", "--space", "hardy", "--n-grid", "1,3", "--r-grid", "0,0.5", "--estimate-cap", "2",
+     "--budget", "2"],
 ]
 
 

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cholesky, solve_triangular
 from scipy.special import betaln, gammaln, logsumexp, roots_jacobi
 
 from discinterp import (
@@ -36,7 +35,6 @@ from discinterp.spaces import (
     _BERGMAN_MIN_RADII,
     _drop_negligible_tail,
     _hardy_norm,
-    _inverse_factor,
     _next_pow2,
     _polished_max,
     _radial_rule,
@@ -606,48 +604,36 @@ class TestMinNorm:
             assert norm(hardy(2), combined) >= res.norm - 1e-9
 
 
-class TestInverseFactor:
-    def test_positive_definite_gram_gives_inverse(self, rng):
-        sigma = random_sigma(rng, n=4, r_max=0.7, distinct=True)
-        G = gram_matrix(hardy(2), sigma)
-        R, L = _inverse_factor(G)
-        assert np.array_equal(L, np.linalg.cholesky(G))
-        assert np.allclose(R, np.tril(R))
-        assert np.max(np.abs(R.conj().T @ R @ G - np.eye(4))) <= 1e-10
+class TestSteinGramFloor:
+    """S >= kappa_0 I: the Stein Gram always has a Cholesky factor in exact arithmetic."""
 
-    def test_matches_triangular_solve_when_well_conditioned(self, rng):
-        # the inverse Cholesky factor against scipy's Cholesky and triangular solve
-        eps = np.finfo(float).eps
-        for space in (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, 1.0)):
-            for t in range(20):
-                sigma = random_sigma(rng, n_max=10, r_max=0.95)
-                if t % 3 == 0:  # a repeated node: derivative functionals
-                    sigma = SigmaSet(sigma.points + sigma.points[:1])
-                G = gram_matrix(space, sigma)
-                cond = np.linalg.cond(G)
-                assert cond < 1e8
-                R, _ = _inverse_factor(G)
-                want = solve_triangular(cholesky(G, lower=True), np.eye(sigma.n), lower=True)
-                assert np.max(np.abs(R - want)) <= 1e-13 * np.max(np.abs(want))
-                residual = np.max(np.abs(R.conj().T @ R @ G - np.eye(sigma.n)))
-                assert residual <= 10 * sigma.n * eps * cond
-
-    def test_indefinite_gram_drops_near_null_directions(self, rng):
-        V, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        w = np.array([-1e-9, 1e-15, 1.0, 2.0])
-        G = (V * w) @ V.conj().T
-        R, L = _inverse_factor(G)
-        assert L is None and R.shape == (2, 4)
-        kept = V[:, 2:]
-        want = (kept / w[2:]) @ kept.conj().T
-        assert np.max(np.abs(R.conj().T @ R - want)) <= 1e-12
+    def test_smallest_eigenvalue_is_at_least_kappa_0(self, rng):
+        # kappa_k never decreases and sum_m v_m v_m^H = I, so
+        # S = sum_m kappa_m v_m v_m^H >= kappa_0 I; checked where rounding
+        # (about eps lambda_max) cannot hide it
+        spaces = [hardy(2)] + [seq_weighted(2, a) for a in (1.0, 1.5, 3.0, 6.0)]
+        spaces += [bergman_radial(2, b) for b in (-0.5, 0.0, 1.0, 8.0)]
+        checked = 0
+        for space in spaces:
+            kappa_0 = float(kernel_diagonal(space, 0.0))
+            for t in range(12):
+                sigma = random_sigma(rng, n_max=6, r_max=(0.5, 0.9, 0.99)[t % 3])
+                if t % 2 == 0:  # repeated nodes
+                    sigma = SigmaSet(sigma.points + sigma.points[: 1 + t % 3])
+                eig = np.linalg.eigvalsh(modelspace._malmquist_gram(space, sigma))
+                if eig[-1] > 1e10 * kappa_0:
+                    continue
+                assert eig[0] >= kappa_0 * (1.0 - 1e-12), (space, sigma.points, eig[0])
+                checked += 1
+        assert checked >= 60
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-    def test_non_finite_gram_raises(self, bad):
+    def test_non_finite_gram_raises(self, monkeypatch, bad):
         G = np.eye(3, dtype=complex) * 2.0
         G[2, 1] = bad
+        monkeypatch.setattr(modelspace, "_malmquist_gram", lambda space, sigma: G)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _inverse_factor(G)
+            modelspace._malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
 
 
 class TestPowerInequality:
