@@ -141,12 +141,20 @@ def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
 
     S >= kappa_0 I, as kappa_k never decreases and sum_m v_m v_m^H = I, so
     np.linalg.LinAlgError is raised only where rounding hides that, which
-    needs eps lambda_max(S) > kappa_0.  ValueError when S is not finite.
+    needs eps lambda_max(S) > kappa_0; its message names S and gives
+    lambda_max(S) / kappa_0.  ValueError when S is not finite.
     """
     S = _malmquist_gram(space, sigma)
     if not np.all(np.isfinite(S)):  # np.linalg.cholesky would return NaNs
         raise ValueError("array must not contain infs or NaNs")
-    return np.linalg.cholesky(S)
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        spread = np.linalg.eigvalsh(S)[-1] / float(kernel_diagonal(space, 0.0))
+        raise np.linalg.LinAlgError(
+            f"the Stein Gram S of these nodes has no Cholesky factor in double precision"
+            f" (lambda_max(S) / kappa_0 = {spread:.3g}; S >= kappa_0 I holds exactly)"
+        ) from None
 
 
 def _malmquist_series(points, b: np.ndarray) -> np.ndarray:

@@ -603,6 +603,14 @@ class TestValidation:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"discinterp bernstein: error: argument {option}")
 
+    def test_stein_gram_without_cholesky_factor_exit_code(self, capsys):
+        argv = ["constant", "--sigma", "0.999,0.999,0.3,0.999,-0.5j", "--space", "seq",
+                "--alpha", "6"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Stein Gram" in err and "lambda_max(S) / kappa_0" in err
+
     def test_dual_weight_peak_out_of_reach_exit_code(self, capsys):
         # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8
         argv = ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",
@@ -673,15 +681,38 @@ SCIPY_FREE = [
     ["basis", "--sigma", "0.5,-0.2+0.3j"],
     ["bernstein", "--sigma", "0.5,0.5,-0.3j"],  # H^2: no kernel diagonal
     ["constant", "--space", "hardy", "--sigma", "0.5,0.5,-0.3j", "--budget", "4"],
+    ["constant", "--space", "bergman", "--beta", "1", "--sigma", "0.5,0.3j,-0.4", "--budget", "2"],
+    ["constant", "--space", "seq", "--alpha", "1.5", "--sigma", "0.5,0.5,-0.3j", "--budget", "2"],
     ["carleson", "--sigma", "0.5,-0.3j", "--budget", "4"],
     ["sweep", "--space", "hardy", "--n-grid", "1,3", "--r-grid", "0,0.5", "--estimate-cap", "2",
      "--budget", "2"],
+    ["sweep", "--space", "bergman", "--beta", "-0.5", "--n-grid", "1,3", "--r-grid", "0,0.5",
+     "--estimate-cap", "2", "--budget", "2"],
+    ["bounds", "--space", "bergman", "--beta", "2.5", "--n", "4", "--r", "0.7"],
 ]
 
 
+def _fresh_json(code: str):
+    """What ``code``, run in a fresh interpreter, prints as JSON."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return json.loads(proc.stdout)
+
+
+def _loaded_scipy(code: str) -> list[str]:
+    """The scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += "\nimport json, sys"
+    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    return _fresh_json(code)
+
+
 def test_import_and_light_commands_load_no_scipy():
-    # scipy takes most of the import time; only Bergman kernels and the
-    # Gauss-Jacobi rule import it, on first use
+    # scipy takes most of the import time; only the Gauss-Jacobi rule of the
+    # Bergman norms at odd or fractional p imports it, on first use, so no
+    # Hilbert-space command loads it
     code = f"""
 import contextlib, io, json, sys
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -695,12 +726,28 @@ for argv in {SCIPY_FREE!r}:
         steps[" ".join(argv)] = [cli.main(argv)] + loaded()
 print(json.dumps(steps))
 """
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    steps = json.loads(proc.stdout)
+    steps = _fresh_json(code)
     assert steps.pop("import discinterp") == []
     assert steps.pop("import discinterp.cli") == []
     assert steps == {" ".join(argv): [0] for argv in SCIPY_FREE}
+
+
+def test_hilbert_space_library_calls_load_no_scipy():
+    code = """
+import numpy as np
+from discinterp import (CoeffSeries, SigmaSet, bergman_radial, gram_matrix, hardy,
+                        min_norm_trace, norm, seq_weighted)
+sigma = SigmaSet((0.5, 0.5, -0.3j, 0.7))
+for space in (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, -0.5)):
+    min_norm_trace(space, sigma, np.arange(1.0, 5.0))
+gram_matrix(bergman_radial(2, 1.0), sigma)
+norm(bergman_radial(4, 0.5), CoeffSeries([1.0, 2.0, -1.0j]))
+"""
+    assert _loaded_scipy(code) == []
+
+
+def test_odd_p_bergman_norm_loads_scipy_special():
+    # the one documented use: roots_jacobi in the radial rule of spaces._radial_rule
+    code = "from discinterp import CoeffSeries, bergman_radial, norm\n"
+    code += "norm(bergman_radial(3, 1.0), CoeffSeries([1.0, 2.0, -1.0j]))"
+    assert "scipy.special" in _loaded_scipy(code)

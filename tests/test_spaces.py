@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import betaln, gammaln, logsumexp, roots_jacobi
 
 from discinterp import (
@@ -38,7 +40,9 @@ from discinterp.spaces import (
     _next_pow2,
     _polished_max,
     _radial_rule,
+    _solve_lower,
 )
+from discinterp.series import _basis_jets
 
 from conftest import oracles, random_poly, random_sigma
 
@@ -604,6 +608,47 @@ class TestMinNorm:
             assert norm(hardy(2), combined) >= res.norm - 1e-9
 
 
+class TestSubstitutionSolves:
+    """min_norm_trace's forward substitutions against scipy's triangular solver."""
+
+    @pytest.mark.parametrize("confluent", [False, True])
+    def test_matches_solve_triangular(self, rng, confluent):
+        for t in range(24):
+            sigma = random_sigma(rng, n_max=8, r_max=(0.5, 0.9, 0.99)[t % 3])
+            if confluent:
+                sigma = SigmaSet(sigma.points + sigma.points[: 1 + t % 3])
+            space = (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, -0.5))[t % 3]
+            a = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
+            C = _basis_jets(sigma)
+            L = modelspace._malmquist_cholesky(space, sigma)
+            b = _solve_lower(C, a)
+            y = _solve_lower(L, b)
+            mu = _solve_lower(L.conj().T[::-1, ::-1], y[::-1])[::-1]
+            for got, want in (
+                (b, solve_triangular(C, a, lower=True)),
+                (y, solve_triangular(L, b, lower=True)),
+                (mu, solve_triangular(L, y, lower=True, trans="C")),
+            ):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert min_norm_trace(space, sigma, a).norm == np.linalg.norm(y)
+
+    def test_failures_match_solve_triangular(self):
+        singular = np.tril(np.ones((3, 3)))
+        singular[1, 1] = 0.0
+        for T, error in ((singular, np.linalg.LinAlgError), (np.diag([1.0, np.inf]), ValueError)):
+            b = np.ones(T.shape[0])
+            with pytest.raises(error) as want:
+                solve_triangular(T, b, lower=True)
+            with pytest.raises(error) as got:
+                _solve_lower(T, b)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_lower(np.eye(2), np.array([1.0, np.nan]))
+        # at 100 repeated nodes near the circle the jets of the basis overflow
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            min_norm_trace(hardy(2), SigmaSet((0.999,) * 100), np.ones(100))
+
+
 class TestSteinGramFloor:
     """S >= kappa_0 I: the Stein Gram always has a Cholesky factor in exact arithmetic."""
 
@@ -633,6 +678,12 @@ class TestSteinGramFloor:
         G[2, 1] = bad
         monkeypatch.setattr(modelspace, "_malmquist_gram", lambda space, sigma: G)
         with pytest.raises(ValueError, match="infs or NaNs"):
+            modelspace._malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
+
+    def test_failed_factor_names_the_stein_gram(self, monkeypatch):
+        S = np.diag([1.0, 1e20, -1.0]).astype(complex)
+        monkeypatch.setattr(modelspace, "_malmquist_gram", lambda space, sigma: S)
+        with pytest.raises(np.linalg.LinAlgError, match=r"Stein Gram S .* = 1e\+20;"):
             modelspace._malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
 
 
@@ -681,12 +732,33 @@ class TestKernelDiagonalEncoding:
 
     @pytest.mark.parametrize("n", [384, 1000, 5000])
     def test_bergman_monomial_norm(self, n):
-        # kernel_diagonal rounds log-gamma values near 4e4 at n = 5000, which
-        # leaves up to 4e-12 against the exact value
+        # kernel_diagonal takes ln(Gamma(n+beta+2) / Gamma(n+1)) straight
+        # from the Stirling series, a logarithm of size (beta+1) ln n, so
+        # about 2e-15 of rounding reaches kappa_n and half of it the norm
         f = CoeffSeries(np.eye(n + 1)[n])
         for beta in (-0.5, 0.0, 1.0):
             want = math.sqrt(math.pi * _beta_exact(n, beta))
-            assert norm(bergman_radial(2, beta), f) == pytest.approx(want, rel=5e-12, abs=0.0)
+            assert norm(bergman_radial(2, beta), f) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0, 1, 8])
+    def test_bergman_kernel_diagonal_integer_beta(self, beta):
+        # pi kappa_k = (k+beta+1)! / (k! beta!), an integer; k = 15, 16, 17
+        # straddle the switch from math.lgamma to the Stirling series
+        ks = [0, 1, 15, 16, 17, 100, 5000, 2**21]
+        got = kernel_diagonal(bergman_radial(2, beta), np.array(ks)) * math.pi
+        want = np.array([float((k + beta + 1) * math.comb(k + beta, beta)) for k in ks])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("beta", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_bergman_kernel_diagonal_half_integer_beta(self, beta):
+        # pi kappa_k = (beta+1) prod_{j=1..k} (j+beta+1)/j, exact rationals
+        ks = np.arange(5001)
+        want, ratio = [], beta + 1
+        for k in ks.tolist():
+            ratio = ratio if k == 0 else ratio * (k + beta + 1) / k
+            want.append(float(ratio))
+        got = kernel_diagonal(bergman_radial(2, float(beta)), ks) * math.pi
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("lam", [0.99, -0.995])
     def test_h2_one_point_interpolant_tail(self, lam):
