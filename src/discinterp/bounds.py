@@ -140,11 +140,8 @@ def _multiplicity(n) -> int:
 def _witness_power(space: _sp.SpaceSpec) -> int:
     if space.family == "hardy" and space.p == 2:
         return 1
-    if space.family == "seq" and space.p == 2:
-        m = 2.0 * space.alpha - 1.0
-        m_int = int(round(m))
-        if abs(m - m_int) < 1e-9 and m_int >= 1:
-            return m_int
+    if space.family == "seq" and space.p == 2 and (m := _sp._kernel_power(space.alpha)):
+        return m
     raise UnsupportedSpace(
         "witness needs H^2 or a weighted l^2 space with integer 2*alpha - 1"
     )
@@ -153,15 +150,18 @@ def _witness_power(space: _sp.SpaceSpec) -> int:
 def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> CoeffSeries:
     """The Fejer-kernel power W = K_n^m, rotated so its boundary peak faces away from lam."""
     m = _witness_power(space)  # first: an unsupported space builds no kernel
-    base = series_power(fejer_kernel(n), m)
+    return _facing(series_power(fejer_kernel(n), m), lam)
+
+
+def _facing(base: CoeffSeries, lam: complex) -> CoeffSeries:
+    """base with coefficient k times eta^k, eta = -conj(lam) / |lam|; base itself at lam = 0."""
     if lam == 0:
         return base
-    eta = -np.conj(lam) / abs(lam)
-    return CoeffSeries(base.coeffs * eta ** np.arange(len(base)))
+    return CoeffSeries(base.coeffs * (-np.conj(lam) / abs(lam)) ** np.arange(len(base)))
 
 
-def _witness_coords(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSeries, np.ndarray]:
-    """The witness W and h_0..h_m of h = W / (1 - conj(lam) z), m = deg W.
+def _witness_coords(base: CoeffSeries, lam: complex) -> np.ndarray:
+    """h_0..h_m of h = W / (1 - conj(lam) z), W = _facing(base, lam) and m = deg W.
 
     W o b_lam = sum_k s h_k e_k over the Malmquist basis of (lam, lam, ..),
     s = sqrt(1 - |lam|^2), so its projection onto the model space of
@@ -169,8 +169,7 @@ def _witness_coords(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[CoeffSe
     conj(lam)^(k-m) and the tail sums to h_m b_lam^m, so over the zeros
     (lam,)*m + (0,) the coordinates are s h_k (k < m) and h_m, exactly.
     """
-    W = _witness(space, lam, n)
-    return W, _div_geometric(W.coeffs, np.conj(lam))
+    return _div_geometric(_facing(base, lam).coeffs, np.conj(lam))
 
 
 def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
@@ -211,16 +210,14 @@ def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarr
     lam = complex(lam)
     if not abs(lam) < 1.0:  # also catches NaN
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
-    base = _witness(space, 0j, n)
+    base = _witness(space, 0j, n)  # the one kernel power, rotated for lam by _witness_coords
     jet = base.coeffs[:n].real
-    if space.family == "hardy":  # _witness_coords admits only p = 2 there
-        _, h = _witness_coords(space, lam, n)
-        return jet, float(np.linalg.norm(_transplant_coords(h, abs(lam))))
+    if space.family == "hardy":  # _witness admits only p = 2 there
+        return jet, float(np.linalg.norm(_transplant_coords(_witness_coords(base, lam), abs(lam))))
     if lam == 0:
         return jet, _sp.norm(space, base)
     r = abs(lam)
-    _, h = _witness_coords(space, r, n)
-    b = _transplant_coords(h.real, r)  # h is real at lam = r > 0
+    b = _transplant_coords(_witness_coords(base, r).real, r)  # real at lam = r > 0
     series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
     return jet, _sp.norm(space, CoeffSeries(series))
 
@@ -267,7 +264,7 @@ def interp_constant(
     lam = sigma.single_point()
     if lam is not None:
         try:
-            _, h = _witness_coords(space, lam, n)
+            h = _witness_coords(_witness(space, 0j, n), lam)
         except UnsupportedSpace:
             pass
         else:

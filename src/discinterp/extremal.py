@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodes
-from .series import CoeffSeries, SigmaSet, _basis_values
+from .series import CoeffSeries, SigmaSet, _basis_taylor
 
 __all__ = [
     "PickProblem",
@@ -133,7 +133,8 @@ def _norm_result(matrix: np.ndarray, mode: str) -> ExtremalResult:
 def _pick_factor(points) -> tuple[np.ndarray, np.ndarray]:
     """Stack M of the data map on distinct nodes, and the norms ||M_i||_2.
 
-    With C[j, k] = e_k(lam_j), lower triangular, C T_B = diag(lam) C, so
+    With C[j, k] = e_k(lam_j), lower triangular and read in closed form
+    (_basis_taylor), C T_B = diag(lam) C, so
     data w at the nodes give F(w) = C^-1 diag(w) C = sum_i w_i M_i with the
     rank-one M_i = C^-1[:, i] C[i, :], whose norm is the product of the two
     vector norms.  M is flat, shape (n, n*n).  Raises DegenerateNodes for
@@ -143,7 +144,7 @@ def _pick_factor(points) -> tuple[np.ndarray, np.ndarray]:
     sep = sigma.min_separation()
     if sep < _MIN_SEPARATION:
         raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
-    C = _basis_values(sigma, sigma.points).T
+    C = _basis_taylor(sigma.points, sigma.points)[0].T
     # C^T is upper triangular, so the LU inside inv exchanges no rows and
     # the inverse is a back substitution; inv(C) pivots and loses digits
     C_inv = np.linalg.inv(C.T).T

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import Divergence, TruncationError
 from .extremal import _compressed_shift
-from .series import CoeffSeries, SigmaSet, _basis_derivatives, _basis_values, _falling
+from .series import CoeffSeries, SigmaSet, _basis_taylor, _falling
 from .spaces import (
     _CIRCLE_GRID,
     _POLISH_PEAKS,
@@ -83,7 +83,7 @@ class MalmquistBasis:
 
     def eval(self, z) -> np.ndarray:
         """Exact rational values e_k(z); shape (n, len(z))."""
-        return _basis_values(self.sigma, z)
+        return _basis_taylor(self.sigma.points, z)[0]
 
 
 def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,11 +270,11 @@ def projection_operator_norm(
     (1 - |lam|^2) / |z - lam|^2, taken with g' and g'' in closed form by
     _unit_kernel_norm.  No Gram and no basis value is formed, so the value
     holds up to the circle.  Elsewhere S is the Stein sum _malmquist_gram, which
-    raises NotHilbert off p = 2, with e', e'' in closed form
-    (_basis_derivatives): d/dtheta = i z d/dz, g' = 2 Re(e_theta'^T S
-    conj(e)) and g'' = 2 Re(e_theta''^T S conj(e)) + 2 e_theta'^T S
-    conj(e_theta').  Either way g carries rounding noise of a few 1e-15
-    relative (about 4.7e-15 seen), so the value is not yet a certificate.
+    raises NotHilbert off p = 2, and e, e', e''/2 are Taylor coefficients
+    (_basis_taylor): d/dtheta = i z d/dz, g' = 2 Re(e_theta'^T S conj(e))
+    and g'' = 2 Re(e_theta''^T S conj(e)) + 2 e_theta'^T S conj(e_theta').
+    Either way g carries rounding noise of a few 1e-15 relative (about
+    4.7e-15 seen), so the value is not yet a certificate.
     """
     if _unit_kernel(space):
         return _unit_kernel_norm(sigma, coarse, top)
@@ -282,9 +282,9 @@ def projection_operator_norm(
 
     def g(ts: np.ndarray):
         z = np.exp(1j * ts)
-        e, e1, e2 = _basis_derivatives(sigma, z)  # (n, M) each, d/dz
+        e, e1, half_e2 = _basis_taylor(sigma.points, z, 3)  # (n, M) each, d/dz
         d1 = 1j * z * e1
-        d2 = -z * e1 - z * z * e2
+        d2 = -z * e1 - 2.0 * z * z * half_e2
         w = S @ e.conj()
         return (
             np.real(np.sum(e * w, axis=0)),
@@ -293,7 +293,7 @@ def projection_operator_norm(
         )
 
     thetas = 2.0 * np.pi * np.arange(coarse) / coarse
-    e = _basis_values(sigma, np.exp(1j * thetas))
+    e = _basis_taylor(sigma.points, np.exp(1j * thetas))[0]
     vals = np.real(np.sum(e * (S @ e.conj()), axis=0))
     return float(np.sqrt(_polished_max(vals, thetas, g, top)))
 

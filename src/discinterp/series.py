@@ -2,13 +2,14 @@
 
 A series is its coefficient vector c_0..c_N; all operations are pure and
 return new objects.  The Malmquist basis functions e_k are read here in
-closed form: values and derivatives off the nodes, and exact jets on them
-(_basis_jets, for the Gram matrix and the least-norm interpolant).
+closed form by one Taylor recurrence (_basis_taylor) at any points, nodes
+included: their values, derivatives and exact jets on the nodes (_basis_jets).
 compose_with_blaschke is a reference composition that no library path calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -236,38 +237,6 @@ class SigmaSet:
         return SigmaSet(tuple(w * p for p in self.points))
 
 
-def _basis_values(sigma: SigmaSet, z) -> np.ndarray:
-    """e_k(z) from the rational formula, for every k; shape (n, len(z))."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty((sigma.n, zs.size), dtype=complex)
-    running = np.ones_like(zs)
-    for k, lam in enumerate(sigma.points):
-        cl = np.conj(lam)
-        out[k] = np.sqrt(1.0 - abs(lam) ** 2) / (1.0 - cl * zs) * running
-        running = running * (lam - zs) / (1.0 - cl * zs)
-    return out
-
-
-def _basis_derivatives(sigma: SigmaSet, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """e_k(z), e_k'(z) and e_k''(z) in closed form, each of shape (n, len(z)).
-
-    With t_j = conj(lam_j) / (1 - conj(lam_j) z) and u_j = 1 / (lam_j - z),
-    the logarithmic derivative of e_k is L_k = t_k + sum_{j<k} (t_j - u_j),
-    its derivative is L_k' = t_k^2 + sum_{j<k} (t_j^2 - u_j^2), and
-    e_k' = e_k L_k, e_k'' = e_k (L_k^2 + L_k').  Needs z off the nodes.
-    """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    lam = np.asarray(sigma.points, dtype=complex)[:, None]
-    t = np.conj(lam) / (1.0 - np.conj(lam) * zs)
-    u = 1.0 / (lam - zs)
-    a, a2 = t - u, t * t - u * u
-    # the sums over j < k are cumulative sums less their own term
-    L = t + np.cumsum(a, axis=0) - a
-    dL = t * t + np.cumsum(a2, axis=0) - a2
-    e = _basis_values(sigma, zs)
-    return e, e * L, e * (L * L + dL)
-
-
 def _falling(ks: np.ndarray, d: int) -> np.ndarray:
     """Falling factorial (k)_d = k (k-1) ... (k-d+1)."""
     out = np.ones_like(ks, dtype=float)
@@ -276,27 +245,48 @@ def _falling(ks: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _basis_taylor(points, z, m: int = 1) -> np.ndarray:
+    """T[d, k, j], the d-th Taylor coefficient in h of e_k(z_j + h); shape (m, n, len(z)).
+
+    1 / (1 - conj(lam) (z + h)) = inv / (1 - a h), inv = 1 / (1 - conj(lam) z), a = conj(lam) inv,
+    so the m-row running product of the b_lam(z + h) is divided in place, one shifted add
+    per factor of 1 / (1 - a h) = prod_i (1 + (a h)^(2^i)), and multiplied by lam - z - h;
+    no 1 / (lam - z) is formed, so z may be a node.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty((m, len(points), zs.size), dtype=complex)
+    running = np.repeat(np.eye(m, 1, dtype=complex), zs.size, axis=1)  # prod_{j<k} b_{lam_j}
+    for k, lam in enumerate(points):
+        inv = 1.0 / (1.0 - lam.conjugate() * zs)
+        running *= inv
+        step = 1
+        while step < m:
+            power = lam.conjugate() * inv if step == 1 else power * power  # a^step
+            running[step:] += power * running[:-step]
+            step *= 2
+        np.multiply(running, math.sqrt(1.0 - abs(lam) ** 2), out=out[:, k])
+        lin = lam - zs
+        running[1:] = lin * running[1:] - running[:-1]
+        running[0] *= lin
+    return out
+
+
 def _basis_jets(sigma: SigmaSet) -> np.ndarray:
     """C[i, k] = e_k^(d_i)(lam_i) for the (lam_i, d_i) of sigma.functionals().
 
-    C is lower triangular: e_k vanishes to order d_i + 1 at lam_i for k > i.
-    At a node mu of multiplicity m, 1 / (1 - conj(lam) (mu + h)) is
-    1 / (1 - conj(lam) mu) times 1 / (1 - a h), a = conj(lam) / (1 -
-    conj(lam) mu), so each factor of e_k(mu + h) is at most a linear term
-    times a geometric series, and the first m Taylor coefficients in h come
-    exactly from _mul_linear and _div_geometric on m-vectors; the d-th
-    derivative is d! times the d-th of them.
+    Lower triangular, as e_k vanishes to order d_i + 1 at lam_i for k > i;
+    row i is d_i! times coefficient d_i of _basis_taylor at lam_i.  Raises
+    np.linalg.LinAlgError where a diagonal entry overflows or underflows.
     """
-    C = np.zeros((sigma.n, sigma.n), dtype=complex)
-    for mu, m in sigma.groups():
-        rows = [i for i, p in enumerate(sigma.points) if p == mu]  # d = 0, 1, .., m - 1
-        fact = np.cumprod(np.maximum(np.arange(m), 1.0))  # d!
-        running = np.eye(1, m, dtype=complex)[0]  # prod_{j<k} b_lam_j(mu + h)
-        for k, lam in enumerate(sigma.points):
-            den = 1.0 - np.conj(lam) * mu
-            a = np.conj(lam) / den
-            C[rows, k] = fact * (np.sqrt(1.0 - abs(lam) ** 2) / den * _div_geometric(running, a))
-            running = _div_geometric(_mul_linear(running, lam - mu), a) / den
+    nodes = [p for p, _ in sigma.groups()]
+    d, j = np.array([(d, nodes.index(p)) for p, d in sigma.functionals()]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = _basis_taylor(sigma.points, nodes, d.max() + 1)
+        C = np.cumprod(np.maximum(np.arange(T.shape[0]), 1.0))[d, None] * T[d, :, j]  # d!
+    bad = np.flatnonzero(~np.isfinite(C.diagonal()) | (C.diagonal() == 0.0))
+    if bad.size:
+        kind = "underflow" if C[bad[0], bad[0]] == 0.0 else "overflow"
+        raise np.linalg.LinAlgError(f"the basis jets {kind} at diagonal {bad[0]}")
     return C
 
 

@@ -613,7 +613,8 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     ``a`` has one target per sigma.functionals() entry: f(lam) at a point's
     first occurrence, f'(lam) at its second, and so on.  Raises ValueError
     for an ``a`` of the wrong length or with a NaN or an infinity,
-    NotHilbert unless p = 2, and LinAlgError where S has no Cholesky factor.
+    NotHilbert unless p = 2, and LinAlgError where S has no Cholesky factor
+    or the basis jets overflow or underflow (_basis_jets).
 
     The jet of f is C b, b the coordinates of its projection onto K_B and
     C lower triangular (_basis_jets), so b = C^-1 a is one triangular
@@ -649,6 +650,12 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     return MinNormResult(float(np.linalg.norm(y)), f)
 
 
+def _kernel_power(alpha: float) -> int | None:
+    """m = 2 alpha - 1 when it is within 1e-9 of an integer m >= 1, else None."""
+    m = round(2.0 * alpha - 1.0)
+    return m if abs(2.0 * alpha - 1.0 - m) < 1e-9 and m >= 1 else None
+
+
 def power_inequality_check(alpha: float, f: CoeffSeries) -> tuple[float, float]:
     """Evaluate both sides of the kernel power inequality.
 
@@ -656,9 +663,7 @@ def power_inequality_check(alpha: float, f: CoeffSeries) -> tuple[float, float]:
     sequence space and rhs = (||f||_2^2)^(2 alpha - 1); lhs <= rhs for
     polynomials whenever 2 alpha - 1 is a positive integer.
     """
-    m = 2.0 * alpha - 1.0
-    m_int = int(round(m))
-    if abs(m - m_int) > 1e-9 or m_int < 1:
+    if (m_int := _kernel_power(alpha)) is None:
         raise ValueError("2*alpha - 1 must be a positive integer")
     lhs = norm(seq_weighted(2.0, alpha), series_power(f, m_int)) ** 2
     rhs = float(np.sum(np.abs(f.coeffs) ** 2)) ** m_int

@@ -25,7 +25,7 @@ from discinterp import (
 
 from discinterp.extremal import _compressed_shift
 from discinterp.spaces import _polished_max
-from discinterp.series import _basis_derivatives, _basis_jets, _basis_values
+from discinterp.series import _basis_jets, _basis_taylor
 
 from conftest import oracles, random_poly, random_sigma
 
@@ -193,6 +193,15 @@ class TestBasis:
             assert np.max(np.abs(vals[k] - eval_series(e, zs))) < 1e-10
 
 
+def _blaschke_basis_values(points, zs):
+    """e_k(z) = s_k / (1 - conj(lam_k) z) prod_{j<k} b_{lam_j}(z), from oracles.blaschke_value."""
+    return np.array([
+        [np.sqrt(1 - abs(lam) ** 2) / (1 - np.conj(lam) * z) * oracles.blaschke_value(points[:k], z)
+         for z in zs]
+        for k, lam in enumerate(points)
+    ])
+
+
 class TestBasisJets:
     """_basis_jets: C[i, k] = e_k^(d_i)(lam_i) on the functionals of sigma."""
 
@@ -212,7 +221,7 @@ class TestBasisJets:
     def test_distinct_nodes_are_basis_values(self, rng):
         for _ in range(20):
             sigma = random_sigma(rng, n_max=8, r_max=0.95, distinct=True)
-            want = _basis_values(sigma, sigma.points).T
+            want = _blaschke_basis_values(sigma.points, sigma.points).T
             got = _basis_jets(sigma)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -222,6 +231,32 @@ class TestBasisJets:
         want = np.array([jet_values(e, sigma) for e in malmquist_basis(sigma).series]).T
         got = _basis_jets(sigma)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBasisTaylor:
+    """_basis_taylor: the first m Taylor coefficients of every e_k(z + h)."""
+
+    def test_values_are_blaschke_products(self, rng):
+        for t in range(30):
+            sigma = random_sigma(rng, n_max=8, r_max=(0.5, 0.9, 0.99)[t % 3])
+            if t % 2:
+                sigma = SigmaSet(sigma.points + sigma.points[: 1 + t % 3])
+            zs = np.concatenate((
+                0.95 * np.sqrt(rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6)),
+                np.exp(2j * np.pi * rng.uniform(size=4)),
+                sigma.points[:2],
+            ))
+            want = _blaschke_basis_values(sigma.points, zs)
+            got = _basis_taylor(sigma.points, zs)
+            assert got.shape == (1, sigma.n, zs.size)
+            assert np.max(np.abs(got[0] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points", TestBasisJets.SETS)
+    def test_origin_coefficients_are_basis_coefficients(self, points):
+        E = malmquist_basis(SigmaSet(points)).coeffs
+        for m in (1, 3, 6):
+            got = _basis_taylor(points, 0.0, m)[:, :, 0].T
+            assert np.max(np.abs(got - E[:, :m])) <= 1e-14 * np.max(np.abs(E[:, :m]))
 
 
 class TestProjection:
@@ -468,12 +503,13 @@ class TestOperatorNorm:
         ],
     )
     def test_basis_derivatives_against_central_differences(self, points):
-        sigma = SigmaSet(points)
-        zs = np.array([0.2 + 0.1j, -0.6j, np.exp(0.7j), np.exp(-2.5j), -0.3])
-        e, e1, e2 = _basis_derivatives(sigma, zs)
-        assert np.array_equal(e, _basis_values(sigma, zs))
+        # the last point is a node, where e_k may vanish to high order
+        zs = np.array([0.2 + 0.1j, -0.6j, np.exp(0.7j), np.exp(-2.5j), -0.3, points[0]])
+        e, e1, half_e2 = _basis_taylor(points, zs, 3)
+        e2 = 2 * half_e2
+        assert np.array_equal(e, _basis_taylor(points, zs)[0])
         h = 1e-4
-        ep, em = _basis_values(sigma, zs + h), _basis_values(sigma, zs - h)
+        ep, em = _basis_taylor(points, zs + h)[0], _basis_taylor(points, zs - h)[0]
         # the differences are off by h^2 times the third and fourth derivatives
         assert np.max(np.abs(e1 - (ep - em) / (2 * h))) <= 1e-6 * np.max(np.abs(e1))
         assert np.max(np.abs(e2 - (ep - 2 * e + em) / h**2)) <= 1e-6 * np.max(np.abs(e2))
@@ -484,7 +520,7 @@ class TestOperatorNorm:
         S = modelspace._malmquist_gram(space, sigma)
 
         def g(ts):
-            e = _basis_values(sigma, np.exp(1j * ts))
+            e = _basis_taylor(sigma.points, np.exp(1j * ts))[0]
             return np.real(np.sum(e * (S @ e.conj()), axis=0))
 
         thetas = 2 * np.pi * np.arange(m) / m
@@ -517,9 +553,9 @@ def _gram_path_g(space, sigma):
 
     def g(ts):
         z = np.exp(1j * ts)
-        e, e1, e2 = _basis_derivatives(sigma, z)
+        e, e1, half_e2 = _basis_taylor(sigma.points, z, 3)
         d1 = 1j * z * e1
-        d2 = -z * e1 - z * z * e2
+        d2 = -z * e1 - 2 * z * z * half_e2
         w = S @ e.conj()
         return (
             np.real(np.sum(e * w, axis=0)),
@@ -606,7 +642,7 @@ class TestUnitKernelNorm:
 
         sigmas = list(self._sets(rng, 6))
         want = [projection_operator_norm(hardy(2), sigma) for sigma in sigmas]
-        for name in ("_malmquist_gram", "_basis_values", "_basis_derivatives", "_stein_blocks"):
+        for name in ("_malmquist_gram", "_basis_taylor", "_stein_blocks"):
             monkeypatch.setattr(modelspace, name, unreachable)
         for space in (hardy(2), seq_weighted(2, 1)):
             assert [projection_operator_norm(space, sigma) for sigma in sigmas] == want

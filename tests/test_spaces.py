@@ -644,9 +644,16 @@ class TestSubstitutionSolves:
             assert str(got.value) == str(want.value)
         with pytest.raises(ValueError, match="infs or NaNs"):
             _solve_lower(np.eye(2), np.array([1.0, np.nan]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_basis_jets_out_of_range_are_named(self):
         # at 100 repeated nodes near the circle the jets of the basis overflow
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(np.linalg.LinAlgError, match=r"basis jets overflow .* diagonal \d+"):
             min_norm_trace(hardy(2), SigmaSet((0.999,) * 100), np.ones(100))
+        # at 150 nodes on a circle of radius 0.001 the values of the basis underflow
+        sigma = SigmaSet(tuple(0.5 + 0.001 * np.exp(2j * np.pi * np.arange(150) / 150)))
+        with pytest.raises(np.linalg.LinAlgError, match=r"basis jets underflow .* diagonal \d+"):
+            min_norm_trace(hardy(2), sigma, np.ones(150))
 
 
 class TestSteinGramFloor:
