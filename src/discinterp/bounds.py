@@ -13,18 +13,15 @@ climbing in lockstep, and stops at a certified upper bound of the sup
 from the same tensor, the least spectral norm of its three flattenings.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
-(or its integer power for weighted sequence spaces), antipodally
-rotated and transplanted to the target point by the Blaschke involution.
-The norm of the transplant W o b_lam is summed from its exact Malmquist
-coordinates over the zeros (lam,)*deg W + (0,): nothing is composed or
-truncated.  The norms are radial, so that size is read at r = |lam| in
-real arithmetic.  Rotating a jet by eta (|eta| = 1) is the unitary
-similarity D T D^H, D = diag(eta^i), of its Toeplitz matrix T, so the jet
-norm of every rotation is that of the real, unrotated kernel power: one
-real singular-value solve per n, which a sweep takes once per n.
-Closed-form two-sided bound formulas are emitted alongside,
-with honest "order-only" flags where the underlying constants are not
-numeric.
+(or its integer power for weighted sequence spaces), turned so its
+boundary peak faces away from the target point and transplanted there by
+the Blaschke involution.  Every number built from it is radial, so it is
+read once, at r = |lam|, in real arithmetic (_witness_at): the norm of
+the transplant from its exact Malmquist coordinates, so nothing is
+composed or truncated, the jet norm of the real kernel power, once per n
+in a sweep, and the one-point ascent start.  Closed-form two-sided bound
+formulas are emitted alongside, with honest "order-only" flags where the
+underlying constants are not numeric.
 """
 
 from __future__ import annotations
@@ -147,84 +144,67 @@ def _witness_power(space: _sp.SpaceSpec) -> int:
     )
 
 
-def _witness(space: _sp.SpaceSpec, lam: complex, n: int) -> CoeffSeries:
-    """The Fejer-kernel power W = K_n^m, rotated so its boundary peak faces away from lam."""
-    m = _witness_power(space)  # first: an unsupported space builds no kernel
-    return _facing(series_power(fejer_kernel(n), m), lam)
+def _witness_at(space: _sp.SpaceSpec, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel power K = K_n^m and the real coefficients h of W / (1 - r z).
 
-
-def _facing(base: CoeffSeries, lam: complex) -> CoeffSeries:
-    """base with coefficient k times eta^k, eta = -conj(lam) / |lam|; base itself at lam = 0."""
-    if lam == 0:
-        return base
-    return CoeffSeries(base.coeffs * (-np.conj(lam) / abs(lam)) ** np.arange(len(base)))
-
-
-def _witness_coords(base: CoeffSeries, lam: complex) -> np.ndarray:
-    """h_0..h_m of h = W / (1 - conj(lam) z), W = _facing(base, lam) and m = deg W.
-
-    W o b_lam = sum_k s h_k e_k over the Malmquist basis of (lam, lam, ..),
-    s = sqrt(1 - |lam|^2), so its projection onto the model space of
-    (lam,)*n has the coordinates s h_0..s h_(n-1).  Past m, h_k = h_m
-    conj(lam)^(k-m) and the tail sums to h_m b_lam^m, so over the zeros
-    (lam,)*m + (0,) the coordinates are s h_k (k < m) and h_m, exactly.
+    W(z) = K(-z) for r > 0 and W = K at r = 0.  It stands for the witness at
+    every lam = r e^(i phi): the kernel turned so its boundary peak faces
+    away from lam is W_lam(z) = K(eta z), eta = -e^(-i phi), and as
+    b_lam(e^(i phi) z) = e^(i phi) b_r(z), W_lam o b_lam(e^(i phi) z) is
+    W o b_r(z); the norms are radial, so one real transplant serves every
+    phase.  Over the Malmquist basis of (r, r, ..), W o b_r is
+    sum_k s h_k e_k, s = sqrt(1 - r^2).  Past m = deg W, h_k = h_m r^(k-m)
+    and the tail sums to h_m b_r^m, so over the zeros (r,)*m + (0,) the
+    coordinates are exactly b = (s h_0, .., s h_(m-1), h_m); over
+    (lam, lam, ..) those of W_lam o b_lam are s h_k e^(-i k phi).  The
+    involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the quotient
+    norm of the transplant is the jet norm of W_lam[:n], whose Toeplitz
+    matrix is D T D^H, D = diag(eta^i) unitary and T that of the real K[:n].
     """
-    return _div_geometric(_facing(base, lam).coeffs, np.conj(lam))
+    m = _witness_power(space)  # first: an unsupported space builds no kernel
+    K = series_power(fejer_kernel(n), m).coeffs.real
+    W = K * (-1.0) ** np.arange(K.size) if r > 0 else K
+    return K, _div_geometric(W, r)
 
 
 def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     """Certified lower bound for the interpolation constant of sigma_{lam,n}.
 
     The witness is K_n^m, the m-th power of the analytic Fejer kernel
-    (coefficients 1 - k/n for k < n, m = 2*alpha - 1), rotated so its
+    (coefficients 1 - k/n for k < n, m = 2*alpha - 1), turned so its
     boundary peak faces away from lam, then transplanted by b_lam.  The
     returned quotient/norm ratio is a valid lower bound for any witness;
-    the rotation is what makes it grow at the proved (n/(1-r))-power rate.
-    The involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the
-    quotient norm is the Taylor-jet norm of the rotated witness.  Its
-    Toeplitz matrix is D T D^H with D = diag(eta^i) unitary and T that of
-    the unrotated real jet, so the norm is T's top singular value, taken
-    in real arithmetic without singular vectors (_jet_norm);
-    _witness_parts gives that jet and the norm of W o b_lam.  Raises
-    ValueError unless n is an integer >= 1.
+    the turn is what makes it grow at the proved (n/(1-r))-power rate.
+    Both are read at r = |lam| in real arithmetic (_witness_at), so the
+    value depends on |lam| alone; the jet norm is the top singular value
+    of one real Toeplitz matrix, taken without singular vectors
+    (_jet_norm).  Raises ValueError unless n is an integer >= 1.
     """
     jet, size = _witness_parts(space, lam, n)
     return _jet_norm(jet) / size
 
 
 def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
-    """The real jet K_n^m[:n] of the unrotated witness and the norm of W o b_lam.
+    """The real jet K_n^m[:n] and the norm of the transplanted witness at r = |lam|.
 
-    The witness rotated for lam has the jet eta^k c_k, whose Toeplitz
-    matrix is a unitary similarity of that of c = K_n^m[:n], so c, real,
-    carries the jet norm of every rotation.  W o b_lam has exact Malmquist
-    coordinates b (_witness_coords); the basis is orthonormal in H^2, so
-    there the norm is ||b||_2.  Elsewhere it is the norm of the Taylor
-    series that _malmquist_series sums from b, read at r = |lam|: with
-    lam = r e^(i phi), W o b_lam(e^(i phi) z) is W_r o b_r(z), the norms
-    are radial, and W_r, its coordinates and the series over
-    (r,)*deg W + (0,) are real.  Raises ValueError unless n is an integer
-    >= 1.
+    The norm is ||b||_2 of the coordinates b of _witness_at where every
+    kappa_k is 1 (H^2 and l^2_a(1), where the basis is orthonormal),
+    norm(space, K) at r = 0, and otherwise the norm of the real Taylor
+    series that _malmquist_series sums from b over (r,)*deg W + (0,).
+    Raises ValueError unless n is an integer >= 1.
     """
     n = _multiplicity(n)
-    lam = complex(lam)
-    if not abs(lam) < 1.0:  # also catches NaN
+    r = abs(complex(lam))
+    if not r < 1.0:  # also catches NaN
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
-    base = _witness(space, 0j, n)  # the one kernel power, rotated for lam by _witness_coords
-    jet = base.coeffs[:n].real
-    if space.family == "hardy":  # _witness admits only p = 2 there
-        return jet, float(np.linalg.norm(_transplant_coords(_witness_coords(base, lam), abs(lam))))
-    if lam == 0:
-        return jet, _sp.norm(space, base)
-    r = abs(lam)
-    b = _transplant_coords(_witness_coords(base, r).real, r)  # real at lam = r > 0
+    K, h = _witness_at(space, r, n)
+    b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
+    if _sp._unit_kernel(space):
+        return K[:n], float(np.linalg.norm(b))
+    if r == 0.0:
+        return K[:n], _sp.norm(space, CoeffSeries(K))
     series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
-    return jet, _sp.norm(space, CoeffSeries(series))
-
-
-def _transplant_coords(h: np.ndarray, r: float) -> np.ndarray:
-    """Coordinates s h_0..s h_(m-1), h_m of W o b_lam over (lam,)*m + (0,), r = |lam|."""
-    return np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
+    return K[:n], _sp.norm(space, CoeffSeries(series))
 
 
 def interp_constant(
@@ -246,11 +226,11 @@ def interp_constant(
     b, taken to y = L^-1 b and ascended in lockstep (_ascend): the unit
     vectors, the all-ones and alternating vectors, then seeded random
     vectors, with the transplanted witness first when sigma is one
-    repeated point (lam,)*n; its coordinates are s sum_{j<=k} W_j
-    conj(lam)^(k-j) in closed form, so the estimate is at least
-    witness_lower_bound.  Every start stops once the estimate is within
-    _ASCENT_RTOL of the flattening bound (_flattening_bound), which bounds
-    the sup from above.  Deterministic under a fixed seed.  The result is
+    repeated point (lam,)*n: its coordinates h_k e^(-i k arg lam), k < n,
+    h from _witness_at at r = |lam| and the factor s left to the
+    normalisation, so the estimate is at least witness_lower_bound.  Every
+    start stops once the estimate is within _ASCENT_RTOL of the flattening
+    bound (_flattening_bound), which bounds the sup from above.  Deterministic under a fixed seed.  The result is
     an attained value, so a lower estimate of the true sup, never below
     any start's J, and never exceeds the flattening bound or the
     projection operator norm (plus rounding).  Raises LinAlgError where S
@@ -264,19 +244,20 @@ def interp_constant(
     lam = sigma.single_point()
     if lam is not None:
         try:
-            h = _witness_coords(_witness(space, 0j, n), lam)
+            h = _witness_at(space, abs(lam), n)[1][:n]
         except UnsupportedSpace:
             pass
         else:
-            starts.insert(0, h[:n] / np.linalg.norm(h[:n]))
+            turn = np.exp(-1j * np.angle(lam) * np.arange(n))
+            starts.insert(0, h * turn / np.linalg.norm(h))
     Y = np.linalg.solve(L, np.transpose(starts)).T
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
 
     def step(C: np.ndarray, Y: np.ndarray) -> np.ndarray:  # y = conj(c) / ||c|| per row
         return C.conj() / np.linalg.norm(C, axis=1, keepdims=True)
 
-    factor = _malmquist_factor(sigma.points, L)
-    return _ascend(factor, Y, step, _flattening_bound(factor[0]))
+    N = _malmquist_factor(sigma.points, L)
+    return _ascend(N, Y, step, _flattening_bound(N))
 
 
 def _flattening_bound(N: np.ndarray) -> float:
@@ -339,9 +320,8 @@ def bound_sweep(
     """Witness bounds, optional constant estimates and formulas on a grid.
 
     Rows are ordered n-major then r.  The witness is witness_lower_bound's,
-    bitwise, but the sweep takes the jet norm once per n: the rotation for
-    each r is a unitary similarity of the Toeplitz matrix of the one real,
-    unrotated jet, so every cell of that n shares its norm.  The log-log
+    bitwise, but the sweep takes the jet norm once per n: every cell of
+    that n shares the one real jet K_n^m[:n] (_witness_at).  The log-log
     slope of the witness (and estimate, when present on at least two
     cells) against n/(1-r) is fitted at the end.  Raises ValueError unless
     every n is an integer >= 1.
@@ -355,7 +335,7 @@ def bound_sweep(
         n, r = cell
         report = theorem_bounds(space, n, r)
         try:
-            jet, size = _witness_parts(space, complex(r), n)
+            jet, size = _witness_parts(space, r, n)
         except UnsupportedSpace:
             witness = None
         else:

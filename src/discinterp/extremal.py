@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodes
-from .series import CoeffSeries, SigmaSet, _basis_taylor
+from .series import CoeffSeries, SigmaSet, _basis_taylor, _check_diagonal
 
 __all__ = [
     "PickProblem",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 _MIN_SEPARATION = 1e-10
-#: largest a-posteriori estimate n * eps * sum_i |a_i| ||M_i||_2 / value of the
+#: largest a-posteriori estimate n * eps * sum_i |a_i| ||M_i||_F / value of the
 #: relative rounding error of the data map F(a) = sum_i a_i M_i at which a
 #: value is returned; the estimate grows like eps / gap for coalescing nodes
 _COND_LIMIT = 2e-3
@@ -130,30 +130,32 @@ def _norm_result(matrix: np.ndarray, mode: str) -> ExtremalResult:
     return ExtremalResult(value, residual, mode)
 
 
-def _pick_factor(points) -> tuple[np.ndarray, np.ndarray]:
-    """Stack M of the data map on distinct nodes, and the norms ||M_i||_2.
+def _pick_factor(points) -> np.ndarray:
+    """Stack M of the data map on distinct nodes, flat, shape (n, n*n).
 
     With C[j, k] = e_k(lam_j), lower triangular and read in closed form
     (_basis_taylor), C T_B = diag(lam) C, so
     data w at the nodes give F(w) = C^-1 diag(w) C = sum_i w_i M_i with the
-    rank-one M_i = C^-1[:, i] C[i, :], whose norm is the product of the two
-    vector norms.  M is flat, shape (n, n*n).  Raises DegenerateNodes for
-    nodes closer than _MIN_SEPARATION, exact repeats included.
+    rank-one M_i = C^-1[:, i] C[i, :].  Raises DegenerateNodes for nodes
+    closer than _MIN_SEPARATION, exact repeats included, and
+    np.linalg.LinAlgError where a diagonal entry of C underflows or
+    overflows (_check_diagonal), as for nodes clustered so tightly that
+    the products of Blaschke factors vanish in double precision.
     """
     sigma = SigmaSet(tuple(points))
     sep = sigma.min_separation()
     if sep < _MIN_SEPARATION:
         raise DegenerateNodes(f"node separation {sep:.2e} < {_MIN_SEPARATION}")
     C = _basis_taylor(sigma.points, sigma.points)[0].T
+    _check_diagonal(C)
     # C^T is upper triangular, so the LU inside inv exchanges no rows and
     # the inverse is a back substitution; inv(C) pivots and loses digits
     C_inv = np.linalg.inv(C.T).T
-    stack = np.einsum("ai,ib->iab", C_inv, C).reshape(sigma.n, -1)
-    return stack, np.linalg.norm(C_inv, axis=0) * np.linalg.norm(C, axis=1)
+    return np.einsum("ai,ib->iab", C_inv, C).reshape(sigma.n, -1)
 
 
-def _malmquist_factor(points, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of N_j = sum_i L_ij A_i, A_k = e_k(T_B), and the norms ||N_j||_2.
+def _malmquist_factor(points, L: np.ndarray) -> np.ndarray:
+    """Stack of N_j = sum_i L_ij A_i, A_k = e_k(T_B).
 
     A_k = s_k (I - conj(lam_k) T)^-1 prod_{j<k} b_{lam_j}(T) with
     b_lam(T) = (lam - T)(I - conj(lam) T)^-1, so g = sum_k b_k e_k in the
@@ -169,19 +171,16 @@ def _malmquist_factor(points, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         resolvent = np.linalg.solve(eye - np.conj(lam[k]) * T, running)
         stack[k] = np.sqrt(1.0 - abs(lam[k]) ** 2) * resolvent
         running = (lam[k] * eye - T) @ resolvent
-    N = L.T @ stack.reshape(n, n * n)
-    return N, np.linalg.norm(N.reshape(n, n, n), 2, axis=(1, 2))
+    return L.T @ stack.reshape(n, n * n)
 
 
-def _pick_value(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> float:
+def _pick_value(stack: np.ndarray, a: np.ndarray) -> float:
     """Least sup-norm through the jet a on the factored nodes: ||F(a)||_2."""
     n = a.size
-    return float(np.linalg.svd((a @ factor[0]).reshape(n, n), compute_uv=False)[0])
+    return float(np.linalg.svd((a @ stack).reshape(n, n), compute_uv=False)[0])
 
 
-def _ascend(
-    factor: tuple[np.ndarray, np.ndarray], starts, update, upper: float = math.inf
-) -> float:
+def _ascend(stack: np.ndarray, starts, update, upper: float = math.inf) -> float:
     """Best ||F(x)||_2 over the ascents from starts, in lockstep.
 
     Each step takes one stacked SVD of the data maps F(x) of the starts still
@@ -197,7 +196,7 @@ def _ascend(
     value wins, as if the starts had been ascended in order; the data map
     of that point is checked by _check_accuracy.
     """
-    stack, stop = factor[0], upper * (1.0 - _ASCENT_RTOL)
+    stop = upper * (1.0 - _ASCENT_RTOL)
     X = np.array(starts)
     k, n = X.shape
     # the per-row bookkeeping is on Python floats: at a budget of a few
@@ -222,20 +221,21 @@ def _ascend(
         X = update(pairs @ stack.T, X)
     i = max(range(k), key=best.__getitem__)  # the first start with the best value
     if best_at[i] is not None:
-        _check_accuracy(factor, best_at[i], best[i])
+        _check_accuracy(stack, best_at[i], best[i])
     return best[i]
 
 
-def _check_accuracy(factor: tuple[np.ndarray, np.ndarray], a: np.ndarray, value: float):
+def _check_accuracy(stack: np.ndarray, a: np.ndarray, value: float):
     """Raise DegenerateNodes when rounding in F(a) may exceed _COND_LIMIT * value.
 
-    The estimate n eps sum_i |a_i| ||M_i||_2 covers only the rounding of the
-    final combination sum_i a_i M_i.  It leaves out the rounding made while
+    The estimate n eps sum_i |a_i| ||M_i||_F, with the Frobenius norms of
+    the rows of the flat stack, covers only the rounding of the final
+    combination sum_i a_i M_i.  It leaves out the rounding made while
     forming the M_i and in the SVD, so it is an estimate, not a strict
     bound: on 16 nodes in the 0.5-disc with s*B data, 7 of 100 draws had a
     true relative error above it (up to 2.3e-12 against 1.6e-13).
     """
-    norms = factor[1]
+    norms = np.linalg.norm(stack, axis=1)
     bound = norms.size * _EPS * float(np.abs(a) @ norms)
     if bound > _COND_LIMIT * value:
         raise DegenerateNodes(f"nodes too close: rounding estimate {bound:.1e}, value {value:.1e}")
@@ -251,9 +251,9 @@ def pick_min_norm(problem: PickProblem) -> ExtremalResult:
     """
     nodes = np.array(problem.nodes)
     values = np.array(problem.values)
-    factor = _pick_factor(problem.nodes)
-    value = _pick_value(factor, values)
-    _check_accuracy(factor, values, value)
+    stack = _pick_factor(problem.nodes)
+    value = _pick_value(stack, values)
+    _check_accuracy(stack, values, value)
     cauchy = 1.0 / (1.0 - np.outer(nodes, nodes.conj()))
     pick = value * value * cauchy - np.outer(values, values.conj()) * cauchy
     return ExtremalResult(value, float(np.linalg.eigvalsh(pick)[0]), "pick")
@@ -317,7 +317,7 @@ def carleson_constant(
     Raises DegenerateNodes for nodes closer than _MIN_SEPARATION.
     """
     n = sigma.n
-    factor = _pick_factor(sigma.points)
+    stack = _pick_factor(sigma.points)
 
     def phase_step(C: np.ndarray, W: np.ndarray) -> np.ndarray:
         mag = np.abs(C)
@@ -330,4 +330,4 @@ def carleson_constant(
     while len(starts) < budget:
         phases = rng.uniform(-np.pi, np.pi, size=n - 1)
         starts.append(np.exp(1j * np.concatenate(([0.0], phases))))
-    return _ascend(factor, starts, phase_step)
+    return _ascend(stack, starts, phase_step)

@@ -92,10 +92,10 @@ def _mul_linear(coeffs: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def _div_geometric(coeffs: np.ndarray, a: complex) -> np.ndarray:
-    """Multiply a coefficient vector by 1 / (1 - a z), same length."""
-    out = coeffs.astype(complex)
+    """Multiply a coefficient vector by 1 / (1 - a z), same length; real for real data."""
+    out = coeffs.astype(np.result_type(coeffs, a))
     # 1 / (1 - a z) = prod_j (1 + (a z)^(2^j)); each factor is one shifted add
-    step, power = 1, complex(a)
+    step, power = 1, a
     while step < out.size and power != 0:
         out[step:] += power * out[:-step]
         step, power = 2 * step, power * power
@@ -283,11 +283,17 @@ def _basis_jets(sigma: SigmaSet) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         T = _basis_taylor(sigma.points, nodes, d.max() + 1)
         C = np.cumprod(np.maximum(np.arange(T.shape[0]), 1.0))[d, None] * T[d, :, j]  # d!
-    bad = np.flatnonzero(~np.isfinite(C.diagonal()) | (C.diagonal() == 0.0))
-    if bad.size:
-        kind = "underflow" if C[bad[0], bad[0]] == 0.0 else "overflow"
-        raise np.linalg.LinAlgError(f"the basis jets {kind} at diagonal {bad[0]}")
+    _check_diagonal(C)
     return C
+
+
+def _check_diagonal(C: np.ndarray) -> None:
+    """Raise np.linalg.LinAlgError naming the first diagonal entry of C that is 0 or not finite."""
+    d = C.diagonal()
+    bad = np.flatnonzero(~np.isfinite(d) | (d == 0.0))
+    if bad.size:
+        kind = "underflow" if d[bad[0]] == 0.0 else "overflow"
+        raise np.linalg.LinAlgError(f"the basis jets {kind} at diagonal {bad[0]}")
 
 
 def jet_values(f: CoeffSeries, sigma: SigmaSet) -> np.ndarray:

@@ -44,9 +44,9 @@ def recording_ascent(runs):
     """
     ascend = extremal._ascend
 
-    def recording(factor, starts, update, upper=float("inf")):
+    def recording(stack, starts, update, upper=float("inf")):
         def score(x):
-            return extremal._pick_value(factor, x)
+            return extremal._pick_value(stack, x)
 
         first, last = len(runs), [np.array(x) for x in starts]
         runs.extend([score(x)] for x in last)
@@ -63,17 +63,17 @@ def recording_ascent(runs):
                 runs[first + i].append(score(y))
             return new
 
-        return ascend(factor, starts, step, upper)
+        return ascend(stack, starts, step, upper)
 
     return recording
 
 
-def sequential_ascent(factor, starts, update, upper=float("inf")):
+def sequential_ascent(stack, starts, update, upper=float("inf")):
     """Reference for extremal._ascend: each start climbs alone, in order, to its own stop.
 
     upper is ignored, so every start runs to _ASCENT_RTOL or _ASCENT_STEPS.
     """
-    stack, best = factor[0], 0.0
+    best = 0.0
     for x in starts:
         n, run_best = x.size, 0.0
         for _ in range(extremal._ASCENT_STEPS):

@@ -52,6 +52,17 @@ NELDER_MEAD_CRITERION_10 = (
 )
 
 
+def turned_kernel(space, lam, n):
+    """K_n^m with coefficient k times (-conj(lam) / |lam|)^k: its peak faces away from lam.
+
+    The kernel itself at lam = 0; the reference witness for the transplant.
+    """
+    K = series_power(fejer_kernel(n), bounds._witness_power(space))
+    if lam == 0:
+        return K
+    return CoeffSeries(K.coeffs * (-np.conj(lam) / abs(lam)) ** np.arange(len(K)))
+
+
 class TestTheoremBounds:
     def test_hardy2_frozen_row(self):
         rep = theorem_bounds(hardy(2), 8, 0.5)
@@ -162,7 +173,7 @@ class TestWitness:
         # the norm of the Malmquist series against W o b_lam composed to degree 2^15
         for n in range(1, 25):
             lam = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            W = bounds._witness(space, lam, n)
+            W = turned_kernel(space, lam, n)
             composed = compose_with_blaschke(W, lam, n_out=1 << 15)
             want = cs_min_norm(W.coeffs[:n]).value / norm(space, composed)
             assert witness_lower_bound(space, lam, n) == pytest.approx(want, rel=1e-12)
@@ -171,7 +182,7 @@ class TestWitness:
     def test_near_circle_h2_matches_coordinate_sum(self, lam, n, value):
         # ||W o b_lam||_2^2 = s^2 sum_k |h_k|^2 with h = W / (1 - conj(lam) z);
         # past m = deg W, h_k = h_m conj(lam)^(k-m), so the terms from m sum to |h_m|^2
-        W = bounds._witness(hardy(2), lam, n)
+        W = turned_kernel(hardy(2), lam, n)
         h = series._div_geometric(W.coeffs, np.conj(lam))
         s2 = 1.0 - abs(lam) ** 2
         norm2 = s2 * np.sum(np.abs(h[:-1]) ** 2) + np.abs(h[-1]) ** 2
@@ -191,7 +202,7 @@ class TestWitness:
         monkeypatch.setattr(bounds, "_malmquist_series", refuse)
         for n in range(1, 33):
             lam = r * np.exp(2j * np.pi * rng.uniform())
-            W = bounds._witness(hardy(2), lam, n)
+            W = turned_kernel(hardy(2), lam, n)
             h = series._div_geometric(W.coeffs, np.conj(lam))
             norm2 = (1.0 - abs(lam) ** 2) * math.fsum(np.abs(h[:-1]) ** 2) + abs(h[-1]) ** 2
             want = cs_min_norm(W.coeffs[:n]).value / math.sqrt(norm2)
@@ -205,14 +216,14 @@ class TestWitness:
         assert np.isfinite(got)
         assert got == pytest.approx(value, rel=1e-5)
 
-    @pytest.mark.parametrize("space", [seq_weighted(2, 1.5), seq_weighted(2, 2)])
+    @pytest.mark.parametrize("space", [seq_weighted(2, 1.5), seq_weighted(2, 2), hardy(2)])
     def test_ignores_the_phase_of_lam(self, rng, space):
-        # W o b_lam(e^(i phi) z) = W_r o b_r(z), r = |lam|, and the norms are radial
+        # W o b_lam(e^(i phi) z) = W_r o b_r(z), r = |lam|, and the norms are
+        # radial, so the witness is read at |lam| alone, bitwise
         for n in (4, 16, 32, 64):
             for r in (0.5, 0.9, 0.99):
                 lam = r * np.exp(2j * np.pi * rng.uniform())
-                want = witness_lower_bound(space, abs(lam), n)
-                assert witness_lower_bound(space, lam, n) == pytest.approx(want, rel=2e-14)
+                assert witness_lower_bound(space, lam, n) == witness_lower_bound(space, abs(lam), n)
 
     @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5)])
     def test_witness_paths_do_not_evaluate_series_pointwise(self, monkeypatch, space):
@@ -476,7 +487,7 @@ class TestInterpConstant:
             starts.clear()
             interp_constant(space, sigma, budget=2)
             b = modelspace._malmquist_cholesky(space, sigma) @ starts[0]
-            f = compose_with_blaschke(bounds._witness(space, lam, n), lam, n_out=1 << 12)
+            f = compose_with_blaschke(turned_kernel(space, lam, n), lam, n_out=1 << 12)
             m = min(E.shape[1], len(f))
             coords = E[:, :m].conj() @ f.coeffs[:m]
             assert np.max(np.abs(b / np.linalg.norm(b) - coords / np.linalg.norm(coords))) <= 1e-14
@@ -556,9 +567,9 @@ class TestSweep:
             assert {name: getattr(row, name) for name in names} == asdict(report)
             assert row.x == row.n / (1 - row.r)
             assert row.witness == witness_lower_bound(space, complex(row.r), row.n)
-            # the unrotated witness (lam = 0) is the Fejer kernel power, bitwise
+            # the unturned witness (r = 0) is the Fejer kernel power, bitwise
             base = series_power(fejer_kernel(row.n), m)
-            assert np.array_equal(bounds._witness(space, 0j, row.n).coeffs, base.coeffs)
+            assert np.array_equal(bounds._witness_at(space, 0.0, row.n)[0], base.coeffs)
 
     def test_one_jet_norm_per_distinct_jet(self, monkeypatch):
         # every rotation of the jet is a unitary similarity of the unrotated

@@ -14,6 +14,7 @@ from discinterp import (
     PickProblem,
     SigmaSet,
     carleson_constant,
+    cli,
     compose_with_blaschke,
     cs_min_norm,
     eval_series,
@@ -200,12 +201,29 @@ class TestPickFactor:
                 assert value == pytest.approx(1.0 / np.prod(pseudo), rel=1e-13)
 
     def test_closed_form_norms_match_svd(self, rng):
+        # the M_i are rank one, so the Frobenius norms of the stack's rows,
+        # which _check_accuracy reads, are their spectral norms
         for _ in range(40):
             sigma = random_sigma(rng, n_max=8, r_max=0.9, distinct=True)
             n = sigma.n
-            stack, norms = extremal._pick_factor(sigma.points)
+            stack = extremal._pick_factor(sigma.points)
+            norms = np.linalg.norm(stack, axis=1)
             svd = np.linalg.norm(stack.reshape(n, n, n), 2, axis=(1, 2))
             assert np.max(np.abs(norms - svd) / svd) <= 1e-13
+
+    def test_clustered_nodes_name_the_underflow(self):
+        # 150 nodes on |z - 0.5| = 0.001 are 4e-5 apart, above _MIN_SEPARATION,
+        # but the diagonal of C underflows: both entry points name it, and
+        # the CLI exits 2 as for every LinAlgError
+        points = tuple(0.5 + 0.001 * np.exp(2j * np.pi * np.arange(150) / 150))
+        message = r"basis jets underflow at diagonal \d+"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            pick_min_norm(PickProblem(points, (1.0,) * 150))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            carleson_constant(SigmaSet(points), budget=2)
+        nodes = ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in points)
+        argv = ["pick", "--nodes", nodes, "--values", ",".join(["1"] * 150)]
+        assert cli.main(argv) == 2
 
 
 class TestCaratheodorySchur:
