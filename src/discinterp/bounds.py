@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import NotHilbert, PoleOnDomain, UnsupportedSpace
 from .extremal import _ascend, _jet_norm, _malmquist_factor
-from .modelspace import _malmquist_cholesky, _malmquist_series
 from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
+from .spaces import _malmquist_cholesky, _malmquist_series
 from . import spaces as _sp
 
 __all__ = [
@@ -230,11 +230,12 @@ def interp_constant(
     h from _witness_at at r = |lam| and the factor s left to the
     normalisation, so the estimate is at least witness_lower_bound.  Every
     start stops once the estimate is within _ASCENT_RTOL of the flattening
-    bound (_flattening_bound), which bounds the sup from above.  Deterministic under a fixed seed.  The result is
-    an attained value, so a lower estimate of the true sup, never below
-    any start's J, and never exceeds the flattening bound or the
-    projection operator norm (plus rounding).  Raises LinAlgError where S
-    has no Cholesky factor in double precision (_malmquist_cholesky).
+    bound (_flattening_bound), which bounds the sup from above.
+    Deterministic under a fixed seed.  The result is an attained value, so
+    a lower estimate of the true sup, never below any start's J, and never
+    exceeds the flattening bound or the projection operator norm (plus
+    rounding).  Raises LinAlgError where S has no Cholesky factor in double
+    precision (_malmquist_cholesky).
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")

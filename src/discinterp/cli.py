@@ -22,6 +22,7 @@ import datetime
 import functools
 import itertools
 import json
+import math
 import sys
 from typing import Any
 
@@ -312,8 +313,6 @@ def _run_bernstein(args: argparse.Namespace) -> tuple[list[tuple], dict]:
 
 
 def _iterated_bound(sigma: SigmaSet, order: int) -> float:
-    import math
-
     return math.factorial(order) * (2.5 * sigma.n / (1.0 - sigma.r)) ** order
 
 

@@ -33,7 +33,7 @@ class NotHilbert(UnsupportedSpace):
 
 
 class Divergence(DiscinterpError):
-    """Evaluation-functional norm diverges (t >= 1)."""
+    """A kernel series, Stein sum or coefficient series does not converge within 2^21 terms."""
 
 
 class DegenerateNodes(DiscinterpError):

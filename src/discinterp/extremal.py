@@ -2,10 +2,11 @@
 
 Every value is the spectral norm of a polynomial in the compressed shift
 T_B, multiplication by z compressed to K_B = H^2 (-) B H^2 in its Malmquist
-basis: ||f||_{H^inf / B H^inf} = ||f(T_B)||_2 (Sarason).  In closed form
-T[k, k] = lam_k and, for k > l, T[k, l] = -s_k s_l prod_{l<m<k} conj(lam_m)
-with s_k = sqrt(1 - |lam_k|^2), zero above the diagonal; nothing is
-truncated, and distinct, repeated and mixed multisets are handled alike.
+basis: ||f||_{H^inf / B H^inf} = ||f(T_B)||_2 (Sarason).  T_B comes in
+closed form from series._compressed_shift: T[k, k] = lam_k and, for k > l,
+T[k, l] = -s_k s_l prod_{l<m<k} conj(lam_m) with s_k = sqrt(1 - |lam_k|^2),
+zero above the diagonal; nothing is truncated, and distinct, repeated and
+mixed multisets are handled alike.
 A function is evaluated at T_B by block Horner.  Values w at distinct nodes
 enter as C^-1 diag(w) C with C[j, k] = e_k(lam_j), as C T_B = diag(lam) C
 (_pick_factor), and coordinates b = L y on any multiset through the stack
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodes
-from .series import CoeffSeries, SigmaSet, _basis_taylor, _check_diagonal
+from .series import CoeffSeries, SigmaSet, _basis_taylor, _check_diagonal, _compressed_shift
 
 __all__ = [
     "PickProblem",
@@ -87,22 +88,6 @@ class ExtremalResult:
     value: float
     certificate: float
     mode: str
-
-
-def _compressed_shift(points) -> np.ndarray:
-    """T_B in the Malmquist basis of the Blaschke product with these zeros.
-
-    Real for a real array of zeros, complex otherwise."""
-    lam = np.asarray(points)
-    if lam.dtype.kind != "c":
-        lam = lam.astype(float)
-    T = np.eye(lam.size, k=-1, dtype=lam.dtype)  # below the diagonal, prod_{l<m<k} conj(lam_m)
-    for k in range(2, lam.size):
-        T[k, : k - 1] = T[k - 1, : k - 1] * lam[k - 1].conjugate()
-    s = np.sqrt(1.0 - np.abs(lam) ** 2)
-    T *= -s[:, None] * s
-    T.flat[:: lam.size + 1] = lam
-    return T
 
 
 def _polyval_matrix(coeffs: np.ndarray, T: np.ndarray) -> np.ndarray:

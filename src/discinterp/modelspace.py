@@ -8,39 +8,25 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
 projects onto span(e_k) through the H^2 inner product
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
-sigma.  The basis coefficients and their kernel-weighted Gram are summed
-from one stream of T_B-power blocks (_stein_blocks) of w columns each, a
-later block costing n^2 w; the Taylor series of any sum_k b_k e_k takes
-the first block alone and carries one row b^T T_B^(jw) through the later
-ones, n^2 + n w each.  Each is cut at its exact dropped mass, so the Gram
-and the series need no truncated basis.  The basis keeps the fewest
-columns N on the grid 1, 2, 4, .., 256, 512, 768, .. that drop at most
-2^-106; derivative operator norms come from the Gram matrix of the
-differentiated coefficients.
+sigma.  The basis coefficients are the stream of T_B-power blocks of
+spaces._stein_blocks, T_B from series._compressed_shift, and the basis
+keeps the fewest columns N on the grid 1, 2, 4, .., 256, 512, 768, ..
+that drop at most 2^-106; derivative operator norms come from the Gram
+matrix of the differentiated coefficients, and the interpolation
+operator's norm from the Stein Gram spaces._malmquist_gram and the
+closed-form basis values of series._basis_taylor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import Divergence, TruncationError
-from .extremal import _compressed_shift
-from .series import CoeffSeries, SigmaSet, _basis_taylor, _falling
-from .spaces import (
-    _CIRCLE_GRID,
-    _POLISH_PEAKS,
-    _DIVERGENCE,
-    _SERIES_BLOCK,
-    _SERIES_KMAX,
-    _TAIL_EPS,
-    SpaceSpec,
-    _polished_max,
-    _unit_kernel,
-    kernel_diagonal,
-)
+from .errors import TruncationError
+from .series import CoeffSeries, SigmaSet, _basis_taylor, _compressed_shift, _falling
+from .spaces import (_CIRCLE_GRID, _POLISH_PEAKS, _TAIL_EPS, SpaceSpec, _malmquist_gram,
+                     _polished_max, _stein_blocks, _unit_kernel)
 
 __all__ = [
     "MalmquistBasis",
@@ -84,98 +70,6 @@ class MalmquistBasis:
     def eval(self, z) -> np.ndarray:
         """Exact rational values e_k(z); shape (n, len(z))."""
         return _basis_taylor(self.sigma.points, z)[0]
-
-
-def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first block V of the columns v_m = T_B^m conj(e(0)), step = T_B^w and (T_B^w)^T Q.
-
-    Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m); as
-    sum_m v_m v_m^H = I, the columns past M drop ||(T_B^M)^T Q||_F^2 for a
-    probe Q (None: Q = I).  V doubles to [V, T^w V] while that mass is above
-    2^-106 ||Q||^2 (1 for Q = I) and its width w < _SERIES_BLOCK.  Real for
-    a real array of zeros."""
-    step = _compressed_shift(points)
-    lam = step.diagonal()
-    # e_k(0) = s_k prod_{j<k} lam_j
-    e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
-    V = e0.conj()[:, None]
-    floor = _TAIL_EPS**2 * (1.0 if probe is None else float(np.vdot(probe, probe).real))
-    while True:
-        P = step.T if probe is None else step.T @ probe  # (T^w)^T Q
-        if np.vdot(P, P).real <= floor or V.shape[1] >= _SERIES_BLOCK:
-            return V, step, P
-        V, step = np.hstack((V, step @ V)), step @ step
-
-
-def _stein_blocks(points) -> Iterator[tuple[np.ndarray, float]]:
-    """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass ||T_B^M||_F^2 past it.
-
-    The first is _first_block's; later ones are T^w times the one before."""
-    V, step, P = _first_block(points)
-    while True:
-        yield V, float(np.vdot(P, P).real)
-        V, P = step @ V, step.T @ P
-
-
-def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
-    """S_kl = sum_m kappa_m conj(E_km) E_lm, the Stein sum sum_m kappa_m v_m v_m^H.
-
-    The least X-norm of an f whose projection onto K_B has the coordinates
-    b is sqrt(b^H S^-1 b).  On H^2, S is the identity.  Past M the sum drops
-    at most ||T^M||_2^2 max_j(kappa_(M+j) / kappa_j) tr S of its trace, the
-    max at j = 0 for every kappa here, so it stops once ||T^M||_F^2 kappa_M
-    <= _TAIL_EPS kappa_0, and diverges past _SERIES_KMAX."""
-    kappa_0 = float(kernel_diagonal(space, 0.0))
-    S, M = 0.0, 0
-    for V, mass in _stein_blocks(sigma.points):
-        kappa = kernel_diagonal(space, np.arange(M, M + V.shape[1] + 1))
-        S, M = S + (V * kappa[:-1]) @ V.conj().T, M + V.shape[1]
-        if mass * kappa[-1] <= _TAIL_EPS * kappa_0:
-            return 0.5 * (S + S.conj().T)
-        if M > _SERIES_KMAX:
-            raise Divergence(_DIVERGENCE)
-
-
-def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
-    """The Cholesky factor L, L L^H = S, of the Stein Gram _malmquist_gram.
-
-    S >= kappa_0 I, as kappa_k never decreases and sum_m v_m v_m^H = I, so
-    np.linalg.LinAlgError is raised only where rounding hides that, which
-    needs eps lambda_max(S) > kappa_0; its message names S and gives
-    lambda_max(S) / kappa_0.  ValueError when S is not finite.
-    """
-    S = _malmquist_gram(space, sigma)
-    if not np.all(np.isfinite(S)):  # np.linalg.cholesky would return NaNs
-        raise ValueError("array must not contain infs or NaNs")
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        spread = np.linalg.eigvalsh(S)[-1] / float(kernel_diagonal(space, 0.0))
-        raise np.linalg.LinAlgError(
-            f"the Stein Gram S of these nodes has no Cholesky factor in double precision"
-            f" (lambda_max(S) / kappa_0 = {spread:.3g}; S >= kappa_0 I holds exactly)"
-        ) from None
-
-
-def _malmquist_series(points, b: np.ndarray) -> np.ndarray:
-    """Taylor coefficients of sum_k b_k e_k on these zeros, cut at a dropped 2^-106 ||b||^2.
-
-    Coefficient m is b^T conj(v_m), and conj(v_m) is v_m of the conjugate
-    zeros.  Over those, block j of width w is b^T T^(jw) V_0 = P_(j-1)^T V_0,
-    V_0 the first block (_first_block) and P_j = (T^((j+1)w))^T b, P_(-1) = b,
-    the probe whose squared norm is the mass dropped past block j: each
-    block after the first costs one n x n and one n x w product.  Real for
-    real zeros and a real b.  Diverges past _SERIES_KMAX coefficients.
-    """
-    floor = _TAIL_EPS**2 * float(np.vdot(b, b).real)
-    V, step, P = _first_block(np.conj(points), b)
-    pieces = [b @ V]
-    while np.vdot(P, P).real > floor:
-        if len(pieces) * V.shape[1] > _SERIES_KMAX:  # every block has the same width
-            raise Divergence(_DIVERGENCE)
-        pieces.append(P @ V)
-        P = step.T @ P
-    return np.concatenate(pieces)
 
 
 def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBasis:

@@ -1,9 +1,12 @@
-"""Truncated Taylor series on the unit disc, node multisets and exact basis jets.
+"""Truncated Taylor series on the unit disc, node multisets and the closed-form model space.
 
 A series is its coefficient vector c_0..c_N; all operations are pure and
-return new objects.  The Malmquist basis functions e_k are read here in
-closed form by one Taylor recurrence (_basis_taylor) at any points, nodes
-included: their values, derivatives and exact jets on the nodes (_basis_jets).
+return new objects.  The model space K_B of a node multiset is read here in
+closed form, and every higher layer reads it from here.  The Malmquist
+basis functions e_k come from one Taylor recurrence (_basis_taylor) at any
+points, nodes included: their values, derivatives and exact jets on the
+nodes (_basis_jets).  The compressed shift T_B, multiplication by z
+compressed to K_B, is its matrix in that basis (_compressed_shift).
 compose_with_blaschke is a reference composition that no library path calls.
 """
 
@@ -243,6 +246,22 @@ def _falling(ks: np.ndarray, d: int) -> np.ndarray:
     for i in range(d):
         out *= ks - i
     return out
+
+
+def _compressed_shift(points) -> np.ndarray:
+    """T_B in the Malmquist basis of the Blaschke product with these zeros.
+
+    Real for a real array of zeros, complex otherwise."""
+    lam = np.asarray(points)
+    if lam.dtype.kind != "c":
+        lam = lam.astype(float)
+    T = np.eye(lam.size, k=-1, dtype=lam.dtype)  # below the diagonal, prod_{l<m<k} conj(lam_m)
+    for k in range(2, lam.size):
+        T[k, : k - 1] = T[k - 1, : k - 1] * lam[k - 1].conjugate()
+    s = np.sqrt(1.0 - np.abs(lam) ** 2)
+    T *= -s[:, None] * s
+    T.flat[:: lam.size + 1] = lam
+    return T
 
 
 def _basis_taylor(points, z, m: int = 1) -> np.ndarray:

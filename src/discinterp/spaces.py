@@ -13,8 +13,15 @@ that encodes kappa_k.  The norm sqrt(sum_k |f_k|^2 / kappa_k) and the
 evaluation-functional norms follow from it directly; Gram matrices and
 minimal-norm interpolants from the Stein Gram S of the Malmquist
 coefficients and the lower-triangular jets of the basis on sigma, with no
-kernel series in jet coordinates.  Every series that fails to converge
-raises one ``Divergence`` (_DIVERGENCE).  FFT and quadrature serve p != 2.
+kernel series in jet coordinates.  The coefficients come as one stream of
+T_B-power blocks (_stein_blocks) of w columns each, a later block costing
+n^2 w; S sums it with the weights kappa_m (the identity, with no sum,
+where every kappa_m is 1), and the Taylor series of any sum_k b_k e_k
+(_malmquist_series) takes the first block alone and carries one row
+b^T T_B^(jw) through the later ones, n^2 + n w each.  Each is cut at its
+exact dropped mass, so neither needs a truncated basis.  Every series that
+fails to converge raises one ``Divergence`` (_DIVERGENCE).  FFT and
+quadrature serve p != 2.
 """
 
 from __future__ import annotations
@@ -23,16 +30,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    Divergence,
-    IllConditionedWarning,
-    NotHilbert,
-    UnsupportedSpace,
-)
-from .series import CoeffSeries, SigmaSet, _basis_jets, series_power
+from .errors import Divergence, IllConditionedWarning, NotHilbert, UnsupportedSpace
+from .series import CoeffSeries, SigmaSet, _basis_jets, _compressed_shift, series_power
 
 __all__ = [
     "SpaceSpec",
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 # Blocks of the l^p_a dual-weight sum (eval_functional_norm) and its tail rule;
-# _SERIES_BLOCK also caps modelspace's column blocks, and both stop at _SERIES_KMAX.
+# _SERIES_BLOCK also caps the T_B-power blocks (_first_block); both stop at _SERIES_KMAX.
 _SERIES_TOL = 1e-14
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
@@ -211,7 +214,9 @@ def _hardy_norm(p: float, f: CoeffSeries) -> float:
     return float(_circle_means(np.fft.fft(f.padded(m)), p, moduli, powers) ** (1.0 / p))
 
 
-def _circle_means(spectra: np.ndarray, p: float, moduli: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _circle_means(
+    spectra: np.ndarray, p: float, moduli: np.ndarray, powers: np.ndarray
+) -> np.ndarray:
     """Mean of |F|^p along the last axis of ``spectra``, samples of F on circles.
 
     ``moduli`` and ``powers`` are real arrays of the shape of ``spectra``,
@@ -544,8 +549,104 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices and minimal-norm interpolation
+# Malmquist coefficient stream, Stein Gram, Gram matrices, minimal-norm interpolation
 # ---------------------------------------------------------------------------
+
+
+def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first block V of the columns v_m = T_B^m conj(e(0)), step = T_B^w and (T_B^w)^T Q.
+
+    Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m); as
+    sum_m v_m v_m^H = I, the columns past M drop ||(T_B^M)^T Q||_F^2 for a
+    probe Q (None: Q = I).  V doubles to [V, T^w V] while that mass is above
+    2^-106 ||Q||^2 (1 for Q = I) and its width w < _SERIES_BLOCK.  Real for
+    a real array of zeros."""
+    step = _compressed_shift(points)
+    lam = step.diagonal()
+    # e_k(0) = s_k prod_{j<k} lam_j
+    e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
+    V = e0.conj()[:, None]
+    floor = _TAIL_EPS**2 * (1.0 if probe is None else float(np.vdot(probe, probe).real))
+    while True:
+        P = step.T if probe is None else step.T @ probe  # (T^w)^T Q
+        if np.vdot(P, P).real <= floor or V.shape[1] >= _SERIES_BLOCK:
+            return V, step, P
+        V, step = np.hstack((V, step @ V)), step @ step
+
+
+def _stein_blocks(points) -> Iterator[tuple[np.ndarray, float]]:
+    """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass ||T_B^M||_F^2 past it.
+
+    The first is _first_block's; later ones are T^w times the one before."""
+    V, step, P = _first_block(points)
+    while True:
+        yield V, float(np.vdot(P, P).real)
+        V, P = step @ V, step.T @ P
+
+
+def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
+    """S_kl = sum_m kappa_m conj(E_km) E_lm, the Stein sum sum_m kappa_m v_m v_m^H.
+
+    The least X-norm of an f whose projection onto K_B has the coordinates
+    b is sqrt(b^H S^-1 b).  Where every kappa_m is 1 (_unit_kernel: H^2 and
+    l^2_a(1)), S = sum_m v_m v_m^H is the identity, returned exactly with no
+    block summed, at any distance from the circle.  Elsewhere, past M the sum
+    drops at most ||T^M||_2^2 max_j(kappa_(M+j) / kappa_j) tr S of its trace,
+    the max at j = 0 for every kappa here, so it stops once ||T^M||_F^2
+    kappa_M <= _TAIL_EPS kappa_0, and diverges past _SERIES_KMAX."""
+    if _unit_kernel(space):
+        return np.eye(sigma.n)
+    kappa_0 = float(kernel_diagonal(space, 0.0))
+    S, M = 0.0, 0
+    for V, mass in _stein_blocks(sigma.points):
+        kappa = kernel_diagonal(space, np.arange(M, M + V.shape[1] + 1))
+        S, M = S + (V * kappa[:-1]) @ V.conj().T, M + V.shape[1]
+        if mass * kappa[-1] <= _TAIL_EPS * kappa_0:
+            return 0.5 * (S + S.conj().T)
+        if M > _SERIES_KMAX:
+            raise Divergence(_DIVERGENCE)
+
+
+def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
+    """The Cholesky factor L, L L^H = S, of the Stein Gram _malmquist_gram.
+
+    S >= kappa_0 I, as kappa_k never decreases and sum_m v_m v_m^H = I, so
+    np.linalg.LinAlgError is raised only where rounding hides that, which
+    needs eps lambda_max(S) > kappa_0; its message names S and gives
+    lambda_max(S) / kappa_0.  ValueError when S is not finite.
+    """
+    S = _malmquist_gram(space, sigma)
+    if not np.all(np.isfinite(S)):  # np.linalg.cholesky would return NaNs
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        spread = np.linalg.eigvalsh(S)[-1] / float(kernel_diagonal(space, 0.0))
+        raise np.linalg.LinAlgError(
+            f"the Stein Gram S of these nodes has no Cholesky factor in double precision"
+            f" (lambda_max(S) / kappa_0 = {spread:.3g}; S >= kappa_0 I holds exactly)"
+        ) from None
+
+
+def _malmquist_series(points, b: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of sum_k b_k e_k on these zeros, cut at a dropped 2^-106 ||b||^2.
+
+    Coefficient m is b^T conj(v_m), and conj(v_m) is v_m of the conjugate
+    zeros.  Over those, block j of width w is b^T T^(jw) V_0 = P_(j-1)^T V_0,
+    V_0 the first block (_first_block) and P_j = (T^((j+1)w))^T b, P_(-1) = b,
+    the probe whose squared norm is the mass dropped past block j: each
+    block after the first costs one n x n and one n x w product.  Real for
+    real zeros and a real b.  Diverges past _SERIES_KMAX coefficients.
+    """
+    floor = _TAIL_EPS**2 * float(np.vdot(b, b).real)
+    V, step, P = _first_block(np.conj(points), b)
+    pieces = [b @ V]
+    while np.vdot(P, P).real > floor:
+        if len(pieces) * V.shape[1] > _SERIES_KMAX:  # every block has the same width
+            raise Divergence(_DIVERGENCE)
+        pieces.append(P @ V)
+        P = step.T @ P
+    return np.concatenate(pieces)
 
 
 def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
@@ -557,11 +658,9 @@ def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     only through the coordinates b_k = <f, e_k> of its projection onto K_B,
     as C b with C[i, k] = e_k^(d_i)(lam_i) lower triangular (_basis_jets),
     so G = C S C^H with S the Stein Gram of the Malmquist coefficients
-    (modelspace._malmquist_gram).  Warns IllConditionedWarning when the
+    (_malmquist_gram).  Warns IllConditionedWarning when the
     spectrum spans more than 1e13.
     """
-    from .modelspace import _malmquist_gram  # modelspace imports this module
-
     if not space.is_hilbert:
         raise NotHilbert("Gram matrices need a Hilbert-case space")
     C = _basis_jets(sigma)
@@ -619,7 +718,7 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     The jet of f is C b, b the coordinates of its projection onto K_B and
     C lower triangular (_basis_jets), so b = C^-1 a is one triangular
     solve, and the confluent G is never formed.  With L L^H = S the Stein
-    Gram (modelspace._malmquist_cholesky), the least norm is
+    Gram (_malmquist_cholesky), the least norm is
     sqrt(b^H S^-1 b) = ||L^-1 b||, attained at f_k = kappa_k g_k for
     g = sum_k mu_k e_k, mu = L^-H L^-1 b.  _malmquist_series cuts g where its
     dropped coefficients carry at most 2^-106 ||mu||^2 of squared mass, so
@@ -632,8 +731,6 @@ def min_norm_trace(space: SpaceSpec, sigma: SigmaSet, a) -> MinNormResult:
     those from scipy.linalg.solve_triangular, and every failure raises the
     same error.
     """
-    from .modelspace import _malmquist_cholesky, _malmquist_series  # they import this module
-
     a = np.asarray(a, dtype=complex)
     if a.shape != (sigma.n,):
         raise ValueError(f"trace vector must have length {sigma.n}")

@@ -25,7 +25,6 @@ from discinterp import (
     jet_values,
     malmquist_basis,
     min_norm_trace,
-    modelspace,
     norm,
     projection_operator_norm,
     quotient_norm,
@@ -35,6 +34,7 @@ from discinterp import (
     theorem_bounds,
     witness_lower_bound,
 )
+from discinterp.spaces import _malmquist_cholesky
 
 from conftest import random_sigma, recording_ascent, sequential_ascent
 
@@ -486,7 +486,7 @@ class TestInterpConstant:
         for space in (hardy(2), seq_weighted(2, 1.5)):
             starts.clear()
             interp_constant(space, sigma, budget=2)
-            b = modelspace._malmquist_cholesky(space, sigma) @ starts[0]
+            b = _malmquist_cholesky(space, sigma) @ starts[0]
             f = compose_with_blaschke(turned_kernel(space, lam, n), lam, n_out=1 << 12)
             m = min(E.shape[1], len(f))
             coords = E[:, :m].conj() @ f.coeffs[:m]

@@ -27,7 +27,7 @@ from discinterp import (
     projection_operator_norm,
     quotient_norm,
 )
-from discinterp.series import _basis_taylor
+from discinterp.series import _basis_taylor, _compressed_shift
 
 from conftest import oracles, random_poly, random_sigma, recording_ascent, sequential_ascent
 
@@ -291,7 +291,7 @@ class TestQuotient:
         E = malmquist_basis(sigma).coeff_matrix()
         shifted = np.zeros_like(E)
         shifted[:, 1:] = E[:, :-1]
-        T = extremal._compressed_shift(sigma.points)
+        T = _compressed_shift(sigma.points)
         assert np.max(np.abs(E.conj() @ shifted.T - T)) <= 1e-12
 
     def test_transplanted_jet_matches_direct_cs(self, rng):

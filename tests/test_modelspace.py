@@ -23,30 +23,33 @@ from discinterp import (
     seq_weighted,
 )
 
-from discinterp.extremal import _compressed_shift
-from discinterp.spaces import _polished_max
-from discinterp.series import _basis_jets, _basis_taylor
+from discinterp.spaces import (_first_block, _malmquist_gram, _malmquist_series, _polished_max,
+                               _stein_blocks)
+from discinterp.series import _basis_jets, _basis_taylor, _compressed_shift
 
 from conftest import oracles, random_poly, random_sigma
 
 
 def _counted(monkeypatch, call):
-    """call() with the columns it took from _stein_blocks and its _compressed_shift calls."""
+    """call() with the columns it took from _stein_blocks and its _compressed_shift calls.
+
+    Each is patched in the module that makes the call: spaces for the Gram
+    and the stream's first block, modelspace for the basis and its cap check."""
     widths, shifts = [], []
-    blocks, shift = modelspace._stein_blocks, modelspace._compressed_shift
 
     def recording(*args):
-        for V, mass in blocks(*args):
+        for V, mass in _stein_blocks(*args):
             widths.append(V.shape[1])
             yield V, mass
 
     def counting(points):
         shifts.append(len(points))
-        return shift(points)
+        return _compressed_shift(points)
 
     with monkeypatch.context() as m:
-        m.setattr(modelspace, "_stein_blocks", recording)
-        m.setattr(modelspace, "_compressed_shift", counting)
+        for module in ("spaces", "modelspace"):
+            m.setattr(f"discinterp.{module}._stein_blocks", recording)
+            m.setattr(f"discinterp.{module}._compressed_shift", counting)
         return call(), sum(widths), len(shifts)
 
 
@@ -374,8 +377,17 @@ class TestOperatorNorm:
             E = malmquist_basis(sigma).coeff_matrix()
             for space in spaces:
                 want = (E.conj() * kernel_diagonal(space, np.arange(E.shape[1]))) @ E.T
-                got = modelspace._malmquist_gram(space, sigma)
+                got = _malmquist_gram(space, sigma)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1)])
+    def test_unit_kernel_gram_is_the_identity_near_the_circle(self, rng, space):
+        # S = sum_m v_m v_m^H = I exactly, where a Stein sum of hundreds of
+        # blocks was off by up to 2e-12 at r = 0.9999
+        for n in (1, 4, 16):
+            points = 0.9999 * np.exp(2j * np.pi * rng.uniform(size=n))
+            S = _malmquist_gram(space, SigmaSet(tuple(points)))
+            assert np.array_equal(S, np.eye(n))
 
     def test_malmquist_series_matches_truncated_basis(self, rng):
         # the Taylor series of sum_k b_k e_k from T_B alone, against b^T E
@@ -385,7 +397,7 @@ class TestOperatorNorm:
                 sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
             b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
             want = b @ malmquist_basis(sigma).coeff_matrix()
-            got = modelspace._malmquist_series(sigma.points, b)
+            got = _malmquist_series(sigma.points, b)
             m = min(got.size, want.size)
             assert np.max(np.abs(got[:m] - want[:m])) <= 1e-14 * np.max(np.abs(want))
             # past the common length both are below the tail rule
@@ -396,7 +408,7 @@ class TestOperatorNorm:
     def _block_series(points, b):
         """The Taylor coefficients of sum_k b_k e_k, each block T^w times the one before."""
         floor = 2.0**-106 * np.vdot(b, b).real
-        V, step, P = modelspace._first_block(np.conj(points), b)
+        V, step, P = _first_block(np.conj(points), b)
         pieces = [b @ V]
         while np.vdot(P, P).real > floor:
             V, P = step @ V, step.T @ P
@@ -413,7 +425,7 @@ class TestOperatorNorm:
                 points += [0.0, 0.0]
             points = np.array(points)
             b = rng.standard_normal(points.size) + 1j * rng.standard_normal(points.size)
-            got = modelspace._malmquist_series(points, b)
+            got = _malmquist_series(points, b)
             want = self._block_series(points, b)
             assert got.dtype == complex and got.size == want.size
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -425,8 +437,8 @@ class TestOperatorNorm:
             if i % 2:
                 points = np.append(np.repeat(points[:1], 40), 0.0)  # a witness's zeros
             b = rng.standard_normal(points.size)
-            got = modelspace._malmquist_series(points, b)
-            want = modelspace._malmquist_series(points.astype(complex), b.astype(complex))
+            got = _malmquist_series(points, b)
+            want = _malmquist_series(points.astype(complex), b.astype(complex))
             assert got.dtype == np.float64 and got.size == want.size
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -438,7 +450,7 @@ class TestOperatorNorm:
             if i % 2 and sigma.n > 1:  # a repeated node
                 sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
             b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
-            got = modelspace._malmquist_series(sigma.points, b)
+            got = _malmquist_series(sigma.points, b)
             M = got.size
             reference = b @ malmquist_basis(sigma, n_trunc=M + 4095).coeff_matrix()
             assert np.max(np.abs(got - reference[:M])) <= 1e-14 * np.max(np.abs(got))
@@ -450,17 +462,20 @@ class TestOperatorNorm:
 
     def test_gram_tail_is_under_its_bound(self, rng, monkeypatch):
         # past M columns the Stein sum drops at most
-        # ||T^M||_2^2 (kappa_M / kappa_0) tr S of its trace, and at most _TAIL_EPS tr S
-        spaces = (hardy(2), seq_weighted(2, 1.5), seq_weighted(2, 2),
+        # ||T^M||_2^2 (kappa_M / kappa_0) tr S of its trace, and at most _TAIL_EPS tr S;
+        # on H^2 it is the identity and takes no column
+        spaces = (seq_weighted(2, 1.5), seq_weighted(2, 2),
                   bergman_radial(2, -0.5), bergman_radial(2, 1.0))
         for i in range(8):
             sigma = random_sigma(rng, n_max=6, r_max=0.9)
             if i % 2 and sigma.n > 1:  # a repeated node
                 sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
+            S, M, shifts = _counted(monkeypatch, lambda: _malmquist_gram(hardy(2), sigma))
+            assert np.array_equal(S, np.eye(sigma.n)) and M == shifts == 0
             E = malmquist_basis(sigma, n_trunc=8191).coeff_matrix()
             T = _compressed_shift(sigma.points)
             for space in spaces:
-                S, M, _ = _counted(monkeypatch, lambda: modelspace._malmquist_gram(space, sigma))
+                S, M, _ = _counted(monkeypatch, lambda: _malmquist_gram(space, sigma))
                 kappa = kernel_diagonal(space, np.arange(E.shape[1]))
                 tail = np.sum(kappa[M:] * np.sum(np.abs(E[:, M:]) ** 2, axis=0))
                 trace = np.trace(S).real
@@ -517,7 +532,7 @@ class TestOperatorNorm:
     @staticmethod
     def _refined_grid_max(space, sigma, m=1 << 18):
         """sqrt of the largest g on m angles, and on m / 64 angles around its top."""
-        S = modelspace._malmquist_gram(space, sigma)
+        S = _malmquist_gram(space, sigma)
 
         def g(ts):
             e = _basis_taylor(sigma.points, np.exp(1j * ts))[0]
@@ -549,7 +564,7 @@ class TestOperatorNorm:
 
 def _gram_path_g(space, sigma):
     """theta -> (g, g', g'') for g = e^T S conj(e), S the Stein Gram."""
-    S = modelspace._malmquist_gram(space, sigma)
+    S = _malmquist_gram(space, sigma)
 
     def g(ts):
         z = np.exp(1j * ts)

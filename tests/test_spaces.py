@@ -24,7 +24,6 @@ from discinterp import (
     kernel_diagonal,
     malmquist_basis,
     min_norm_trace,
-    modelspace,
     norm,
     power_inequality_check,
     project,
@@ -37,6 +36,9 @@ from discinterp.spaces import (
     _BERGMAN_MIN_RADII,
     _drop_negligible_tail,
     _hardy_norm,
+    _malmquist_cholesky,
+    _malmquist_gram,
+    _malmquist_series,
     _next_pow2,
     _polished_max,
     _radial_rule,
@@ -620,7 +622,7 @@ class TestSubstitutionSolves:
             space = (hardy(2), seq_weighted(2, 1.5), bergman_radial(2, -0.5))[t % 3]
             a = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
             C = _basis_jets(sigma)
-            L = modelspace._malmquist_cholesky(space, sigma)
+            L = _malmquist_cholesky(space, sigma)
             b = _solve_lower(C, a)
             y = _solve_lower(L, b)
             mu = _solve_lower(L.conj().T[::-1, ::-1], y[::-1])[::-1]
@@ -672,7 +674,7 @@ class TestSteinGramFloor:
                 sigma = random_sigma(rng, n_max=6, r_max=(0.5, 0.9, 0.99)[t % 3])
                 if t % 2 == 0:  # repeated nodes
                     sigma = SigmaSet(sigma.points + sigma.points[: 1 + t % 3])
-                eig = np.linalg.eigvalsh(modelspace._malmquist_gram(space, sigma))
+                eig = np.linalg.eigvalsh(_malmquist_gram(space, sigma))
                 if eig[-1] > 1e10 * kappa_0:
                     continue
                 assert eig[0] >= kappa_0 * (1.0 - 1e-12), (space, sigma.points, eig[0])
@@ -683,15 +685,15 @@ class TestSteinGramFloor:
     def test_non_finite_gram_raises(self, monkeypatch, bad):
         G = np.eye(3, dtype=complex) * 2.0
         G[2, 1] = bad
-        monkeypatch.setattr(modelspace, "_malmquist_gram", lambda space, sigma: G)
+        monkeypatch.setattr("discinterp.spaces._malmquist_gram", lambda space, sigma: G)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            modelspace._malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
+            _malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
 
     def test_failed_factor_names_the_stein_gram(self, monkeypatch):
         S = np.diag([1.0, 1e20, -1.0]).astype(complex)
-        monkeypatch.setattr(modelspace, "_malmquist_gram", lambda space, sigma: S)
+        monkeypatch.setattr("discinterp.spaces._malmquist_gram", lambda space, sigma: S)
         with pytest.raises(np.linalg.LinAlgError, match=r"Stein Gram S .* = 1e\+20;"):
-            modelspace._malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
+            _malmquist_cholesky(hardy(2), SigmaSet((0.1, 0.2, 0.3)))
 
 
 class TestPowerInequality:
@@ -788,12 +790,12 @@ class TestKernelDiagonalEncoding:
     def test_one_divergence_message(self):
         t = 1.0 - 1e-7
         calls = (
-            lambda: gram_matrix(hardy(2), SigmaSet((t,))),
+            lambda: gram_matrix(seq_weighted(2, 1.5), SigmaSet((t,))),
             lambda: min_norm_trace(hardy(2), SigmaSet((t,)), [1.0]),
             lambda: eval_functional_norm(seq_weighted(2, 1.5), t),
             lambda: eval_functional_norm(seq_weighted(3, 1.5), t),
-            lambda: modelspace._malmquist_gram(hardy(2), SigmaSet((t,))),
-            lambda: modelspace._malmquist_series((t,), np.ones(1)),
+            lambda: _malmquist_gram(seq_weighted(2, 1.5), SigmaSet((t,))),
+            lambda: _malmquist_series((t,), np.ones(1)),
         )
         messages = set()
         for call in calls:
@@ -801,3 +803,10 @@ class TestKernelDiagonalEncoding:
                 call()
             messages.add(str(info.value))
         assert len(messages) == 1
+
+    def test_h2_gram_holds_up_to_the_circle(self):
+        # S = I needs no kernel series, so the Gram is 1 / (1 - t^2) where a
+        # weighted space diverges
+        t = 1.0 - 1e-7
+        G = gram_matrix(hardy(2), SigmaSet((t,)))
+        assert abs(G[0, 0] * (1.0 - t) * (1.0 + t) - 1.0) <= 1e-9
