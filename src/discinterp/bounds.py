@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHilbert, PoleOnDomain, UnsupportedSpace
+from .errors import Divergence, NotHilbert, PoleOnDomain, UnsupportedSpace
 from .extremal import _ascend, _jet_norm, _malmquist_factor
 from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
 from .spaces import _malmquist_cholesky, _malmquist_series
@@ -54,7 +54,8 @@ class BoundReport:
 
     ``lower``/``upper`` are powers of x = n / (1 - r) named by their tags;
     ``*_known`` is False where the constant is set to 1 (order only).
-    ``phi_scale`` is the evaluation-functional norm at 1 - (1 - r)/n, or None.
+    ``phi_scale`` is the evaluation-functional norm at 1 - (1 - r)/n, or None
+    where it raises UnsupportedSpace or Divergence.
     """
 
     n: int
@@ -116,7 +117,7 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
 
     try:
         phi = _sp.eval_functional_norm(space, 1.0 - (1.0 - r) / n)
-    except UnsupportedSpace:
+    except (UnsupportedSpace, Divergence):
         phi = None
     return BoundReport(
         n, r, x, lower, upper, lower_tag, upper_tag, lower_known, upper_known, phi

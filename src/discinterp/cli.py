@@ -277,7 +277,7 @@ def _json_safe(value: Any) -> Any:
 
 def _run_basis(args: argparse.Namespace) -> tuple[list[tuple], dict]:
     sigma = _resolve_sigma(args)
-    basis = malmquist_basis(sigma, n_trunc=args.trunc)
+    basis = malmquist_basis(sigma)
     rows = []
     for k, e in enumerate(basis.series, start=1):
         coeffs = e.trimmed(tol=1e-15).coeffs
@@ -437,9 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("basis", help="Malmquist basis coefficients")
     sub.set_defaults(run=_run_basis, columns=("k", "j", "re", "im"))
     _add_sigma_options(sub)
-    sub.add_argument("--trunc", type=_at_least(0), default=None,
-                     help="pin the basis degree instead of certifying it; exit 2 "
-                          "if the rows then drop more than 1e-11 of coefficient mass")
     _add_output_options(sub)
 
     sub = subs.add_parser("bernstein", help="derivative operator norm on the model space")

@@ -11,9 +11,10 @@ projects onto span(e_k) through the H^2 inner product
 sigma.  The basis coefficients are the stream of T_B-power blocks of
 spaces._stein_blocks, T_B from series._compressed_shift, and the basis
 keeps the fewest columns N on the grid 1, 2, 4, .., 256, 512, 768, ..
-that drop at most 2^-106; derivative operator norms come from the Gram
-matrix of the differentiated coefficients, and the interpolation
-operator's norm from the Stein Gram spaces._malmquist_gram and the
+that drop at most 2^-106.  Only ``basis`` prints it and ``project`` reads
+it: derivative operator norms sum the same blocks, weighted by squared
+falling factorials, with no basis formed, and the interpolation
+operator's norm comes from the Stein Gram spaces._malmquist_gram and the
 closed-form basis values of series._basis_taylor.
 """
 
@@ -72,40 +73,33 @@ class MalmquistBasis:
         return _basis_taylor(self.sigma.points, z)[0]
 
 
-def malmquist_basis(sigma: SigmaSet, n_trunc: int | None = None) -> MalmquistBasis:
+def malmquist_basis(sigma: SigmaSet) -> MalmquistBasis:
     """Construct the Malmquist basis, cut where its dropped tail is certified negligible.
 
     The columns are the blocks of _stein_blocks over the conjugate nodes,
     which drop exactly ||T_B^N||_F^2 of coefficient mass past N columns.
     N is the first block end where that mass is at most _TAIL_EPS^2 = 2^-106
-    or that reaches _TRUNC_CAP = 2^16; a pinned ``n_trunc`` >= 0 keeps
-    n_trunc + 1 columns.  Raises TruncationError if the mass exceeds
-    _BASIS_TOL = 1e-11; unpinned, that is settled at _CAP_CHECK = 4096
+    or that reaches _TRUNC_CAP = 2^16.  Raises TruncationError if the mass
+    exceeds _BASIS_TOL = 1e-11; that is settled at _CAP_CHECK = 4096
     columns from ||T_B^(2^16)||_F^2, taken by 16 squarings, so a failing
     basis builds no more columns.  The degree is N - 1."""
-    if n_trunc is not None and n_trunc < 0:
-        raise ValueError(f"n_trunc must be >= 0, got {n_trunc}")
-    cap = _TRUNC_CAP if n_trunc is None else int(n_trunc) + 1
     blocks, width = [], 0
     for V, mass in _stein_blocks(np.conj(sigma.points)):
         blocks.append(V)
         width += V.shape[1]
-        if width >= cap or (n_trunc is None and mass <= _TAIL_EPS**2):
+        if width >= _TRUNC_CAP or mass <= _TAIL_EPS**2:
             break
-        if n_trunc is None and width == _CAP_CHECK:  # on the block grid
+        if width == _CAP_CHECK:  # on the block grid
             # ||T^M||_F never grows with M (||T||_2 <= 1), so T^cap settles a failure now
             T = _compressed_shift(np.conj(sigma.points))
             for _ in range(_TRUNC_CAP.bit_length() - 1):
                 T = T @ T
             cap_mass = float(np.vdot(T, T).real)
             if cap_mass > _BASIS_TOL:
-                raise _truncation_error(sigma, cap - 1, cap_mass)
-    E = np.hstack(blocks)
-    if width > cap:  # columns past a pinned n_trunc
-        mass += float(np.vdot(E[:, cap:], E[:, cap:]).real)
-        E = np.ascontiguousarray(E[:, :cap])
+                raise _truncation_error(sigma, _TRUNC_CAP - 1, cap_mass)
     if mass > _BASIS_TOL:
-        raise _truncation_error(sigma, E.shape[1] - 1, mass)
+        raise _truncation_error(sigma, width - 1, mass)
+    E = np.hstack(blocks)
     E.setflags(write=False)
     return MalmquistBasis(sigma, E)
 
@@ -128,16 +122,20 @@ def project(basis: MalmquistBasis, f: CoeffSeries) -> CoeffSeries:
 def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
     """Operator norm of order-fold differentiation K_B -> H^2.
 
-    Differentiates the coefficient matrix in one step, column m times the
-    falling factorial (m)_order, and returns sqrt of the largest eigenvalue
-    of the Hermitian Gram matrix of its rows.
+    sqrt(lambda_max(G)), G = sum_m ((m)_order)^2 v_m v_m^H the Gram of the
+    derivative rows over the basis's columns v_m (_stein_blocks of the
+    conjugate nodes), summed block by block to the basis's cut, where
+    ||T_B^M||_F^2 <= 2^-106; no basis is formed, and no cap short of Divergence.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    E = malmquist_basis(sigma).coeffs
-    D = E[:, order:] * _falling(np.arange(order, E.shape[1]), order)
-    M = D @ D.conj().T
-    eig = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    G, M = 0.0, 0
+    for V, mass in _stein_blocks(np.conj(sigma.points)):
+        D = V * _falling(np.arange(M, M + V.shape[1]), order)
+        G, M = G + D @ D.conj().T, M + V.shape[1]
+        if mass <= _TAIL_EPS**2:
+            break
+    eig = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
     return float(np.sqrt(max(eig[-1], 0.0)))
 
 

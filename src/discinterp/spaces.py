@@ -490,20 +490,20 @@ def _unit_norm(space: SpaceSpec, f: CoeffSeries) -> float:
 
 
 def eval_functional_norm(space: SpaceSpec, t: float) -> float:
-    """Norm of f |-> f(t) on the space, 0 <= t < 1.
+    """Norm of f |-> f(t) on the space, read at |t| < 1: every rule is radial.
 
-    One rule per family, each with 1 - t^2 formed as (1-t)(1+t), free of
-    cancellation as t -> 1.  hardy(p) uses the classical sharp value
-    (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q norm, 1/p + 1/q = 1, of
-    the dual weight (k+1)^(alpha-1) t^k: the peak weight times a blocked
-    sum, plus its geometric tail, of the q-th powers of the weights over
-    the peak for finite q (q = 1 at p = inf, q = 2 at p = 2), and the peak
-    itself at p = 1.  Bergman at p = 2 is sqrt of the kernel diagonal
-    (beta+1)/pi (1-t^2)^-(beta+2); Bergman with p != 2 is out.
+    Divergence for |t| >= 1 or NaN.  One rule per family, each with 1 - t^2
+    formed as (1-t)(1+t), free of cancellation as t -> 1.  hardy(p) uses the
+    classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
+    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the peak
+    weight times a blocked sum, plus its geometric tail, of the q-th powers
+    of the weights over the peak for finite q (q = 1 at p = inf, q = 2 at
+    p = 2), and the peak itself at p = 1.  Bergman at p = 2 is sqrt of the
+    kernel diagonal (beta+1)/pi (1-t^2)^-(beta+2); Bergman with p != 2 is out.
     """
-    t = float(t)
-    if t < 0.0 or t >= 1.0:
-        raise Divergence(f"evaluation norm needs 0 <= t < 1, got {t}")
+    t = abs(float(t))
+    if not t < 1.0:
+        raise Divergence(f"evaluation norm needs |t| < 1, got |t| = {t}")
     one_minus_t2 = (1.0 - t) * (1.0 + t)
     if space.family == "hardy":
         if space.p == np.inf:
@@ -577,11 +577,14 @@ def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _stein_blocks(points) -> Iterator[tuple[np.ndarray, float]]:
     """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass ||T_B^M||_F^2 past it.
 
-    The first is _first_block's; later ones are T^w times the one before."""
+    The first is _first_block's; later ones, all of its width w, are T^w
+    times the one before.  Asked for one past _SERIES_KMAX columns, it
+    raises Divergence."""
     V, step, P = _first_block(points)
-    while True:
+    for _ in range(_SERIES_KMAX // V.shape[1] + 1):
         yield V, float(np.vdot(P, P).real)
         V, P = step @ V, step.T @ P
+    raise Divergence(_DIVERGENCE)
 
 
 def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
@@ -593,7 +596,7 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     block summed, at any distance from the circle.  Elsewhere, past M the sum
     drops at most ||T^M||_2^2 max_j(kappa_(M+j) / kappa_j) tr S of its trace,
     the max at j = 0 for every kappa here, so it stops once ||T^M||_F^2
-    kappa_M <= _TAIL_EPS kappa_0, and diverges past _SERIES_KMAX."""
+    kappa_M <= _TAIL_EPS kappa_0, or _stein_blocks diverges."""
     if _unit_kernel(space):
         return np.eye(sigma.n)
     kappa_0 = float(kernel_diagonal(space, 0.0))
@@ -603,8 +606,6 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
         S, M = S + (V * kappa[:-1]) @ V.conj().T, M + V.shape[1]
         if mass * kappa[-1] <= _TAIL_EPS * kappa_0:
             return 0.5 * (S + S.conj().T)
-        if M > _SERIES_KMAX:
-            raise Divergence(_DIVERGENCE)
 
 
 def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:

@@ -92,6 +92,13 @@ class TestTheoremBounds:
         assert rep.lower == 0.0
         assert rep.phi_scale is None  # no evaluation-norm formula at p = 1
 
+    def test_diverging_phi_scale_is_none(self):
+        # at t = 1 - 1e-5 / 96 the l^2_a(3) dual-weight sum needs more than 2^21 terms
+        rep = theorem_bounds(seq_weighted(2, 3.0), 96, 0.999)
+        assert rep.phi_scale is None
+        assert 0.0 < rep.lower <= rep.upper < np.inf
+        assert theorem_bounds(seq_weighted(2, 3.0), 64, 0.999).phi_scale > 0.0
+
     def test_consistency_with_eval_functional(self):
         rep = theorem_bounds(seq_weighted(2, 1.5), 4, 0.6)
         t = 1.0 - (1.0 - 0.6) / 4

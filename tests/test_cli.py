@@ -148,6 +148,19 @@ class TestCommands:
         # 1/(1-t)^2 at t = 1 - (1-r)/n = 0.75
         assert float(rows[0]["phi_scale"]) == pytest.approx(16.0, rel=1e-12)
 
+    def test_bounds_dual_weight_peak_out_of_reach(self, tmp_path):
+        # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8:
+        # the evaluation norm diverges, so phi_scale is empty and the bounds stand
+        code, out = run_to_file(
+            tmp_path, "b.csv",
+            ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",
+             "--n", "100000000", "--r", "0.5"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows[0]["phi_scale"] == ""
+        assert 0.0 < float(rows[0]["lower"]) < float(rows[0]["upper"]) < math.inf
+
     def test_cs_golden(self, tmp_path):
         code, out = run_to_file(tmp_path, "cs.csv", ["cs", "--coeffs", "1,1"])
         assert code == 0
@@ -180,6 +193,28 @@ class TestCommands:
         table = {(r["k"], r["j"]): float(r["re"]) for r in rows}
         assert table[("1", "0")] == pytest.approx(1.0)
         assert table[("2", "1")] == pytest.approx(-1.0)
+
+    def test_sweep_reports_a_diverging_phi_scale_as_empty(self, tmp_path):
+        # at (96, 0.999) the l^2_a(3) evaluation norm needs more than 2^21
+        # terms; that cell is left empty and the sweep goes on
+        code, out = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep", "--space", "seq", "--p", "2", "--alpha", "3",
+             "--n-grid", "2,6,12,24,48,64,96", "--r-grid", "0,0.3,0.5,0.9,0.99,0.999"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 42
+        assert [(r["n"], r["r"]) for r in rows if r["phi_scale"] == ""] == [("96", "0.999")]
+        assert all(0.0 < float(r["witness"]) < math.inf for r in rows)
+
+    def test_bernstein_near_circle_needs_no_basis(self, tmp_path):
+        code, out = run_to_file(
+            tmp_path, "bern.csv", ["bernstein", "--sigma", "0.9999,0.9999"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert 0.0 < float(rows[0]["ratio"]) <= float(rows[0]["bound"])
 
     def test_bernstein_random_sweep(self, tmp_path):
         code, out = run_to_file(
@@ -517,11 +552,8 @@ class TestValidation:
         assert main(["pick", "--nodes", "0,0", "--values", "0,1"]) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # pinned truncation far too short for r = 0.99
-        code = main(
-            ["basis", "--sigma", "0.99", "--trunc", "32", "--output",
-             str(tmp_path / "x.csv")]
-        )
+        # no certified cut within 2^16 columns at r = 0.9999
+        code = main(["basis", "--sigma", "0.9999", "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
     def test_linalg_error_is_numerical_failure(self, capsys):
@@ -577,16 +609,6 @@ class TestValidation:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"discinterp {argv[0]}: error: argument --budget")
 
-    @pytest.mark.parametrize("trunc", ["-1", "-3"])
-    def test_negative_trunc_is_validation_error(self, capsys, trunc):
-        with pytest.raises(SystemExit) as exc:
-            main(["basis", "--sigma", "0.5", "--trunc", trunc])
-        assert exc.value.code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("discinterp basis: error: argument --trunc")
-
     @pytest.mark.parametrize("argv, option", [
         (["--samples", "2", "--max-n", "0"], "--max-n"),
         (["--samples", "2", "--max-n", "-3"], "--max-n"),
@@ -610,13 +632,6 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Stein Gram" in err and "lambda_max(S) / kappa_0" in err
-
-    def test_dual_weight_peak_out_of_reach_exit_code(self, capsys):
-        # r^(1/n) = 1 - 7e-9 puts the l^3_a(3) dual-weight peak near k = 3e8
-        argv = ["bounds", "--space", "seq", "--p", "3", "--alpha", "3",
-                "--n", "100000000", "--r", "0.5"]
-        assert main(argv) == 2
-        assert "numerical failure" in capsys.readouterr().err
 
     def test_sigma_file_multiplicity_and_comments(self, tmp_path):
         path = tmp_path / "sigma.txt"

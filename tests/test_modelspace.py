@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from discinterp import (
     CoeffSeries,
+    Divergence,
     NotHilbert,
     SigmaSet,
     TruncationError,
@@ -25,7 +26,7 @@ from discinterp import (
 
 from discinterp.spaces import (_first_block, _malmquist_gram, _malmquist_series, _polished_max,
                                _stein_blocks)
-from discinterp.series import _basis_jets, _basis_taylor, _compressed_shift
+from discinterp.series import _basis_jets, _basis_taylor, _compressed_shift, _falling
 
 from conftest import oracles, random_poly, random_sigma
 
@@ -51,6 +52,11 @@ def _counted(monkeypatch, call):
             m.setattr(f"discinterp.{module}._stein_blocks", recording)
             m.setattr(f"discinterp.{module}._compressed_shift", counting)
         return call(), sum(widths), len(shifts)
+
+
+def _taylor_rows(sigma: SigmaSet, N: int) -> np.ndarray:
+    """(n, N): the first N Taylor coefficients of every e_k at 0, by the closed-form reader."""
+    return _basis_taylor(sigma.points, 0.0, N)[:, :, 0].T
 
 
 class TestBasis:
@@ -138,7 +144,7 @@ class TestBasis:
     def test_dropped_mass_is_frobenius_norm_of_shift_power(self):
         # sum_m v_m v_m^H = I, so the rows drop exactly the row masses of T_B^N
         for sigma in self._seeded_sets():
-            E = malmquist_basis(sigma, n_trunc=4095).coeff_matrix()
+            E = _taylor_rows(sigma, 4096)
             T = _compressed_shift(sigma.points)
             for N in (4, 16, 64):
                 want = np.sum(np.abs(np.linalg.matrix_power(T, N)) ** 2, axis=1)
@@ -149,8 +155,8 @@ class TestBasis:
         for sigma in self._seeded_sets():
             E = malmquist_basis(sigma).coeff_matrix()
             N = E.shape[1]
-            longer = malmquist_basis(sigma, n_trunc=2 * N - 1).coeff_matrix()
-            assert np.array_equal(E, longer[:, :N])
+            longer = _taylor_rows(sigma, 2 * N)
+            assert np.max(np.abs(E - longer[:, :N])) <= 2e-15
 
     def test_length_is_least_certified_grid_point(self):
         # the grid 1, 2, 4, .., 256, 512, 768, ..; the r = 0.95 sets pass 512
@@ -182,10 +188,6 @@ class TestBasis:
         for n in range(1, 11):
             want = 1 << (n - 1).bit_length()
             assert malmquist_basis(SigmaSet((0.0,) * n)).degree == want - 1
-
-    def test_negative_pinned_degree_rejected(self):
-        with pytest.raises(ValueError):
-            malmquist_basis(SigmaSet((0.5,)), n_trunc=-1)
 
     def test_rational_evaluator_matches_series(self, rng):
         sigma = random_sigma(rng, n_max=6, r_max=0.7)
@@ -346,6 +348,39 @@ class TestBernstein:
                 bound = math.factorial(k) * (2.5 * sigma.n / (1.0 - sigma.r)) ** k
                 assert bernstein_ratio(sigma, order=k) <= bound
 
+    @pytest.mark.parametrize("points", [(0.9999,) * 8, (0.999,) * 32])
+    def test_near_circle_needs_no_truncated_basis(self, points):
+        # malmquist_basis raises TruncationError on both sets; the Stein sum does not
+        import math
+
+        sigma = SigmaSet(points)
+        with pytest.raises(TruncationError):
+            malmquist_basis(sigma)
+        for k in (1, 2):
+            ratio = bernstein_ratio(sigma, order=k)
+            assert 0.0 < ratio <= math.factorial(k) * (2.5 * sigma.n / (1.0 - sigma.r)) ** k
+
+    def test_matches_taylor_reference_with_repeats(self, rng, monkeypatch):
+        # G = sum_m ((m)_k)^2 v_m v_m^H against the derivative rows of the
+        # closed-form Taylor coefficients, read far past the Stein cut; no basis is built
+        def refuse(sigma):
+            raise AssertionError("bernstein_ratio built a truncated basis")
+
+        monkeypatch.setattr("discinterp.modelspace.malmquist_basis", refuse)
+        for i in range(12):
+            points = random_sigma(rng, n_max=6, r_max=0.99).points
+            sigma = SigmaSet(points + points[:1] * (1 + i % 2))
+            E = _taylor_rows(sigma, 8192)
+            for k in (1, 2, 3):
+                D = E[:, k:] * _falling(np.arange(k, E.shape[1]), k)
+                want = np.sqrt(np.linalg.eigvalsh(D @ D.conj().T)[-1])
+                assert bernstein_ratio(sigma, order=k) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_divergence_past_the_series_cap(self):
+        # no 2^16 basis cap applies; the Stein blocks raise Divergence past 2^21 columns
+        with pytest.raises(Divergence):
+            bernstein_ratio(SigmaSet((1 - 1e-7,) * 2))
+
 
 class TestOperatorNorm:
     def test_single_origin(self):
@@ -452,7 +487,7 @@ class TestOperatorNorm:
             b = rng.standard_normal(sigma.n) + 1j * rng.standard_normal(sigma.n)
             got = _malmquist_series(sigma.points, b)
             M = got.size
-            reference = b @ malmquist_basis(sigma, n_trunc=M + 4095).coeff_matrix()
+            reference = b @ _taylor_rows(sigma, M + 4096)
             assert np.max(np.abs(got - reference[:M])) <= 1e-14 * np.max(np.abs(got))
             tail = np.sum(np.abs(reference[M:]) ** 2)
             P = np.linalg.matrix_power(_compressed_shift(np.conj(sigma.points)), M).T @ b
@@ -472,7 +507,7 @@ class TestOperatorNorm:
                 sigma = SigmaSet(sigma.points[:-1] + sigma.points[:1])
             S, M, shifts = _counted(monkeypatch, lambda: _malmquist_gram(hardy(2), sigma))
             assert np.array_equal(S, np.eye(sigma.n)) and M == shifts == 0
-            E = malmquist_basis(sigma, n_trunc=8191).coeff_matrix()
+            E = _taylor_rows(sigma, 8192)
             T = _compressed_shift(sigma.points)
             for space in spaces:
                 S, M, _ = _counted(monkeypatch, lambda: _malmquist_gram(space, sigma))

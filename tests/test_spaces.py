@@ -423,6 +423,17 @@ class TestEvalFunctional:
         with pytest.raises(Divergence):
             eval_functional_norm(hardy(2), 1.0)
 
+    @pytest.mark.parametrize("space", [hardy(1), hardy(2), hardy(np.inf), seq_weighted(2, 1.5),
+                                       seq_weighted(1, 3.0), seq_weighted(np.inf, 2.0),
+                                       bergman_radial(2, 0.5)])
+    def test_negative_points_read_as_their_modulus(self, space):
+        # every rule is radial
+        for t in (0.3, 0.9, 0.999):
+            assert eval_functional_norm(space, -t) == eval_functional_norm(space, t)
+        for t in (-1.0, 1.5, np.nan):
+            with pytest.raises(Divergence):
+                eval_functional_norm(space, t)
+
     def test_pointwise_bound_and_sharpness(self, rng):
         spaces = [hardy(1), hardy(2), hardy(4), seq_weighted(2, 1.5), bergman_radial(2, 0.0)]
         ts = np.linspace(0.0, 0.95, 12)
