@@ -305,15 +305,14 @@ def _run_bernstein(args: argparse.Namespace) -> tuple[list[tuple], dict]:
         sigmas = [_resolve_sigma(args)]
     for idx, sigma in enumerate(sigmas):
         ratio = bernstein_ratio(sigma, order=args.order)
-        bound = _iterated_bound(sigma, args.order)
+        try:  # k! (2.5 n / (1 - r))^k; k! alone is past the float range from k = 171
+            bound = math.factorial(args.order) * (2.5 * sigma.n / (1.0 - sigma.r)) ** args.order
+        except OverflowError:
+            bound = math.inf
         rows.append(
             (idx, sigma.n, sigma.r, args.order, ratio, bound, ratio / bound if bound else None)
         )
     return rows, {"samples": len(sigmas), "order": args.order}
-
-
-def _iterated_bound(sigma: SigmaSet, order: int) -> float:
-    return math.factorial(order) * (2.5 * sigma.n / (1.0 - sigma.r)) ** order
 
 
 def _row(columns, *sources) -> tuple:
@@ -390,7 +389,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         _emit(args, *args.run(args))
     # first: np.linalg.LinAlgError is a ValueError
-    except (TruncationError, Divergence, np.linalg.LinAlgError) as exc:
+    except (TruncationError, Divergence, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(
             f"discinterp {args.command}: numerical failure: {exc} (seed={args.seed})",
             file=sys.stderr,

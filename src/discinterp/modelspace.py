@@ -8,18 +8,19 @@ K_B = H^2 (-) B H^2 carries the orthonormal Malmquist basis
 with b_lam(z) = (lam - z)/(1 - conj(lam) z).  The interpolation operator
 projects onto span(e_k) through the H^2 inner product
 <h, g> = sum_k h_k conj(g_k); its image matches the jet of the input on
-sigma.  The basis coefficients are the stream of T_B-power blocks of
-spaces._stein_blocks, T_B from series._compressed_shift, and the basis
-keeps the fewest columns N on the grid 1, 2, 4, .., 256, 512, 768, ..
-that drop at most 2^-106.  Only ``basis`` prints it and ``project`` reads
-it: derivative operator norms sum the same blocks, weighted by squared
-falling factorials, with no basis formed, and the interpolation
+sigma.  The basis coefficients are the blocks of spaces._stein_blocks,
+the one walk over the powers of T_B (series._compressed_shift), and the
+basis keeps the fewest columns N on the grid 1, 2, 4, .., 256, 512, 768,
+.. that drop at most 2^-106.  Only ``basis`` prints it and ``project``
+reads it: derivative operator norms sum the same walk, weighted by squared
+falling factorials, to a weighted cut of their own, and the interpolation
 operator's norm comes from the Stein Gram spaces._malmquist_gram and the
 closed-form basis values of series._basis_taylor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,7 @@ def malmquist_basis(sigma: SigmaSet) -> MalmquistBasis:
             break
         if width == _CAP_CHECK:  # on the block grid
             # ||T^M||_F never grows with M (||T||_2 <= 1), so T^cap settles a failure now
-            T = _compressed_shift(np.conj(sigma.points))
-            for _ in range(_TRUNC_CAP.bit_length() - 1):
-                T = T @ T
+            T = np.linalg.matrix_power(_compressed_shift(np.conj(sigma.points)), _TRUNC_CAP)
             cap_mass = float(np.vdot(T, T).real)
             if cap_mass > _BASIS_TOL:
                 raise _truncation_error(sigma, _TRUNC_CAP - 1, cap_mass)
@@ -122,21 +121,37 @@ def project(basis: MalmquistBasis, f: CoeffSeries) -> CoeffSeries:
 def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
     """Operator norm of order-fold differentiation K_B -> H^2.
 
-    sqrt(lambda_max(G)), G = sum_m ((m)_order)^2 v_m v_m^H the Gram of the
-    derivative rows over the basis's columns v_m (_stein_blocks of the
-    conjugate nodes), summed block by block to the basis's cut, where
-    ||T_B^M||_F^2 <= 2^-106; no basis is formed, and no cap short of Divergence.
+    sqrt(lambda_max(G)), G = sum_m ((m)_k)^2 v_m v_m^H (k = order) over the walk _stein_blocks
+    of the nodes (over the basis's columns, those of their conjugates, it is conj(G), of the
+    same spectrum).  As v_(M+j) = T^M v_j, (M+j)_k <= C (j)_k for j >= k and
+    sum_(j<k) v_j v_j^H <= I, the columns past M add at most ||T^M||_2^2 (C^2 ||G|| + F^2),
+    C = binom(M+k, k), F = (M+k-1)_k; as ||T^M||_2^2 <= mass and ||G|| >= tr(G_M) / n, the
+    sum stops once mass (C^2 + n F^2 / tr(G_M)) <= 2^-53, in log space, or once the mass is
+    0 with every node at 0; FloatingPointError where G overflows, or the mass underflows first.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    G, M = 0.0, 0
-    for V, mass in _stein_blocks(np.conj(sigma.points)):
-        D = V * _falling(np.arange(M, M + V.shape[1]), order)
-        G, M = G + D @ D.conj().T, M + V.shape[1]
-        if mass <= _TAIL_EPS**2:
-            break
-    eig = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    return float(np.sqrt(max(eig[-1], 0.0)))
+    G, M, k = 0.0, 0, order
+    with np.errstate(all="ignore"):  # out of range raises below; tr(G_M) = 0 gives log(inf)
+        for V, mass in _stein_blocks(sigma.points):
+            D = V * _falling(np.arange(M, M + V.shape[1]), k)
+            G, M = G + D @ D.conj().T, M + V.shape[1]
+            if mass > _TAIL_EPS:  # the bound below is at least the mass
+                continue
+            if mass == 0.0 and not any(sigma.points) or not (trace := G.trace().real) < math.inf:
+                break  # T_B is nilpotent, or G overflowed
+            log_mass = math.log(max(mass, sigma.n * 2.0**-1074))  # a mass read as 0 is below
+            log_c = 2.0 * (math.lgamma(M + k + 1) - math.lgamma(M + 1) - math.lgamma(k + 1))
+            log_f = 2.0 * (math.lgamma(M + k) - math.lgamma(M)) + math.log(sigma.n / trace)
+            if sum(math.exp(min(log_mass + t, 0.0)) for t in (log_c, log_f)) <= _TAIL_EPS:
+                break
+            if mass == 0.0:  # the walk can certify nothing past it
+                raise FloatingPointError(f"the order-{k} Gram underflows (r={sigma.r:.3g})")
+        H = 0.5 * (G + G.conj().T)  # finite where its trace is: |H_ij|^2 <= H_ii H_jj
+        top = np.linalg.eigvalsh(H)[-1] if H.trace().real < math.inf else math.inf
+    if not top < math.inf:
+        raise FloatingPointError(f"the order-{k} Gram overflows (r={sigma.r:.3g})")
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def projection_operator_norm(

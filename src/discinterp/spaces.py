@@ -13,15 +13,15 @@ that encodes kappa_k.  The norm sqrt(sum_k |f_k|^2 / kappa_k) and the
 evaluation-functional norms follow from it directly; Gram matrices and
 minimal-norm interpolants from the Stein Gram S of the Malmquist
 coefficients and the lower-triangular jets of the basis on sigma, with no
-kernel series in jet coordinates.  The coefficients come as one stream of
-T_B-power blocks (_stein_blocks) of w columns each, a later block costing
-n^2 w; S sums it with the weights kappa_m (the identity, with no sum,
-where every kappa_m is 1), and the Taylor series of any sum_k b_k e_k
-(_malmquist_series) takes the first block alone and carries one row
-b^T T_B^(jw) through the later ones, n^2 + n w each.  Each is cut at its
-exact dropped mass, so neither needs a truncated basis.  Every series that
-fails to converge raises one ``Divergence`` (_DIVERGENCE).  FFT and
-quadrature serve p != 2.
+kernel series in jet coordinates.  The coefficients come from one walk
+over the powers of T_B (_stein_blocks), blocks of w columns seen through a
+probe Q and carrying P = (T_B^(jw))^T Q, not the columns.  S sums it at
+Q = I with the weights kappa_m (the identity, with no sum, where every
+kappa_m is 1), and the Taylor series of any sum_k b_k e_k
+(_malmquist_series) is the walk at Q = b, n^2 + n w per block.  Each is
+cut at its exact dropped mass, so neither needs a truncated basis.  Every
+series that fails to converge raises one ``Divergence`` (_DIVERGENCE).
+FFT and quadrature serve p != 2.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 # Blocks of the l^p_a dual-weight sum (eval_functional_norm) and its tail rule;
-# _SERIES_BLOCK also caps the T_B-power blocks (_first_block); both stop at _SERIES_KMAX.
+# _SERIES_BLOCK also caps the first T_B-power block (_stein_blocks); both stop at _SERIES_KMAX.
 _SERIES_TOL = 1e-14
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
@@ -553,14 +553,14 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first block V of the columns v_m = T_B^m conj(e(0)), step = T_B^w and (T_B^w)^T Q.
+def _stein_blocks(points, probe=None) -> Iterator[tuple[np.ndarray, float]]:
+    """Blocks Q^T V_j of v_m = T_B^m conj(e(0)), each with the mass ||(T_B^M)^T Q||_F^2 past it.
 
-    Column m of E, E[k, m] the m-th coefficient of e_k, is conj(v_m); as
-    sum_m v_m v_m^H = I, the columns past M drop ||(T_B^M)^T Q||_F^2 for a
-    probe Q (None: Q = I).  V doubles to [V, T^w V] while that mass is above
-    2^-106 ||Q||^2 (1 for Q = I) and its width w < _SERIES_BLOCK.  Real for
-    a real array of zeros."""
+    Q is the probe, I when it is None.  Column m of E, E[k, m] the m-th coefficient of
+    e_k, is conj(v_m); as sum_m v_m v_m^H = I, the columns past M carry that mass
+    exactly.  V_0 doubles to [V_0, T^w V_0] while its mass is above 2^-106 ||Q||^2 (1 for
+    Q = I) and w < _SERIES_BLOCK; block j >= 1 is P_(j-1)^T V_0, P_j = (T^((j+1)w))^T Q.
+    Real for real zeros and a real probe; Divergence past _SERIES_KMAX columns."""
     step = _compressed_shift(points)
     lam = step.diagonal()
     # e_k(0) = s_k prod_{j<k} lam_j
@@ -570,20 +570,12 @@ def _first_block(points, probe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray
     while True:
         P = step.T if probe is None else step.T @ probe  # (T^w)^T Q
         if np.vdot(P, P).real <= floor or V.shape[1] >= _SERIES_BLOCK:
-            return V, step, P
+            break
         V, step = np.hstack((V, step @ V)), step @ step
-
-
-def _stein_blocks(points) -> Iterator[tuple[np.ndarray, float]]:
-    """Blocks of the columns v_m = T_B^m conj(e(0)), each with the mass ||T_B^M||_F^2 past it.
-
-    The first is _first_block's; later ones, all of its width w, are T^w
-    times the one before.  Asked for one past _SERIES_KMAX columns, it
-    raises Divergence."""
-    V, step, P = _first_block(points)
+    block = V if probe is None else probe.T @ V
     for _ in range(_SERIES_KMAX // V.shape[1] + 1):
-        yield V, float(np.vdot(P, P).real)
-        V, P = step @ V, step.T @ P
+        yield block, float(np.vdot(P, P).real)
+        block, P = P.T @ V, step.T @ P
     raise Divergence(_DIVERGENCE)
 
 
@@ -632,22 +624,15 @@ def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
 def _malmquist_series(points, b: np.ndarray) -> np.ndarray:
     """Taylor coefficients of sum_k b_k e_k on these zeros, cut at a dropped 2^-106 ||b||^2.
 
-    Coefficient m is b^T conj(v_m), and conj(v_m) is v_m of the conjugate
-    zeros.  Over those, block j of width w is b^T T^(jw) V_0 = P_(j-1)^T V_0,
-    V_0 the first block (_first_block) and P_j = (T^((j+1)w))^T b, P_(-1) = b,
-    the probe whose squared norm is the mass dropped past block j: each
-    block after the first costs one n x n and one n x w product.  Real for
-    real zeros and a real b.  Diverges past _SERIES_KMAX coefficients.
-    """
+    Coefficient m is b^T conj(v_m), conj(v_m) the v_m of the conjugate zeros:
+    the walk _stein_blocks over those with the probe b.  Real for real zeros
+    and a real b; Divergence past _SERIES_KMAX coefficients."""
     floor = _TAIL_EPS**2 * float(np.vdot(b, b).real)
-    V, step, P = _first_block(np.conj(points), b)
-    pieces = [b @ V]
-    while np.vdot(P, P).real > floor:
-        if len(pieces) * V.shape[1] > _SERIES_KMAX:  # every block has the same width
-            raise Divergence(_DIVERGENCE)
-        pieces.append(P @ V)
-        P = step.T @ P
-    return np.concatenate(pieces)
+    pieces = []
+    for piece, mass in _stein_blocks(np.conj(points), b):
+        pieces.append(piece)
+        if mass <= floor:
+            return np.concatenate(pieces)
 
 
 def gram_matrix(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:

@@ -216,6 +216,20 @@ class TestCommands:
         _, _, rows = parse_csv(out)
         assert 0.0 < float(rows[0]["ratio"]) <= float(rows[0]["bound"])
 
+    def test_bernstein_bound_past_the_float_range_is_inf(self, capsys):
+        # from order 171, k! alone is past the float range
+        assert main(["bernstein", "--sigma", "0,0", "--order", "200", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert (record["ratio"], record["bound"], record["ratio_over_bound"]) == (0.0, "inf", 0.0)
+
+    def test_bernstein_gram_overflow_is_numerical_failure(self, capsys):
+        assert main(["bernstein", "--sigma", "0.5", "--order", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("discinterp bernstein: numerical failure: ")
+        assert "order-200 Gram overflows" in captured.err
+
     def test_bernstein_random_sweep(self, tmp_path):
         code, out = run_to_file(
             tmp_path, "bern.csv",

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,15 +20,16 @@ from discinterp import (
     jet_values,
     kernel_diagonal,
     malmquist_basis,
+    min_norm_trace,
     modelspace,
     norm,
     project,
     projection_operator_norm,
     seq_weighted,
+    witness_lower_bound,
 )
 
-from discinterp.spaces import (_first_block, _malmquist_gram, _malmquist_series, _polished_max,
-                               _stein_blocks)
+from discinterp.spaces import _malmquist_gram, _malmquist_series, _polished_max, _stein_blocks
 from discinterp.series import _basis_jets, _basis_taylor, _compressed_shift, _falling
 
 from conftest import oracles, random_poly, random_sigma
@@ -34,8 +38,9 @@ from conftest import oracles, random_poly, random_sigma
 def _counted(monkeypatch, call):
     """call() with the columns it took from _stein_blocks and its _compressed_shift calls.
 
-    Each is patched in the module that makes the call: spaces for the Gram
-    and the stream's first block, modelspace for the basis and its cap check."""
+    Each is patched in the module that makes the call: spaces for the Gram,
+    the series and the walk's own shift, modelspace for the basis, the
+    Bernstein sum and the basis's cap check."""
     widths, shifts = [], []
 
     def recording(*args):
@@ -381,6 +386,29 @@ class TestBernstein:
         with pytest.raises(Divergence):
             bernstein_ratio(SigmaSet((1 - 1e-7,) * 2))
 
+    @pytest.mark.parametrize("k", [12, 20, 30, 52])
+    def test_weighted_cut_at_high_order(self, k):
+        # one node at 1/2: G = (1 - x) sum_m perm(m, k)^2 x^m with x = 1/4, summed
+        # exactly far past its peak; a cut at the unweighted mass 2^-106 is
+        # 6.6e-6 low at order 20, 14% at order 30 and seven orders of magnitude at 52
+        N = 1200
+        total = sum(math.perm(m, k) ** 2 << 2 * (N - m) for m in range(k, N))
+        want = math.sqrt(Fraction(3 * total, 4 ** (N + 1)))
+        assert bernstein_ratio(SigmaSet((0.5,)), order=k) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_out_of_range_is_an_error_not_a_value(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # from order 171 the weight (m)_k is past the float range
+            with pytest.raises(FloatingPointError, match="order-200 Gram overflows"):
+                bernstein_ratio(SigmaSet((0.5,)), order=200)
+            # the mass underflows to 0 by column 88, before any column with a
+            # nonzero weight: the value, 1.28e-37, is not 0
+            with pytest.raises(FloatingPointError, match="order-150 Gram underflows"):
+                bernstein_ratio(SigmaSet((0.01,)), order=150)
+            # every column with a nonzero weight is zero: nothing is out of range
+            assert bernstein_ratio(SigmaSet((0.0, 0.0)), order=200) == 0.0
+
 
 class TestOperatorNorm:
     def test_single_origin(self):
@@ -441,10 +469,17 @@ class TestOperatorNorm:
 
     @staticmethod
     def _block_series(points, b):
-        """The Taylor coefficients of sum_k b_k e_k, each block T^w times the one before."""
+        """The Taylor coefficients of sum_k b_k e_k, each block T^w times the one before.
+
+        The first block doubles by the walk's rule, from _compressed_shift alone."""
+        step = _compressed_shift(np.conj(points))
+        lam = step.diagonal()
+        e0 = np.sqrt(1.0 - np.abs(lam) ** 2) * np.cumprod(np.concatenate(([1.0], lam[:-1])))
+        V = e0.conj()[:, None]
         floor = 2.0**-106 * np.vdot(b, b).real
-        V, step, P = _first_block(np.conj(points), b)
-        pieces = [b @ V]
+        while np.vdot(step.T @ b, step.T @ b).real > floor and V.shape[1] < 256:
+            V, step = np.hstack((V, step @ V)), step @ step
+        pieces, P = [b @ V], step.T @ b
         while np.vdot(P, P).real > floor:
             V, P = step @ V, step.T @ P
             pieces.append(b @ V)
@@ -464,6 +499,53 @@ class TestOperatorNorm:
             want = self._block_series(points, b)
             assert got.dtype == complex and got.size == want.size
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_probed_walk_is_the_probe_times_the_identity_walk(self, rng):
+        # block by block, the walk with a probe b is b^T times the identity
+        # walk's columns, and its mass past M is ||(T^M)^T b||^2
+        for i in range(12):
+            points = list(random_sigma(rng, n_max=8, r_max=0.95).points)
+            if i % 4 == 1:
+                points += points[:1]
+            if i % 4 == 2:
+                points += [0.0, 0.0]
+            points = np.array(points)
+            b = rng.standard_normal(points.size) + 1j * rng.standard_normal(points.size)
+            if i % 4 == 3:  # real data
+                points, b = points.real, b.real
+            T = _compressed_shift(points)
+            identity = _stein_blocks(points)
+            E = np.empty((points.size, 0))
+            M = 0
+            for piece, mass in _stein_blocks(points, b):
+                M += piece.size
+                while E.shape[1] < M:
+                    E = np.hstack((E, next(identity)[0]))
+                want = b @ E[:, M - piece.size : M]
+                assert np.max(np.abs(piece - want)) <= 1e-14 * np.linalg.norm(b)
+                P = np.linalg.matrix_power(T, M).T @ b
+                assert mass == pytest.approx(np.vdot(P, P).real, rel=1e-12, abs=0.0)
+                if mass <= 2.0**-106 * np.vdot(b, b).real:
+                    break
+            assert M == _malmquist_series(np.conj(points), b).size
+
+    def test_series_walks_are_stein_blocks(self, monkeypatch):
+        # min_norm_trace and the witness read their series from the one walk,
+        # with the coordinates as its probe
+        walks = []
+
+        def recording(points, probe=None):
+            walks.append(None if probe is None else np.array(probe))
+            yield from _stein_blocks(points, probe)
+
+        monkeypatch.setattr("discinterp.spaces._stein_blocks", recording)
+        space = seq_weighted(2, 1.5)
+        min_norm_trace(space, SigmaSet((0.5, -0.3j, 0.5)), [1.0, 2.0, -1.0])
+        assert walks[0] is None and len(walks) == 2 and walks[1].shape == (3,)
+        walks.clear()
+        witness_lower_bound(space, 0.9, 8)
+        probes = [probe for probe in walks if probe is not None]
+        assert len(probes) == 1 and probes[0].dtype == np.float64
 
     def test_series_is_real_on_real_data(self, rng):
         # real zeros and a real b keep real arithmetic, equal to the complex run
