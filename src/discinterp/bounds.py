@@ -55,7 +55,7 @@ class BoundReport:
     ``lower``/``upper`` are powers of x = n / (1 - r) named by their tags;
     ``*_known`` is False where the constant is set to 1 (order only).
     ``phi_scale`` is the evaluation-functional norm at 1 - (1 - r)/n, or None
-    where it raises UnsupportedSpace or Divergence.
+    where its series raises Divergence.
     """
 
     n: int
@@ -77,8 +77,8 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
     |z| <= r.  Known multiplicative constants are filled in (the Hardy lower
     side 1/32^(1/p), the explicit sqrt(2) upper factor at p = 2); everything
     else is emitted with constant 1 and flagged order-only, never to be
-    asserted against estimates.  Raises ValueError unless n is an integer
-    >= 1 and 0 <= r < 1.
+    asserted against estimates; phi_scale is None only on Divergence.  Raises
+    ValueError unless n is an integer >= 1 and 0 <= r < 1.
     """
     n = _multiplicity(n)
     if not (0.0 <= r < 1.0):
@@ -117,7 +117,7 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
 
     try:
         phi = _sp.eval_functional_norm(space, 1.0 - (1.0 - r) / n)
-    except (UnsupportedSpace, Divergence):
+    except Divergence:
         phi = None
     return BoundReport(
         n, r, x, lower, upper, lower_tag, upper_tag, lower_known, upper_known, phi
@@ -292,7 +292,7 @@ def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
 class SweepRow(BoundReport):
     """A theorem_bounds report plus witness_lower_bound and interp_constant at (r,) * n.
 
-    ``witness`` is None without a kernel witness, ``estimate`` past estimate_cap."""
+    ``witness`` is None without a kernel witness or on Divergence, ``estimate`` past estimate_cap."""
 
     witness: float | None
     estimate: float | None
@@ -338,7 +338,7 @@ def bound_sweep(
         report = theorem_bounds(space, n, r)
         try:
             jet, size = _witness_parts(space, r, n)
-        except UnsupportedSpace:
+        except (UnsupportedSpace, Divergence):
             witness = None
         else:
             if n not in jet_norms:

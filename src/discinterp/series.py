@@ -241,8 +241,9 @@ class SigmaSet:
 
 
 def _falling(ks: np.ndarray, d: int) -> np.ndarray:
-    """Falling factorial (k)_d = k (k-1) ... (k-d+1)."""
-    out = np.ones_like(ks, dtype=float)
+    """Falling factorial (k)_d = k (k-1) ... (k-d+1) of integers k >= 0; 0 for k < d from the
+    start, as the running product would pass the float range (k! from k = 171) before its 0."""
+    out = (ks >= d).astype(float)
     for i in range(d):
         out *= ks - i
     return out

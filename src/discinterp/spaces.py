@@ -51,8 +51,8 @@ __all__ = [
     "power_inequality_check",
 ]
 
-# Blocks of the l^p_a dual-weight sum (eval_functional_norm) and its tail rule;
-# _SERIES_BLOCK also caps the first T_B-power block (_stein_blocks); both stop at _SERIES_KMAX.
+# _SERIES_TOL: the width of the l^p_a dual-weight tail bracket over the sum (eval_functional_norm);
+# _SERIES_BLOCK caps the first T_B-power block (_stein_blocks); both stop at _SERIES_KMAX terms.
 _SERIES_TOL = 1e-14
 _SERIES_BLOCK = 256
 _SERIES_KMAX = 1 << 21
@@ -492,60 +492,56 @@ def _unit_norm(space: SpaceSpec, f: CoeffSeries) -> float:
 def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     """Norm of f |-> f(t) on the space, read at |t| < 1: every rule is radial.
 
-    Divergence for |t| >= 1 or NaN.  One rule per family, each with 1 - t^2
-    formed as (1-t)(1+t), free of cancellation as t -> 1.  hardy(p) uses the
-    classical sharp value (1-t^2)^(-1/p).  On l^p_a(alpha) it is the l^q
-    norm, 1/p + 1/q = 1, of the dual weight (k+1)^(alpha-1) t^k: the peak
-    weight times a blocked sum, plus its geometric tail, of the q-th powers
-    of the weights over the peak for finite q (q = 1 at p = inf, q = 2 at
-    p = 2), and the peak itself at p = 1.  Bergman at p = 2 is sqrt of the
-    kernel diagonal (beta+1)/pi (1-t^2)^-(beta+2); Bergman with p != 2 is out.
+    Divergence for |t| >= 1 or NaN.  One sharp rule per family, 1 - t^2
+    formed as (1-t)(1+t): (1-t^2)^(-1/p) on hardy(p), and ((beta+1)/pi)^(1/p)
+    (1-t^2)^(-(beta+2)/p) on bergman_radial(p, beta), attained by
+    (1 - t z)^(-2(beta+2)/p), inf past the float range.  On l^p_a(alpha) the
+    l^q norm, 1/p + 1/q = 1, of w_k = (k+1)^(alpha-1) t^k (Divergence if its
+    peak is past the float range): the peak at p = 1, else the peak times the
+    q-th root of sum_k u_k, u_k = (w_k / peak)^q, its terms k < K in one
+    vectorised pass.  For k >= K - 1, u_(k+1)/u_k lies in [x, rho], x = t^q,
+    rho = ((K+1)/K)^(q(alpha-1)) x, so for rho < 1 the tail lies between
+    u_(K-1) x/(1-x) and u_(K-1) rho/(1-rho).  Its midpoint is added once that
+    bracket is at most _SERIES_TOL of the sum; else K doubles, up to
+    _SERIES_KMAX + 1 terms, past which it raises Divergence.
     """
     t = abs(float(t))
     if not t < 1.0:
         raise Divergence(f"evaluation norm needs |t| < 1, got |t| = {t}")
     one_minus_t2 = (1.0 - t) * (1.0 + t)
     if space.family == "hardy":
-        if space.p == np.inf:
-            return 1.0
         return float(one_minus_t2 ** (-1.0 / space.p))
-    if space.family == "seq":
-        alpha = space.alpha
-        # the weights rise, peak at k* = (alpha-1)/(-log t) - 1, then decay;
-        # log w_k is concave, so the peak is at an integer neighbour of k*
-        k_top = (alpha - 1.0) / -np.log(t) if t > 0.0 else 0.0
-        ks = np.maximum(np.floor(k_top - 1.0) + np.array([0.0, 1.0]), 0.0)
-        peak = float(np.max((ks + 1.0) ** (alpha - 1.0) * t**ks))
-        if space.p == 1.0:
-            return peak
-        q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
-
-        # blocks of k = 0, 1, 2, .. until one that ends past min_k is at most
-        # _SERIES_TOL of the total.  min_k is past the peak: a first block that
-        # underflows to 0 must not end the sum.  Capped one past _SERIES_KMAX,
-        # a peak out of reach costs one bounded block and raises Divergence.
-        min_k = int(min(np.ceil(k_top), _SERIES_KMAX + 1))
-        block = max(_SERIES_BLOCK, min_k)
-        pieces, total, k0 = [], 0.0, 0
-        while True:
-            ks = np.arange(k0, k0 + block)
-            # weights over the peak, so their q-th powers stay <= 1: near
-            # p = 1 the peak weight to the power q alone overflows
-            pieces.append(float(np.sum(((ks + 1.0) ** (alpha - 1.0) * t**ks / peak) ** q)))
-            total += pieces[-1]
-            k0 += block
-            if k0 > min_k and pieces[-1] <= _SERIES_TOL * total:
-                break
-            if k0 > _SERIES_KMAX:
-                raise Divergence(_DIVERGENCE)
-        # past the peak the blocks decay about geometrically: add the tail
-        # after the last block, at the ratio r of the last two
-        r = pieces[-1] / pieces[-2]
-        return peak * float(sum(pieces) + pieces[-1] * r / (1.0 - r)) ** (1.0 / q)
-    if space.is_hilbert:
-        beta = space.beta
-        return float(np.sqrt((beta + 1.0) / np.pi) * one_minus_t2 ** (-(beta + 2.0) / 2.0))
-    raise UnsupportedSpace("evaluation norm for Bergman p != 2 is not implemented")
+    if space.family == "bergman":
+        with np.errstate(over="ignore"):  # inf past the float range
+            return float(((space.beta + 1.0) / np.pi) ** (1.0 / space.p)
+                         * np.float64(one_minus_t2) ** (-(space.beta + 2.0) / space.p))
+    a = space.alpha - 1.0
+    # log w_k is concave with its top at k* = a/(-log t) - 1: the peak is at a neighbour of k*
+    k_top = a / -math.log(t) if t > 0.0 else 0.0
+    ks = np.maximum(np.floor(k_top - 1.0) + np.array([0.0, 1.0]), 0.0)
+    peak = float(np.max((ks + 1.0) ** a * t**ks))
+    if not peak < math.inf:  # (k+1)^(alpha-1) alone may overflow
+        raise Divergence(f"the l^p_a dual weight at |t| = {t} peaks past the float range")
+    if space.p == 1.0 or t == 0.0:  # at t = 0 every weight but w_0 = 1 is 0
+        return peak
+    q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
+    qa, q_log_t, q_log_peak = q * a, q * math.log(t), q * math.log(peak)
+    x, one_minus_x = math.exp(q_log_t), -math.expm1(q_log_t)
+    # 36 e-folds of x past the peak, fewer as q(alpha-1) < 1 narrows the bracket
+    K = int(min(2.0 * k_top + 36.0 * min(qa, 1.0) / -q_log_t + 2.0, _SERIES_KMAX + 1))
+    while True:
+        ks = np.arange(K, dtype=float)
+        u = np.exp(qa * np.log1p(ks) + (q_log_t * ks - q_log_peak))  # <= 1: no overflow
+        total = float(np.sum(u))
+        c = math.expm1(qa * math.log1p(1.0 / K))  # rho = (1 + c) x
+        if (one_minus_rho := one_minus_x - c * x) > 0.0:
+            low = u[-1] * x / one_minus_x
+            width = u[-1] * c * x / (one_minus_x * one_minus_rho)
+            if width <= _SERIES_TOL * (total + low):
+                return peak * float(total + low + 0.5 * width) ** (1.0 / q)
+        if K > _SERIES_KMAX:
+            raise Divergence(_DIVERGENCE)
+        K = min(2 * K, _SERIES_KMAX + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from discinterp import (
     BoundReport,
     CoeffSeries,
+    Divergence,
     PoleOnDomain,
     SigmaSet,
     SweepRow,
@@ -90,14 +92,24 @@ class TestTheoremBounds:
         rep = theorem_bounds(bergman_radial(1, 0.0), 5, 0.5)
         assert rep.upper == pytest.approx(10.0**2, rel=1e-12)
         assert rep.lower == 0.0
-        assert rep.phi_scale is None  # no evaluation-norm formula at p = 1
+        # the sharp L^1_a evaluation norm at t = 0.9: (1/pi) (1 - t^2)^-2
+        assert rep.phi_scale == pytest.approx(8.81744837074213, rel=1e-14, abs=0.0)
 
     def test_diverging_phi_scale_is_none(self):
-        # at t = 1 - 1e-5 / 96 the l^2_a(3) dual-weight sum needs more than 2^21 terms
-        rep = theorem_bounds(seq_weighted(2, 3.0), 96, 0.999)
+        # at t = 1 - 1e-5 / 96 the l^2_a(4) dual-weight sum needs more than 2^21 terms
+        rep = theorem_bounds(seq_weighted(2, 4.0), 96, 0.999)
         assert rep.phi_scale is None
         assert 0.0 < rep.lower <= rep.upper < np.inf
-        assert theorem_bounds(seq_weighted(2, 3.0), 64, 0.999).phi_scale > 0.0
+        assert theorem_bounds(seq_weighted(2, 4.0), 64, 0.999).phi_scale > 0.0
+
+    def test_phi_scale_near_the_kmax(self):
+        # l^2_a(3) at t = 1 - 1e-5 / 96 needs about 2.0e6 of the 2^21 terms:
+        # the square of the norm is sum_k (k+1)^4 x^k = A_4(x) / (1-x)^5,
+        # x = t^2, A_4 = 1 + 11 x + 11 x^2 + x^3, taken exactly
+        x = Fraction(1.0 - (1.0 - 0.999) / 96) ** 2
+        want = math.sqrt((1 + 11 * x + 11 * x**2 + x**3) / (1 - x) ** 5)
+        got = theorem_bounds(seq_weighted(2, 3.0), 96, 0.999).phi_scale
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_consistency_with_eval_functional(self):
         rep = theorem_bounds(seq_weighted(2, 1.5), 4, 0.6)
@@ -593,6 +605,19 @@ class TestSweep:
         monkeypatch.undo()
         for row in res.rows:
             assert row.witness == witness_lower_bound(seq_weighted(2, 1.5), complex(row.r), row.n)
+
+    def test_diverging_witness_leaves_its_cell_empty(self):
+        # at r = 1 - 1e-7 the witness's Taylor series needs more than 2^21
+        # terms; that cell has no witness and the slope is fitted without it
+        space = seq_weighted(2, 1.5)
+        with pytest.raises(Divergence):
+            witness_lower_bound(space, 0.9999999, 2)
+        res = bound_sweep(space, [2, 8], [0.5, 0.9999999])
+        assert [row.witness is None for row in res.rows] == [False, True, False, True]
+        for row in res.rows[::2]:
+            assert row.witness == witness_lower_bound(space, row.r, row.n)
+        want = bound_sweep(space, [2, 8], [0.5]).slope_witness
+        assert res.slope_witness == want is not None
 
     def test_rejects_non_integral_n(self):
         for n in (2.5, 2.0, 0, -1):

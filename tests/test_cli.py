@@ -195,8 +195,8 @@ class TestCommands:
         assert table[("2", "1")] == pytest.approx(-1.0)
 
     def test_sweep_reports_a_diverging_phi_scale_as_empty(self, tmp_path):
-        # at (96, 0.999) the l^2_a(3) evaluation norm needs more than 2^21
-        # terms; that cell is left empty and the sweep goes on
+        # every cell of this grid has an l^2_a(3) evaluation norm: the one at
+        # (96, 0.999) needs about 2.0e6 of the 2^21 terms
         code, out = run_to_file(
             tmp_path, "sweep.csv",
             ["sweep", "--space", "seq", "--p", "2", "--alpha", "3",
@@ -205,8 +205,31 @@ class TestCommands:
         assert code == 0
         _, _, rows = parse_csv(out)
         assert len(rows) == 42
-        assert [(r["n"], r["r"]) for r in rows if r["phi_scale"] == ""] == [("96", "0.999")]
+        assert all(0.0 < float(r["phi_scale"]) < math.inf for r in rows)
         assert all(0.0 < float(r["witness"]) < math.inf for r in rows)
+        # at t = 1 - 5e-9 the peak of the l^3_a(3) dual weight is out of
+        # reach; that cell is left empty and the sweep goes on
+        code, out = run_to_file(
+            tmp_path, "far.csv",
+            ["sweep", "--space", "seq", "--p", "3", "--alpha", "3",
+             "--n-grid", "100000000", "--r-grid", "0.5"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [(r["n"], r["phi_scale"], r["witness"]) for r in rows] == [("100000000", "", "")]
+
+    def test_sweep_reports_a_diverging_witness_as_empty(self, tmp_path):
+        # at r = 1 - 1e-7 the witness's series needs more than 2^21 terms
+        code, out = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep", "--space", "seq", "--p", "2", "--alpha", "3",
+             "--n-grid", "2", "--r-grid", "0.5,0.9999999"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [r["r"] for r in rows] == ["0.5", "0.9999999"]
+        assert 0.0 < float(rows[0]["witness"]) < math.inf
+        assert rows[1]["witness"] == ""
 
     def test_bernstein_near_circle_needs_no_basis(self, tmp_path):
         code, out = run_to_file(

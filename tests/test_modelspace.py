@@ -409,6 +409,15 @@ class TestBernstein:
             # every column with a nonzero weight is zero: nothing is out of range
             assert bernstein_ratio(SigmaSet((0.0, 0.0)), order=200) == 0.0
 
+    @pytest.mark.parametrize("n, k", [(190, 200), (171, 172)])
+    def test_zero_weights_past_the_float_range(self, n, k):
+        # (m)_k = 0 for m < k, though m! overflows from m = 171, and the
+        # columns v_m = 0, m >= n, stay 0 where (m)_k overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_falling(np.arange(k), k), np.zeros(k))
+            assert bernstein_ratio(SigmaSet((0.0,) * n), order=k) == 0.0
+
 
 class TestOperatorNorm:
     def test_single_origin(self):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,16 @@ class TestBlockedBergman:
             w[0] = 0.0
         assert _radial_rule(40, 0.5)[0] is radii
 
+
+def eulerian(d: int) -> list[int]:
+    """Coefficients of the Eulerian polynomial A_d, A_0 = 1."""
+    row = [1]
+    for n in range(1, d + 1):
+        row = [(m + 1) * (row[m] if m < len(row) else 0) + (n - m) * (row[m - 1] if m else 0)
+               for m in range(n)]
+    return row
+
+
 class TestEvalFunctional:
     def test_hardy2_origin(self):
         assert eval_functional_norm(hardy(2), 0.0) == 1.0
@@ -456,7 +467,8 @@ class TestEvalFunctional:
         )
 
     def test_seq_sup_norm_dual_weight_near_kmax(self):
-        # at alpha = 1 the tail rule ends the sum near 2^21 terms here
+        # at alpha = 1 the bracketed tail is exact, so no pass runs to
+        # 2^21 terms here, where the tail is most of the sum
         t = 1.0 - 1.4e-5
         assert eval_functional_norm(seq_weighted(np.inf, 1.0), t) == pytest.approx(
             1.0 / (1.0 - t), rel=1e-13, abs=0.0
@@ -464,8 +476,8 @@ class TestEvalFunctional:
 
     @pytest.mark.parametrize("p", [1.5, 3.0, np.inf])
     def test_seq_dual_weight_peak_out_of_reach(self, p):
-        # the peak sits near k = 2e9, past the summed range: a bounded
-        # first block, then Divergence
+        # the peak sits near k = 2e9, past the summed range: one pass of
+        # 2^21 + 1 terms, still rising, then Divergence
         with pytest.raises(Divergence):
             eval_functional_norm(seq_weighted(p, 3.0), 1.0 - 1e-9)
 
@@ -490,6 +502,51 @@ class TestEvalFunctional:
         want = np.exp(logsumexp(log_terms) / q)
         got = eval_functional_norm(seq_weighted(p, alpha), t)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p, alphas, ts",
+        [(2.0, (1.0, 1.5, 2.0, 2.5, 3.0), (0.3, 0.9, 0.999, 1.0 - 2.0**-13, 1.0 - 2.0**-16)),
+         (np.inf, (1.0, 2.0, 3.0), (0.3, 0.9, 0.999, 1.0 - 2.0**-13))],
+    )
+    def test_seq_dual_weight_eulerian(self, p, alphas, ts):
+        # the q-th power of the norm is sum_k (k+1)^d x^k = A_d(x)/(1-x)^(d+1),
+        # d = q(alpha-1) and x = t^q, A_d the Eulerian polynomial, exactly
+        q = 2 if p == 2 else 1
+        for alpha in alphas:
+            d = round(q * (alpha - 1.0))
+            coeffs = eulerian(d)
+            for t in ts:
+                x = Fraction(t) ** q
+                want = sum(c * x**m for m, c in enumerate(coeffs)) / (1 - x) ** (d + 1)
+                got = eval_functional_norm(seq_weighted(p, alpha), t)
+                assert got == pytest.approx(float(want) ** (1.0 / q), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.5])
+    def test_bergman_pointwise_bound_and_sharpness(self, rng, p, beta):
+        space = bergman_radial(p, beta)
+        for _ in range(4):
+            f = random_poly(rng, 12)
+            nf = norm(space, f)
+            for t in (0.0, 0.4, 0.8, 0.95):
+                assert abs(eval_series(f, t)) <= eval_functional_norm(space, t) * nf * (1 + 1e-12)
+        # (1 - t z)^(-g), g = 2(beta+2)/p, attains it; cut at degree 599,
+        # where its coefficients are below 1e-70 of the first
+        t, g, ks = 0.7, 2.0 * (beta + 2.0) / p, np.arange(600)
+        f = CoeffSeries(np.cumprod(np.append(1.0, (g + ks[:-1]) / (ks[:-1] + 1.0))) * t**ks)
+        ratio = abs(eval_series(f, t)) / norm(space, f)
+        assert ratio == pytest.approx(eval_functional_norm(space, t), rel=1e-12, abs=0.0)
+
+    def test_past_the_float_range(self):
+        # the L^2_a(300) norm at 0.999 is past it, the L^3_a(300) one is not;
+        # the l^2_a(60) peak weight (k+1)^59 t^k at 0.9999 is, the l^2_a(40) one is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_functional_norm(bergman_radial(2, 300), 0.999) == math.inf
+            assert 0.0 < eval_functional_norm(bergman_radial(3, 300), 0.999) < math.inf
+        with np.errstate(over="ignore"), pytest.raises(Divergence, match="float range"):
+            eval_functional_norm(seq_weighted(2, 60), 0.9999)
+        assert 0.0 < eval_functional_norm(seq_weighted(2, 40), 0.9999) < math.inf
 
     @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.5])
     def test_bergman2_kernel_diagonal_sum(self, beta):
