@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +116,9 @@ def theorem_bounds(space: _sp.SpaceSpec, n: int, r: float) -> BoundReport:
             upper, upper_tag = x ** ((beta + 2.0) / space.p), "bergman-jet-upper"
         lower_known = upper_known = False
 
-    try:
+    phi = None
+    with suppress(Divergence):
         phi = _sp.eval_functional_norm(space, 1.0 - (1.0 - r) / n)
-    except Divergence:
-        phi = None
     return BoundReport(
         n, r, x, lower, upper, lower_tag, upper_tag, lower_known, upper_known, phi
     )
@@ -292,7 +292,8 @@ def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
 class SweepRow(BoundReport):
     """A theorem_bounds report plus witness_lower_bound and interp_constant at (r,) * n.
 
-    ``witness`` is None without a kernel witness or on Divergence, ``estimate`` past estimate_cap."""
+    ``witness`` is None without a kernel witness, ``estimate`` past estimate_cap, and
+    either where its series raises Divergence."""
 
     witness: float | None
     estimate: float | None
@@ -335,20 +336,15 @@ def bound_sweep(
 
     def make_row(cell: tuple[int, float]) -> SweepRow:
         n, r = cell
-        report = theorem_bounds(space, n, r)
-        try:
+        report, witness, estimate = theorem_bounds(space, n, r), None, None
+        with suppress(UnsupportedSpace, Divergence):  # else the cell is left empty
             jet, size = _witness_parts(space, r, n)
-        except (UnsupportedSpace, Divergence):
-            witness = None
-        else:
             if n not in jet_norms:
                 jet_norms[n] = _jet_norm(jet)
             witness = jet_norms[n] / size
-        estimate = None
         if space.is_hilbert and 0 < n <= estimate_cap:
-            estimate = interp_constant(
-                space, SigmaSet((complex(r),) * n), budget=budget, seed=seed
-            )
+            with suppress(Divergence):
+                estimate = interp_constant(space, SigmaSet((complex(r),) * n), budget, seed)
         return SweepRow(**vars(report), witness=witness, estimate=estimate)
 
     rows = tuple(make_row(c) for c in cells)

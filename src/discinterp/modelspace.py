@@ -134,9 +134,9 @@ def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
     G, M, k = 0.0, 0, order
     with np.errstate(all="ignore"):  # out of range raises below; tr(G_M) = 0 gives log(inf)
         for V, mass in _stein_blocks(sigma.points):
-            f = _falling(np.arange(M, M + V.shape[1]), k)  # nondecreasing: f[-1] is its max
+            f = _falling(np.arange(M, M + V.shape[1]), k)
             # where (m)_k is past the float range, a column v_m = 0 still adds 0
-            D = V * f if f[-1] < math.inf else np.multiply(V, f, out=np.zeros_like(V), where=V != 0)
+            D = np.multiply(V, f, out=np.zeros_like(V), where=V != 0)
             G, M = G + D @ D.conj().T, M + V.shape[1]
             if mass > _TAIL_EPS:  # the bound below is at least the mass
                 continue

@@ -496,14 +496,15 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
     formed as (1-t)(1+t): (1-t^2)^(-1/p) on hardy(p), and ((beta+1)/pi)^(1/p)
     (1-t^2)^(-(beta+2)/p) on bergman_radial(p, beta), attained by
     (1 - t z)^(-2(beta+2)/p), inf past the float range.  On l^p_a(alpha) the
-    l^q norm, 1/p + 1/q = 1, of w_k = (k+1)^(alpha-1) t^k (Divergence if its
-    peak is past the float range): the peak at p = 1, else the peak times the
-    q-th root of sum_k u_k, u_k = (w_k / peak)^q, its terms k < K in one
-    vectorised pass.  For k >= K - 1, u_(k+1)/u_k lies in [x, rho], x = t^q,
-    rho = ((K+1)/K)^(q(alpha-1)) x, so for rho < 1 the tail lies between
-    u_(K-1) x/(1-x) and u_(K-1) rho/(1-rho).  Its midpoint is added once that
+    l^q norm, 1/p + 1/q = 1, of w_k = (k+1)^(alpha-1) t^k, peaking at k_p
+    (Divergence where (k_p+1)^(alpha-1) is past the float range): the peak at
+    p = 1, else the peak times the q-th root of sum_k u_k, u_k = (w_k / peak)^q,
+    its terms k < K in one vectorised pass, their exponents taken in k - k_p.
+    For k >= K - 1, u_(k+1)/u_k lies in [x, rho], x = t^q, rho =
+    ((K+1)/K)^(q(alpha-1)) x, so for rho < 1 the tail lies between u_(K-1)
+    x/(1-x) and u_(K-1) rho/(1-rho).  Its midpoint is added once that
     bracket is at most _SERIES_TOL of the sum; else K doubles, up to
-    _SERIES_KMAX + 1 terms, past which it raises Divergence.
+    _SERIES_KMAX + 1 terms, past which it raises Divergence (at once for k_p past them).
     """
     t = abs(float(t))
     if not t < 1.0:
@@ -515,23 +516,26 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
         with np.errstate(over="ignore"):  # inf past the float range
             return float(((space.beta + 1.0) / np.pi) ** (1.0 / space.p)
                          * np.float64(one_minus_t2) ** (-(space.beta + 2.0) / space.p))
-    a = space.alpha - 1.0
-    # log w_k is concave with its top at k* = a/(-log t) - 1: the peak is at a neighbour of k*
-    k_top = a / -math.log(t) if t > 0.0 else 0.0
-    ks = np.maximum(np.floor(k_top - 1.0) + np.array([0.0, 1.0]), 0.0)
-    peak = float(np.max((ks + 1.0) ** a * t**ks))
-    if not peak < math.inf:  # (k+1)^(alpha-1) alone may overflow
-        raise Divergence(f"the l^p_a dual weight at |t| = {t} peaks past the float range")
+    a, log_t = space.alpha - 1.0, math.log(t) if t > 0.0 else -math.inf
+    # log w_k is concave, its top at k* = a/(-log t) - 1: the peak is at an integer next to k*
+    k_top = a / -log_t
+    kp = max({max(math.floor(k_top) - j, 0) for j in (0, 1)},
+             key=lambda k: a * math.log1p(k) + k * log_t)
+    if not a * math.log1p(kp) < np.log(np.finfo(float).max):
+        raise Divergence(f"at |t| = {t}, (k+1)^(alpha-1) at the l^p_a peak is past the float range")
+    peak = (kp + 1.0) ** a * t**kp
     if space.p == 1.0 or t == 0.0:  # at t = 0 every weight but w_0 = 1 is 0
         return peak
+    if kp > _SERIES_KMAX:  # the pass ends only past the peak
+        raise Divergence(_DIVERGENCE)
     q = 1.0 if space.p == np.inf else space.p / (space.p - 1.0)
-    qa, q_log_t, q_log_peak = q * a, q * math.log(t), q * math.log(peak)
+    qa, q_log_t = q * a, q * log_t
     x, one_minus_x = math.exp(q_log_t), -math.expm1(q_log_t)
     # 36 e-folds of x past the peak, fewer as q(alpha-1) < 1 narrows the bracket
     K = int(min(2.0 * k_top + 36.0 * min(qa, 1.0) / -q_log_t + 2.0, _SERIES_KMAX + 1))
     while True:
-        ks = np.arange(K, dtype=float)
-        u = np.exp(qa * np.log1p(ks) + (q_log_t * ks - q_log_peak))  # <= 1: no overflow
+        d = np.arange(K, dtype=float) - kp
+        u = np.exp(qa * np.log1p(d / (kp + 1.0)) + q_log_t * d)  # centred on kp: <= 1
         total = float(np.sum(u))
         c = math.expm1(qa * math.log1p(1.0 / K))  # rho = (1 + c) x
         if (one_minus_rho := one_minus_x - c * x) > 0.0:

@@ -231,6 +231,19 @@ class TestCommands:
         assert 0.0 < float(rows[0]["witness"]) < math.inf
         assert rows[1]["witness"] == ""
 
+    def test_sweep_reports_a_diverging_estimate_as_empty(self, tmp_path):
+        # at r = 1 - 1e-7 the Stein Gram of the estimate's basis diverges too
+        code, out = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep", "--space", "seq", "--p", "2", "--alpha", "3",
+             "--n-grid", "2", "--r-grid", "0.5,0.9999999",
+             "--estimate-cap", "2", "--budget", "2"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [(r["r"], r["witness"], r["estimate"]) for r in rows[1:]] == [("0.9999999", "", "")]
+        assert all(0.0 < float(rows[0][key]) < math.inf for key in ("witness", "estimate"))
+
     def test_bernstein_near_circle_needs_no_basis(self, tmp_path):
         code, out = run_to_file(
             tmp_path, "bern.csv", ["bernstein", "--sigma", "0.9999,0.9999"],
