@@ -17,7 +17,8 @@ Lower bounds come from explicit witnesses: the analytic Fejer kernel
 boundary peak faces away from the target point and transplanted there by
 the Blaschke involution.  Every number built from it is radial, so it is
 read once, at r = |lam|, in real arithmetic (_witness_at): the norm of
-the transplant from its exact Malmquist coordinates, so nothing is
+the transplant from its exact Malmquist coordinates, or on l^2_a(1.5)
+from the change of variables of the Bergman area norm, so nothing is
 composed or truncated, the jet norm of the real kernel power, once per n
 in a sweep, and the one-point ascent start.  Closed-form two-sided bound
 formulas are emitted alongside, with honest "order-only" flags where the
@@ -179,7 +180,10 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     Both are read at r = |lam| in real arithmetic (_witness_at), so the
     value depends on |lam| alone; the jet norm is the top singular value
     of one real Toeplitz matrix, taken without singular vectors
-    (_jet_norm).  Raises ValueError unless n is an integer >= 1.
+    (_jet_norm), and the norm of the transplant is a coordinate sum, a
+    change of variables on l^2_a(1.5) or a Taylor series walked from T_B
+    (_witness_parts), Divergence where a series or tail needs more than
+    2^21 terms.  Raises ValueError unless n is an integer >= 1.
     """
     jet, size = _witness_parts(space, lam, n)
     return _jet_norm(jet) / size
@@ -188,11 +192,18 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
 def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
     """The real jet K_n^m[:n] and the norm of the transplanted witness at r = |lam|.
 
-    The norm is ||b||_2 of the coordinates b of _witness_at where every
-    kappa_k is 1 (H^2 and l^2_a(1), where the basis is orthonormal),
-    norm(space, K) at r = 0, and otherwise the norm of the real Taylor
-    series that _malmquist_series sums from b over (r,)*deg W + (0,).
-    Raises ValueError unless n is an integer >= 1.
+    Nothing is composed or truncated.  The norm is ||b||_2 of the
+    coordinates b of _witness_at where every kappa_k is 1 (H^2 and l^2_a(1),
+    where the basis is orthonormal), and norm(space, K) at r = 0.  Otherwise
+    it takes one of two routes.  On l^2_a(1.5), the area norm of the
+    Bergman space A^2, it is read through the change of variables w =
+    b_r(z) (_bergman_transplant_norm), with no Taylor series of W o b_r.
+    For m >= 3 it is the norm of the real Taylor series that
+    _malmquist_series sums from b over (r,)*deg W + (0,): the weights
+    (k+1)^-d, d = 2(alpha - 1) >= 2, are no area norm that the disc
+    automorphisms carry into one another (those of A^2_gamma are Gamma
+    ratios), so no such identity exists there.  Raises ValueError unless n
+    is an integer >= 1.
     """
     n = _multiplicity(n)
     r = abs(complex(lam))
@@ -204,8 +215,50 @@ def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarr
         return K[:n], float(np.linalg.norm(b))
     if r == 0.0:
         return K[:n], _sp.norm(space, CoeffSeries(K))
+    if space.alpha == 1.5:
+        return K[:n], _bergman_transplant_norm(h, r)
     series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
     return K[:n], _sp.norm(space, CoeffSeries(series))
+
+
+def _bergman_transplant_norm(h: np.ndarray, r: float) -> float:
+    """||W o b_r|| on l^2_a(1.5), ||f||^2 = sum_k |f_k|^2 / (k+1), for 0 < r < 1.
+
+    h = W / (1 - r z) on k <= D = deg W (_witness_at).  That norm is the
+    normalised area integral of |f|^2 over the disc; b_r is an involution
+    with |b_r'(w)|^2 = (1-r^2)^2 / |1 - r w|^4, so ||W o b_r|| = (1 - r^2)
+    ||W / (1 - r w)^2||, 1 - r^2 formed as (1-r)(1+r).  q =
+    _div_geometric(h, r) is W / (1 - r w)^2 on k <= D, and past D, h_(D+t)
+    = h_D r^t gives q_(D+t) = r^t (q_D + t h_D): the squared norm over
+    (1-r^2)^2 is sum_(k<=D) q_k^2 / (k+1) plus the tail sum_(t>=1) u_t, u_t =
+    x^t (q_D + t h_D)^2 / (D+1+t), x = r^2, every term nonnegative.  The tail
+    is summed over t <= T in one vectorised pass, x^t as exp(2 t log r).
+    Once T + c > 0, c = q_D / h_D, each u_(t+1)/u_t for t >= T is at most
+    rho = x (1 + 1/(T + c))^2 (x itself where h_D = 0), so for rho < 1 the
+    rest lies in [0, u_T rho / (1 - rho)]; its midpoint is added once that
+    bracket is at most 2^-53 of the sum.  Else T doubles, up to
+    _SERIES_KMAX tail terms, past which it raises Divergence.
+    """
+    log_x = 2.0 * math.log(r)
+    x = math.exp(log_x)
+    q = _div_geometric(h, r)
+    D = h.size - 1
+    head = float(np.sum(q * q / np.arange(1.0, D + 2.0)))
+    q_D, h_D = float(q[-1]), float(h[-1])
+    c = q_D / h_D if h_D != 0.0 else math.inf
+    # near the circle the bracket needs about 40.5 e-folds of x, fewer nearer 0
+    T = int(min(41.0 / -log_x + 16.0, _sp._SERIES_KMAX))
+    while True:
+        t = np.arange(1.0, T + 1.0)
+        u = np.exp(log_x * t) * (q_D + h_D * t) ** 2 / (t + (D + 1.0))
+        total = head + float(np.sum(u))
+        if T + c > 0.0 and (rho := x * (1.0 + 1.0 / (T + c)) ** 2) < 1.0:
+            width = float(u[-1]) * rho / (1.0 - rho)
+            if width <= _sp._TAIL_EPS * total:
+                return (1.0 - r) * (1.0 + r) * math.sqrt(total + 0.5 * width)
+        if T >= _sp._SERIES_KMAX:
+            raise Divergence(_sp._DIVERGENCE)
+        T = min(2 * T, _sp._SERIES_KMAX)
 
 
 def interp_constant(

@@ -21,6 +21,7 @@ closed-form basis values of series._basis_taylor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,13 +128,17 @@ def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
     sum_(j<k) v_j v_j^H <= I, the columns past M add at most ||T^M||_2^2 (C^2 ||G|| + F^2),
     C = binom(M+k, k), F = (M+k-1)_k; as ||T^M||_2^2 <= mass and ||G|| >= tr(G_M) / n, the
     sum stops once mass (C^2 + n F^2 / tr(G_M)) <= 2^-53, in log space, or once the mass is
-    0 with every node at 0; FloatingPointError where G overflows, or the mass underflows first.
+    0 with every node at 0.  Where the mass is below the normal range its logarithm is twice
+    that of ||T^M||_F, read unsquared from the walk's P = (T^M)^T, so a G near the top of the
+    float range (about 2.1e305 at order 47 for one node at 0.99, whose mass underflows near
+    M = 36,900 and certifies near M = 37,500) still gets its cut; FloatingPointError where G
+    overflows, or where that norm itself underflows before the cut.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     G, M, k = 0.0, 0, order
     with np.errstate(all="ignore"):  # out of range raises below; tr(G_M) = 0 gives log(inf)
-        for V, mass in _stein_blocks(sigma.points):
+        for V, (mass, P) in _stein_blocks(sigma.points, with_power=True):
             f = _falling(np.arange(M, M + V.shape[1]), k)
             # where (m)_k is past the float range, a column v_m = 0 still adds 0
             D = np.multiply(V, f, out=np.zeros_like(V), where=V != 0)
@@ -142,12 +147,17 @@ def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
                 continue
             if mass == 0.0 and not any(sigma.points) or not (trace := G.trace().real) < math.inf:
                 break  # T_B is nilpotent, or G overflowed
-            log_mass = math.log(max(mass, sigma.n * 2.0**-1074))  # a mass read as 0 is below
+            if mass >= sys.float_info.min:
+                log_mass, fro = math.log(mass), math.sqrt(mass)
+            else:  # the square underflows: ||T^M||_F = ||P||_F, read over its top entry
+                peak = float(np.max(np.abs(P)))
+                fro = peak * math.sqrt(float(np.vdot(P / peak, P / peak).real)) if peak > 0.0 else 0.0
+                log_mass = 2.0 * math.log(max(fro, sigma.n * 2.0**-1074))  # 0 is below n 2^-1074
             log_c = 2.0 * (math.lgamma(M + k + 1) - math.lgamma(M + 1) - math.lgamma(k + 1))
             log_f = 2.0 * (math.lgamma(M + k) - math.lgamma(M)) + math.log(sigma.n / trace)
             if sum(math.exp(min(log_mass + t, 0.0)) for t in (log_c, log_f)) <= _TAIL_EPS:
                 break
-            if mass == 0.0:  # the walk can certify nothing past it
+            if fro == 0.0:  # the walk can certify nothing past it
                 raise FloatingPointError(f"the order-{k} Gram underflows (r={sigma.r:.3g})")
         H = 0.5 * (G + G.conj().T)  # finite where its trace is: |H_ij|^2 <= H_ii H_jj
         top = np.linalg.eigvalsh(H)[-1] if H.trace().real < math.inf else math.inf

@@ -36,7 +36,7 @@ from discinterp import (
     theorem_bounds,
     witness_lower_bound,
 )
-from discinterp.spaces import _malmquist_cholesky
+from discinterp.spaces import _malmquist_cholesky, _malmquist_series
 
 from conftest import random_sigma, recording_ascent, sequential_ascent
 
@@ -234,6 +234,34 @@ class TestWitness:
         got = witness_lower_bound(seq_weighted(2, 1.5), lam, n)
         assert np.isfinite(got)
         assert got == pytest.approx(value, rel=1e-5)
+
+    def test_bergman_norm_is_the_change_of_variables(self, monkeypatch):
+        # l^2_a(1.5) is the area norm of A^2, so ||W o b_r|| = (1 - r^2)
+        # ||W / (1 - r w)^2||: against the norm of the Taylor series that the
+        # walk sums over (r,)*deg W + (0,), with no series and no walk built
+        space = seq_weighted(2, 1.5)
+        want = {}
+        for n in range(1, 65):
+            for r in (0.3, 0.5, 0.9, 0.99, 0.999):
+                K, h = bounds._witness_at(space, r, n)
+                b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
+                walked = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
+                want[n, r] = extremal._jet_norm(K[:n]) / norm(space, CoeffSeries(walked))
+
+        def refuse(*args):
+            raise AssertionError("the l^2_a(1.5) witness walked the powers of T_B")
+
+        monkeypatch.setattr(bounds, "_malmquist_series", refuse)
+        monkeypatch.setattr("discinterp.spaces._stein_blocks", refuse)
+        for (n, r), value in want.items():
+            got = witness_lower_bound(space, r, n)
+            assert got == pytest.approx(value, rel=1e-13, abs=0.0), (n, r)
+
+    def test_near_circle_bergman_tail_is_finite(self):
+        # the tail past deg W takes about 1e6 of the 2^21 terms it may sum;
+        # the value is that of the walk over the witness's Taylor series
+        got = witness_lower_bound(seq_weighted(2, 1.5), 0.99998, 2)
+        assert got == pytest.approx(6.471876862440125, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("space", [seq_weighted(2, 1.5), seq_weighted(2, 2), hardy(2)])
     def test_ignores_the_phase_of_lam(self, rng, space):

@@ -396,6 +396,13 @@ class TestBernstein:
         want = math.sqrt(Fraction(3 * total, 4 ** (N + 1)))
         assert bernstein_ratio(SigmaSet((0.5,)), order=k) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_mass_below_the_float_range_still_cuts(self):
+        # one node at 0.99, order 47: G is about 2.1e305, and the mass
+        # 0.99^(2M) underflows near M = 36,900, before the cut is certified
+        # near M = 37,500; s^2 sum_m ((m)_47)^2 0.99^(2m), summed at 40 digits
+        want = 4.6199260822253106e152
+        assert bernstein_ratio(SigmaSet((0.99,)), order=47) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_out_of_range_is_an_error_not_a_value(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -539,8 +546,8 @@ class TestOperatorNorm:
             assert M == _malmquist_series(np.conj(points), b).size
 
     def test_series_walks_are_stein_blocks(self, monkeypatch):
-        # min_norm_trace and the witness read their series from the one walk,
-        # with the coordinates as its probe
+        # min_norm_trace and the m >= 3 witness read their series from the one
+        # walk, with the coordinates as its probe (the l^2_a(1.5) one walks none)
         walks = []
 
         def recording(points, probe=None):
@@ -552,7 +559,7 @@ class TestOperatorNorm:
         min_norm_trace(space, SigmaSet((0.5, -0.3j, 0.5)), [1.0, 2.0, -1.0])
         assert walks[0] is None and len(walks) == 2 and walks[1].shape == (3,)
         walks.clear()
-        witness_lower_bound(space, 0.9, 8)
+        witness_lower_bound(seq_weighted(2, 2), 0.9, 8)
         probes = [probe for probe in walks if probe is not None]
         assert len(probes) == 1 and probes[0].dtype == np.float64
 

@@ -29,6 +29,21 @@ def test_script_runs(script, args, summary):
     assert summary in out.stdout
 
 
+def test_scaling_study_fits_an_r_grid_jointly():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scaling_study.py"),
+         "--n-grid", "2,4", "--r-grid", "0.5,0.99"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines() if line[:4].strip().isdigit()]
+    # n-major, then r, in both scales: x = n/(1-r) names the radius
+    assert [float(row[1]) for row in rows] == [4.0, 200.0, 8.0, 400.0] * 2
+    assert all(float(row[2]) > 0.0 for row in rows)
+    assert out.stdout.count("fitted witness slope:") == 2
+
+
 def test_readme_library_example_runs():
     readme = ROOT / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
