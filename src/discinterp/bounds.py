@@ -40,6 +40,9 @@ from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_
 from .spaces import _malmquist_cholesky, _malmquist_series
 from . import spaces as _sp
 
+# terms of the l^2_a(1.5) witness tail summed at once (_bergman_transplant_norm)
+_TAIL_CHUNK = 1 << 16
+
 __all__ = [
     "BoundReport",
     "SweepRow",
@@ -232,11 +235,13 @@ def _bergman_transplant_norm(h: np.ndarray, r: float) -> float:
     = h_D r^t gives q_(D+t) = r^t (q_D + t h_D): the squared norm over
     (1-r^2)^2 is sum_(k<=D) q_k^2 / (k+1) plus the tail sum_(t>=1) u_t, u_t =
     x^t (q_D + t h_D)^2 / (D+1+t), x = r^2, every term nonnegative.  The tail
-    is summed over t <= T in one vectorised pass, x^t as exp(2 t log r).
-    Once T + c > 0, c = q_D / h_D, each u_(t+1)/u_t for t >= T is at most
-    rho = x (1 + 1/(T + c))^2 (x itself where h_D = 0), so for rho < 1 the
-    rest lies in [0, u_T rho / (1 - rho)]; its midpoint is added once that
-    bracket is at most 2^-53 of the sum.  Else T doubles, up to
+    is summed over t <= T, x^t as exp(2 t log r), in vectorised chunks of
+    _TAIL_CHUNK terms into a running total, so a doubling sums only its new
+    terms.  u_t is at most v_t = x^t (|q_D| + t |h_D|)^2 / (D+1+t), whose
+    ratio v_(t+1)/v_t for t >= T is at most rho = x (1 + 1/(T + a))^2, a =
+    |q_D / h_D| (x itself where h_D = 0), whatever the signs; so for rho < 1
+    the rest lies in [0, v_T rho / (1 - rho)], and its midpoint is added
+    once that bracket is at most 2^-53 of the sum.  Else T doubles, up to
     _SERIES_KMAX tail terms, past which it raises Divergence.
     """
     log_x = 2.0 * math.log(r)
@@ -245,20 +250,23 @@ def _bergman_transplant_norm(h: np.ndarray, r: float) -> float:
     D = h.size - 1
     head = float(np.sum(q * q / np.arange(1.0, D + 2.0)))
     q_D, h_D = float(q[-1]), float(h[-1])
-    c = q_D / h_D if h_D != 0.0 else math.inf
+    a = abs(q_D / h_D) if h_D != 0.0 else math.inf
     # near the circle the bracket needs about 40.5 e-folds of x, fewer nearer 0
     T = int(min(41.0 / -log_x + 16.0, _sp._SERIES_KMAX))
+    total, done = head, 0
     while True:
-        t = np.arange(1.0, T + 1.0)
-        u = np.exp(log_x * t) * (q_D + h_D * t) ** 2 / (t + (D + 1.0))
-        total = head + float(np.sum(u))
-        if T + c > 0.0 and (rho := x * (1.0 + 1.0 / (T + c)) ** 2) < 1.0:
-            width = float(u[-1]) * rho / (1.0 - rho)
+        for start in range(done + 1, T + 1, _TAIL_CHUNK):
+            t = np.arange(float(start), float(min(start + _TAIL_CHUNK, T + 1)))
+            total += float(np.sum(np.exp(log_x * t) * (q_D + h_D * t) ** 2 / (t + (D + 1.0))))
+        rho = x * (1.0 + 1.0 / (T + a)) ** 2
+        if rho < 1.0:
+            v_T = math.exp(log_x * T) * (abs(q_D) + T * abs(h_D)) ** 2 / (T + D + 1.0)
+            width = v_T * rho / (1.0 - rho)
             if width <= _sp._TAIL_EPS * total:
                 return (1.0 - r) * (1.0 + r) * math.sqrt(total + 0.5 * width)
         if T >= _sp._SERIES_KMAX:
             raise Divergence(_sp._DIVERGENCE)
-        T = min(2 * T, _sp._SERIES_KMAX)
+        done, T = T, min(2 * T, _sp._SERIES_KMAX)
 
 
 def interp_constant(

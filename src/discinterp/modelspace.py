@@ -86,7 +86,7 @@ def malmquist_basis(sigma: SigmaSet) -> MalmquistBasis:
     columns from ||T_B^(2^16)||_F^2, taken by 16 squarings, so a failing
     basis builds no more columns.  The degree is N - 1."""
     blocks, width = [], 0
-    for V, mass in _stein_blocks(np.conj(sigma.points)):
+    for V, mass, _ in _stein_blocks(np.conj(sigma.points)):
         blocks.append(V)
         width += V.shape[1]
         if width >= _TRUNC_CAP or mass <= _TAIL_EPS**2:
@@ -138,7 +138,7 @@ def bernstein_ratio(sigma: SigmaSet, order: int = 1) -> float:
         raise ValueError("order must be >= 1")
     G, M, k = 0.0, 0, order
     with np.errstate(all="ignore"):  # out of range raises below; tr(G_M) = 0 gives log(inf)
-        for V, (mass, P) in _stein_blocks(sigma.points, with_power=True):
+        for V, mass, P in _stein_blocks(sigma.points):
             f = _falling(np.arange(M, M + V.shape[1]), k)
             # where (m)_k is past the float range, a column v_m = 0 still adds 0
             D = np.multiply(V, f, out=np.zeros_like(V), where=V != 0)

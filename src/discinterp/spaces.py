@@ -553,15 +553,15 @@ def eval_functional_norm(space: SpaceSpec, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _stein_blocks(points, probe=None, with_power=False) -> Iterator[tuple[np.ndarray, float]]:
-    """Blocks Q^T V_j of v_m = T_B^m conj(e(0)), each with the mass ||(T_B^M)^T Q||_F^2 past it.
+def _stein_blocks(points, probe=None) -> Iterator[tuple[np.ndarray, float, np.ndarray]]:
+    """Blocks Q^T V_j of v_m = T_B^m conj(e(0)), each with the mass past it and P_j.
 
     Q is the probe, I when it is None.  Column m of E, E[k, m] the m-th coefficient of
-    e_k, is conj(v_m); as sum_m v_m v_m^H = I, the columns past M carry that mass
-    exactly.  V_0 doubles to [V_0, T^w V_0] while its mass is above 2^-106 ||Q||^2 (1 for
-    Q = I) and w < _SERIES_BLOCK; block j >= 1 is P_(j-1)^T V_0, P_j = (T^((j+1)w))^T Q.
-    With with_power set the mass comes as the pair (mass, P), P = (T_B^M)^T Q, whose norm
-    a caller can read unsquared where the mass underflows.
+    e_k, is conj(v_m); as sum_m v_m v_m^H = I, the columns past M carry the mass
+    ||(T_B^M)^T Q||_F^2 exactly.  V_0 doubles to [V_0, T^w V_0] while its mass is above
+    2^-106 ||Q||^2 (1 for Q = I) and w < _SERIES_BLOCK; block j >= 1 is P_(j-1)^T V_0,
+    P_j = (T^((j+1)w))^T Q, the (T_B^M)^T Q of the columns through block j, whose norm a
+    caller can read unsquared where the mass underflows.
     Real for real zeros and a real probe; Divergence past _SERIES_KMAX columns."""
     step = _compressed_shift(points)
     lam = step.diagonal()
@@ -576,8 +576,7 @@ def _stein_blocks(points, probe=None, with_power=False) -> Iterator[tuple[np.nda
         V, step = np.hstack((V, step @ V)), step @ step
     block = V if probe is None else probe.T @ V
     for _ in range(_SERIES_KMAX // V.shape[1] + 1):
-        mass = float(np.vdot(P, P).real)
-        yield block, (mass, P) if with_power else mass
+        yield block, float(np.vdot(P, P).real), P
         block, P = P.T @ V, step.T @ P
     raise Divergence(_DIVERGENCE)
 
@@ -596,7 +595,7 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
         return np.eye(sigma.n)
     kappa_0 = float(kernel_diagonal(space, 0.0))
     S, M = 0.0, 0
-    for V, mass in _stein_blocks(sigma.points):
+    for V, mass, _ in _stein_blocks(sigma.points):
         kappa = kernel_diagonal(space, np.arange(M, M + V.shape[1] + 1))
         S, M = S + (V * kappa[:-1]) @ V.conj().T, M + V.shape[1]
         if mass * kappa[-1] <= _TAIL_EPS * kappa_0:
@@ -632,7 +631,7 @@ def _malmquist_series(points, b: np.ndarray) -> np.ndarray:
     and a real b; Divergence past _SERIES_KMAX coefficients."""
     floor = _TAIL_EPS**2 * float(np.vdot(b, b).real)
     pieces = []
-    for piece, mass in _stein_blocks(np.conj(points), b):
+    for piece, mass, _ in _stein_blocks(np.conj(points), b):
         pieces.append(piece)
         if mass <= floor:
             return np.concatenate(pieces)

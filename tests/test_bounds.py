@@ -263,6 +263,22 @@ class TestWitness:
         got = witness_lower_bound(seq_weighted(2, 1.5), 0.99998, 2)
         assert got == pytest.approx(6.471876862440125, rel=1e-13, abs=0.0)
 
+    def test_bergman_tail_near_a_root_of_its_last_term(self, monkeypatch):
+        # at n = 2, h_D = (r - 1/2)^2 and q_D = (r - 1/2)(3r - 1/2), so q_D/h_D
+        # is near -1e7 just below r = 1/2; the tail's bound takes |q_D| + t |h_D|
+        # whatever the signs, and certifies within a few dozen terms there
+        space = seq_weighted(2, 1.5)
+        want = {}
+        for r in (0.4999999, 0.499999):
+            K, h = bounds._witness_at(space, r, 2)
+            b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
+            walked = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
+            want[r] = extremal._jet_norm(K[:2]) / norm(space, CoeffSeries(walked))
+        monkeypatch.setattr("discinterp.spaces._SERIES_KMAX", 64)
+        for r, value in want.items():
+            got = witness_lower_bound(space, r, 2)
+            assert got == pytest.approx(value, rel=1e-13, abs=0.0), r
+
     @pytest.mark.parametrize("space", [seq_weighted(2, 1.5), seq_weighted(2, 2), hardy(2)])
     def test_ignores_the_phase_of_lam(self, rng, space):
         # W o b_lam(e^(i phi) z) = W_r o b_r(z), r = |lam|, and the norms are

@@ -44,9 +44,9 @@ def _counted(monkeypatch, call):
     widths, shifts = [], []
 
     def recording(*args):
-        for V, mass in _stein_blocks(*args):
+        for V, mass, P in _stein_blocks(*args):
             widths.append(V.shape[1])
-            yield V, mass
+            yield V, mass, P
 
     def counting(points):
         shifts.append(len(points))
@@ -533,7 +533,7 @@ class TestOperatorNorm:
             identity = _stein_blocks(points)
             E = np.empty((points.size, 0))
             M = 0
-            for piece, mass in _stein_blocks(points, b):
+            for piece, mass, _ in _stein_blocks(points, b):
                 M += piece.size
                 while E.shape[1] < M:
                     E = np.hstack((E, next(identity)[0]))
