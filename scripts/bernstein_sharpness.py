@@ -12,13 +12,14 @@ import argparse
 import numpy as np
 
 from discinterp import SigmaSet, bernstein_ratio
+from discinterp.cli import _at_least, _radius
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--samples", type=int, default=400)
-    ap.add_argument("--max-n", type=int, default=10)
-    ap.add_argument("--max-r", type=float, default=0.95)
+    ap.add_argument("--samples", type=_at_least(0), default=400)
+    ap.add_argument("--max-n", type=_at_least(1), default=10)
+    ap.add_argument("--max-r", type=_radius, default=0.95)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -16,10 +16,10 @@ Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), turned so its
 boundary peak faces away from the target point and transplanted there by
 the Blaschke involution.  Every number built from it is radial, so it is
-read once, at r = |lam|, in real arithmetic (_witness_at): the norm of
-the transplant from its exact Malmquist coordinates, or on l^2_a(1.5)
-from the change of variables of the Bergman area norm, so nothing is
-composed or truncated, the jet norm of the real kernel power, once per n
+read once, at r = |lam|, in real arithmetic (_witness_at), and nothing is
+composed: the least norm with the transplant's jet (n terms on H^2,
+l^2_a(1) and l^2_a(1.5)), else the norm of the transplant from its exact
+Malmquist coordinates, the jet norm of the real kernel power, once per n
 in a sweep, and the one-point ascent start.  Closed-form two-sided bound
 formulas are emitted alongside, with honest "order-only" flags where the
 underlying constants are not numeric.
@@ -39,9 +39,6 @@ from .extremal import _ascend, _jet_norm, _malmquist_factor
 from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
 from .spaces import _malmquist_cholesky, _malmquist_series
 from . import spaces as _sp
-
-# terms of the l^2_a(1.5) witness tail summed at once (_bergman_transplant_norm)
-_TAIL_CHUNK = 1 << 16
 
 __all__ = [
     "BoundReport",
@@ -158,7 +155,8 @@ def _witness_at(space: _sp.SpaceSpec, r: float, n: int) -> tuple[np.ndarray, np.
     b_lam(e^(i phi) z) = e^(i phi) b_r(z), W_lam o b_lam(e^(i phi) z) is
     W o b_r(z); the norms are radial, so one real transplant serves every
     phase.  Over the Malmquist basis of (r, r, ..), W o b_r is
-    sum_k s h_k e_k, s = sqrt(1 - r^2).  Past m = deg W, h_k = h_m r^(k-m)
+    sum_k s h_k e_k, s = sqrt(1 - r^2), its terms k < n the projection
+    onto the model space of (r,)*n.  Past m = deg W, h_k = h_m r^(k-m)
     and the tail sums to h_m b_r^m, so over the zeros (r,)*m + (0,) the
     coordinates are exactly b = (s h_0, .., s h_(m-1), h_m); over
     (lam, lam, ..) those of W_lam o b_lam are s h_k e^(-i k phi).  The
@@ -177,96 +175,53 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
 
     The witness is K_n^m, the m-th power of the analytic Fejer kernel
     (coefficients 1 - k/n for k < n, m = 2*alpha - 1), turned so its
-    boundary peak faces away from lam, then transplanted by b_lam.  The
-    returned quotient/norm ratio is a valid lower bound for any witness;
-    the turn is what makes it grow at the proved (n/(1-r))-power rate.
-    Both are read at r = |lam| in real arithmetic (_witness_at), so the
-    value depends on |lam| alone; the jet norm is the top singular value
-    of one real Toeplitz matrix, taken without singular vectors
-    (_jet_norm), and the norm of the transplant is a coordinate sum, a
-    change of variables on l^2_a(1.5) or a Taylor series walked from T_B
-    (_witness_parts), Divergence where a series or tail needs more than
-    2^21 terms.  Raises ValueError unless n is an integer >= 1.
+    boundary peak faces away from lam, then transplanted by b_lam; the turn
+    is what makes the ratio grow at the proved (n/(1-r))-power rate.  Its
+    jet norm on (lam,)*n over any X-norm at least the least one with that
+    jet is a valid lower bound.  Both are read at r = |lam| in real
+    arithmetic (_witness_at), so the value depends on |lam| alone; the jet
+    norm is the top singular value of one real Toeplitz matrix, taken
+    without singular vectors (_jet_norm).  The X-norm is that least norm on
+    H^2, l^2_a(1) and l^2_a(1.5), n terms in closed form at every r < 1,
+    and elsewhere the norm of the transplant, a Taylor series walked from
+    T_B (_witness_parts), Divergence where it needs more than 2^21 terms.
+    Raises ValueError unless n is an integer >= 1.
     """
     jet, size = _witness_parts(space, lam, n)
     return _jet_norm(jet) / size
 
 
 def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
-    """The real jet K_n^m[:n] and the norm of the transplanted witness at r = |lam|.
+    """The real jet K_n^m[:n] and the X-norm dividing its jet norm at r = |lam|.
 
-    Nothing is composed or truncated.  The norm is ||b||_2 of the
-    coordinates b of _witness_at where every kappa_k is 1 (H^2 and l^2_a(1),
-    where the basis is orthonormal), and norm(space, K) at r = 0.  Otherwise
-    it takes one of two routes.  On l^2_a(1.5), the area norm of the
-    Bergman space A^2, it is read through the change of variables w =
-    b_r(z) (_bergman_transplant_norm), with no Taylor series of W o b_r.
-    For m >= 3 it is the norm of the real Taylor series that
-    _malmquist_series sums from b over (r,)*deg W + (0,): the weights
-    (k+1)^-d, d = 2(alpha - 1) >= 2, are no area norm that the disc
-    automorphisms carry into one another (those of A^2_gamma are Gamma
-    ratios), so no such identity exists there.  Raises ValueError unless n
-    is an integer >= 1.
+    Nothing is composed or truncated.  On H^2 and l^2_a(1) (e = 1) and on
+    l^2_a(1.5), the area norm of the Bergman space A^2 (e = 2), U f =
+    (f o b_r)(b_r')^(e/2) is unitary, b_r' = -(1 - r^2) / (1 - r z)^2, so f
+    has the jet of W o b_r on (r,)*n iff U f has that of W (b_r')^(e/2) at
+    0, and in a diagonal space the least norm with a jet at 0 is that of
+    the jet.  The norm is then that least one, s^e ||(W / (1 - r z)^e)[:n]||,
+    s^2 = (1-r)(1+r), from h = W / (1 - r z) of _witness_at: n terms, never
+    above the norm of the transplant, and the least norm of interp_constant's
+    first start.  For m >= 3 it is the norm of the transplant itself, the
+    real Taylor series that _malmquist_series sums from the coordinates b
+    of _witness_at over (r,)*deg W + (0,): the weights (k+1)^-d, d =
+    2(alpha - 1) >= 2, are no norm that the disc automorphisms carry into
+    one another (those of A^2_gamma are Gamma ratios), so no such identity
+    exists there.  Raises ValueError unless n is an integer >= 1.
     """
     n = _multiplicity(n)
     r = abs(complex(lam))
     if not r < 1.0:  # also catches NaN
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
     K, h = _witness_at(space, r, n)
-    b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
+    s2 = (1.0 - r) * (1.0 + r)
     if _sp._unit_kernel(space):
-        return K[:n], float(np.linalg.norm(b))
-    if r == 0.0:
-        return K[:n], _sp.norm(space, CoeffSeries(K))
+        return K[:n], math.sqrt(s2) * float(np.linalg.norm(h[:n]))
     if space.alpha == 1.5:
-        return K[:n], _bergman_transplant_norm(h, r)
+        return K[:n], s2 * _sp.norm(space, CoeffSeries(_div_geometric(h[:n], r)))
+    b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
     series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
     return K[:n], _sp.norm(space, CoeffSeries(series))
-
-
-def _bergman_transplant_norm(h: np.ndarray, r: float) -> float:
-    """||W o b_r|| on l^2_a(1.5), ||f||^2 = sum_k |f_k|^2 / (k+1), for 0 < r < 1.
-
-    h = W / (1 - r z) on k <= D = deg W (_witness_at).  That norm is the
-    normalised area integral of |f|^2 over the disc; b_r is an involution
-    with |b_r'(w)|^2 = (1-r^2)^2 / |1 - r w|^4, so ||W o b_r|| = (1 - r^2)
-    ||W / (1 - r w)^2||, 1 - r^2 formed as (1-r)(1+r).  q =
-    _div_geometric(h, r) is W / (1 - r w)^2 on k <= D, and past D, h_(D+t)
-    = h_D r^t gives q_(D+t) = r^t (q_D + t h_D): the squared norm over
-    (1-r^2)^2 is sum_(k<=D) q_k^2 / (k+1) plus the tail sum_(t>=1) u_t, u_t =
-    x^t (q_D + t h_D)^2 / (D+1+t), x = r^2, every term nonnegative.  The tail
-    is summed over t <= T, x^t as exp(2 t log r), in vectorised chunks of
-    _TAIL_CHUNK terms into a running total, so a doubling sums only its new
-    terms.  u_t is at most v_t = x^t (|q_D| + t |h_D|)^2 / (D+1+t), whose
-    ratio v_(t+1)/v_t for t >= T is at most rho = x (1 + 1/(T + a))^2, a =
-    |q_D / h_D| (x itself where h_D = 0), whatever the signs; so for rho < 1
-    the rest lies in [0, v_T rho / (1 - rho)], and its midpoint is added
-    once that bracket is at most 2^-53 of the sum.  Else T doubles, up to
-    _SERIES_KMAX tail terms, past which it raises Divergence.
-    """
-    log_x = 2.0 * math.log(r)
-    x = math.exp(log_x)
-    q = _div_geometric(h, r)
-    D = h.size - 1
-    head = float(np.sum(q * q / np.arange(1.0, D + 2.0)))
-    q_D, h_D = float(q[-1]), float(h[-1])
-    a = abs(q_D / h_D) if h_D != 0.0 else math.inf
-    # near the circle the bracket needs about 40.5 e-folds of x, fewer nearer 0
-    T = int(min(41.0 / -log_x + 16.0, _sp._SERIES_KMAX))
-    total, done = head, 0
-    while True:
-        for start in range(done + 1, T + 1, _TAIL_CHUNK):
-            t = np.arange(float(start), float(min(start + _TAIL_CHUNK, T + 1)))
-            total += float(np.sum(np.exp(log_x * t) * (q_D + h_D * t) ** 2 / (t + (D + 1.0))))
-        rho = x * (1.0 + 1.0 / (T + a)) ** 2
-        if rho < 1.0:
-            v_T = math.exp(log_x * T) * (abs(q_D) + T * abs(h_D)) ** 2 / (T + D + 1.0)
-            width = v_T * rho / (1.0 - rho)
-            if width <= _sp._TAIL_EPS * total:
-                return (1.0 - r) * (1.0 + r) * math.sqrt(total + 0.5 * width)
-        if T >= _sp._SERIES_KMAX:
-            raise Divergence(_sp._DIVERGENCE)
-        done, T = T, min(2 * T, _sp._SERIES_KMAX)
 
 
 def interp_constant(
@@ -290,7 +245,8 @@ def interp_constant(
     vectors, with the transplanted witness first when sigma is one
     repeated point (lam,)*n: its coordinates h_k e^(-i k arg lam), k < n,
     h from _witness_at at r = |lam| and the factor s left to the
-    normalisation, so the estimate is at least witness_lower_bound.  Every
+    normalisation, so the estimate is at least witness_lower_bound, which
+    on H^2, l^2_a(1) and l^2_a(1.5) is the J of that start.  Every
     start stops once the estimate is within _ASCENT_RTOL of the flattening
     bound (_flattening_bound), which bounds the sup from above.
     Deterministic under a fixed seed.  The result is an attained value, so

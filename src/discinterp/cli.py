@@ -71,6 +71,17 @@ def _at_least(least: int):
     return parse
 
 
+def _radius(tok: str) -> float:
+    """argparse type for a finite radius r with 0 <= r < 1."""
+    try:
+        r = float(tok)
+    except ValueError:
+        r = math.nan
+    if not 0.0 <= r < 1.0:  # also NaN
+        raise argparse.ArgumentTypeError(f"must be a number r with 0 <= r < 1, got {tok!r}")
+    return r
+
+
 def _parse_list(text: str, what: str, cast) -> tuple:
     try:
         return tuple(cast(tok) for tok in text.split(",") if tok.strip())
@@ -446,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=_at_least(0), default=0,
                      help="draw this many random node sets instead of --sigma")
     sub.add_argument("--max-n", type=_at_least(1), default=6)
-    sub.add_argument("--max-r", type=float, default=0.8)
+    sub.add_argument("--max-r", type=_radius, default=0.8)
     _add_output_options(sub)
 
     sub = subs.add_parser("pick", help="minimal-norm interpolation at distinct nodes")

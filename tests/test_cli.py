@@ -125,7 +125,7 @@ class TestCommands:
         assert code == 0
         _, _, rows = parse_csv(out)
         witness = float(rows[0]["witness"])
-        assert witness == pytest.approx(25.65357973, rel=1e-9)
+        assert witness == pytest.approx(87.83992641, rel=1e-9)
 
     def test_bounds_frozen_row(self, tmp_path):
         code, out = run_to_file(
@@ -664,9 +664,14 @@ class TestValidation:
         (["--samples", "2", "--max-n", "-3"], "--max-n"),
         (["--samples", "-1"], "--samples"),
         (["--sigma", "0.5", "--order", "0"], "--order"),
+        (["--samples", "2", "--max-r", "-0.5"], "--max-r"),
+        (["--samples", "2", "--max-r", "1"], "--max-r"),
+        (["--samples", "2", "--max-r", "1.5"], "--max-r"),
+        (["--samples", "2", "--max-r", "nan"], "--max-r"),
     ])
     def test_bernstein_counts_below_range_are_validation_errors(self, capsys, argv, option):
-        # not numpy's bare "low >= high", nor --samples -1 taken as no sampling
+        # not numpy's bare "low >= high", nor --samples -1 taken as no sampling,
+        # nor a --max-r outside [0, 1) that fails only when a draw leaves the disc
         with pytest.raises(SystemExit) as exc:
             main(["bernstein"] + argv)
         assert exc.value.code == 1

@@ -29,6 +29,23 @@ def test_script_runs(script, args, summary):
     assert summary in out.stdout
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--max-n", "0"], "--max-n"),
+    (["--max-r", "1.5"], "--max-r"),
+    (["--max-r", "-0.5"], "--max-r"),
+])
+def test_bernstein_sharpness_rejects_out_of_range_options(args, option):
+    # an argparse error naming the option, not numpy's "low >= high" traceback
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bernstein_sharpness.py"), "--samples", "2", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.returncode == 2
+    assert f"error: argument {option}:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_scaling_study_fits_an_r_grid_jointly():
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "scaling_study.py"),
