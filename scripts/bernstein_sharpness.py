@@ -20,7 +20,7 @@ def main() -> int:
     ap.add_argument("--samples", type=_at_least(0), default=400)
     ap.add_argument("--max-n", type=_at_least(1), default=10)
     ap.add_argument("--max-r", type=_radius, default=0.95)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_at_least(0), default=0)
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)

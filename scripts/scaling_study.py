@@ -13,6 +13,7 @@ of the fit.
 import argparse
 
 from discinterp import bound_sweep, hardy, seq_weighted
+from discinterp.cli import _at_least
 
 
 def main() -> int:
@@ -24,7 +25,7 @@ def main() -> int:
     ap.add_argument("--estimate-cap", type=int, default=0,
                     help="also run the constant estimator for n up to this cap")
     ap.add_argument("--budget", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_at_least(0), default=0)
     args = ap.parse_args()
 
     n_grid = [int(tok) for tok in args.n_grid.split(",")]

@@ -11,6 +11,10 @@ N_j = sum_i L_ij e_i(T_B) over unit y, u, v.  It runs as a monotone
 singular-vector ascent in y from a fixed list of seeded starts, all
 climbing in lockstep, and stops at a certified upper bound of the sup
 from the same tensor, the least spectral norm of its three flattenings.
+On one repeated point in a Moebius-invariant space (H^2, l^2_a(1),
+l^2_a(1.5), L^2_a(beta)) L and N are closed-form Toeplitz matrices
+(_origin_frame); elsewhere L is the numerical Cholesky factor of S, which
+raises LinAlgError where S has none in double precision.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), turned so its
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergence, NotHilbert, PoleOnDomain, UnsupportedSpace
-from .extremal import _ascend, _jet_norm, _malmquist_factor
+from .extremal import _ascend, _jet_norm, _malmquist_factor, _toeplitz
 from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
 from .spaces import _malmquist_cholesky, _malmquist_series
 from . import spaces as _sp
@@ -194,20 +198,23 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
 def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
     """The real jet K_n^m[:n] and the X-norm dividing its jet norm at r = |lam|.
 
-    Nothing is composed or truncated.  On H^2 and l^2_a(1) (e = 1) and on
-    l^2_a(1.5), the area norm of the Bergman space A^2 (e = 2), U f =
-    (f o b_r)(b_r')^(e/2) is unitary, b_r' = -(1 - r^2) / (1 - r z)^2, so f
-    has the jet of W o b_r on (r,)*n iff U f has that of W (b_r')^(e/2) at
-    0, and in a diagonal space the least norm with a jet at 0 is that of
-    the jet.  The norm is then that least one, s^e ||(W / (1 - r z)^e)[:n]||,
-    s^2 = (1-r)(1+r), from h = W / (1 - r z) of _witness_at: n terms, never
-    above the norm of the transplant, and the least norm of interp_constant's
-    first start.  For m >= 3 it is the norm of the transplant itself, the
-    real Taylor series that _malmquist_series sums from the coordinates b
-    of _witness_at over (r,)*deg W + (0,): the weights (k+1)^-d, d =
-    2(alpha - 1) >= 2, are no norm that the disc automorphisms carry into
-    one another (those of A^2_gamma are Gamma ratios), so no such identity
-    exists there.  Raises ValueError unless n is an integer >= 1.
+    Nothing is composed or truncated.  On a Moebius-invariant space
+    (_mobius_exponent: H^2 and l^2_a(1) with e = 1, l^2_a(1.5), the area
+    norm of A^2, with e = 2) U f = (f o b_r)(b_r')^(e/2) is unitary, b_r' =
+    -(1 - r^2) / (1 - r z)^2, so f has the jet of W o b_r on (r,)*n iff U f
+    has that of W (b_r')^(e/2) at 0, and in a diagonal space the least norm
+    with a jet at 0 is that of the jet.  The norm is then that least one,
+    s^e ||D^(-1/2) T((1 - r z)^(1-e)) h[:n]||, s^2 = (1-r)(1+r), D =
+    diag(kappa_k), T(c) the lower-triangular Toeplitz matrix of c and h =
+    W / (1 - r z) from _witness_at, so T(..) h[:n] is e - 1 geometric
+    divisions of h[:n]: n terms, never above the norm of the transplant,
+    and the least norm of interp_constant's first start.  For m >= 3 it is
+    the norm of the transplant itself, the real Taylor series that
+    _malmquist_series sums from the coordinates b of _witness_at over
+    (r,)*deg W + (0,): the weights (k+1)^-d, d = 2(alpha - 1) >= 2, are no
+    norm that the disc automorphisms carry into one another (those of
+    A^2_gamma are Gamma ratios), so no such identity exists there.  Raises
+    ValueError unless n is an integer >= 1.
     """
     n = _multiplicity(n)
     r = abs(complex(lam))
@@ -215,13 +222,86 @@ def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarr
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
     K, h = _witness_at(space, r, n)
     s2 = (1.0 - r) * (1.0 + r)
-    if _sp._unit_kernel(space):
-        return K[:n], math.sqrt(s2) * float(np.linalg.norm(h[:n]))
-    if space.alpha == 1.5:
-        return K[:n], s2 * _sp.norm(space, CoeffSeries(_div_geometric(h[:n], r)))
+    if (e := _mobius_exponent(space)) is not None:
+        jet = h[:n]
+        for _ in range(round(e) - 1):  # e is 1 or 2 where a kernel witness exists
+            jet = _div_geometric(jet, r)
+        if not _sp._unit_kernel(space):  # D = I on H^2 and l^2_a(1)
+            jet = jet / np.sqrt(_sp.kernel_diagonal(space, np.arange(n)))
+        return K[:n], s2 ** (e / 2.0) * float(np.linalg.norm(jet))
     b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
     series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
     return K[:n], _sp.norm(space, CoeffSeries(series))
+
+
+def _mobius_exponent(space: _sp.SpaceSpec) -> float | None:
+    """e where U f = (f o b_lam)(b_lam')^(e/2) is unitary on the space for every lam, else None.
+
+    b_lam' = -(1 - |lam|^2) / (1 - conj(lam) z)^2.  H^2 and l^2_a(1), its
+    coefficient form, have e = 1 (Nikolski); L^2_a(beta) has e = beta + 2,
+    as (1 - |b_lam(w)|^2)^beta dA(b_lam(w)) = |b_lam'(w)|^(beta+2) (1 -
+    |w|^2)^beta dA(w) (Hedenmalm, Korenblum and Zhu, Theory of Bergman
+    Spaces, ch. 1); l^2_a(1.5) is L^2_a(0) up to the factor sqrt(pi), so
+    e = 2.  Every other l^2_a(alpha), and every p != 2, gets None.
+    """
+    if not space.is_hilbert:
+        return None
+    if space.family == "hardy":
+        return 1.0
+    if space.family == "bergman":
+        return space.beta + 2.0
+    return {1.0: 1.0, 1.5: 2.0}.get(space.alpha)
+
+
+def _binomial(a: float, x: complex, n: int) -> np.ndarray:
+    """The first n Taylor coefficients of (1 - x z)^a, exact zeros past a at an integer a >= 0."""
+    k = np.arange(1.0, n)
+    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - a) / k * x)))
+
+
+def _origin_frame(
+    space: _sp.SpaceSpec, lam: complex, n: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """interp_constant's L and stack N on (lam,)*n in closed form, or None.
+
+    None off the Moebius-invariant spaces (_mobius_exponent) and where an
+    entry leaves the float range.  There U carries the least X-norm with
+    the jet of g = sum_k b_k e_k on (lam,)*n to the least norm with the
+    jet of U g at 0, that of the jet in a diagonal space, and composition
+    with the involution b_lam carries H^inf / b_lam^n H^inf isometrically
+    onto H^inf / z^n H^inf.  As e_k o b_lam = (1 - conj(lam) z) z^k / s
+    and (b_lam')^(e/2) is s^e / (1 - conj(lam) z)^e up to a unimodular
+    factor, s^2 = (1-|lam|)(1+|lam|), the jet of U g is s^(e-1) T(q) b,
+    q = (1 - conj(lam) z)^(1-e), so with D = diag(kappa_0, .., kappa_(n-1))
+    and T(c) the lower-triangular Toeplitz matrix of c:
+
+    * b^H S^-1 b = ||L^-1 b||^2 with L = s^(1-e) T(p') D^(1/2), p' =
+      (1 - conj(lam) z)^(e-1) = 1 / q, lower triangular with a positive
+      diagonal: exactly the Cholesky factor of the Stein Gram S;
+    * the jet of g o b_lam at 0 is T(1 - conj(lam) z) b / s, so at b = L y
+      it is s^-e M y, M = T(p) D^(1/2), p = (1 - conj(lam) z)^e, and
+      ||sum_k b_k e_k(T_B)|| = ||sum_j y_j N_j||, N_j = s^-e T(M e_j).
+
+    So N_j is Q N_j' R^H for the N_j' of _malmquist_factor, Q and R unitary
+    and the same for every j: the ascent and the flattening bound see the
+    same values and singular-vector coefficients, up to rounding.  Each
+    entry is a binomial coefficient times powers of conj(lam) and s, so the
+    frame holds up to the circle; nothing walks T_B and nothing is solved.
+    """
+    if (e := _mobius_exponent(space)) is None:
+        return None
+    r = abs(lam)
+    s2 = np.float64((1.0 - r) * (1.0 + r))  # its powers overflow to inf, not OverflowError
+    root = np.sqrt(_sp.kernel_diagonal(space, np.arange(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = s2 ** ((1.0 - e) / 2.0) * _toeplitz(_binomial(e - 1.0, np.conj(lam), n)) * root
+        M = s2 ** (-e / 2.0) * _toeplitz(_binomial(e, np.conj(lam), n)) * root
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
+        return None
+    # N_j = T(M e_j), here with s^-e in M: N[j, a, b] = M[a - b, j] for a >= b, else 0
+    k = np.arange(n)
+    padded = np.concatenate((np.zeros((n - 1, n), dtype=M.dtype), M))
+    return L, padded[n - 1 + k[:, None] - k].transpose(2, 0, 1).reshape(n, n * n)
 
 
 def interp_constant(
@@ -252,15 +332,23 @@ def interp_constant(
     Deterministic under a fixed seed.  The result is an attained value, so
     a lower estimate of the true sup, never below any start's J, and never
     exceeds the flattening bound or the projection operator norm (plus
-    rounding).  Raises LinAlgError where S has no Cholesky factor in double
-    precision (_malmquist_cholesky).
+    rounding).  One repeated point on H^2, l^2_a(1), l^2_a(1.5) or any
+    L^2_a(beta) takes L and the stack in closed form (_origin_frame), at
+    every distance from the circle; every other node set and space takes
+    L from the Stein Gram (_malmquist_cholesky) and the stack from the
+    resolvents of T_B (_malmquist_factor), and only there is LinAlgError
+    raised, where S has no Cholesky factor in double precision.
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
-    L = _malmquist_cholesky(space, sigma)
-    starts = _starts(n, budget, seed)
     lam = sigma.single_point()
+    frame = None if lam is None else _origin_frame(space, lam, n)
+    if frame is None:
+        L = _malmquist_cholesky(space, sigma)
+        frame = L, _malmquist_factor(sigma.points, L)
+    L, N = frame
+    starts = _starts(n, budget, seed)
     if lam is not None:
         try:
             h = _witness_at(space, abs(lam), n)[1][:n]
@@ -275,7 +363,6 @@ def interp_constant(
     def step(C: np.ndarray, Y: np.ndarray) -> np.ndarray:  # y = conj(c) / ||c|| per row
         return C.conj() / np.linalg.norm(C, axis=1, keepdims=True)
 
-    N = _malmquist_factor(sigma.points, L)
     return _ascend(N, Y, step, _flattening_bound(N))
 
 

@@ -422,7 +422,7 @@ def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default="-", help="output path, '-' for stdout")
     sub.add_argument("--reproducible", action="store_true",
                      help="suppress the timestamp header line")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_at_least(0), default=0)
 
 
 def _add_space_options(sub: argparse.ArgumentParser) -> None:

@@ -583,8 +583,14 @@ class TestInterpConstant:
         monkeypatch.setattr(bounds, "_malmquist_factor", counted)
         interp_constant(hardy(2), SigmaSet((0.3, -0.5, 0.2j)), budget=4, seed=1)
         assert len(calls) == 1
-        interp_constant(hardy(2), SigmaSet((0.3,) * 3), budget=2)
-        assert len(calls) == 2
+
+        def refuse(*args):
+            raise AssertionError("a one-point H^2 cell left the closed-form frame")
+
+        # one repeated point on H^2 takes its factor and stack from _origin_frame
+        monkeypatch.setattr(bounds, "_malmquist_factor", refuse)
+        monkeypatch.setattr(bounds, "_malmquist_cholesky", refuse)
+        assert interp_constant(hardy(2), SigmaSet((0.3,) * 3), budget=2) > 0.0
 
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 - 0.6j, 0.9j, 0.0])
@@ -621,6 +627,85 @@ class TestInterpConstant:
                 interp_constant(space, SigmaSet((lam,) * n), budget=2)
                 want = witness_lower_bound(space, lam, n)
                 assert values[-1] == pytest.approx(want, rel=1e-13, abs=0.0), (n, lam)
+
+
+FRAME_SPACES = [hardy(2), seq_weighted(2, 1), seq_weighted(2, 1.5)] + [
+    bergman_radial(2, beta) for beta in (-0.5, 0.0, 1.0, 3.0)
+]
+
+
+class TestOriginFrame:
+    """One repeated point on a Moebius-invariant space: L and N in closed form."""
+
+    @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda space: space.label())
+    def test_matches_the_malmquist_path(self, monkeypatch, space):
+        # the same ascent from the same starts, in a frame unitarily equivalent
+        # to the Malmquist one; a phase is taken up to r = 0.99, where the
+        # Malmquist path's own rounding stays below 1e-12 (2.2e-12 seen at 0.999)
+        cells = [(n, lam, budget) for n in range(1, 17)
+                 for lam in (0.0, 0.5, 0.9, 0.99, 0.999, 0.99 * np.exp(0.7j))
+                 for budget in (2, n + 2)]
+        got = [interp_constant(space, SigmaSet((lam,) * n), budget) for n, lam, budget in cells]
+        monkeypatch.setattr(bounds, "_origin_frame", lambda *args: None)
+        for (n, lam, budget), value in zip(cells, got):
+            want = interp_constant(space, SigmaSet((lam,) * n), budget)
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0), (n, lam, budget)
+
+    @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda space: space.label())
+    def test_factor_is_the_cholesky_factor(self, space):
+        # L = s^(1-e) T(p') D^(1/2) is lower triangular with a positive
+        # diagonal, so it is the Cholesky factor of the Stein Gram itself, and
+        # its stack has the flattening bound of the Malmquist stack
+        for n in (1, 2, 5, 9, 16):
+            for lam in (0.0, 0.6, -0.3 + 0.8j, 0.99j):
+                sigma = SigmaSet((lam,) * n)
+                L, N = bounds._origin_frame(space, lam, n)
+                want = _malmquist_cholesky(space, sigma)
+                assert np.max(np.abs(L - want)) <= 1e-10 * np.max(np.abs(want)), (n, lam)
+                assert bounds._flattening_bound(N) == pytest.approx(
+                    bounds._flattening_bound(extremal._malmquist_factor(sigma.points, want)),
+                    rel=1e-12, abs=0.0), (n, lam)
+
+    @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda space: space.label())
+    def test_one_point_is_the_evaluation_norm(self, space):
+        # at n = 1 the value is s^-e sqrt(kappa_0), the rule of
+        # eval_functional_norm, to rounding
+        for r in (0.0, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            for lam in (complex(r), r * np.exp(2.1j)):
+                got = interp_constant(space, SigmaSet((lam,)), budget=2)
+                want = eval_functional_norm(space, abs(lam))
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0), lam
+
+    @pytest.mark.parametrize("space", [bergman_radial(2, 1), seq_weighted(2, 1.5)],
+                             ids=lambda space: space.label())
+    @pytest.mark.parametrize("r", [0.99999, 1 - 1e-9])
+    def test_finite_up_to_the_circle(self, monkeypatch, space, r):
+        # the Malmquist path sums the Stein stream and raises Divergence here
+        def refuse(*args):
+            raise AssertionError("the frame walked the powers of T_B")
+
+        monkeypatch.setattr("discinterp.spaces._stein_blocks", refuse)
+        got = interp_constant(space, SigmaSet((r,) * 8), budget=2)
+        assert 0.0 < got < math.inf
+        # more conditions can only raise the constant
+        assert got >= interp_constant(space, SigmaSet((r,)), budget=2)
+
+    @pytest.mark.parametrize("space", [seq_weighted(2, 2), seq_weighted(2, 6), hardy(4)],
+                             ids=lambda space: space.label())
+    def test_no_frame_off_the_moebius_invariant_spaces(self, monkeypatch, space):
+        assert bounds._origin_frame(space, 0.5, 4) is None
+        if not space.is_hilbert:
+            return
+        calls = []
+        factor = bounds._malmquist_factor
+
+        def counted(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(bounds, "_malmquist_factor", counted)
+        assert interp_constant(space, SigmaSet((0.5,) * 4), budget=2) > 0.0
+        assert len(calls) == 1
 
 
 class TestLargeSteinGram:

@@ -659,6 +659,21 @@ class TestValidation:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"discinterp {argv[0]}: error: argument --budget")
 
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--sigma", "0.5", "--seed", "-1"],
+        ["bernstein", "--samples", "2", "--seed", "-1"],
+        ["sweep", "--n-grid", "2", "--r-grid", "0.5", "--estimate-cap", "2", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_validation_error(self, capsys, argv):
+        # an argparse error naming --seed, not numpy's "expected non-negative integer"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"discinterp {argv[0]}: error: argument --seed")
+
     @pytest.mark.parametrize("argv, option", [
         (["--samples", "2", "--max-n", "0"], "--max-n"),
         (["--samples", "2", "--max-n", "-3"], "--max-n"),

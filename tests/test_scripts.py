@@ -33,6 +33,7 @@ def test_script_runs(script, args, summary):
     (["--max-n", "0"], "--max-n"),
     (["--max-r", "1.5"], "--max-r"),
     (["--max-r", "-0.5"], "--max-r"),
+    (["--seed", "-1"], "--seed"),
 ])
 def test_bernstein_sharpness_rejects_out_of_range_options(args, option):
     # an argparse error naming the option, not numpy's "low >= high" traceback
@@ -43,6 +44,18 @@ def test_bernstein_sharpness_rejects_out_of_range_options(args, option):
     )
     assert out.returncode == 2
     assert f"error: argument {option}:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_scaling_study_rejects_a_negative_seed():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scaling_study.py"),
+         "--n-grid", "2", "--estimate-cap", "2", "--seed", "-1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.returncode == 2
+    assert "error: argument --seed:" in out.stderr
     assert "Traceback" not in out.stderr
 
 
