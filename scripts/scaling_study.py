@@ -13,29 +13,32 @@ of the fit.
 import argparse
 
 from discinterp import bound_sweep, hardy, seq_weighted
-from discinterp.cli import _at_least
+from discinterp.cli import _at_least, _radius
+
+
+def _grid(entry):
+    """argparse type for a comma-separated list, each entry through ``entry``."""
+    return lambda text: [entry(tok) for tok in text.split(",")]
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--alpha", type=float, default=1.5)
-    ap.add_argument("--n-grid", default="4,8,16,32,64")
-    ap.add_argument("--r-grid", default="0.5",
+    ap.add_argument("--n-grid", type=_grid(_at_least(1)), default="4,8,16,32,64")
+    ap.add_argument("--r-grid", type=_grid(_radius), default="0.5",
                     help="comma-separated radii; the slope is fitted over n and r jointly")
-    ap.add_argument("--estimate-cap", type=int, default=0,
+    ap.add_argument("--estimate-cap", type=_at_least(0), default=0,
                     help="also run the constant estimator for n up to this cap")
-    ap.add_argument("--budget", type=int, default=8)
+    ap.add_argument("--budget", type=_at_least(1), default=8)
     ap.add_argument("--seed", type=_at_least(0), default=0)
     args = ap.parse_args()
 
-    n_grid = [int(tok) for tok in args.n_grid.split(",")]
-    r_grid = [float(tok) for tok in args.r_grid.split(",")]
     for space, expected in (
         (hardy(2), 0.5),
         (seq_weighted(2, args.alpha), (2 * args.alpha - 1) / 2),
     ):
         res = bound_sweep(
-            space, n_grid, r_grid,
+            space, args.n_grid, args.r_grid,
             budget=args.budget, estimate_cap=args.estimate_cap, seed=args.seed,
         )
         print(f"\n{space.label()}  (expected slope {expected:.3f})")

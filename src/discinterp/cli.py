@@ -12,6 +12,12 @@ encoder for JSON), and the cells are set into a record template built once
 per table, a chunk of rows at a time (_fill).  The JSON text is
 ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte
 (_json_text).
+
+main parses each job once: an argv that starts with a command name goes
+straight to that command's subparser, which gives the namespace the full
+parser would give.  Every other argv (none, -h, --version, an unknown
+command) goes through the top-level parser, which writes the usage, the
+help and the errors.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # the top-level parser's, set in build_parser
+
     # validation problems exit 1 with a one-line diagnostic
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -511,6 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run the constant estimator for n up to this cap")
     _add_output_options(sub)
 
+    for name, sub in subs.choices.items():
+        sub.set_defaults(command=name)
+    parser.commands = subs.choices  # name -> subparser, read by main's dispatch
     return parser
 
 
@@ -524,9 +535,14 @@ def main(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``) and run it; returns the exit status.
 
     The parser is built once per process, on the first call, and shared by
-    every later call and thread.
+    every later call and thread.  When ``argv[0]`` names a command, only that
+    command's subparser reads ``argv[1:]``, so each job is parsed once; it
+    also reports an unrecognized argument, as ``discinterp <command>: error:``.
     """
-    return run(_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    return run(sub.parse_args(argv[1:]) if sub else parser.parse_args(argv))
 
 
 if __name__ == "__main__":

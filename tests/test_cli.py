@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discinterp import IllConditionedWarning, __version__
+from discinterp import IllConditionedWarning, __version__, cli
 from discinterp.cli import (
     _emit,
     _json_text,
@@ -581,6 +582,97 @@ class TestSharedParser:
         assert code == 1
         assert "error" in capsys.readouterr().err
         assert self.shared(tmp_path, "after", argv) == self.fresh(tmp_path, "fresh", argv)
+
+
+SIGMA_OPTIONS = {"--sigma": "0.5,-0.2j", "--sigma-file": "nodes.txt"}
+SPACE_OPTIONS = {"--space": "bergman", "--p": "3", "--alpha": "2", "--beta": "1"}
+OUTPUT_OPTIONS = {"--format": "json", "--output": "out.json", "--reproducible": None, "--seed": "7"}
+
+# every option of each command with a value that parses (None: a flag)
+EVERY_OPTION = {
+    "basis": {**SIGMA_OPTIONS},
+    "bernstein": {**SIGMA_OPTIONS, "--order": "2", "--samples": "3", "--max-n": "4",
+                  "--max-r": "0.7"},
+    "pick": {"--nodes": "0,0.5", "--values": "0,0.5"},
+    "cs": {"--coeffs": "1,1"},
+    "quotient": {"--coeffs": "0,1", **SIGMA_OPTIONS},
+    "carleson": {**SIGMA_OPTIONS, "--budget": "5"},
+    "constant": {**SIGMA_OPTIONS, **SPACE_OPTIONS, "--budget": "5"},
+    "bounds": {**SPACE_OPTIONS, "--n": "3", "--r": "0.5"},
+    "sweep": {**SPACE_OPTIONS, "--n-grid": "2,4", "--r-grid": "0,0.5", "--budget": "5",
+              "--estimate-cap": "2"},
+}
+
+
+def every_option_argvs(command):
+    """The command with every option, as ``--opt value`` and as ``--opt=value``."""
+    options = {**EVERY_OPTION[command], **OUTPUT_OPTIONS}
+    spaced, joined = [command], [command]
+    for option, value in options.items():
+        spaced += [option] if value is None else [option, value]
+        joined += [option if value is None else f"{option}={value}"]
+    return spaced, joined
+
+
+class TestDispatch:
+    """main hands an argv that starts with a command to that command's subparser."""
+
+    @staticmethod
+    def dispatched(monkeypatch, argv):
+        """The namespace main passes to run for ``argv``."""
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda args: seen.append(args) or 0)
+        assert main(argv) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL))
+    def test_every_option_is_covered(self, command):
+        sub = build_parser().commands[command]
+        options = {s for a in sub._actions for s in a.option_strings if s != "-h"}
+        assert options - {"--help"} == set(EVERY_OPTION[command]) | set(OUTPUT_OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL))
+    def test_namespace_matches_the_full_parser(self, monkeypatch, command):
+        for argv in ([command] + MINIMAL[command], *every_option_argvs(command)):
+            assert self.dispatched(monkeypatch, argv) == build_parser().parse_args(argv)
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        argv = ["pick", "--nodes", "0,0.5", "--values", "0,0.5", "--seed", "3"]
+        monkeypatch.setattr(sys, "argv", ["discinterp"] + argv)
+        assert self.dispatched(monkeypatch, None) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, code, stream, start", [
+        ([], 1, "err", "discinterp: error: the following arguments are required: command"),
+        (["nosuch"], 1, "err", "discinterp: error: argument command: invalid choice"),
+        (["pick", "--nodes", "0,0.5", "--values", "0,0.5", "--bogus"], 1, "err",
+         "discinterp pick: error: unrecognized arguments: --bogus"),
+        (["--version"], 0, "out", __version__),
+        (["pick", "-h"], 0, "out", "usage: discinterp pick"),
+    ])
+    def test_exit_status_and_message(self, capsys, argv, code, stream, start):
+        # the top-level parser still writes the usage, the help and its errors
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert getattr(captured, stream).startswith(start)
+        assert getattr(captured, "err" if stream == "out" else "out") == ""
+
+    def test_a_command_skips_the_top_level_parser(self, monkeypatch, capsys):
+        top = cli._parser()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return argparse.ArgumentParser.parse_known_args(top, *args, **kwargs)
+
+        monkeypatch.setattr(top, "parse_known_args", counted)
+        assert main(["cs", "--coeffs", "1,1"]) == 0
+        assert calls == []
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert len(calls) == 1
 
 
 class TestValidation:

@@ -59,6 +59,27 @@ def test_scaling_study_rejects_a_negative_seed():
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--n-grid", "0"], "--n-grid"),
+    (["--n-grid", "2,x"], "--n-grid"),
+    (["--budget", "0"], "--budget"),
+    (["--estimate-cap", "-1"], "--estimate-cap"),
+    (["--r-grid", "1"], "--r-grid"),
+    (["--r-grid", "0.5,-0.1"], "--r-grid"),
+])
+def test_scaling_study_rejects_out_of_range_options(args, option):
+    # an argparse error naming the option: not bounds._multiplicity's ValueError
+    # traceback for --n-grid 0, nor --budget 0 run silently as one start
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scaling_study.py"), "--n-grid", "2", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.returncode == 2
+    assert f"error: argument {option}:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_scaling_study_fits_an_r_grid_jointly():
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "scaling_study.py"),
