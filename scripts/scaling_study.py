@@ -5,9 +5,10 @@ Sweeps the single-point classes sigma_{r,n} over an n-grid and an r-grid
 for the Hardy(2) and weighted l^2(alpha) scales, prints the per-cell table
 and the log-log slopes fitted against x = n/(1-r) over every cell at once
 (expected: 1/2 for Hardy(2), (2 alpha - 1)/2 for the weighted scale).
-Only a weighted cell with 2 alpha - 1 >= 3 can diverge, where the witness
-is divided by the norm of a Taylor series; it prints "-" and is left out
-of the fit.
+Every witness divides by the least norm with its jet.  A weighted cell
+with 2 alpha - 1 >= 3 takes that norm, and its estimate, from the Stein
+Gram of (r,)*n, so near the circle it can diverge or have no Cholesky
+factor in double precision; it prints "-" and is left out of the fit.
 """
 
 import argparse

@@ -6,27 +6,26 @@ functions with the same jet on sigma have the same projection
 g = sum_k b_k e_k onto the model space K_B, and the worst f for a given
 g is its minimal-norm representative, so the sup collapses to a
 maximisation over Malmquist coordinates b: with b = L y, L L^H = S the
-Stein-sum Gram of the coordinates, the spectral norm of the 3-tensor
-N_j = sum_i L_ij e_i(T_B) over unit y, u, v.  It runs as a monotone
-singular-vector ascent in y from a fixed list of seeded starts, all
-climbing in lockstep, and stops at a certified upper bound of the sup
-from the same tensor, the least spectral norm of its three flattenings.
-On one repeated point in a Moebius-invariant space (H^2, l^2_a(1),
-l^2_a(1.5), L^2_a(beta)) L and N are closed-form Toeplitz matrices
-(_origin_frame); elsewhere L is the numerical Cholesky factor of S, which
-raises LinAlgError where S has none in double precision.
+Stein-sum Gram of the coordinates (spaces._malmquist_cholesky, closed
+form on one repeated point in a Moebius-invariant space), the spectral
+norm of the 3-tensor N_j = sum_i L_ij e_i(T_B) over unit y, u, v.  On one
+repeated point N is the Toeplitz stack of T(1 - conj(lam) z) L / s in
+every space (_one_point_stack); on two or more distinct points it comes
+from the resolvents of T_B.  The ascent is a monotone singular-vector
+ascent in y from a fixed list of seeded starts, all climbing in
+lockstep, and stops at a certified upper bound of the sup from the same
+tensor, the least spectral norm of its three flattenings.
 
 Lower bounds come from explicit witnesses: the analytic Fejer kernel
 (or its integer power for weighted sequence spaces), turned so its
 boundary peak faces away from the target point and transplanted there by
 the Blaschke involution.  Every number built from it is radial, so it is
 read once, at r = |lam|, in real arithmetic (_witness_at), and nothing is
-composed: the least norm with the transplant's jet (n terms on H^2,
-l^2_a(1) and l^2_a(1.5)), else the norm of the transplant from its exact
-Malmquist coordinates, the jet norm of the real kernel power, once per n
-in a sweep, and the one-point ascent start.  Closed-form two-sided bound
-formulas are emitted alongside, with honest "order-only" flags where the
-underlying constants are not numeric.
+composed: its jet norm, once per n in a sweep, over the least norm with
+the transplant's jet, ||L^-1 b||, which makes it the J of the one-point
+ascent's first start.  Closed-form two-sided bound formulas are emitted
+alongside, with honest "order-only" flags where the underlying constants
+are not numeric.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergence, NotHilbert, PoleOnDomain, UnsupportedSpace
-from .extremal import _ascend, _jet_norm, _malmquist_factor, _toeplitz
-from .series import CoeffSeries, SigmaSet, _div_geometric, fejer_kernel, series_power
-from .spaces import _malmquist_cholesky, _malmquist_series
+from .extremal import _ascend, _jet_norm, _malmquist_factor
+from .series import SigmaSet, _div_geometric, _toeplitz, fejer_kernel, series_power
+from .spaces import _malmquist_cholesky, _mobius_exponent, _solve_lower
 from . import spaces as _sp
 
 __all__ = [
@@ -151,7 +150,7 @@ def _witness_power(space: _sp.SpaceSpec) -> int:
 
 
 def _witness_at(space: _sp.SpaceSpec, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel power K = K_n^m and the real coefficients h of W / (1 - r z).
+    """The kernel power K = K_n^m and the first n real coefficients h of W / (1 - r z).
 
     W(z) = K(-z) for r > 0 and W = K at r = 0.  It stands for the witness at
     every lam = r e^(i phi): the kernel turned so its boundary peak faces
@@ -159,18 +158,16 @@ def _witness_at(space: _sp.SpaceSpec, r: float, n: int) -> tuple[np.ndarray, np.
     b_lam(e^(i phi) z) = e^(i phi) b_r(z), W_lam o b_lam(e^(i phi) z) is
     W o b_r(z); the norms are radial, so one real transplant serves every
     phase.  Over the Malmquist basis of (r, r, ..), W o b_r is
-    sum_k s h_k e_k, s = sqrt(1 - r^2), its terms k < n the projection
-    onto the model space of (r,)*n.  Past m = deg W, h_k = h_m r^(k-m)
-    and the tail sums to h_m b_r^m, so over the zeros (r,)*m + (0,) the
-    coordinates are exactly b = (s h_0, .., s h_(m-1), h_m); over
-    (lam, lam, ..) those of W_lam o b_lam are s h_k e^(-i k phi).  The
-    involution b_lam carries b_lam^n H^inf onto z^n H^inf, so the quotient
-    norm of the transplant is the jet norm of W_lam[:n], whose Toeplitz
-    matrix is D T D^H, D = diag(eta^i) unitary and T that of the real K[:n].
+    sum_k s h_k e_k, s = sqrt(1 - r^2), and its projection onto the model
+    space of (r,)*n has the coordinates b = s h (those of W_lam o b_lam
+    over (lam,)*n are s h_k e^(-i k phi)).  The involution b_lam carries
+    b_lam^n H^inf onto z^n H^inf, so the quotient norm of the transplant
+    is the jet norm of W_lam[:n], whose Toeplitz matrix is D T D^H,
+    D = diag(eta^i) unitary and T that of the real K[:n].
     """
     m = _witness_power(space)  # first: an unsupported space builds no kernel
     K = series_power(fejer_kernel(n), m).coeffs.real
-    W = K * (-1.0) ** np.arange(K.size) if r > 0 else K
+    W = K[:n] * (-1.0) ** np.arange(n) if r > 0 else K[:n]
     return K, _div_geometric(W, r)
 
 
@@ -181,40 +178,30 @@ def witness_lower_bound(space: _sp.SpaceSpec, lam: complex, n: int) -> float:
     (coefficients 1 - k/n for k < n, m = 2*alpha - 1), turned so its
     boundary peak faces away from lam, then transplanted by b_lam; the turn
     is what makes the ratio grow at the proved (n/(1-r))-power rate.  Its
-    jet norm on (lam,)*n over any X-norm at least the least one with that
-    jet is a valid lower bound.  Both are read at r = |lam| in real
-    arithmetic (_witness_at), so the value depends on |lam| alone; the jet
-    norm is the top singular value of one real Toeplitz matrix, taken
-    without singular vectors (_jet_norm).  The X-norm is that least norm on
-    H^2, l^2_a(1) and l^2_a(1.5), n terms in closed form at every r < 1,
-    and elsewhere the norm of the transplant, a Taylor series walked from
-    T_B (_witness_parts), Divergence where it needs more than 2^21 terms.
-    Raises ValueError unless n is an integer >= 1.
+    jet norm on (lam,)*n over the least X-norm with that jet is an attained
+    ratio, so a valid lower bound: the J of interp_constant's first start.
+    Both are read at r = |lam| in real arithmetic (_witness_at), so the
+    value depends on |lam| alone; the jet norm is the top singular value of
+    one real Toeplitz matrix, taken without singular vectors (_jet_norm),
+    and the least norm is ||L^-1 b|| (_witness_parts).  Raises ValueError
+    unless n is an integer >= 1, and LinAlgError or Divergence where the
+    Stein Gram of (r,)*n has no Cholesky factor or does not converge.
     """
     jet, size = _witness_parts(space, lam, n)
     return _jet_norm(jet) / size
 
 
 def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarray, float]:
-    """The real jet K_n^m[:n] and the X-norm dividing its jet norm at r = |lam|.
+    """The real jet K_n^m[:n] and the least X-norm with the transplant's jet at r = |lam|.
 
-    Nothing is composed or truncated.  On a Moebius-invariant space
-    (_mobius_exponent: H^2 and l^2_a(1) with e = 1, l^2_a(1.5), the area
-    norm of A^2, with e = 2) U f = (f o b_r)(b_r')^(e/2) is unitary, b_r' =
-    -(1 - r^2) / (1 - r z)^2, so f has the jet of W o b_r on (r,)*n iff U f
-    has that of W (b_r')^(e/2) at 0, and in a diagonal space the least norm
-    with a jet at 0 is that of the jet.  The norm is then that least one,
-    s^e ||D^(-1/2) T((1 - r z)^(1-e)) h[:n]||, s^2 = (1-r)(1+r), D =
-    diag(kappa_k), T(c) the lower-triangular Toeplitz matrix of c and h =
-    W / (1 - r z) from _witness_at, so T(..) h[:n] is e - 1 geometric
-    divisions of h[:n]: n terms, never above the norm of the transplant,
-    and the least norm of interp_constant's first start.  For m >= 3 it is
-    the norm of the transplant itself, the real Taylor series that
-    _malmquist_series sums from the coordinates b of _witness_at over
-    (r,)*deg W + (0,): the weights (k+1)^-d, d = 2(alpha - 1) >= 2, are no
-    norm that the disc automorphisms carry into one another (those of
-    A^2_gamma are Gamma ratios), so no such identity exists there.  Raises
-    ValueError unless n is an integer >= 1.
+    That norm is ||L^-1 b||, b = s h the transplant's coordinates over
+    (r,)*n (_witness_at) and L the Cholesky factor of their Stein Gram
+    (_malmquist_cholesky): one triangular solve, nothing composed or
+    truncated.  With a Moebius exponent e (H^2 and l^2_a(1) with e = 1,
+    l^2_a(1.5) with e = 2) L is s^(1-e) T(p') D^(1/2), so the norm is
+    s^e ||D^(-1/2) T((1 - r z)^(1-e)) h||, s^2 = (1-r)(1+r): e - 1 geometric
+    divisions of h, with D skipped where e = 1 (every kappa_k is 1), and
+    finite at every r < 1.  Raises ValueError unless n is an integer >= 1.
     """
     n = _multiplicity(n)
     r = abs(complex(lam))
@@ -222,86 +209,39 @@ def _witness_parts(space: _sp.SpaceSpec, lam: complex, n: int) -> tuple[np.ndarr
         raise PoleOnDomain(f"witness point {lam} is not in the open unit disc")
     K, h = _witness_at(space, r, n)
     s2 = (1.0 - r) * (1.0 + r)
-    if (e := _mobius_exponent(space)) is not None:
-        jet = h[:n]
-        for _ in range(round(e) - 1):  # e is 1 or 2 where a kernel witness exists
-            jet = _div_geometric(jet, r)
-        if not _sp._unit_kernel(space):  # D = I on H^2 and l^2_a(1)
-            jet = jet / np.sqrt(_sp.kernel_diagonal(space, np.arange(n)))
-        return K[:n], s2 ** (e / 2.0) * float(np.linalg.norm(jet))
-    b = np.append(math.sqrt(1.0 - r**2) * h[:-1], h[-1])
-    series = _malmquist_series(np.array((r,) * (b.size - 1) + (0.0,)), b)
-    return K[:n], _sp.norm(space, CoeffSeries(series))
-
-
-def _mobius_exponent(space: _sp.SpaceSpec) -> float | None:
-    """e where U f = (f o b_lam)(b_lam')^(e/2) is unitary on the space for every lam, else None.
-
-    b_lam' = -(1 - |lam|^2) / (1 - conj(lam) z)^2.  H^2 and l^2_a(1), its
-    coefficient form, have e = 1 (Nikolski); L^2_a(beta) has e = beta + 2,
-    as (1 - |b_lam(w)|^2)^beta dA(b_lam(w)) = |b_lam'(w)|^(beta+2) (1 -
-    |w|^2)^beta dA(w) (Hedenmalm, Korenblum and Zhu, Theory of Bergman
-    Spaces, ch. 1); l^2_a(1.5) is L^2_a(0) up to the factor sqrt(pi), so
-    e = 2.  Every other l^2_a(alpha), and every p != 2, gets None.
-    """
-    if not space.is_hilbert:
-        return None
-    if space.family == "hardy":
-        return 1.0
-    if space.family == "bergman":
-        return space.beta + 2.0
-    return {1.0: 1.0, 1.5: 2.0}.get(space.alpha)
-
-
-def _binomial(a: float, x: complex, n: int) -> np.ndarray:
-    """The first n Taylor coefficients of (1 - x z)^a, exact zeros past a at an integer a >= 0."""
-    k = np.arange(1.0, n)
-    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - a) / k * x)))
-
-
-def _origin_frame(
-    space: _sp.SpaceSpec, lam: complex, n: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """interp_constant's L and stack N on (lam,)*n in closed form, or None.
-
-    None off the Moebius-invariant spaces (_mobius_exponent) and where an
-    entry leaves the float range.  There U carries the least X-norm with
-    the jet of g = sum_k b_k e_k on (lam,)*n to the least norm with the
-    jet of U g at 0, that of the jet in a diagonal space, and composition
-    with the involution b_lam carries H^inf / b_lam^n H^inf isometrically
-    onto H^inf / z^n H^inf.  As e_k o b_lam = (1 - conj(lam) z) z^k / s
-    and (b_lam')^(e/2) is s^e / (1 - conj(lam) z)^e up to a unimodular
-    factor, s^2 = (1-|lam|)(1+|lam|), the jet of U g is s^(e-1) T(q) b,
-    q = (1 - conj(lam) z)^(1-e), so with D = diag(kappa_0, .., kappa_(n-1))
-    and T(c) the lower-triangular Toeplitz matrix of c:
-
-    * b^H S^-1 b = ||L^-1 b||^2 with L = s^(1-e) T(p') D^(1/2), p' =
-      (1 - conj(lam) z)^(e-1) = 1 / q, lower triangular with a positive
-      diagonal: exactly the Cholesky factor of the Stein Gram S;
-    * the jet of g o b_lam at 0 is T(1 - conj(lam) z) b / s, so at b = L y
-      it is s^-e M y, M = T(p) D^(1/2), p = (1 - conj(lam) z)^e, and
-      ||sum_k b_k e_k(T_B)|| = ||sum_j y_j N_j||, N_j = s^-e T(M e_j).
-
-    So N_j is Q N_j' R^H for the N_j' of _malmquist_factor, Q and R unitary
-    and the same for every j: the ascent and the flattening bound see the
-    same values and singular-vector coefficients, up to rounding.  Each
-    entry is a binomial coefficient times powers of conj(lam) and s, so the
-    frame holds up to the circle; nothing walks T_B and nothing is solved.
-    """
     if (e := _mobius_exponent(space)) is None:
-        return None
-    r = abs(lam)
-    s2 = np.float64((1.0 - r) * (1.0 + r))  # its powers overflow to inf, not OverflowError
-    root = np.sqrt(_sp.kernel_diagonal(space, np.arange(n)))
+        L = _malmquist_cholesky(space, SigmaSet((r,) * n))
+        return K[:n], float(np.linalg.norm(_solve_lower(L, math.sqrt(s2) * h)))
+    for _ in range(round(e) - 1):  # e is 1 or 2 where a kernel witness exists
+        h = _div_geometric(h, r)
+    if e != 1.0:
+        h = h / np.sqrt(_sp.kernel_diagonal(space, np.arange(n)))
+    return K[:n], s2 ** (e / 2.0) * float(np.linalg.norm(h))
+
+
+def _one_point_stack(lam: complex, L: np.ndarray) -> np.ndarray:
+    """interp_constant's stack N on (lam,)*n, from the Cholesky factor L of any space.
+
+    As e_k o b_lam = (1 - conj(lam) z) z^k / s, s^2 = (1-|lam|)(1+|lam|),
+    the jet of g o b_lam at 0, g = sum_k b_k e_k, is T(1 - conj(lam) z) b / s,
+    and composition with the involution b_lam carries H^inf / b_lam^n H^inf
+    isometrically onto H^inf / z^n H^inf, so in every space
+    ||sum_k b_k e_k(T_B)|| = ||T(M y)||, b = L y, M = T(1 - conj(lam) z) L / s,
+    T(c) the lower-triangular Toeplitz matrix of c: N_j = T(M e_j).  It is
+    Q N_j' R^H for the N_j' of _malmquist_factor, Q and R unitary and the
+    same for every j, so the ascent and the flattening bound see the same
+    values, up to rounding, with no resolvent of T_B solved.  Raises
+    FloatingPointError where M leaves the float range: the constant is then
+    at least ||N_j||_2 >= ||N_j||_F / sqrt(n) >= |M_ij| / sqrt(n), and the
+    resolvents' stack, unitarily equivalent to N, has the same norms.
+    """
+    n, r = L.shape[0], abs(lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        L = s2 ** ((1.0 - e) / 2.0) * _toeplitz(_binomial(e - 1.0, np.conj(lam), n)) * root
-        M = s2 ** (-e / 2.0) * _toeplitz(_binomial(e, np.conj(lam), n)) * root
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
-        return None
-    # N_j = T(M e_j), here with s^-e in M: N[j, a, b] = M[a - b, j] for a >= b, else 0
-    k = np.arange(n)
-    padded = np.concatenate((np.zeros((n - 1, n), dtype=M.dtype), M))
-    return L, padded[n - 1 + k[:, None] - k].transpose(2, 0, 1).reshape(n, n * n)
+        M = np.concatenate((L[:1], L[1:] - np.conj(lam) * L[:-1]))
+        M /= math.sqrt((1.0 - r) * (1.0 + r))
+    if not np.all(np.isfinite(M)):
+        raise FloatingPointError(f"the one-point stack at |lam| = {r:.6g} is past the float range")
+    return _toeplitz(M).transpose(2, 0, 1).reshape(n, n * n)  # N[j, a, b] = M[a - b, j]
 
 
 def interp_constant(
@@ -316,8 +256,8 @@ def interp_constant(
     Malmquist coordinates b of g = sum_k b_k e_k: the least sup-norm with
     the jet of g (A_k = e_k(T_B)) over the least X-norm, S the
     kernel-weighted Gram of the basis coefficients (S = I on H^2).  At
-    b = L y, L L^H = S, J is ||sum_j y_j N_j||_2 over unit y
-    (_malmquist_factor), and each step moves to y <- conj(c) / ||c||, c the
+    b = L y, L L^H = S (_malmquist_cholesky), J is ||sum_j y_j N_j||_2 over
+    unit y, and each step moves to y <- conj(c) / ||c||, c the
     coefficients of the top singular pair, where the value is at least
     ||c||, itself at least the previous value.  budget counts the starts
     b, taken to y = L^-1 b and ascended in lockstep (_ascend): the unit
@@ -325,33 +265,29 @@ def interp_constant(
     vectors, with the transplanted witness first when sigma is one
     repeated point (lam,)*n: its coordinates h_k e^(-i k arg lam), k < n,
     h from _witness_at at r = |lam| and the factor s left to the
-    normalisation, so the estimate is at least witness_lower_bound, which
-    on H^2, l^2_a(1) and l^2_a(1.5) is the J of that start.  Every
-    start stops once the estimate is within _ASCENT_RTOL of the flattening
-    bound (_flattening_bound), which bounds the sup from above.
-    Deterministic under a fixed seed.  The result is an attained value, so
-    a lower estimate of the true sup, never below any start's J, and never
-    exceeds the flattening bound or the projection operator norm (plus
-    rounding).  One repeated point on H^2, l^2_a(1), l^2_a(1.5) or any
-    L^2_a(beta) takes L and the stack in closed form (_origin_frame), at
-    every distance from the circle; every other node set and space takes
-    L from the Stein Gram (_malmquist_cholesky) and the stack from the
-    resolvents of T_B (_malmquist_factor), and only there is LinAlgError
-    raised, where S has no Cholesky factor in double precision.
+    normalisation, so its J is witness_lower_bound.  Every start stops once
+    the estimate is within _ASCENT_RTOL of the flattening bound
+    (_flattening_bound), which bounds the sup from above.  Deterministic
+    under a fixed seed.  The result is an attained value, so a lower
+    estimate of the true sup, never below any start's J, and never exceeds
+    the flattening bound or the projection operator norm (plus rounding).
+    One repeated point takes the Toeplitz stack of _one_point_stack in
+    every space, and only two or more distinct points the resolvents of
+    T_B (_malmquist_factor).  LinAlgError is raised where S has no Cholesky
+    factor in double precision, which never happens where L has a closed
+    form, and FloatingPointError where the one-point stack is past the
+    float range.
     """
     if not space.is_hilbert:
         raise NotHilbert("constant estimation needs a Hilbert-case space")
     n = sigma.n
     lam = sigma.single_point()
-    frame = None if lam is None else _origin_frame(space, lam, n)
-    if frame is None:
-        L = _malmquist_cholesky(space, sigma)
-        frame = L, _malmquist_factor(sigma.points, L)
-    L, N = frame
+    L = _malmquist_cholesky(space, sigma)
+    N = _malmquist_factor(sigma.points, L) if lam is None else _one_point_stack(lam, L)
     starts = _starts(n, budget, seed)
     if lam is not None:
         try:
-            h = _witness_at(space, abs(lam), n)[1][:n]
+            h = _witness_at(space, abs(lam), n)[1]
         except UnsupportedSpace:
             pass
         else:
@@ -392,12 +328,17 @@ def _starts(n: int, budget: int, seed: int) -> list[np.ndarray]:
     return starts[: max(budget, 1)]
 
 
+# a sweep cell is left empty where its Stein Gram diverges or has no Cholesky
+# factor, or where its one-point stack is past the float range
+_EMPTY = (Divergence, np.linalg.LinAlgError, FloatingPointError)
+
+
 @dataclass(frozen=True)
 class SweepRow(BoundReport):
     """A theorem_bounds report plus witness_lower_bound and interp_constant at (r,) * n.
 
     ``witness`` is None without a kernel witness, ``estimate`` past estimate_cap, and
-    either where its series raises Divergence."""
+    either where it raises one of _EMPTY."""
 
     witness: float | None
     estimate: float | None
@@ -441,13 +382,13 @@ def bound_sweep(
     def make_row(cell: tuple[int, float]) -> SweepRow:
         n, r = cell
         report, witness, estimate = theorem_bounds(space, n, r), None, None
-        with suppress(UnsupportedSpace, Divergence):  # else the cell is left empty
+        with suppress(UnsupportedSpace, *_EMPTY):  # else the cell is left empty
             jet, size = _witness_parts(space, r, n)
             if n not in jet_norms:
                 jet_norms[n] = _jet_norm(jet)
             witness = jet_norms[n] / size
         if space.is_hilbert and 0 < n <= estimate_cap:
-            with suppress(Divergence):
+            with suppress(*_EMPTY):
                 estimate = interp_constant(space, SigmaSet((complex(r),) * n), budget, seed)
         return SweepRow(**vars(report), witness=witness, estimate=estimate)
 

@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-grid", required=True)
     sub.add_argument("--r-grid", required=True)
     sub.add_argument("--budget", type=_at_least(1), default=16)
-    sub.add_argument("--estimate-cap", type=int, default=0,
+    sub.add_argument("--estimate-cap", type=_at_least(0), default=0,
                      help="run the constant estimator for n up to this cap")
     _add_output_options(sub)
 

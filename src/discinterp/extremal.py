@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodes
-from .series import CoeffSeries, SigmaSet, _basis_taylor, _check_diagonal, _compressed_shift
+from .series import (CoeffSeries, SigmaSet, _basis_taylor, _check_diagonal, _compressed_shift,
+                     _toeplitz)
 
 __all__ = [
     "PickProblem",
@@ -242,14 +243,6 @@ def pick_min_norm(problem: PickProblem) -> ExtremalResult:
     cauchy = 1.0 / (1.0 - np.outer(nodes, nodes.conj()))
     pick = value * value * cauchy - np.outer(values, values.conj()) * cauchy
     return ExtremalResult(value, float(np.linalg.eigvalsh(pick)[0]), "pick")
-
-
-def _toeplitz(c: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix T[i, j] = c_{i-j}, of c's dtype."""
-    n, k = c.size, np.arange(c.size)
-    # T[i, j] = padded[n - 1 + i - j]: c_{i-j} on and below the diagonal, 0 above
-    padded = np.concatenate((np.zeros(n - 1, dtype=c.dtype), c))
-    return padded[n - 1 + k[:, None] - k]
 
 
 def _jet_norm(c: np.ndarray) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import TruncationError
 from .series import CoeffSeries, SigmaSet, _basis_taylor, _compressed_shift, _falling
 from .spaces import (_CIRCLE_GRID, _POLISH_PEAKS, _TAIL_EPS, SpaceSpec, _malmquist_gram,
-                     _polished_max, _stein_blocks, _unit_kernel)
+                     _mobius_exponent, _polished_max, _stein_blocks)
 
 __all__ = [
     "MalmquistBasis",
@@ -195,7 +195,7 @@ def projection_operator_norm(
     Either way g carries rounding noise of a few 1e-15 relative (about
     4.7e-15 seen), so the value is not yet a certificate.
     """
-    if _unit_kernel(space):
+    if _mobius_exponent(space) == 1.0:  # kappa_k = 1 for every k
         return _unit_kernel_norm(sigma, coarse, top)
     S = _malmquist_gram(space, sigma)
 

@@ -105,6 +105,16 @@ def _div_geometric(coeffs: np.ndarray, a: complex) -> np.ndarray:
     return out
 
 
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix T[i, j] = c_{i-j}, of c's dtype.
+
+    A c of shape (n, ..) gives T of shape (n, n, ..), one matrix per trailing index."""
+    n, k = len(c), np.arange(len(c))
+    # T[i, j] = padded[n - 1 + i - j]: c_{i-j} on and below the diagonal, 0 above
+    padded = np.concatenate((np.zeros((n - 1,) + c.shape[1:], dtype=c.dtype), c))
+    return padded[n - 1 + k[:, None] - k]
+
+
 def compose_with_blaschke(f: CoeffSeries, lam: complex, n_out: int) -> CoeffSeries:
     """Taylor coefficients of f(b_lam(z)) up to degree n_out.
 

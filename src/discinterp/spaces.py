@@ -21,7 +21,10 @@ kappa_m is 1), and the Taylor series of any sum_k b_k e_k
 (_malmquist_series) is the walk at Q = b, n^2 + n w per block.  Each is
 cut at its exact dropped mass, so neither needs a truncated basis.  Every
 series that fails to converge raises one ``Divergence`` (_DIVERGENCE).
-FFT and quadrature serve p != 2.
+_malmquist_cholesky is the one source of the Cholesky factor L of S: on
+one repeated point it is that of (|lam|,)*n turned by a diagonal unitary,
+and on a Moebius-invariant space (_mobius_exponent) a closed-form
+Toeplitz matrix, with no walk.  FFT and quadrature serve p != 2.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import Divergence, IllConditionedWarning, NotHilbert, UnsupportedSpace
-from .series import CoeffSeries, SigmaSet, _basis_jets, _compressed_shift, series_power
+from .series import (CoeffSeries, SigmaSet, _basis_jets, _compressed_shift, _toeplitz,
+                     series_power)
 
 __all__ = [
     "SpaceSpec",
@@ -183,11 +187,24 @@ def _log_gamma_ratio(x: np.ndarray, c: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _unit_kernel(space: SpaceSpec) -> bool:
-    """Whether kappa_k = 1 for every k: H^2, and l^2_a with alpha = 1."""
-    return space.is_hilbert and (
-        space.family == "hardy" or (space.family == "seq" and space.alpha == 1.0)
-    )
+def _mobius_exponent(space: SpaceSpec) -> float | None:
+    """e where U f = (f o b_lam)(b_lam')^(e/2) is unitary on the space for every lam, else None.
+
+    b_lam' = -(1 - |lam|^2) / (1 - conj(lam) z)^2.  H^2 and l^2_a(1), its
+    coefficient form, have e = 1 (Nikolski), and they are the spaces where
+    every kappa_k is 1; L^2_a(beta) has e = beta + 2, as (1 - |b_lam(w)|^2)^beta
+    dA(b_lam(w)) = |b_lam'(w)|^(beta+2) (1 - |w|^2)^beta dA(w) (Hedenmalm,
+    Korenblum and Zhu, Theory of Bergman Spaces, ch. 1); l^2_a(1.5) is L^2_a(0)
+    up to the factor sqrt(pi), so e = 2.  Every other l^2_a(alpha), and every
+    p != 2, gets None.
+    """
+    if not space.is_hilbert:
+        return None
+    if space.family == "hardy":
+        return 1.0
+    if space.family == "bergman":
+        return space.beta + 2.0
+    return {1.0: 1.0, 1.5: 2.0}.get(space.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -585,17 +602,19 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     """S_kl = sum_m kappa_m conj(E_km) E_lm, the Stein sum sum_m kappa_m v_m v_m^H.
 
     The least X-norm of an f whose projection onto K_B has the coordinates
-    b is sqrt(b^H S^-1 b).  Where every kappa_m is 1 (_unit_kernel: H^2 and
-    l^2_a(1)), S = sum_m v_m v_m^H is the identity, returned exactly with no
+    b is sqrt(b^H S^-1 b).  Where every kappa_m is 1 (_mobius_exponent 1: H^2
+    and l^2_a(1)), S = sum_m v_m v_m^H is the identity, returned exactly with no
     block summed, at any distance from the circle.  Elsewhere, past M the sum
     drops at most ||T^M||_2^2 max_j(kappa_(M+j) / kappa_j) tr S of its trace,
     the max at j = 0 for every kappa here, so it stops once ||T^M||_F^2
-    kappa_M <= _TAIL_EPS kappa_0, or _stein_blocks diverges."""
-    if _unit_kernel(space):
+    kappa_M <= _TAIL_EPS kappa_0, or _stein_blocks diverges.  Real zeros keep
+    real arithmetic."""
+    if _mobius_exponent(space) == 1.0:
         return np.eye(sigma.n)
     kappa_0 = float(kernel_diagonal(space, 0.0))
     S, M = 0.0, 0
-    for V, mass, _ in _stein_blocks(sigma.points):
+    points = np.array(sigma.points)
+    for V, mass, _ in _stein_blocks(points if points.imag.any() else points.real):
         kappa = kernel_diagonal(space, np.arange(M, M + V.shape[1] + 1))
         S, M = S + (V * kappa[:-1]) @ V.conj().T, M + V.shape[1]
         if mass * kappa[-1] <= _TAIL_EPS * kappa_0:
@@ -605,11 +624,37 @@ def _malmquist_gram(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
 def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
     """The Cholesky factor L, L L^H = S, of the Stein Gram _malmquist_gram.
 
+    On one repeated point (lam,)*n it is Z^H L_r Z, L_r that of (r,)*n,
+    r = |lam|, Z = diag(e^(i k arg lam)), as e_k of (lam,)*n is e^(i k arg lam)
+    e_k(e^(-i arg lam) z) of (r,)*n: exact, with no rounding that depends on
+    the phase.  With a Moebius exponent e, U f = (f o b_r)(b_r')^(e/2) is
+    unitary and e_k o b_r = (1 - r z) z^k / s, so the jet at 0 of
+    U sum_k b_k e_k is s^(e-1) T(1/p') b up to a unimodular factor; in a
+    diagonal space the least norm with a jet at 0 is that of the jet, so
+    L_r = s^(1-e) T(p') D^(1/2), with s^2 = (1-r)(1+r), T(c) the
+    lower-triangular Toeplitz matrix of c, p' the first n coefficients of
+    (1 - r z)^(e-1) (_binomial) and D = diag(kappa_0, .., kappa_(n-1)).  It
+    walks nothing, so it holds up to the circle.  Elsewhere, and where an
+    entry of that closed form leaves the float range, L is
+    np.linalg.cholesky of the Stein sum, real for real zeros.
     S >= kappa_0 I, as kappa_k never decreases and sum_m v_m v_m^H = I, so
     np.linalg.LinAlgError is raised only where rounding hides that, which
     needs eps lambda_max(S) > kappa_0; its message names S and gives
     lambda_max(S) / kappa_0.  ValueError when S is not finite.
     """
+    lam = sigma.single_point()
+    if lam is not None and lam != abs(lam):
+        turn = np.exp(1j * np.angle(lam) * np.arange(sigma.n))
+        L = _malmquist_cholesky(space, SigmaSet((abs(lam),) * sigma.n))
+        return turn.conj()[:, None] * L * turn
+    if lam is not None and (e := _mobius_exponent(space)) is not None:
+        n, r = sigma.n, abs(lam)
+        s2 = np.float64((1.0 - r) * (1.0 + r))  # its powers overflow to inf, not OverflowError
+        root = np.sqrt(kernel_diagonal(space, np.arange(n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = s2 ** ((1.0 - e) / 2.0) * _toeplitz(_binomial(e - 1.0, r, n)) * root
+        if np.all(np.isfinite(L)):
+            return L
     S = _malmquist_gram(space, sigma)
     if not np.all(np.isfinite(S)):  # np.linalg.cholesky would return NaNs
         raise ValueError("array must not contain infs or NaNs")
@@ -621,6 +666,12 @@ def _malmquist_cholesky(space: SpaceSpec, sigma: SigmaSet) -> np.ndarray:
             f"the Stein Gram S of these nodes has no Cholesky factor in double precision"
             f" (lambda_max(S) / kappa_0 = {spread:.3g}; S >= kappa_0 I holds exactly)"
         ) from None
+
+
+def _binomial(a: float, x: float, n: int) -> np.ndarray:
+    """The first n Taylor coefficients of (1 - x z)^a, exact zeros past a at an integer a >= 0."""
+    k = np.arange(1.0, n)
+    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - a) / k * x)))
 
 
 def _malmquist_series(points, b: np.ndarray) -> np.ndarray:

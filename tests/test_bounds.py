@@ -37,7 +37,7 @@ from discinterp import (
     theorem_bounds,
     witness_lower_bound,
 )
-from discinterp.spaces import _malmquist_cholesky
+from discinterp.spaces import _malmquist_cholesky, _malmquist_gram, _mobius_exponent
 
 from conftest import random_sigma, recording_ascent, sequential_ascent
 
@@ -210,20 +210,16 @@ class TestWitness:
 
     @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1.5), seq_weighted(2, 2)])
     def test_matches_composition_at_fixed_length(self, rng, space):
-        # against W o b_lam composed to degree 2^15: for m >= 3 the witness
-        # divides by the norm of that series; on H^2 and l^2_a(1.5) by the
-        # least norm with its jet on (lam,)*n, at most that norm, and the
-        # least norm min_norm_trace finds for the composed jet (whose jets
-        # lose digits past n of about 20, so it is compared up to n = 8)
+        # against W o b_lam composed to degree 2^15: the witness divides by the
+        # least norm with its jet on (lam,)*n, at most the norm of that series,
+        # and the least norm min_norm_trace finds for the composed jet (whose
+        # jets lose digits past n of about 20, so it is compared up to n = 8)
         for n in range(1, 25):
             lam = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             W = turned_kernel(space, lam, n)
             composed = compose_with_blaschke(W, lam, n_out=1 << 15)
             top = cs_min_norm(W.coeffs[:n]).value
             got = witness_lower_bound(space, lam, n)
-            if bounds._witness_power(space) >= 3:
-                assert got == pytest.approx(top / norm(space, composed), rel=1e-12)
-                continue
             assert got >= top / norm(space, composed) * (1 - 1e-12), n
             if n <= 8 and abs(lam) <= 0.8:
                 sigma = SigmaSet((lam,) * n)
@@ -250,11 +246,11 @@ class TestWitness:
     def test_h2_norm_is_the_coordinate_sum(self, monkeypatch, rng, r):
         # the Malmquist basis is orthonormal in H^2, so the least norm with the
         # jet of W o b_lam on (lam,)*n is that of its projection onto the model
-        # space, s^2 sum_(k<n) |h_k|^2 exactly, and no Taylor series of W o b_lam is built
+        # space, s^2 sum_(k<n) |h_k|^2 exactly, and nothing walks the powers of T_B
         def refuse(*args):
-            raise AssertionError("_malmquist_series called on an H^2 witness")
+            raise AssertionError("the H^2 witness walked the powers of T_B")
 
-        monkeypatch.setattr(bounds, "_malmquist_series", refuse)
+        monkeypatch.setattr("discinterp.spaces._stein_blocks", refuse)
         for n in range(1, 33):
             lam = r * np.exp(2j * np.pi * rng.uniform())
             W = turned_kernel(hardy(2), lam, n)
@@ -265,6 +261,34 @@ class TestWitness:
         if r == 0.9999:
             got = witness_lower_bound(hardy(2), r, 4)
             assert got == pytest.approx(104.06980995986886, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [0.99, 0.999])
+    def test_h2_witness_reaches_the_hardy_lower_column(self, r):
+        # the hardy-lower column sqrt(x / 32), x = n / (1 - r), past criterion 7's r <= 0.9
+        for n in range(4, 65):
+            got = witness_lower_bound(hardy(2), r, n)
+            assert got >= math.sqrt(n / (1.0 - r) / 32.0), n
+
+    @pytest.mark.parametrize("space", [seq_weighted(2, 2), seq_weighted(2, 2.5),
+                                       seq_weighted(2, 3)], ids=lambda space: space.label())
+    def test_estimate_reaches_the_witness_off_the_moebius_spaces(self, rng, space):
+        # the witness is the J of the ascent's first start, at the default budget too
+        for n in (1, 2, 3, 4, 6, 8, 12, 16):
+            for r in (0.0, 0.5, 0.9, 0.99, 0.999):
+                lam = r * np.exp(2j * np.pi * rng.uniform())
+                witness = witness_lower_bound(space, lam, n)
+                est = interp_constant(space, SigmaSet((lam,) * n))
+                assert est >= witness * (1 - 1e-12), (n, lam, est, witness)
+
+    def test_near_half_integer_alpha_takes_the_least_norm(self):
+        # alpha within 1e-9 of 1.5 takes the kernel power m = 2 (spaces._kernel_power)
+        # and, with no Moebius exponent, the stream's L: the least norm with
+        # the jet, as at alpha = 1.5, where dividing by the norm of the
+        # transplant read 32.19
+        got = witness_lower_bound(seq_weighted(2, 1.5 + 1e-12), 0.9, 8)
+        assert got == pytest.approx(36.45064498, rel=1e-9, abs=0.0)
+        assert got == pytest.approx(witness_lower_bound(seq_weighted(2, 1.5), 0.9, 8),
+                                    rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("lam, n, value", [(0.999, 32, 11036.127), (0.9999, 4, 12492.403)])
     def test_near_circle_weighted_is_finite(self, lam, n, value):
@@ -290,7 +314,6 @@ class TestWitness:
         def refuse(*args):
             raise AssertionError("the l^2_a(1.5) witness walked the powers of T_B")
 
-        monkeypatch.setattr(bounds, "_malmquist_series", refuse)
         monkeypatch.setattr("discinterp.spaces._stein_blocks", refuse)
         for (n, r), value in want.items():
             got = witness_lower_bound(space, r, n)
@@ -585,11 +608,11 @@ class TestInterpConstant:
         assert len(calls) == 1
 
         def refuse(*args):
-            raise AssertionError("a one-point H^2 cell left the closed-form frame")
+            raise AssertionError("a one-point H^2 cell left the closed form")
 
-        # one repeated point on H^2 takes its factor and stack from _origin_frame
+        # one repeated point on H^2 takes the closed-form factor and the Toeplitz stack
         monkeypatch.setattr(bounds, "_malmquist_factor", refuse)
-        monkeypatch.setattr(bounds, "_malmquist_cholesky", refuse)
+        monkeypatch.setattr("discinterp.spaces._stein_blocks", refuse)
         assert interp_constant(hardy(2), SigmaSet((0.3,) * 3), budget=2) > 0.0
 
 
@@ -611,10 +634,12 @@ class TestInterpConstant:
             assert np.max(np.abs(b / np.linalg.norm(b) - coords / np.linalg.norm(coords))) <= 1e-14
 
 
-    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1), seq_weighted(2, 1.5)])
+    @pytest.mark.parametrize("space", [hardy(2), seq_weighted(2, 1), seq_weighted(2, 1.5),
+                                       seq_weighted(2, 2), seq_weighted(2, 2.5),
+                                       seq_weighted(2, 3)])
     def test_witness_is_the_value_of_its_start(self, monkeypatch, space):
-        # on these spaces the witness divides by the least norm with the
-        # transplant's jet, which is the J of its coordinates, the first start
+        # the witness divides by the least norm with the transplant's jet,
+        # which is the J of its coordinates, the first start
         values = []
 
         def first_value(factor, starts, update, upper):
@@ -629,41 +654,81 @@ class TestInterpConstant:
                 assert values[-1] == pytest.approx(want, rel=1e-13, abs=0.0), (n, lam)
 
 
+def resolvent_stack(lam, L):
+    """The stack of (lam,)*n from the resolvents of T_B, in place of _one_point_stack."""
+    return extremal._malmquist_factor((lam,) * L.shape[0], L)
+
+
 FRAME_SPACES = [hardy(2), seq_weighted(2, 1), seq_weighted(2, 1.5)] + [
     bergman_radial(2, beta) for beta in (-0.5, 0.0, 1.0, 3.0)
 ]
 
 
 class TestOriginFrame:
-    """One repeated point on a Moebius-invariant space: L and N in closed form."""
+    """One repeated point: L in closed form on a Moebius-invariant space, a Toeplitz stack on all."""
 
     @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda space: space.label())
     def test_matches_the_malmquist_path(self, monkeypatch, space):
-        # the same ascent from the same starts, in a frame unitarily equivalent
-        # to the Malmquist one; a phase is taken up to r = 0.99, where the
-        # Malmquist path's own rounding stays below 1e-12 (2.2e-12 seen at 0.999)
+        # the same ascent from the same starts on the resolvent stack of the
+        # same L, unitarily equivalent to the Toeplitz one; a phase is taken up
+        # to r = 0.99, where the resolvents' own rounding stays below 1e-12
         cells = [(n, lam, budget) for n in range(1, 17)
                  for lam in (0.0, 0.5, 0.9, 0.99, 0.999, 0.99 * np.exp(0.7j))
                  for budget in (2, n + 2)]
         got = [interp_constant(space, SigmaSet((lam,) * n), budget) for n, lam, budget in cells]
-        monkeypatch.setattr(bounds, "_origin_frame", lambda *args: None)
+        monkeypatch.setattr(bounds, "_one_point_stack", resolvent_stack)
         for (n, lam, budget), value in zip(cells, got):
             want = interp_constant(space, SigmaSet((lam,) * n), budget)
             assert value == pytest.approx(want, rel=1e-12, abs=0.0), (n, lam, budget)
 
+    @pytest.mark.parametrize("space", [seq_weighted(2, 2), seq_weighted(2, 6)],
+                             ids=lambda space: space.label())
+    def test_stack_matches_the_resolvents_off_the_moebius_spaces(self, monkeypatch, space):
+        # the Toeplitz stack of the stream's L against the resolvents of T_B
+        cells = [(n, lam) for n in (1, 2, 3, 5, 8, 12, 16)
+                 for lam in (0.0, 0.5, 0.9, 0.99, 0.99 * np.exp(0.7j))]
+        got = [interp_constant(space, SigmaSet((lam,) * n), n + 2) for n, lam in cells]
+        monkeypatch.setattr(bounds, "_one_point_stack", resolvent_stack)
+        for (n, lam), value in zip(cells, got):
+            want = interp_constant(space, SigmaSet((lam,) * n), n + 2)
+            assert value == pytest.approx(want, rel=1e-11, abs=0.0), (n, lam)
+
+    @pytest.mark.parametrize("space", [seq_weighted(2, 2), seq_weighted(2, 3)],
+                             ids=lambda space: space.label())
+    def test_one_point_factor_ignores_the_phase(self, space):
+        # (lam,)*n is (|lam|,)*n turned by Z = diag(e^(i k arg lam)), so L is
+        # Z^H L_r Z with L_r real, and the constant's spread over the phase is
+        # the ascent's own; the stream run at lam spread 2.7e-12 and 3.0e-12 here
+        n, values = 16, []
+        for t in (0.0, 0.7, 2.0, np.pi):
+            lam = 0.999 * np.exp(1j * t)
+            L_r = _malmquist_cholesky(space, SigmaSet((abs(lam),) * n))
+            assert L_r.dtype == np.float64
+            turn = np.exp(1j * np.angle(lam) * np.arange(n))
+            got = _malmquist_cholesky(space, SigmaSet((lam,) * n))
+            assert np.array_equal(got, turn.conj()[:, None] * L_r * turn), t
+            values.append(interp_constant(space, SigmaSet((lam,) * n), budget=n + 2))
+        assert max(values) - min(values) <= 1e-12 * max(values)
+
     @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda space: space.label())
-    def test_factor_is_the_cholesky_factor(self, space):
+    def test_factor_is_the_cholesky_factor(self, monkeypatch, space):
         # L = s^(1-e) T(p') D^(1/2) is lower triangular with a positive
-        # diagonal, so it is the Cholesky factor of the Stein Gram itself, and
-        # its stack has the flattening bound of the Malmquist stack
+        # diagonal, so it is the Cholesky factor of the Stein Gram itself,
+        # taken with no walk, and its Toeplitz stack has the flattening bound
+        # of the resolvent stack
+        def refuse(*args):
+            raise AssertionError("the closed-form factor walked the powers of T_B")
+
         for n in (1, 2, 5, 9, 16):
             for lam in (0.0, 0.6, -0.3 + 0.8j, 0.99j):
                 sigma = SigmaSet((lam,) * n)
-                L, N = bounds._origin_frame(space, lam, n)
-                want = _malmquist_cholesky(space, sigma)
+                want = np.linalg.cholesky(_malmquist_gram(space, sigma))
+                with monkeypatch.context() as m:
+                    m.setattr("discinterp.spaces._stein_blocks", refuse)
+                    L = _malmquist_cholesky(space, sigma)
                 assert np.max(np.abs(L - want)) <= 1e-10 * np.max(np.abs(want)), (n, lam)
-                assert bounds._flattening_bound(N) == pytest.approx(
-                    bounds._flattening_bound(extremal._malmquist_factor(sigma.points, want)),
+                assert bounds._flattening_bound(bounds._one_point_stack(lam, L)) == pytest.approx(
+                    bounds._flattening_bound(extremal._malmquist_factor(sigma.points, L)),
                     rel=1e-12, abs=0.0), (n, lam)
 
     @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda space: space.label())
@@ -680,7 +745,7 @@ class TestOriginFrame:
                              ids=lambda space: space.label())
     @pytest.mark.parametrize("r", [0.99999, 1 - 1e-9])
     def test_finite_up_to_the_circle(self, monkeypatch, space, r):
-        # the Malmquist path sums the Stein stream and raises Divergence here
+        # the Stein stream raises Divergence here
         def refuse(*args):
             raise AssertionError("the frame walked the powers of T_B")
 
@@ -693,7 +758,9 @@ class TestOriginFrame:
     @pytest.mark.parametrize("space", [seq_weighted(2, 2), seq_weighted(2, 6), hardy(4)],
                              ids=lambda space: space.label())
     def test_no_frame_off_the_moebius_invariant_spaces(self, monkeypatch, space):
-        assert bounds._origin_frame(space, 0.5, 4) is None
+        # no closed-form L there: it is the stream's, and one repeated point
+        # still climbs the Toeplitz stack, with no resolvent of T_B
+        assert _mobius_exponent(space) is None
         if not space.is_hilbert:
             return
         calls = []
@@ -705,7 +772,32 @@ class TestOriginFrame:
 
         monkeypatch.setattr(bounds, "_malmquist_factor", counted)
         assert interp_constant(space, SigmaSet((0.5,) * 4), budget=2) > 0.0
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_resolvents_only_on_two_or_more_distinct_points(self, monkeypatch):
+        calls = []
+        factor = bounds._malmquist_factor
+
+        def counted(points, L):
+            calls.append(len(set(points)))
+            return factor(points, L)
+
+        monkeypatch.setattr(bounds, "_malmquist_factor", counted)
+        sets = [SigmaSet((0.0,)), SigmaSet((0.5,) * 3), SigmaSet((0.9j,) * 6),
+                SigmaSet((0.3, -0.5)), SigmaSet((0.5, 0.5, -0.2j)), SigmaSet((0.1, 0.2, 0.3, 0.4))]
+        for space in (hardy(2), seq_weighted(2, 1.5), seq_weighted(2, 2), seq_weighted(2, 3),
+                      bergman_radial(2, 1)):
+            for sigma in sets:
+                assert interp_constant(space, sigma, budget=2) > 0.0
+        assert calls == [2, 2, 4] * 5
+
+    def test_stack_past_the_float_range_raises(self):
+        # L^2_a(163.5) at (0.9999,)*2: the closed-form L is finite, but not
+        # M = T(1 - conj(lam) z) L / s, and the constant is at least |M_ij| / sqrt(2)
+        space, sigma = bergman_radial(2, 163.5), SigmaSet((0.9999,) * 2)
+        assert np.all(np.isfinite(_malmquist_cholesky(space, sigma)))
+        with pytest.raises(FloatingPointError, match="past the float range"):
+            interp_constant(space, sigma, budget=2)
 
 
 class TestLargeSteinGram:
@@ -803,7 +895,7 @@ class TestSweep:
             assert row.witness == witness_lower_bound(seq_weighted(2, 1.5), complex(row.r), row.n)
 
     def test_diverging_witness_leaves_its_cell_empty(self):
-        # at r = 1 - 1e-7 the l^2_a(2) witness's Taylor series needs more than
+        # at r = 1 - 1e-7 the Stein Gram of the l^2_a(2) witness needs more than
         # 2^21 terms; that cell has no witness and the slope is fitted without it
         space = seq_weighted(2, 2)
         with pytest.raises(Divergence):

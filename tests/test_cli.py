@@ -245,6 +245,20 @@ class TestCommands:
         assert [(r["r"], r["witness"], r["estimate"]) for r in rows[1:]] == [("0.9999999", "", "")]
         assert all(0.0 < float(rows[0][key]) < math.inf for key in ("witness", "estimate"))
 
+    def test_sweep_reports_a_gram_without_cholesky_factor_as_empty(self, tmp_path):
+        # l^2_a(6) at (0.999,)*32: the Stein Gram of the witness's and the
+        # estimate's zeros has no Cholesky factor in double precision
+        code, out = run_to_file(
+            tmp_path, "sweep.csv",
+            ["sweep", "--space", "seq", "--p", "2", "--alpha", "6",
+             "--n-grid", "32", "--r-grid", "0.999", "--estimate-cap", "32", "--budget", "2"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [(r["n"], r["r"], r["witness"], r["estimate"]) for r in rows] == [
+            ("32", "0.999", "", "")]
+        assert 0.0 < float(rows[0]["phi_scale"]) < math.inf
+
     def test_bernstein_near_circle_needs_no_basis(self, tmp_path):
         code, out = run_to_file(
             tmp_path, "bern.csv", ["bernstein", "--sigma", "0.9999,0.9999"],
@@ -755,16 +769,19 @@ class TestValidation:
         ["constant", "--sigma", "0.5", "--seed", "-1"],
         ["bernstein", "--samples", "2", "--seed", "-1"],
         ["sweep", "--n-grid", "2", "--r-grid", "0.5", "--estimate-cap", "2", "--seed", "-1"],
+        ["sweep", "--n-grid", "2", "--r-grid", "0.5", "--estimate-cap", "-1"],
     ])
     def test_negative_seed_is_validation_error(self, capsys, argv):
-        # an argparse error naming --seed, not numpy's "expected non-negative integer"
+        # an argparse error naming the option, not numpy's "expected
+        # non-negative integer", and no --estimate-cap -1 run as 0
+        option = argv[argv.index("-1") - 1]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"discinterp {argv[0]}: error: argument --seed")
+        assert captured.err.startswith(f"discinterp {argv[0]}: error: argument {option}")
 
     @pytest.mark.parametrize("argv, option", [
         (["--samples", "2", "--max-n", "0"], "--max-n"),

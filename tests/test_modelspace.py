@@ -546,12 +546,14 @@ class TestOperatorNorm:
             assert M == _malmquist_series(np.conj(points), b).size
 
     def test_series_walks_are_stein_blocks(self, monkeypatch):
-        # min_norm_trace and the m >= 3 witness read their series from the one
-        # walk, with the coordinates as its probe (the l^2_a(1.5) one walks none)
-        walks = []
+        # min_norm_trace reads its series from the one walk, with the
+        # coordinates as its probe; the m >= 3 witness walks it once, for the
+        # Stein Gram of its real zeros, and sums no series
+        walks, kinds = [], []
 
         def recording(points, probe=None):
             walks.append(None if probe is None else np.array(probe))
+            kinds.append(np.asarray(points).dtype.kind)
             yield from _stein_blocks(points, probe)
 
         monkeypatch.setattr("discinterp.spaces._stein_blocks", recording)
@@ -559,9 +561,9 @@ class TestOperatorNorm:
         min_norm_trace(space, SigmaSet((0.5, -0.3j, 0.5)), [1.0, 2.0, -1.0])
         assert walks[0] is None and len(walks) == 2 and walks[1].shape == (3,)
         walks.clear()
+        kinds.clear()
         witness_lower_bound(seq_weighted(2, 2), 0.9, 8)
-        probes = [probe for probe in walks if probe is not None]
-        assert len(probes) == 1 and probes[0].dtype == np.float64
+        assert walks == [None] and kinds == ["f"]
 
     def test_series_is_real_on_real_data(self, rng):
         # real zeros and a real b keep real arithmetic, equal to the complex run

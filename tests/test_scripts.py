@@ -95,6 +95,22 @@ def test_scaling_study_fits_an_r_grid_jointly():
     assert out.stdout.count("fitted witness slope:") == 2
 
 
+def test_scaling_study_prints_a_cell_without_cholesky_factor_as_a_dash():
+    # l^2_a(6) at (0.999,)*32: the Stein Gram has no Cholesky factor in
+    # double precision, so its witness and estimate cells read "-"
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scaling_study.py"), "--alpha", "6",
+         "--n-grid", "32", "--r-grid", "0.999", "--estimate-cap", "32", "--budget", "2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines() if line[:4].strip().isdigit()]
+    assert len(rows) == 2
+    assert all(float(value) > 0.0 for value in rows[0][2:4])  # H^2
+    assert rows[1][2:4] == ["-", "-"]
+
+
 def test_readme_library_example_runs():
     readme = ROOT / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
